@@ -127,8 +127,9 @@ func BenchmarkExploreParallel(b *testing.B) {
 // 1/2/4/8 workers. Every width assembles the identical canonical
 // stream (see TestStealDeterminismModelCheck); only wall-clock
 // changes, and only on multi-core hardware — on one core the wider
-// rows price the scheduler's overhead instead. The steal=off rows are
-// the -steal=false A/B: one pinned unit per crash-target subtree.
+// rows price the scheduler's overhead instead. The workers=1 row is the
+// never-stealing reference: a lone worker is never hungry, so it never
+// donates.
 func BenchmarkExploreModelCheckParallel(b *testing.B) {
 	for _, name := range []string{"CCEH", "FAST_FAIR"} {
 		bm := benchmarks.ByName(name)
@@ -151,20 +152,6 @@ func BenchmarkExploreModelCheckParallel(b *testing.B) {
 				}
 			})
 		}
-		b.Run(fmt.Sprintf("%s/workers=8/steal=off", name), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res := explore.Run(bm.Build(bench.Buggy), explore.Options{
-					Mode:            explore.ModelCheck,
-					Executions:      200,
-					Workers:         8,
-					DisableStealing: true,
-				})
-				if res.Executions == 0 {
-					b.Fatal("no executions ran")
-				}
-			}
-		})
 	}
 }
 

@@ -118,7 +118,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	execs := fs.Int("execs", 0, "override executions per benchmark (0: per-port default)")
 	seed := fs.Int64("seed", 1, "exploration seed")
 	workers := fs.String("workers", "0", "parallel exploration workers (0: all CPUs, 1: serial); results are identical for any count. A comma-separated list (e.g. 1,2,4,8) makes -json sweep the parallel benchmark over each count; tables use the first entry")
-	steal := fs.Bool("steal", true, "work stealing between mc-mode workers (timing A/B; results are identical either way)")
 	violations := fs.String("violations", "", "print the detailed violation report for one benchmark")
 	deadline := fs.Duration("deadline", 0, "wall-clock budget per benchmark run (0: none); expired runs report partial coverage")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file; flushed even when a deadline or ^C aborts the run")
@@ -212,7 +211,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}, stdout, stderr)
 	}
 	if *jsonOut != "" {
-		if err := runBenchJSON(*jsonOut, *benchDesc, *reduction, *benchCount, workerList, disableSnaps, disableDPOR, !*steal, stdout); err != nil {
+		if err := runBenchJSON(*jsonOut, *benchDesc, *reduction, *benchCount, workerList, disableSnaps, disableDPOR, stdout); err != nil {
 			fmt.Fprintf(stderr, "psan-bench: -json: %v\n", err)
 			return 2
 		}
@@ -222,7 +221,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Executions: *execs, Seed: *seed, Workers: workerList[0], Deadline: *deadline, Model: *model,
 		Obs: observer, Context: ctx,
 		DisableSnapshots: disableSnaps, DisableDPOR: disableDPOR,
-		DisableStealing: !*steal,
 	}
 	if *violations != "" {
 		out, err := report.Violations(*violations, opt)
@@ -452,18 +450,18 @@ func parseWorkerList(s string) ([]int, error) {
 // CCEH and FAST_FAIR ports) count times per configuration through
 // testing.Benchmark and writes the per-configuration minimum to path,
 // so the tracked BENCH_*.json files are generated by the harness
-// instead of transcribed by hand. The -reduction and -steal flags
-// apply, and the parallel rows sweep every -workers entry — the
-// one-command scaling A/B behind EXPERIMENTS.md.
-func runBenchJSON(path, desc, reduction string, count int, workerList []int, disableSnaps, disableDPOR, disableSteal bool, stdout io.Writer) error {
+// instead of transcribed by hand. The -reduction flag applies, and the
+// parallel rows sweep every -workers entry — the one-command scaling
+// A/B behind EXPERIMENTS.md.
+func runBenchJSON(path, desc, reduction string, count int, workerList []int, disableSnaps, disableDPOR bool, stdout io.Writer) error {
 	if count < 1 {
 		count = 1
 	}
 	out := benchFile{Description: desc}
 	if out.Description == "" {
 		out.Description = fmt.Sprintf(
-			"psan-bench -json: model-check exploration (Executions:200) on the CCEH and FAST_FAIR ports, reduction=%s, steal=%v, workers=%v, min of %d; generated on %s/%s (GOMAXPROCS=%d)",
-			reduction, !disableSteal, workerList, count, runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0))
+			"psan-bench -json: model-check exploration (Executions:200) on the CCEH and FAST_FAIR ports, reduction=%s, workers=%v, min of %d; generated on %s/%s (GOMAXPROCS=%d)",
+			reduction, workerList, count, runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0))
 	}
 	measure := func(name string, workers int) benchRow {
 		bm := benchmarks.ByName(name)
@@ -479,7 +477,6 @@ func runBenchJSON(path, desc, reduction string, count int, workerList []int, dis
 						Workers:          workers,
 						DisableSnapshots: disableSnaps,
 						DisableDPOR:      disableDPOR,
-						DisableStealing:  disableSteal,
 					})
 					if res.Executions == 0 {
 						b.Fatal("no executions ran")

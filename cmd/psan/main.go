@@ -88,7 +88,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&execs, "max-execs", 10000, "alias for -execs")
 	seed := fs.Int64("seed", 1, "random-mode seed")
 	workers := fs.Int("workers", 0, "parallel exploration workers (0: all CPUs, 1: serial); results are identical for any count")
-	steal := fs.Bool("steal", true, "work stealing between mc-mode workers; -steal=false pins each crash-target subtree to one worker (timing A/B and debugging; results are identical either way)")
 	deadline := fs.Duration("deadline", 0, "wall-clock budget for the exploration; on expiry report partial results (exit 3)")
 	stepTimeout := fs.Duration("step-timeout", 0, "per-execution wall-clock bound; a stuck execution is aborted, not the run")
 	checkpointPath := fs.String("checkpoint", "", "write resume state to this file when the run stops early")
@@ -223,7 +222,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		DisableSnapshots: disableSnaps,
 		DisableDPOR:      disableDPOR,
 		NoStateCache:     !*stateCache,
-		DisableStealing:  !*steal,
 	}
 	switch *mode {
 	case "mc":

@@ -8,8 +8,10 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -17,6 +19,7 @@ import (
 	"repro/internal/benchmarks"
 	"repro/internal/benchmarks/bench"
 	"repro/internal/explore"
+	"repro/internal/pmem"
 )
 
 // quickTest reports whether PSAN_TEST_QUICK=1 is set — the CI race run
@@ -50,11 +53,27 @@ func assertSameOutcome(t *testing.T, context string, a, b *explore.Result) {
 	}
 }
 
+// forceProcs raises GOMAXPROCS to n for the rest of the test, so
+// parallel workers really run concurrently even on a 1-CPU machine and
+// the race detector sees their interleavings.
+func forceProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// registryAndServers is every registered benchmark plus the workload
+// servers: the ports whose shared phase closures concurrent worlds run.
+func registryAndServers() []*bench.Benchmark {
+	return append(benchmarks.All(), benchmarks.Servers()...)
+}
+
 // TestParallelDeterminismRandom: Workers:8 random search reproduces the
-// Workers:1 result bit for bit on every registered benchmark.
+// Workers:1 result bit for bit on every registered benchmark and
+// workload server.
 func TestParallelDeterminismRandom(t *testing.T) {
+	forceProcs(t, 4)
 	execs := scaled(200)
-	for _, b := range benchmarks.All() {
+	for _, b := range registryAndServers() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			opt := explore.Options{Mode: explore.Random, Executions: execs, Seed: 11}
@@ -79,14 +98,16 @@ var reductionVariants = []struct {
 }
 
 // TestParallelDeterminismModelCheck: the frontier-split DFS with 8
-// workers reproduces the serial sub-DFS exactly, including where the
-// Executions cap truncates the search — with the reductions on and off.
+// workers reproduces the single-worker DFS exactly, including where the
+// Executions cap truncates the search — with the reductions on and off,
+// on every registered benchmark and workload server.
 func TestParallelDeterminismModelCheck(t *testing.T) {
+	forceProcs(t, 4)
 	execs := scaled(400)
 	for _, v := range reductionVariants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
-			for _, b := range benchmarks.All() {
+			for _, b := range registryAndServers() {
 				b := b
 				t.Run(b.Name, func(t *testing.T) {
 					opt := explore.Options{
@@ -244,9 +265,10 @@ func TestCancelResumeDeterminismModelCheck(t *testing.T) {
 // makes the scheduler donate a work unit at every sub-DFS loop top with
 // a donatable trail cut — the densest unit tree the work-stealing
 // machinery can produce, reproducibly at any worker count — and the
-// result must match a DisableStealing serial run bit for bit, at 1, 4,
-// and 16 workers, with the reductions on and off, including where the
-// Executions cap truncates the search.
+// result must match a plain Workers=1 run (a lone worker is never
+// hungry, so it never donates) bit for bit, at 1, 4, and 16 workers,
+// with the reductions on and off, including where the Executions cap
+// truncates the search.
 func TestStealDeterminismModelCheck(t *testing.T) {
 	execs := scaled(400)
 	for _, v := range reductionVariants {
@@ -260,9 +282,7 @@ func TestStealDeterminismModelCheck(t *testing.T) {
 						DisableSnapshots: v.disable, DisableDPOR: v.disable,
 					}
 					opt.Workers = 1
-					opt.DisableStealing = true
 					baseline := explore.Run(b.Build(bench.Buggy), opt)
-					opt.DisableStealing = false
 					opt.ForceSteals = true
 					for _, workers := range []int{1, 4, 16} {
 						opt.Workers = workers
@@ -308,5 +328,93 @@ func TestStateCacheSoundOnBenchmarks(t *testing.T) {
 				t.Fatal("cache saw no lookups")
 			}
 		})
+	}
+}
+
+// canonicalOps returns the per-execution op counts of the canonical
+// stream's non-quarantined executions, in index order, computed through
+// RunUnit the way a supervisor would drive it: one range for random
+// mode, subtree units chained by their classifications for model
+// checking.
+func canonicalOps(t *testing.T, build func() explore.Program, opt explore.Options) []int64 {
+	t.Helper()
+	var ops []int64
+	add := func(spec explore.UnitSpec) *explore.UnitResult {
+		ur, err := explore.RunUnit(build(), opt, spec, explore.UnitHooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ex := range ur.Execs {
+			if ex.Err == nil {
+				ops = append(ops, ex.Ops)
+			}
+		}
+		return ur
+	}
+	if opt.Mode == explore.Random {
+		add(explore.UnitSpec{Random: &explore.RandomRange{Lo: 0, Hi: opt.Executions}})
+		return ops
+	}
+	var keys []explore.CacheEntry
+	ran := 0
+	for v, more := 0, true; more && ran < opt.Executions; v++ {
+		ur := add(explore.UnitSpec{
+			MC:     &explore.MCCheckpoint{Subtree: v, CacheKeys: append([]explore.CacheEntry(nil), keys...)},
+			Budget: opt.Executions - ran,
+		})
+		if ur.Class.Keyed {
+			keys = append(keys, ur.Class.Key)
+		}
+		more = ur.Class.InjectionFired
+		ran += len(ur.Execs)
+	}
+	return ops
+}
+
+// TestAfterExecutionContract pins the AfterExecution contract in both
+// modes at either requested width: the hook runs at the execution site
+// on a single worker, sees exactly Executions − Quarantined worlds (a
+// quarantined execution's world is discarded, never lent) in canonical
+// index order, and leaves the Result identical to the same run without
+// the hook — reductions, state cache and all. Chaos injection keeps the
+// quarantine path in the table.
+func TestAfterExecutionContract(t *testing.T) {
+	forceProcs(t, 4)
+	b := benchmarks.ByName("CCEH")
+	build := func() explore.Program { return b.Build(bench.Buggy) }
+	for _, mode := range []explore.Mode{explore.Random, explore.ModelCheck} {
+		for _, workers := range []int{1, 4} {
+			mode, workers := mode, workers
+			t.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(t *testing.T) {
+				opt := explore.Options{
+					Mode: mode, Executions: scaled(200), Seed: 3, Workers: workers,
+					InjectFault: func(ordinal int) explore.Fault {
+						if ordinal%7 == 2 {
+							return explore.Fault{PanicAtOp: 3}
+						}
+						return explore.Fault{}
+					},
+				}
+				plain := explore.Run(build(), opt)
+				var seen []int64
+				hooked := opt
+				hooked.AfterExecution = func(w *pmem.World) { seen = append(seen, int64(w.Ops())) }
+				res := explore.Run(build(), hooked)
+				assertSameOutcome(t, b.Name, plain, res)
+				if res.Workers != 1 {
+					t.Fatalf("hooked run used %d workers, want 1", res.Workers)
+				}
+				if res.Quarantined == 0 {
+					t.Fatalf("expected quarantined executions: %s", res)
+				}
+				if len(seen) != res.Executions-res.Quarantined {
+					t.Fatalf("hook saw %d worlds for %d executions with %d quarantined",
+						len(seen), res.Executions, res.Quarantined)
+				}
+				if want := canonicalOps(t, build, opt); !reflect.DeepEqual(seen, want) {
+					t.Fatalf("hook saw worlds out of canonical order:\n  got  %v\n  want %v", seen, want)
+				}
+			})
+		}
 	}
 }

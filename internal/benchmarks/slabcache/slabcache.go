@@ -177,9 +177,11 @@ func (c *Cache) Restart(th *pmem.Thread, keys int) {
 }
 
 // BuildWorkload constructs the exploration program: initialize the
-// cache, drive the configured request stream, crash, warm-restart.
+// cache, drive the configured request stream, crash, warm-restart. Each
+// phase builds its own Cache: concurrent executions share the phase
+// closures, so the volatile freelists must never outlive one phase of
+// one world (a crash forgets them anyway).
 func BuildWorkload(v bench.Variant, wcfg workload.Config) explore.Program {
-	c := New(v)
 	cfg := wcfg
 	if cfg.Keys <= 0 {
 		cfg.Keys = 64
@@ -188,6 +190,7 @@ func BuildWorkload(v bench.Variant, wcfg workload.Config) explore.Program {
 		ProgName: "SlabCache-" + v.String(),
 		PhaseFns: []func(*pmem.World){
 			func(w *pmem.World) {
+				c := New(v)
 				c.Init(w.Thread(0), cfg.Keys)
 				workload.Drive(w, cfg, c)
 				th := w.Thread(0)
@@ -195,7 +198,7 @@ func BuildWorkload(v bench.Variant, wcfg workload.Config) explore.Program {
 				th.Persist(scMarkerAddr, memmodel.WordSize, "persist driver marker")
 			},
 			func(w *pmem.World) {
-				c.Restart(w.Thread(0), cfg.Keys)
+				New(v).Restart(w.Thread(0), cfg.Keys)
 			},
 		},
 	}

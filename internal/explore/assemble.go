@@ -1,19 +1,21 @@
-// Ordered assembly of work-unit streams for the dispatch supervisor.
+// Ordered assembly of execution streams: the one fold behind every
+// exploration path.
 //
-// Assembler is the exported twin of the pool engine's assembly walk
-// (pool.go asm): units are fed in canonical order — subtree-ordinal
-// order for model checking, range order for random mode — and their
-// execution streams are folded into a Result with exactly the engine's
-// collector semantics: global indices assigned in order, violations
-// merged first-found, truncation at the Executions cap, the cut at the
-// first unit with uncollected work, and a v3 checkpoint at the cut.
+// Assembler is the only place that assigns canonical indices, merges
+// violations, truncates at the Executions cap, finds the cut (the first
+// unit with uncollected work), counts the frontier, and writes the v3
+// checkpoint at the cut. Units are fed in canonical order — index order
+// for random mode (the in-process loop and pool batches, or the
+// dispatch supervisor's ranges), depth-first order for model checking
+// (the pool's unit-tree walk, or the supervisor's subtree units).
 // Because the fold is a pure function of the unit streams, and each
 // unit's stream is deterministic in its spec, the assembled Result is
-// bit-identical to an in-process run's at any worker count, under any
-// kill schedule, and across supervisor restarts.
+// bit-identical at any worker count, under any kill schedule, and
+// across supervisor restarts.
 package explore
 
 import (
+	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -27,13 +29,14 @@ type Assembler struct {
 	start time.Time
 	idx   int // canonical stream cursor
 
-	cut       *UnitSpec // first unit with uncollected work
-	truncated bool      // the Executions cap bound before the frontier drained
+	cut       bool          // a unit with uncollected work cut the stream
+	cutMC     *MCCheckpoint // the cut unit's resume point (nil: none)
+	truncated bool          // the Executions cap bound before the frontier drained
 	frontier  int
 
-	// cache-registration log for checkpoints, frozen at the cut (the
-	// engine's checkpoint covers subtrees up to the cut only; later
-	// lookups are re-derived on resume).
+	// cache-registration log for checkpoints, frozen at the cut (a
+	// checkpoint covers subtrees up to the cut only; later lookups are
+	// re-derived on resume).
 	cacheKeys        []CacheEntry
 	hits, misses     int
 	ckKeys           []CacheEntry
@@ -47,15 +50,23 @@ func NewAssembler(program string, opt Options) *Assembler {
 	opt.applyWindowConstraints()
 	opt.em = obs.ExploreInstruments(opt.Obs.Reg())
 	opt.tr = opt.Obs.Trace()
+	return newAssembler(program, &opt)
+}
+
+// newAssembler starts an assembly under already-resolved options.
+func newAssembler(program string, opt *Options) *Assembler {
 	a := &Assembler{
-		opt:   opt,
+		opt:   *opt,
 		res:   &Result{Program: program, Mode: opt.Mode, Workers: opt.Workers, Window: opt.Model.Window},
 		seen:  make(map[string]bool),
 		start: time.Now(),
 	}
 	if ck := opt.Resume; ck != nil {
-		primeFromCheckpoint(a.res, a.seen, ck)
 		a.idx = ck.Collected
+		a.res.Executions, a.res.Aborted, a.res.Quarantined = ck.Collected, ck.Aborted, ck.Quarantined
+		for _, k := range ck.ViolationKeys {
+			a.seen[k] = true
+		}
 		if ck.MC != nil {
 			a.cacheKeys = append(a.cacheKeys, ck.MC.CacheKeys...)
 			a.hits, a.misses = ck.MC.CacheHits, ck.MC.CacheMisses
@@ -71,79 +82,121 @@ func (a *Assembler) Collected() int { return a.idx }
 // Truncated reports whether the Executions cap cut collection short.
 func (a *Assembler) Truncated() bool { return a.truncated }
 
-// setCut freezes the checkpoint cut at spec (first-setter wins, like
-// the engine walk's a.cut).
-func (a *Assembler) setCut(spec *UnitSpec) {
-	if a.cut != nil {
-		return
-	}
-	a.cut = spec
-	a.ckKeys = append([]CacheEntry(nil), a.cacheKeys...)
-	a.ckHits, a.ckMisses = a.hits, a.misses
-}
-
 // Add folds one unit's completed stream. Units must arrive in canonical
 // order; a unit whose result was lost (poisoned, undelivered at a stop)
 // is fed to AddLost in its place.
 func (a *Assembler) Add(spec UnitSpec, ur *UnitResult) {
-	a.res.WorkerTime += time.Duration(ur.WorkNanos)
-	a.res.SnapshotRestores += ur.SnapshotRestores
-	a.res.DPORPruned += ur.DPORPruned
 	if ur.Classified {
-		if ur.Class.Keyed {
-			a.cacheKeys = append(a.cacheKeys, ur.Class.Key)
-			a.misses++
-		}
-		if ur.Class.Pruned {
-			a.hits++
-		}
+		a.classify(ur.Class)
 	}
-	collected := true
-	for _, ex := range ur.Execs {
-		if a.cut == nil && a.idx >= a.opt.Executions {
-			a.truncated = true
-			a.setCut(&spec)
-		}
-		if a.cut != nil {
-			collected = false
-			continue
-		}
-		if ex.Err != nil && ex.Err.Exec < 0 {
-			ex.Err.Exec = a.idx
-		}
-		a.res.collect(execOutcome{
-			index: a.idx, aborted: ex.Aborted, violations: ex.Violations, execErr: ex.Err,
-			ops: ex.Ops, retirements: ex.Retirements,
-			retiredStores: ex.RetiredStores, retiredEvents: ex.RetiredEvents,
-			pinnedRoots: ex.PinnedRoots, sweepNanos: ex.SweepNanos,
-		}, a.seen, &a.opt)
-		a.idx++
-	}
-	if !ur.Done {
-		a.setCut(&spec)
-	}
-	if !ur.Done || !collected {
-		a.frontier++
-	}
+	a.addUnit(ur, spec.MC)
 }
 
 // AddLost records a unit in canonical position whose stream never
 // arrived — poisoned, or undelivered when the campaign stopped. It cuts
 // the canonical stream (nothing after it may be collected) and counts
 // toward the frontier.
-func (a *Assembler) AddLost(spec UnitSpec) {
-	a.setCut(&spec)
-	a.frontier++
+func (a *Assembler) AddLost(spec UnitSpec) { a.endUnit(spec.MC, false, false) }
+
+// classify logs a model-check subtree's first-crash classification: the
+// state-cache registration (a miss) or hit it made.
+func (a *Assembler) classify(c UnitClassification) {
+	if c.Keyed {
+		a.cacheKeys = append(a.cacheKeys, c.Key)
+		a.misses++
+	}
+	if c.Pruned {
+		a.hits++
+	}
 }
 
-// Finish closes the assembly. stopReason is the supervisor's stop cause
-// ("" for a run whose frontier drained); like the engines, a cut with
-// no external stop is an "exec-budget" truncation, and only a
-// non-truncated stop yields a checkpoint.
+// addUnit folds one unit's whole stream; cut is its resume point should
+// it not have finished.
+func (a *Assembler) addUnit(ur *UnitResult, cut *MCCheckpoint) {
+	a.addStats(ur)
+	collected := true
+	for i := range ur.Execs {
+		if !a.collect(&ur.Execs[i]) {
+			collected = false
+		}
+	}
+	a.endUnit(cut, ur.Done, collected)
+}
+
+// addStats sums a unit's diagnostics, which cover every execution it
+// ran, collected or not.
+func (a *Assembler) addStats(ur *UnitResult) {
+	a.res.WorkerTime += time.Duration(ur.WorkNanos)
+	a.res.SnapshotRestores += ur.SnapshotRestores
+	a.res.DPORPruned += ur.DPORPruned
+}
+
+// collect assigns the next canonical index to ex and folds it into the
+// Result — unless the stream is already cut, or the Executions cap cuts
+// it here. It reports whether ex was collected; past the cut nothing
+// is (a resume re-derives it).
+func (a *Assembler) collect(ex *UnitExec) bool {
+	if !a.cut && a.idx >= a.opt.Executions {
+		a.truncated = true
+		a.setCut(nil)
+	}
+	if a.cut {
+		return false
+	}
+	if ex.Err != nil && ex.Err.Exec < 0 {
+		ex.Err.Exec = a.idx
+	}
+	a.res.collect(ex, a.idx, a.seen, &a.opt)
+	a.idx++
+	return true
+}
+
+// endUnit closes a unit's stream: a unit that did not finish cuts the
+// canonical stream at cut, and one with uncollected work counts toward
+// the frontier.
+func (a *Assembler) endUnit(cut *MCCheckpoint, done, collected bool) {
+	if !done {
+		a.setCut(cut)
+	}
+	if !done || !collected {
+		a.frontier++
+	}
+}
+
+// setCut freezes the checkpoint cut at a unit's resume point
+// (first-setter wins).
+func (a *Assembler) setCut(mc *MCCheckpoint) {
+	if a.cut {
+		return
+	}
+	a.cut = true
+	a.cutMC = mc
+	a.ckKeys = append([]CacheEntry(nil), a.cacheKeys...)
+	a.ckHits, a.ckMisses = a.hits, a.misses
+}
+
+// finish closes an in-process assembly with the stopper's latched
+// reason, if any.
+func (a *Assembler) finish(st *stopper) *Result {
+	reason := ""
+	if st.stopped() {
+		reason = st.why()
+	}
+	return a.Finish(reason)
+}
+
+// Finish closes the assembly. stopReason is the stop cause ("" for a
+// run whose frontier drained); a cut with no external stop is an
+// "exec-budget" truncation. Only a non-truncated stop whose cut has a
+// resume point yields a checkpoint; budget truncation (cap reached, or
+// a unit that bowed out on its budget) is re-run with a larger budget
+// instead. A stop reason is reported even when the run completed (a
+// stop landing in the same tick the frontier drained), so it is never
+// silently swallowed.
 func (a *Assembler) Finish(stopReason string) *Result {
 	res := a.res
 	res.CacheHits, res.CacheMisses = a.hits, a.misses
-	if a.cut != nil {
+	if a.cut {
 		res.Partial = true
 		if stopReason != "" {
 			res.noteStop(stopReason)
@@ -154,10 +207,7 @@ func (a *Assembler) Finish(stopReason string) *Result {
 		if a.opt.Mode == Random {
 			res.FrontierRemaining = a.opt.Executions - a.idx
 		}
-		// Like the engines, only an external stop yields a checkpoint;
-		// budget truncation (cap reached, or a unit that bowed out on its
-		// dispatch budget) is re-run with a larger budget instead.
-		if stopReason != "" && !a.truncated {
+		if stopReason != "" && !a.truncated && (a.opt.Mode == Random || a.cutMC != nil) {
 			res.Checkpoint = a.checkpoint()
 		}
 	} else if stopReason != "" {
@@ -168,12 +218,13 @@ func (a *Assembler) Finish(stopReason string) *Result {
 }
 
 // checkpoint builds the v3 resume state at the cut. A model-check cut
-// unit's spec is already checkpoint-shaped — its MC block names the cut
-// subtree, trail, and spawn flag — so the checkpoint is that block plus
-// the frozen cache-registration log. A cut unit that classified but
-// whose stream was lost re-classifies on resume (its registration is
-// deliberately not in the log; re-registering is idempotent for the
-// hit/miss pattern of later subtrees).
+// unit's resume point is already checkpoint-shaped — it names the cut
+// subtree, trail, spawn flag, and DPOR registrations — so the
+// checkpoint is that block plus the frozen cache-registration log. A
+// cut unit that classified but whose stream was lost re-classifies on
+// resume (its registration is deliberately not in the log;
+// re-registering is idempotent for the hit/miss pattern of later
+// subtrees).
 func (a *Assembler) checkpoint() *Checkpoint {
 	ck := &Checkpoint{
 		Version:       checkpointVersion,
@@ -189,19 +240,20 @@ func (a *Assembler) checkpoint() *Checkpoint {
 	}
 	if a.opt.Mode == ModelCheck {
 		ck.DPOR = !a.opt.DisableDPOR
-		mc := &MCCheckpoint{
-			CacheKeys:   a.ckKeys,
-			CacheHits:   a.ckHits,
-			CacheMisses: a.ckMisses,
-		}
-		if a.cut.MC != nil {
-			mc.Subtree = a.cut.MC.Subtree
-			mc.Started = a.cut.MC.Started
-			mc.Trail = a.cut.MC.Trail
-			mc.SpawnNext = a.cut.MC.SpawnNext
-			mc.DPORKeys = a.cut.MC.DPORKeys
-		}
-		ck.MC = mc
+		mc := *a.cutMC
+		mc.CacheKeys, mc.CacheHits, mc.CacheMisses = a.ckKeys, a.ckHits, a.ckMisses
+		ck.MC = &mc
 	}
 	return ck
+}
+
+// keysOf returns the sorted contents of a dedup set — the cumulative
+// violation keys a checkpoint must carry.
+func keysOf(seen map[string]bool) []string {
+	keys := make([]string, 0, len(seen))
+	for k := range seen {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/pmem"
 )
 
 // counters snapshots the registry and returns the counter map plus a
@@ -370,34 +369,27 @@ func TestStopReasonCancelAsFrontierDrains(t *testing.T) {
 }
 
 // TestStopReasonCancelAsFrontierDrainsModelCheck covers the same race
-// for both model-check engines (parallel, and the serial engine forced
-// by AfterExecution). The uninterrupted pilot run sizes the frontier so
-// the cancel can land exactly on the last collected execution.
+// for the model-check engine. The uninterrupted pilot run sizes the
+// frontier so the cancel can land exactly on the last collected
+// execution.
 func TestStopReasonCancelAsFrontierDrainsModelCheck(t *testing.T) {
-	for _, serial := range []bool{false, true} {
-		// Pilot the same engine uninterrupted to size its frontier (the
-		// serial engine runs cacheless and may enumerate more).
-		popt := Options{Mode: ModelCheck, Executions: 10000, Workers: 4}
-		if serial {
-			popt.AfterExecution = func(w *pmem.World) {}
-		}
-		total := Run(figure2(), popt).Executions
+	popt := Options{Mode: ModelCheck, Executions: 10000, Workers: 4}
+	total := Run(figure2(), popt).Executions
 
-		ctx, cancel := context.WithCancel(context.Background())
-		opt := popt
-		opt.Context = ctx
-		opt.Progress = func(exec int) {
-			if exec == total {
-				cancel()
-			}
+	ctx, cancel := context.WithCancel(context.Background())
+	opt := popt
+	opt.Context = ctx
+	opt.Progress = func(exec int) {
+		if exec == total {
+			cancel()
 		}
-		res := Run(figure2(), opt)
-		cancel()
-		if res.Partial {
-			t.Fatalf("serial=%v: run completed before the cancel, must not be partial: %s", serial, res)
-		}
-		if res.StopReason != "canceled" {
-			t.Fatalf("serial=%v: StopReason %q, want canceled", serial, res.StopReason)
-		}
+	}
+	res := Run(figure2(), opt)
+	cancel()
+	if res.Partial {
+		t.Fatalf("run completed before the cancel, must not be partial: %s", res)
+	}
+	if res.StopReason != "canceled" {
+		t.Fatalf("StopReason %q, want canceled", res.StopReason)
 	}
 }

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/pmem"
 )
 
 // injectEvery returns a chaos plan that panics at op `atOp` on every
@@ -162,27 +160,6 @@ func TestPanicContainmentStealModelCheck(t *testing.T) {
 			t.Fatalf("workers=%d violation keys diverge: %v vs %v",
 				workers, b.ViolationKeys(), a.ViolationKeys())
 		}
-	}
-}
-
-// TestPanicContainmentSerialModelCheck covers the serial engine (forced
-// by AfterExecution): quarantined executions hand over no world.
-func TestPanicContainmentSerialModelCheck(t *testing.T) {
-	worlds := 0
-	res := Run(figure2(), Options{
-		Mode: ModelCheck, Executions: 10000, Workers: 1,
-		InjectFault:    injectEvery(6, 2, 3),
-		AfterExecution: func(w *pmem.World) { worlds++ },
-	})
-	if res.Partial {
-		t.Fatalf("containment must not stop the serial engine: %s", res)
-	}
-	if res.Quarantined == 0 {
-		t.Fatalf("expected quarantined executions: %s", res)
-	}
-	if worlds != res.Executions-res.Quarantined {
-		t.Fatalf("got %d worlds for %d executions with %d quarantined",
-			worlds, res.Executions, res.Quarantined)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -137,12 +137,13 @@ type Options struct {
 	// Seed seeds Random mode; ModelCheck is deterministic.
 	Seed int64
 	// Workers is the number of parallel exploration workers: 0 uses
-	// runtime.NumCPU(), 1 runs the exact serial algorithm. Any worker
-	// count produces bit-identical results: in Random mode each
-	// execution's seed is derived from its index alone (never a shared
-	// RNG), and in ModelCheck mode per-subtree results are assembled in
-	// canonical depth-first order, so scheduling cannot leak into
-	// Violations, ExecutionsToAllBugs, or Aborted.
+	// runtime.NumCPU(), 1 runs every execution on the calling goroutine
+	// in canonical order (and never steals). Any worker count produces
+	// bit-identical results: in Random mode each execution's seed is
+	// derived from its index alone (never a shared RNG), and in
+	// ModelCheck mode per-unit results are assembled in canonical
+	// depth-first order, so scheduling cannot leak into Violations,
+	// ExecutionsToAllBugs, or Aborted.
 	Workers int
 	// NoStateCache disables the post-crash state cache (ModelCheck
 	// mode): crash points whose surviving persistent image is identical
@@ -169,15 +170,6 @@ type Options struct {
 	// executions run); the violation key set is unaffected. See
 	// DESIGN.md, "Prefix snapshots and partial-order reduction".
 	DisableDPOR bool
-	// DisableStealing turns off work stealing in the parallel model-check
-	// engine: when a worker's queue drains it normally carves the
-	// shallowest unexplored decision-trail cut off the busiest peer and
-	// runs it as an independent work unit. Results are bit-identical
-	// either way (the assembly walk reorders unit streams into canonical
-	// DFS order); the escape hatch exists for A/B timing and for
-	// debugging suspected scheduler bugs. See DESIGN.md, "Work-stealing
-	// scheduler".
-	DisableStealing bool
 	// ForceSteals is a test hook: the model-check engine donates a work
 	// unit at every sub-DFS loop top where the trail has a donatable cut,
 	// whether or not any worker is hungry. Donation decisions then depend
@@ -220,11 +212,13 @@ type Options struct {
 	FreshWorlds bool
 	// AfterExecution, when non-nil, receives each execution's world
 	// after its phases complete, letting post-hoc analyses (the baseline
-	// checkers of §6.4) inspect the trace. Like Progress it is
-	// serialized through the collector and called in execution-index
-	// order. In ModelCheck mode setting it forces the serial engine
-	// (Workers is ignored and the state cache is off), since the
-	// parallel engine does not retain worlds.
+	// checkers of §6.4) inspect the trace. It runs at the execution site,
+	// so setting it resolves Workers to 1 (and ForceSteals off): every
+	// execution then runs on the calling goroutine in canonical index
+	// order, and the hook sees exactly Executions − Quarantined worlds
+	// (quarantined and pruned executions hand over none). The world is
+	// only lent for the duration of the call — the engine resets and
+	// reuses it afterwards — so the hook must not retain or mutate it.
 	AfterExecution func(*pmem.World)
 
 	// --- failure containment ---
@@ -385,8 +379,7 @@ type Result struct {
 	// engine pruned by partial-order reduction: their complete post-crash
 	// state matched one already enumerated in the same subtree. Unlike
 	// SnapshotRestores this reduces Executions; the violation key set is
-	// unaffected. Both are 0 in Random mode and in the serial
-	// (AfterExecution) engine.
+	// unaffected. Both are 0 in Random mode.
 	DPORPruned int
 	// Window is the bounded-window size the run used
 	// (persist.Config.Window); 0 = classic unbounded traces.
@@ -596,7 +589,12 @@ func Run(p Program, opt Options) *Result {
 	if opt.Executions == 0 {
 		opt.Executions = 1000
 	}
-	if opt.Workers <= 0 {
+	if opt.AfterExecution != nil {
+		// The hook runs at the execution site, so executions must run one
+		// at a time in canonical order: one worker, no donated units.
+		opt.Workers = 1
+		opt.ForceSteals = false
+	} else if opt.Workers <= 0 {
 		opt.Workers = runtime.NumCPU()
 	}
 	// Resolve the instrument bundle and tracer once; with observability
@@ -610,26 +608,10 @@ func Run(p Program, opt Options) *Result {
 	}
 	opt.applyWindowConstraints()
 	st := newStopper(&opt)
-	var res *Result
-	switch opt.Mode {
-	case ModelCheck:
-		res = runModelCheck(p, opt, st)
-	default:
-		res = runRandom(p, opt, st)
+	if opt.Mode == ModelCheck {
+		return newMCEngine(p, &opt, st).run()
 	}
-	res.Window = opt.Model.Window
-	return res
-}
-
-// primeFromCheckpoint folds a resumed checkpoint's already-collected
-// totals into the result and seeds the cross-execution dedup set.
-func primeFromCheckpoint(res *Result, seen map[string]bool, ck *Checkpoint) {
-	res.Executions = ck.Collected
-	res.Aborted = ck.Aborted
-	res.Quarantined = ck.Quarantined
-	for _, k := range ck.ViolationKeys {
-		seen[k] = true
-	}
+	return runRandom(p, &opt, st)
 }
 
 // noteStop records a stop reason first-writer-wins: the cause that
@@ -642,93 +624,33 @@ func (r *Result) noteStop(reason string) {
 	}
 }
 
-// mergeViolations folds an execution's violations into the result.
-func (r *Result) mergeViolations(seen map[string]bool, vs []*core.Violation, execIndex int) {
-	for _, v := range vs {
-		if !seen[v.Key()] {
-			seen[v.Key()] = true
-			r.Violations = append(r.Violations, v)
-			r.ExecutionsToAllBugs = execIndex
-		}
-	}
-}
-
-// runPhases executes the program's phases in one world, injecting
-// crashes per crashTargets (one entry per non-final phase; a negative
-// target crashes at the end of the phase without injection). It reports
-// whether the execution aborted on its op budget, and for each non-final
-// phase whether the crash injection actually fired (false means the
-// phase ran to completion and crashed at its end).
-//
-// onCrash, when non-nil, is invoked after each crash (machine already
-// crashed, sealed image in place) with the phase index and whether the
-// injection fired; returning false abandons the remaining phases — the
-// state cache uses this to prune continuations it has already explored.
-// pruned reports whether that happened.
-//
-// Any panic other than pmem.AbortSignal is contained: runPhases returns
-// it as a structured execErr instead of unwinding the worker, leaving w
-// in an undefined state — the caller must discard the world and
-// quarantine the schedule (see execerror.go).
-//
-// tr/tid attach a crash-resolution span per injected crash to the
-// worker's trace timeline; a nil tracer costs two nil checks and reads
-// no clock.
-func runPhases(p Program, w *pmem.World, crashTargets []int, onCrash func(phase int, fired bool) bool, tr *obs.Tracer, tid int) (aborted bool, injected []bool, pruned bool, execErr *ExecError) {
-	injected = make([]bool, len(crashTargets))
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(pmem.AbortSignal); ok {
-				aborted = true
-				return
-			}
-			execErr = captureExecError(r)
-		}
-	}()
-	phases := p.Phases()
-	for i, phase := range phases {
-		last := i == len(phases)-1
-		if last {
-			w.SetCrashTarget(-1)
-		} else {
-			w.SetCrashTarget(crashTargets[i])
-		}
-		crashed := w.RunPhase(phase)
-		if !last {
-			injected[i] = crashed
-			cs := tr.Now()
-			w.Crash()
-			tr.CompleteSince(tid, "explore", "crash-resolution", cs, -1)
-			if onCrash != nil && !onCrash(i, crashed) {
-				return false, injected, true, nil
-			}
-		}
-	}
-	return false, injected, false, nil
-}
-
-// runPhasesMC is the model-check-mode phase driver: it executes
+// runPhasesMC is the phase driver of both modes: it executes
 // phases[startPhase:] in w, consuming each non-final phase's crash-
-// target decision from ctl immediately before that phase runs. Lazy
-// consumption keeps the decision trail in decision-*use* order — a
-// decision at trail index i influences the execution only from the
-// point it is consumed — which is the invariant snapshot validity is
-// defined over (pool.go) and means phases never reached leave no trail
-// entries at all.
+// target decision from ctl immediately before that phase runs. Random
+// mode primes ctl with its sampled targets as closed decisions; model
+// checking extends the trail as it goes. Lazy consumption keeps the
+// decision trail in decision-*use* order — a decision at trail index i
+// influences the execution only from the point it is consumed — which
+// is the invariant snapshot validity is defined over (pool.go) and
+// means phases never reached leave no trail entries at all.
 //
-// Domain discovery is inlined: a target decision whose injection did
-// not fire is closed at target+1 as soon as its phase completes
+// Domain discovery is inlined: an open target decision whose injection
+// did not fire is closed at target+1 as soon as its phase completes
 // ("crash after the last operation", §6.1). On an op-budget abort or a
 // contained panic the in-flight phase's open target decision is closed
 // the same way, so sibling targets — which would deterministically
 // replay the same abort or panic before crashing — are never
-// enumerated separately (the pruning the upfront-consumption driver
-// achieved by closing all unreached domains).
+// enumerated separately.
 //
-// onCrash matches runPhases: invoked after each crash with the sealed
-// image in place; returning false abandons the remaining phases
-// (pruned). Panics other than pmem.AbortSignal are contained into
-// execErr; the caller must discard the world.
+// onCrash, when non-nil, is invoked after each crash (sealed image in
+// place) with the phase index and whether the injection fired;
+// returning false abandons the remaining phases (pruned). Any panic
+// other than pmem.AbortSignal is contained into execErr, leaving w in
+// an undefined state — the caller must discard the world and
+// quarantine the schedule (see execerror.go).
+//
+// tr/tid attach a crash-resolution span per crash to the worker's trace
+// timeline; a nil tracer costs two nil checks and reads no clock.
 func runPhasesMC(phases []func(*pmem.World), w *pmem.World, ctl *controller, startPhase int, onCrash func(phase int, fired bool) bool, tr *obs.Tracer, tid int) (aborted bool, pruned bool, execErr *ExecError) {
 	curDec, curTarget := -1, 0
 	defer func() {
@@ -830,112 +752,97 @@ func installProbe(w *pmem.World, opt *Options, ordinal int) {
 	})
 }
 
-// execOutcome is one execution's contribution to the result, produced
-// on a worker and folded in by the collector in index order.
-type execOutcome struct {
-	index      int // 0-based execution index
-	aborted    bool
-	violations []*core.Violation
-	// world is retained only when AfterExecution needs it.
-	world   *pmem.World
-	elapsed time.Duration
-	// execErr marks a quarantined execution (contained panic): no
-	// violations, no world.
-	execErr *ExecError
-	// ops and the retirement counts carry the execution's world stats
-	// into the result sums (noteWorldStats); zero for quarantined
-	// executions, whose world is discarded unread.
-	ops           int64
-	retirements   int64
-	retiredStores int64
-	retiredEvents int64
-	pinnedRoots   int64
-	sweepNanos    int64
-}
-
-// noteWorldStats records the execution's scheduled-operation count and
-// bounded-window retirement totals from the world that ran it.
-func (o *execOutcome) noteWorldStats(w *pmem.World) {
-	o.ops = int64(w.Ops())
-	rs := w.M.Trace().Retired()
-	o.retirements = int64(rs.Retirements)
-	o.retiredStores = int64(rs.RetiredStores)
-	o.retiredEvents = int64(rs.RetiredEvents)
-	o.pinnedRoots = int64(rs.MaxPinnedRoots)
-	o.sweepNanos = w.SweepNanos()
-}
-
-// count classifies the outcome into exactly one of the completion
-// counters (quarantined > aborted > completed) and observes the
-// execution-duration histogram. It runs at the execution site — every
-// execution that ran is counted, even one the ModelCheck assembly later
-// truncates at the budget — keeping the invariant
-// started == completed + aborted + quarantined (+ pruned, mc mode).
-func (o *execOutcome) count(em *obs.ExploreMetrics, fr *obs.FlightRecorder) {
-	switch {
-	case o.execErr != nil:
-		em.Quarantined.Inc()
-		fr.Record("explore", "quarantine", -1, o.execErr.Kind)
-	case o.aborted:
-		em.Aborted.Inc()
-	default:
-		em.Completed.Inc()
+// execResult records one finished execution: a quarantined one carries
+// only its ExecError (its world is discarded unread), any other its
+// verdict and the world stats that feed the Result sums.
+func execResult(w *pmem.World, aborted bool, execErr *ExecError) UnitExec {
+	if execErr != nil {
+		return UnitExec{Err: execErr}
 	}
-	em.ExecNanos.Observe(int64(o.elapsed))
+	rs := w.M.Trace().Retired()
+	return UnitExec{
+		Aborted:       aborted,
+		Violations:    w.Checker.Violations(),
+		Ops:           int64(w.Ops()),
+		Retirements:   int64(rs.Retirements),
+		RetiredStores: int64(rs.RetiredStores),
+		RetiredEvents: int64(rs.RetiredEvents),
+		PinnedRoots:   int64(rs.MaxPinnedRoots),
+		SweepNanos:    w.SweepNanos(),
+	}
 }
 
-// collect folds one execution's outcome into the result. Callers must
-// invoke it in strictly increasing index order (the collector contract
-// behind Progress and AfterExecution).
-//
-// Metric counters (started/completed/aborted/quarantined) are emitted
-// at the execution sites, not here: the ModelCheck engine collects at
-// assembly time, possibly truncating at the budget, and the counters
-// must cover every execution that actually ran. Only the random-mode
-// frontier gauge lives here, because "remaining executions" is a
-// collector-order notion.
-func (r *Result) collect(o execOutcome, seen map[string]bool, opt *Options) {
-	if o.aborted {
+// countExec classifies one execution that ran into exactly one of the
+// completion counters (pruned > quarantined > aborted > completed) and
+// observes its duration. It runs at the execution site — every
+// execution that ran is counted, even one the assembly later truncates
+// at the budget — keeping the invariant
+// started == completed + aborted + quarantined + pruned.
+func (o *Options) countExec(pruned bool, ex *UnitExec, d time.Duration) {
+	switch {
+	case pruned:
+		o.em.Pruned.Inc()
+	case ex.Err != nil:
+		o.em.Quarantined.Inc()
+		o.fr.Record("explore", "quarantine", -1, ex.Err.Kind)
+	case ex.Aborted:
+		o.em.Aborted.Inc()
+	default:
+		o.em.Completed.Inc()
+	}
+	o.em.ExecNanos.Observe(int64(d))
+}
+
+// collect folds the record of execution index into the result. Its one
+// caller is the Assembler, in strictly increasing index order (the
+// collector contract behind Progress). Metric counters are emitted at
+// the execution sites (countExec); only the random-mode frontier gauge
+// lives here, because "remaining executions" is a collector-order
+// notion.
+func (r *Result) collect(ex *UnitExec, index int, seen map[string]bool, opt *Options) {
+	if ex.Aborted {
 		r.Aborted++
 	}
-	if o.execErr != nil {
+	if ex.Err != nil {
 		r.Quarantined++
 		if len(r.ExecErrors) < execErrorCap {
-			r.ExecErrors = append(r.ExecErrors, o.execErr)
+			r.ExecErrors = append(r.ExecErrors, ex.Err)
 		}
 	}
-	r.mergeViolations(seen, o.violations, o.index+1)
-	r.Executions++
-	r.WorkerTime += o.elapsed
-	r.Ops += o.ops
-	r.Retirements += o.retirements
-	r.RetiredStores += o.retiredStores
-	r.RetiredEvents += o.retiredEvents
-	if o.pinnedRoots > r.PinnedRootsMax {
-		r.PinnedRootsMax = o.pinnedRoots
+	for _, v := range ex.Violations {
+		if k := v.Key(); !seen[k] {
+			seen[k] = true
+			r.Violations = append(r.Violations, v)
+			r.ExecutionsToAllBugs = index + 1
+		}
 	}
-	r.SweepNanos += o.sweepNanos
+	r.Executions++
+	r.Ops += ex.Ops
+	r.Retirements += ex.Retirements
+	r.RetiredStores += ex.RetiredStores
+	r.RetiredEvents += ex.RetiredEvents
+	if ex.PinnedRoots > r.PinnedRootsMax {
+		r.PinnedRootsMax = ex.PinnedRoots
+	}
+	r.SweepNanos += ex.SweepNanos
 	if opt.Mode == Random {
 		opt.em.FrontierDepth.Set(int64(opt.Executions - r.Executions))
 	}
-	if opt.AfterExecution != nil && o.world != nil {
-		opt.AfterExecution(o.world)
-	}
 	if opt.Progress != nil {
-		opt.Progress(o.index + 1)
+		opt.Progress(index + 1)
 	}
 }
 
 // randomPlan is the per-run immutable context shared by all random-mode
-// workers: the pilot's crash-point ranges and the derived machine
-// configuration. Everything per-execution lives in the World.
+// workers: the program, the pilot's crash-point ranges, and the derived
+// machine configuration. Everything per-execution lives in the World.
 type randomPlan struct {
+	p           Program
+	opt         *Options
 	pilotCounts []int
 	chooser     pmem.ReadChooser
 	model       persist.Config
 	drainPct    int
-	keepWorld   bool
-	fresh       bool
 }
 
 // planRandom runs the pilot execution and fixes the per-run knobs.
@@ -963,159 +870,127 @@ func planRandom(p Program, opt *Options) *randomPlan {
 		model.DelayedCommit = true
 		drainPct = 25
 	}
-	return &randomPlan{
-		pilotCounts: pilotCounts,
-		chooser:     chooser,
-		model:       model,
-		drainPct:    drainPct,
-		keepWorld:   opt.AfterExecution != nil,
-		// A world handed to AfterExecution escapes the worker, so it
-		// cannot be reused either.
-		fresh: opt.FreshWorlds || opt.AfterExecution != nil,
-	}
+	return &randomPlan{p: p, opt: opt, pilotCounts: pilotCounts, chooser: chooser, model: model, drainPct: drainPct}
 }
 
-// workerState is one worker's reusable per-execution scratch: the world
-// (machine, trace, checker, heap, RNG — reset between executions), the
-// crash-target buffer, and the worker's observability identity (trace
+// workerState is one worker's reusable machinery in either mode: the
+// world (machine, trace, checker, heap, RNG — reset between executions
+// and, in model checking, across units), the controller its decisions
+// replay through, the resolved phase slice (model checking, reentrant
+// programs only), and the worker's observability identity (trace
 // timeline tid and per-worker instrument bundle; zero when off).
 type workerState struct {
-	w       *pmem.World
-	targets []int
-	tid     int // 1-based trace timeline id
-	tr      *obs.Tracer
-	wm      obs.WorkerMetrics
+	w      *pmem.World
+	ctl    *controller
+	phases []func(*pmem.World)
+	tid    int // 1-based trace timeline id (tid 0 is the campaign thread)
+	tr     *obs.Tracer
+	wm     obs.WorkerMetrics
 }
 
-func (ws *workerState) targetBuf(n int) []int {
-	if cap(ws.targets) < n {
-		ws.targets = make([]int, n)
-	}
-	return ws.targets[:n]
+func newWorkerState(opt *Options, tid int) *workerState {
+	ws := &workerState{ctl: &controller{}, tid: tid, tr: opt.tr, wm: obs.WorkerInstruments(opt.Obs.Reg(), tid)}
+	ws.tr.NameThread(tid, "worker-"+strconv.Itoa(tid))
+	return ws
 }
 
-// randomExecution runs execution exec of a random-mode run. The seed is
-// derived from the execution index alone, so the outcome is independent
-// of which worker runs it and of every other execution.
-func randomExecution(p Program, opt *Options, plan *randomPlan, ws *workerState, exec int) execOutcome {
+// execute runs execution exec of a random-mode run. The seed is derived
+// from the execution index alone, so the outcome is independent of
+// which worker runs it and of every other execution. The sampled crash
+// targets enter the phase driver as closed trail decisions.
+func (pl *randomPlan) execute(ws *workerState, exec int) (UnitExec, time.Duration) {
+	opt := pl.opt
 	start := time.Now()
 	opt.em.Started.Inc()
 	seed := opt.Seed + int64(exec)*2654435761
-	w := ws.w
-	if w != nil && !plan.fresh {
-		w.Reset(seed)
+	if ws.w != nil && !opt.FreshWorlds {
+		ws.w.Reset(seed)
 	} else {
-		w = pmem.NewWorld(pmem.Config{
-			Model:              plan.model,
+		ws.w = pmem.NewWorld(pmem.Config{
+			Model:              pl.model,
 			Seed:               seed,
 			OpLimit:            opt.OpLimit,
-			Chooser:            plan.chooser,
-			RandomDrainPercent: plan.drainPct,
+			Chooser:            pl.chooser,
+			RandomDrainPercent: pl.drainPct,
 			Provenance:         opt.Provenance,
 		})
 	}
+	w := ws.w
 	if opt.DisableChecker {
 		w.Checker.SetEnabled(false)
 	}
 	installProbe(w, opt, exec)
-	targets := ws.targetBuf(len(plan.pilotCounts))
-	for i := range targets {
-		// Uniform over [0, count]: before each fence-like op, or
-		// past the end (crash after the last operation).
-		targets[i] = w.Rand().Intn(plan.pilotCounts[i] + 1)
+	ctl := ws.ctl
+	ctl.trail, ctl.pos = ctl.trail[:0], 0
+	for _, n := range pl.pilotCounts {
+		// Uniform over [0, n]: before each fence-like op, or past the
+		// end (crash after the last operation).
+		t := w.Rand().Intn(n + 1)
+		ctl.trail = append(ctl.trail, decision{val: t, domain: t + 1})
 	}
-	aborted, _, _, execErr := runPhases(p, w, targets, nil, ws.tr, ws.tid)
-	o := execOutcome{
-		index:   exec,
-		aborted: aborted,
-		elapsed: time.Since(start),
-		execErr: execErr,
-	}
-	o.count(&opt.em, opt.fr)
-	ws.tr.Complete(ws.tid, "explore", "execution", start, o.elapsed, int64(exec))
+	aborted, _, execErr := runPhasesMC(pl.p.Phases(), w, ctl, 0, nil, ws.tr, ws.tid)
+	ex := execResult(w, aborted, execErr)
+	d := time.Since(start)
+	opt.countExec(false, &ex, d)
+	ws.tr.Complete(ws.tid, "explore", "execution", start, d, int64(exec))
 	if execErr != nil {
 		// The panic left the world in an undefined state: discard it
-		// (never reuse, never expose) and drop its violations.
+		// (never reuse, never lend) and drop its violations.
 		ws.w = nil
-		execErr.Exec = exec
-		execErr.Seed = seed
-		execErr.Program = p.Name()
-		execErr.Mode = Random
-		return o
+		execErr.Exec, execErr.Seed, execErr.Program, execErr.Mode = exec, seed, pl.p.Name(), Random
+	} else if opt.AfterExecution != nil {
+		opt.AfterExecution(w)
 	}
-	o.violations = w.Checker.Violations()
-	o.noteWorldStats(w)
-	if plan.keepWorld {
-		o.world = w
-	} else if !plan.fresh {
-		ws.w = w
-	}
-	return o
+	return ex, d
 }
 
-// keysOf returns the sorted contents of a dedup set — the cumulative
-// violation keys a checkpoint must carry.
-func keysOf(seen map[string]bool) []string {
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
+// runRange runs executions [lo, hi) of the canonical random stream on
+// ws, appending their records to ur — the one random-mode loop behind
+// the Workers=1 run, every pool worker, and RunUnit. With st non-nil a
+// stop is checked before each execution and leaves ur.Done false; the
+// pool passes nil because a claimed batch always runs to completion.
+func (pl *randomPlan) runRange(ws *workerState, lo, hi int, st *stopper, ur *UnitResult, onExec func(int)) {
+	for exec := lo; exec < hi; exec++ {
+		if st != nil && st.stopped() {
+			return
+		}
+		ws.wm.Dispatches.Inc()
+		ex, d := pl.execute(ws, exec)
+		ws.wm.BusyNanos.Add(int64(d))
+		ur.WorkNanos += int64(d)
+		ur.Execs = append(ur.Execs, ex)
+		if onExec != nil {
+			onExec(len(ur.Execs))
+		}
 	}
-	sort.Strings(keys)
-	return keys
+	ur.Done = true
 }
 
-// runRandom implements random search mode: serial below two workers,
-// fan-out through the ordered collector otherwise (pool.go). cursor is
-// the canonical stream position: every execution below it has been
-// collected (in this run or, via Resume, a previous one).
-func runRandom(p Program, opt Options, st *stopper) *Result {
-	res := &Result{Program: p.Name(), Mode: Random, Workers: opt.Workers}
-	seen := make(map[string]bool)
-	start := time.Now()
-	startExec := 0
-	if ck := opt.Resume; ck != nil {
-		primeFromCheckpoint(res, seen, ck)
-		startExec = ck.Collected
-	}
-	plan := planRandom(p, &opt)
-	cursor := startExec
+// runRandom implements random search mode: one execution at a time on
+// the calling goroutine below two workers, through the pool otherwise
+// (pool.go), folded into the Assembler in index order either way. The
+// assembler's cursor is the canonical stream position: every execution
+// below it has been collected (in this run or, via Resume, a previous
+// one).
+func runRandom(p Program, opt *Options, st *stopper) *Result {
+	a := newAssembler(p.Name(), opt)
+	plan := planRandom(p, opt)
 	if opt.Workers > 1 {
-		cursor = runRandomParallel(p, &opt, plan, res, seen, st, startExec)
+		runRandomParallel(plan, a, st)
 	} else {
-		ws := &workerState{tid: 1, tr: opt.tr, wm: obs.WorkerInstruments(opt.Obs.Reg(), 1)}
-		ws.tr.NameThread(ws.tid, "worker-1")
-		for cursor < opt.Executions && !st.stopped() {
-			o := randomExecution(p, &opt, plan, ws, cursor)
-			ws.wm.BusyNanos.Add(int64(o.elapsed))
-			ws.wm.Dispatches.Inc()
-			res.collect(o, seen, &opt)
-			cursor++
+		ws := newWorkerState(opt, 1)
+		ur := &UnitResult{}
+		for !a.cut && a.idx < opt.Executions {
+			*ur = UnitResult{Execs: ur.Execs[:0]}
+			plan.runRange(ws, a.idx, a.idx+1, st, ur, nil)
+			a.addUnit(ur, nil)
 		}
 	}
-	if cursor < opt.Executions {
-		res.Partial = true
-		res.noteStop(st.why())
-		res.FrontierRemaining = opt.Executions - cursor
-		res.Checkpoint = &Checkpoint{
-			Version:       checkpointVersion,
-			Program:       res.Program,
-			Mode:          Random.String(),
-			Seed:          opt.Seed,
-			Model:         resolveModel(opt.Model.Name),
-			Window:        opt.Model.Window,
-			Collected:     cursor,
-			Aborted:       res.Aborted,
-			Quarantined:   res.Quarantined,
-			ViolationKeys: keysOf(seen),
-		}
-	} else if st.stopped() {
-		// The stop landed in the same tick the frontier drained (a SIGINT
-		// racing the last execution): the run is complete, but the reason
-		// is still recorded so the report never swallows it.
-		res.noteStop(st.why())
+	if a.idx < opt.Executions {
+		// A stop left the rest of the stream unrun: cut it there.
+		a.endUnit(nil, false, false)
 	}
-	res.Elapsed = time.Since(start)
-	return res
+	return a.finish(st)
 }
 
 // countingPilot runs the program crash-free and records how many
@@ -1176,21 +1051,6 @@ func (c *controller) closeCurrent(idx int, domain int) {
 	c.trail[idx].domain = domain
 }
 
-// backtrack advances the trail to the next unexplored branch, returning
-// false when the search space is exhausted.
-func (c *controller) backtrack() bool {
-	for len(c.trail) > 0 {
-		last := &c.trail[len(c.trail)-1]
-		if last.domain < 0 || last.val+1 < last.domain {
-			last.val++
-			c.pos = 0
-			return true
-		}
-		c.trail = c.trail[:len(c.trail)-1]
-	}
-	return false
-}
-
 // mcWorld builds a fresh model-checking world whose read choices replay
 // and extend the controller's decision trail.
 func mcWorld(opt *Options, ctl *controller) *pmem.World {
@@ -1217,81 +1077,4 @@ func trailValues(trail []decision) []int {
 		vals[i] = d.val
 	}
 	return vals
-}
-
-// runModelCheck implements the exhaustive mode. The work runs on
-// Options.Workers scheduler workers draining a queue of DFS work units
-// — one root unit per crash-target subtree, plus any units busy
-// workers carve off their trails for idle peers (work stealing,
-// pool.go); an AfterExecution callback forces the serial engine, which
-// retains and hands over each world.
-func runModelCheck(p Program, opt Options, st *stopper) *Result {
-	if opt.AfterExecution != nil {
-		return runModelCheckSerial(p, opt, st)
-	}
-	return newMCEngine(p, &opt, st).run()
-}
-
-// runModelCheckSerial is the single-goroutine DFS: one controller walks
-// the whole decision tree, worlds are handed to AfterExecution as they
-// complete, and the state cache is off (every execution is observable).
-// Snapshots and DPOR are off too — every world escapes to the callback,
-// so none can be reused, and a reduction that skips executions would
-// hide them from the post-hoc analysis. The decision order (lazy
-// crash-target consumption, runPhasesMC) matches the parallel engine,
-// so both enumerate the same canonical stream. A stop yields a Partial
-// result without a checkpoint (this engine has no canonical subtree
-// cut; use the parallel engine for resumable campaigns). Chaos ordinals
-// here are global execution indices.
-func runModelCheckSerial(p Program, opt Options, st *stopper) *Result {
-	res := &Result{Program: p.Name(), Mode: ModelCheck, Workers: 1}
-	seen := make(map[string]bool)
-	start := time.Now()
-	ctl := &controller{}
-
-	for {
-		if st.stopped() {
-			res.Partial = true
-			res.noteStop(st.why())
-			break
-		}
-		ctl.pos = 0
-		execStart := time.Now()
-		opt.em.Started.Inc()
-		w := mcWorld(&opt, ctl)
-		installProbe(w, &opt, res.Executions)
-		aborted, _, execErr := runPhasesMC(p.Phases(), w, ctl, 0, nil, opt.tr, 0)
-		o := execOutcome{
-			index:   res.Executions,
-			aborted: aborted,
-			elapsed: time.Since(execStart),
-			execErr: execErr,
-		}
-		o.count(&opt.em, opt.fr)
-		opt.tr.Complete(0, "explore", "execution", execStart, o.elapsed, int64(res.Executions))
-		if execErr != nil {
-			execErr.Exec = res.Executions
-			execErr.Program = res.Program
-			execErr.Mode = ModelCheck
-			execErr.Prefix = trailValues(ctl.trail)
-		} else {
-			o.violations = w.Checker.Violations()
-			o.noteWorldStats(w)
-			o.world = w
-		}
-		res.collect(o, seen, &opt)
-		if !ctl.backtrack() {
-			if st.stopped() {
-				res.noteStop(st.why())
-			}
-			break
-		}
-		if res.Executions >= opt.Executions {
-			res.Partial = true
-			res.noteStop("exec-budget")
-			break
-		}
-	}
-	res.Elapsed = time.Since(start)
-	return res
 }

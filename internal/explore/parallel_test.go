@@ -91,8 +91,9 @@ func TestProgressSerializedMonotone(t *testing.T) {
 	}
 }
 
-// AfterExecution keeps its serialized in-order contract under parallel
-// random mode: the worlds arrive in execution-index order.
+// AfterExecution keeps its serialized in-order contract when parallel
+// random mode is requested: the hook resolves the run to one worker, so
+// every world is lent once, in execution-index order.
 func TestAfterExecutionOrderedUnderParallelism(t *testing.T) {
 	count := 0
 	res := Run(figure2(), Options{

@@ -12,9 +12,9 @@
 // trail index. A busy unit donates the shallowest still-unexplored
 // cut of its own trail to hungry workers (work stealing, inverted:
 // the victim carves at its loop top, so the donated range is always a
-// whole untouched branch suffix), and the assembly walk at the end
-// reorders every unit's execution list back into canonical depth-first
-// order — byte-for-byte the order the serial DFS visits, truncated at
+// whole untouched branch suffix), and the walk at the end folds every
+// unit's execution list through the Assembler in canonical depth-first
+// order — byte-for-byte the order a single worker visits, truncated at
 // the Executions cap. See DESIGN.md, "Work-stealing scheduler".
 //
 // Graceful degradation preserves both properties: workers consult the
@@ -28,12 +28,10 @@ package explore
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/pmem"
 )
@@ -49,22 +47,16 @@ const collectorSlack = 4
 // batch always runs to completion) and out-of-order buffering small.
 const maxRandomBatch = 8
 
-// execBatch is one worker's chunk of consecutive outcomes, published to
-// the collector in a single channel send.
+// execBatch is one worker's chunk of consecutive executions, published
+// to the collector in a single channel send.
 type execBatch struct {
-	base int // index of outs[0]
-	outs []execOutcome
+	base int // index of ur.Execs[0]
+	ur   *UnitResult
 }
 
-// randomBatchSize picks the per-claim batch for a run. Worlds retained
-// for AfterExecution are heavy, so keepWorld runs stay at one outcome
-// per send (the in-flight bound is then identical to the unbatched
-// engine); otherwise the batch grows with the per-worker backlog up to
-// maxRandomBatch.
-func randomBatchSize(opt *Options, plan *randomPlan) int {
-	if plan.keepWorld {
-		return 1
-	}
+// randomBatchSize picks the per-claim batch for a run: it grows with
+// the per-worker backlog up to maxRandomBatch.
+func randomBatchSize(opt *Options) int {
 	b := opt.Executions / (opt.Workers * collectorSlack * 2)
 	if b < 1 {
 		b = 1
@@ -76,28 +68,24 @@ func randomBatchSize(opt *Options, plan *randomPlan) int {
 }
 
 // runRandomParallel fans random-mode executions over opt.Workers
-// goroutines and folds outcomes through the ordered collector. Results
-// are bit-identical to the serial loop: seeds depend only on indices,
+// goroutines and folds them into the Assembler in index order. Results
+// are bit-identical to a single worker's: seeds depend only on indices,
 // and the collector emits in index order on the calling goroutine. The
 // stop check sits before the batch claim, so every claimed batch is
 // executed and sent in full — the collected stream has no gaps and the
-// returned cursor is the exact resume point. Returns the canonical
-// stream position: every execution below it (from startExec) was
-// collected.
-func runRandomParallel(p Program, opt *Options, plan *randomPlan, res *Result, seen map[string]bool, st *stopper, startExec int) int {
-	batch := randomBatchSize(opt, plan)
+// assembler's cursor ends at the exact resume point.
+func runRandomParallel(plan *randomPlan, a *Assembler, st *stopper) {
+	opt := plan.opt
+	batch := randomBatchSize(opt)
 	tokens := make(chan struct{}, opt.Workers*collectorSlack)
 	outc := make(chan execBatch, opt.Workers*collectorSlack)
-	next := int64(startExec) - int64(batch)
+	next := int64(a.idx) - int64(batch)
 	var wg sync.WaitGroup
 	for i := 0; i < opt.Workers; i++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			// worker-lifetime reusable world + scratch; tid id+1 is the
-			// worker's trace timeline (tid 0 is the campaign thread).
-			ws := &workerState{tid: id + 1, tr: opt.tr, wm: obs.WorkerInstruments(opt.Obs.Reg(), id+1)}
-			ws.tr.NameThread(ws.tid, "worker-"+strconv.Itoa(ws.tid))
+			ws := newWorkerState(opt, id+1) // worker-lifetime reusable world + scratch
 			metered := ws.wm.IdleNanos != nil
 			for {
 				var idleStart time.Time
@@ -123,20 +111,12 @@ func runRandomParallel(p Program, opt *Options, plan *randomPlan, res *Result, s
 					<-tokens
 					return
 				}
-				end := base + batch
-				if end > opt.Executions {
-					end = opt.Executions
-				}
-				b := execBatch{base: base, outs: make([]execOutcome, 0, end-base)}
+				end := min(base+batch, opt.Executions)
+				ur := &UnitResult{Execs: make([]UnitExec, 0, end-base)}
 				// No stop check inside the batch: a claimed batch always
 				// completes, keeping the collected stream gapless.
-				for exec := base; exec < end; exec++ {
-					ws.wm.Dispatches.Inc()
-					o := randomExecution(p, opt, plan, ws, exec)
-					ws.wm.BusyNanos.Add(int64(o.elapsed))
-					b.outs = append(b.outs, o)
-				}
-				outc <- b
+				plan.runRange(ws, base, end, nil, ur, nil)
+				outc <- execBatch{base: base, ur: ur}
 			}
 		}(i)
 	}
@@ -150,26 +130,21 @@ func runRandomParallel(p Program, opt *Options, plan *randomPlan, res *Result, s
 	// wait on a worker that is blocked acquiring one; and since claimed
 	// bases are contiguous and always delivered, draining outc to close
 	// leaves no gap below the final cursor.
-	pending := make(map[int][]execOutcome)
-	nextBase := startExec
-	cursor := startExec
+	pending := make(map[int]*UnitResult)
+	nextBase := a.idx
 	for b := range outc {
-		pending[b.base] = b.outs
+		pending[b.base] = b.ur
 		for {
-			outs, ok := pending[nextBase]
+			ur, ok := pending[nextBase]
 			if !ok {
 				break
 			}
 			delete(pending, nextBase)
-			for _, o := range outs {
-				res.collect(o, seen, opt)
-			}
-			cursor = nextBase + len(outs)
+			a.addUnit(ur, nil)
 			nextBase += batch
 			<-tokens
 		}
 	}
-	return cursor
 }
 
 // --- model checking: work-stealing DFS ---
@@ -264,25 +239,6 @@ func dporKeysOf(seen map[dporKey]struct{}) []DPORKey {
 	return ks
 }
 
-// mcExec is one completed execution inside a work unit, in sub-DFS
-// order.
-type mcExec struct {
-	aborted    bool
-	violations []*core.Violation
-	// execErr marks a quarantined execution; its canonical index is
-	// assigned at assembly time.
-	execErr *ExecError
-	// ops and the retirement counts mirror execOutcome's world stats;
-	// they ride to the assembly walk (and, via UnitExec, across the
-	// process boundary) so Result sums match the serial engines'.
-	ops           int64
-	retirements   int64
-	retiredStores int64
-	retiredEvents int64
-	pinnedRoots   int64
-	sweepNanos    int64
-}
-
 // capRec records a domain cap placed on a unit's live trail when a
 // child was carved off it: the decision at trail index idx kept the
 // values below the carve point and the child took the rest, so the
@@ -301,7 +257,7 @@ type capRec struct {
 // parent's execution count at the moment the parent backtracked past
 // the carve index (-1 while pending): every parent execution before it
 // is canonically before the child's whole range, every one after is
-// canonically after, so the assembly walk inserts the child's stream at
+// canonically after, so the walk inserts the child's stream at
 // exactly that position.
 type mcChild struct {
 	unit    *mcUnit
@@ -342,18 +298,20 @@ type mcUnit struct {
 	classify bool
 	seq      int // enqueue sequence number (queue-order tie break)
 
-	// --- owner-worker state (read by assembly/checkpoint after the
-	// scheduler quiesces) ---
+	// --- owner-worker state (read by the walk after the scheduler
+	// quiesces) ---
 
-	execs    []mcExec
+	// res is the unit's stream in sub-DFS order (canonical indices are
+	// assigned by the walk), its Done flag (the sub-DFS ran to
+	// exhaustion), and its diagnostics.
+	res      UnitResult
 	children []*mcChild
 	// popped: a worker dequeued the unit (its trail may have advanced);
-	// started: it ran at least one execution; done: its sub-DFS ran to
-	// exhaustion; stoppedAt/trailSnap: it observed a stop at its loop
-	// top and snapshotted its trail — the checkpoint resume point.
+	// started: it ran at least one execution; stoppedAt/trailSnap: it
+	// observed a stop at its loop top and snapshotted its trail — the
+	// checkpoint resume point.
 	popped    bool
 	started   bool
-	done      bool
 	stoppedAt bool
 	trailSnap []decision
 	// dporSnap is the unit's partial-order-reduction registration set as
@@ -363,11 +321,6 @@ type mcUnit struct {
 	// resumeDPOR holds a resumed checkpoint's keys to replay into the
 	// live set when the unit starts.
 	resumeDPOR []DPORKey
-	// snapRestores/dporPruned/work: per-unit diagnostics, summed into
-	// the Result by the assembly walk.
-	snapRestores int
-	dporPruned   int
-	work         time.Duration
 }
 
 // mcSubtree is the shared record of one crash-target subtree: the
@@ -380,32 +333,16 @@ type mcSubtree struct {
 	// nexecs counts executions recorded by all of the subtree's units —
 	// the monotone lower bound later subtrees' allowance subtracts.
 	nexecs atomic.Int64
-	// pruned: the subtree's crash-0 persistent image matched an earlier
-	// subtree's, so its whole enumeration was skipped (state cache).
-	pruned bool
-	// keyed/key: the first execution registered this state-cache key
-	// (a miss); replayed into checkpoints.
-	keyed bool
-	key   cacheKey
-	// injectionFired: the first execution's phase-0 crash injection
-	// fired, i.e. subtree ordinal+1 exists and was spawned. Restored
-	// from the checkpoint on resume so a re-checkpoint still spawns it.
-	injectionFired bool
+	// class is the first execution's classification: a state-cache hit
+	// (Pruned: the whole enumeration is skipped) or the key it registered
+	// (Keyed), and whether the phase-0 injection fired (subtree
+	// ordinal+1 exists and was spawned — restored from the checkpoint on
+	// resume so a re-checkpoint still spawns it).
+	class UnitClassification
 	// started: execution 0 ran (classifying the subtree), in this run
 	// or — restored on resume — before the cut. A started subtree's
 	// checkpoint must carry its trail; an unstarted one restarts fresh.
 	started bool
-}
-
-// mcWorkerState is one scheduler worker's reusable machinery: the
-// controller its worlds' choosers close over (unit trails are swapped
-// in and out of it) and the world reused across executions *and* units
-// (World.Reset restores the initial state exactly; the reuse property
-// test asserts it).
-type mcWorkerState struct {
-	w      *pmem.World
-	ctl    *controller
-	phases []func(*pmem.World)
 }
 
 // mcEngine coordinates the parallel model-checking run: a fixed pool of
@@ -450,7 +387,8 @@ type mcEngine struct {
 
 	cache *stateCache // nil when disabled
 
-	// --- resume state (from Options.Resume) ---
+	// --- resume state (from Options.Resume; the Assembler replays the
+	// pre-cut cache registrations into re-checkpoints) ---
 	haveResume      bool
 	baseExecs       int // canonical executions collected before the cut
 	startSubtree    int // the cut subtree's ordinal
@@ -458,10 +396,6 @@ type mcEngine struct {
 	resumeTrail     []decision
 	resumeSpawnNext bool
 	resumeDPOR      []DPORKey
-	// primedKeys / baseHits / baseMisses replay the pre-cut cache so
-	// re-checkpointing a resumed run stays cumulative.
-	primedKeys           []CacheEntry
-	baseHits, baseMisses int
 }
 
 func newMCEngine(p Program, opt *Options, st *stopper) *mcEngine {
@@ -485,13 +419,10 @@ func newMCEngine(p Program, opt *Options, st *stopper) *mcEngine {
 		e.resumeTrail = trailFromCheckpoint(ck.MC.Trail)
 		e.resumeSpawnNext = ck.MC.SpawnNext
 		e.resumeDPOR = ck.MC.DPORKeys
-		e.primedKeys = ck.MC.CacheKeys
-		e.baseHits, e.baseMisses = ck.MC.CacheHits, ck.MC.CacheMisses
 		if e.cache != nil {
 			for _, ce := range ck.MC.CacheKeys {
 				e.cache.prime(cacheKey{image: ce.Image, heap: ce.Heap})
 			}
-			e.cache.seed(ck.MC.CacheHits, ck.MC.CacheMisses)
 		}
 	}
 	return e
@@ -569,7 +500,7 @@ func (e *mcEngine) enqueue(u *mcUnit) {
 // registration order — and so the hit/miss pattern — deterministic.
 func (e *mcEngine) spawnRoot(v int) {
 	if e.solo {
-		// The classification (sub.injectionFired) is still recorded; the
+		// The classification (sub.class) is still recorded; the
 		// dispatch supervisor — not this engine — owns the successor.
 		return
 	}
@@ -608,7 +539,7 @@ func (e *mcEngine) start() {
 		u.resumeDPOR = e.resumeDPOR
 		u.dporSnap = e.resumeDPOR
 		sub.started = true
-		sub.injectionFired = e.resumeSpawnNext
+		sub.class.InjectionFired = e.resumeSpawnNext
 		if e.resumeSpawnNext {
 			e.spawnRoot(v + 1)
 		}
@@ -633,7 +564,7 @@ func (e *mcEngine) allowance(u *mcUnit) bool {
 		// supervisor (a conservative overestimate of the canonical
 		// remainder; the supervisor truncates at assembly exactly like
 		// this engine's own walk).
-		return e.soloBudget <= 0 || len(u.execs) < e.soloBudget
+		return e.soloBudget <= 0 || len(u.res.Execs) < e.soloBudget
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -641,7 +572,7 @@ func (e *mcEngine) allowance(u *mcUnit) bool {
 	for i := 0; i < u.subOrd && i < len(e.subs); i++ {
 		sum += int(e.subs[i].nexecs.Load())
 	}
-	return u.baseOff+len(u.execs) < e.opt.Executions-sum
+	return u.baseOff+len(u.res.Execs) < e.opt.Executions-sum
 }
 
 // donate carves the shallowest still-unexplored cut off ctl's live
@@ -668,7 +599,7 @@ func (e *mcEngine) donate(u *mcUnit, ctl *controller) {
 				subOrd:  u.subOrd,
 				root:    i,
 				stolen:  true,
-				baseOff: u.baseOff + len(u.execs),
+				baseOff: u.baseOff + len(u.res.Execs),
 			}
 			child.trail = append([]decision(nil), trail[:i+1]...)
 			child.trail[i].val = d.val + 1
@@ -701,7 +632,7 @@ func (u *mcUnit) passCuts(pChanged int) {
 	for _, c := range u.children {
 		if !c.passed && c.cut > pChanged {
 			c.passed = true
-			c.splitAt = len(u.execs)
+			c.splitAt = len(u.res.Execs)
 		}
 	}
 	kept := u.caps[:0]
@@ -720,17 +651,15 @@ func (u *mcUnit) markDone() {
 	for _, c := range u.children {
 		if !c.passed {
 			c.passed = true
-			c.splitAt = len(u.execs)
+			c.splitAt = len(u.res.Execs)
 		}
 	}
-	u.done = true
+	u.res.Done = true
 }
 
 // backtrackFrom advances the trail to the next unexplored branch
-// without ever popping the decision at index root — the unit's floor.
-// With root 0 it is exactly the serial controller's backtrack (a closed
-// exhausted decision at index 0 just reports exhaustion one pop
-// earlier, with the trail left in place).
+// without ever popping the decision at index root — the unit's floor —
+// reporting false once the unit's range is exhausted.
 func (c *controller) backtrackFrom(root int) bool {
 	for len(c.trail) > root {
 		last := &c.trail[len(c.trail)-1]
@@ -751,15 +680,16 @@ func (c *controller) backtrackFrom(root int) bool {
 // pending unit, run its bounded sub-DFS, repeat until the queue drains
 // with no unit in flight (or a stop parks everything). The stop check
 // happens *before* popping, so a stopped run leaves parked units
-// parked — the assembly cut then falls on the earliest of them with the
+// parked — the walk's cut then falls on the earliest of them with the
 // unit's starting trail intact for the checkpoint.
 func (e *mcEngine) worker(id int) {
 	defer e.wg.Done()
-	tid := id + 1 // 1-based worker timeline, matching random mode
-	wm := obs.WorkerInstruments(e.reg, tid)
-	e.opt.tr.NameThread(tid, "worker-"+strconv.Itoa(tid))
-	metered := wm.IdleNanos != nil
-	ws := &mcWorkerState{ctl: &controller{}}
+	// The world is reused across executions *and* units (World.Reset
+	// restores the initial state exactly; the reuse property test
+	// asserts it); unit trails are swapped in and out of the controller
+	// its choosers close over.
+	ws := newWorkerState(e.opt, id+1)
+	metered := ws.wm.IdleNanos != nil
 	if e.reentrant {
 		// Reentrant phase slices are world-pure; resolve once. The
 		// non-reentrant (InstancedProgram) contract is one Phases call
@@ -789,7 +719,7 @@ func (e *mcEngine) worker(id int) {
 			e.mu.Unlock()
 			if metered {
 				idle := int64(time.Since(idleStart))
-				wm.IdleNanos.Add(idle)
+				ws.wm.IdleNanos.Add(idle)
 				e.opt.em.WorkerIdle.Add(idle)
 			}
 			if starved {
@@ -804,14 +734,15 @@ func (e *mcEngine) worker(id int) {
 		e.mu.Unlock()
 		if metered {
 			idle := int64(time.Since(idleStart))
-			wm.IdleNanos.Add(idle)
+			ws.wm.IdleNanos.Add(idle)
 			e.opt.em.WorkerIdle.Add(idle)
 		}
-		wm.Dispatches.Inc()
+		ws.wm.Dispatches.Inc()
 		start := time.Now()
-		e.runUnit(u, ws, tid)
-		u.work += time.Since(start)
-		wm.BusyNanos.Add(int64(u.work))
+		e.runUnit(u, ws)
+		d := int64(time.Since(start))
+		u.res.WorkNanos += d
+		ws.wm.BusyNanos.Add(d)
 		e.opt.em.FrontierDepth.Add(-1)
 		e.mu.Lock()
 		e.active--
@@ -823,8 +754,8 @@ func (e *mcEngine) worker(id int) {
 
 // runUnit runs unit u's bounded sub-DFS: every execution of the
 // decision tree under u.trail whose backtracks stay at or above
-// u.root, enumerated exactly as the serial DFS would (modulo ranges
-// donated away, which the assembly walk splices back in order).
+// u.root, enumerated exactly as a single worker would (modulo ranges
+// donated away, which the walk splices back in order).
 //
 // Two reductions ride on the sub-DFS, both unit-local so any worker
 // count — and any checkpoint cut — produces the same canonical stream:
@@ -843,13 +774,13 @@ func (e *mcEngine) worker(id int) {
 //     DPOR registration sets are subtree-scoped, so a DPOR-active root
 //     unit never donates (a carved child would split the set and change
 //     which executions are pruned); such programs parallelize across
-//     subtrees only, exactly like the pre-stealing engine.
+//     subtrees only.
 //
 // Both require reentrant phases (ReentrantPhases): a snapshot resume
 // re-enters a later phase without re-running earlier ones, and DPOR's
 // equal-state-equal-continuation argument needs all cross-phase state
 // inside the World.
-func (e *mcEngine) runUnit(u *mcUnit, ws *mcWorkerState, tid int) {
+func (e *mcEngine) runUnit(u *mcUnit, ws *workerState) {
 	sub := u.sub
 	ctl := ws.ctl
 	ctl.trail = u.trail
@@ -877,8 +808,7 @@ func (e *mcEngine) runUnit(u *mcUnit, ws *mcWorkerState, tid int) {
 	// above); armed chaos injection disables demand-driven donation
 	// (unit-local fault ordinals must not depend on scheduler timing)
 	// unless ForceSteals makes the unit tree trail-driven.
-	canDonate := dporSeen == nil && !e.opt.DisableStealing &&
-		(e.opt.ForceSteals || e.opt.InjectFault == nil)
+	canDonate := dporSeen == nil && (e.opt.ForceSteals || e.opt.InjectFault == nil)
 	// snaps is unit-local: a unit's first execution always replays from
 	// the program start (or a fresh world), never from another unit's
 	// snapshot.
@@ -898,26 +828,21 @@ func (e *mcEngine) runUnit(u *mcUnit, ws *mcWorkerState, tid int) {
 				ps := e.opt.tr.Now()
 				k := stateKey(ws.w)
 				hit := e.cache.lookupOrRegister(k)
-				e.opt.tr.CompleteSince(tid, "statecache", "cache-probe", ps, -1)
+				e.opt.tr.CompleteSince(ws.tid, "statecache", "cache-probe", ps, -1)
 				if hit {
-					sub.pruned = true
+					sub.class.Pruned = true
 					keep = false
 				} else {
-					sub.keyed = true
-					sub.key = k
+					sub.class.Keyed = true
+					sub.class.Key = CacheEntry{Image: k.image, Heap: k.heap}
 				}
 			}
 			if fired && e.numPre > 0 {
-				sub.injectionFired = true
+				sub.class.InjectionFired = true
 				e.spawnRoot(u.subOrd + 1)
 			}
 			if e.onClassify != nil {
-				e.onClassify(UnitClassification{
-					Pruned:         sub.pruned,
-					Keyed:          sub.keyed,
-					Key:            CacheEntry{Image: sub.key.image, Heap: sub.key.heap},
-					InjectionFired: sub.injectionFired,
-				})
+				e.onClassify(sub.class)
 			}
 			if !keep {
 				return false
@@ -979,7 +904,7 @@ func (e *mcEngine) runUnit(u *mcUnit, ws *mcWorkerState, tid int) {
 			ws.w.Restore(top.ws)
 			ctl.pos = top.pos
 			startPhase = top.phase + 1
-			u.snapRestores++
+			u.res.SnapshotRestores++
 			e.opt.em.SnapshotsRestored.Inc()
 		default:
 			ws.w.Reset(0)
@@ -988,7 +913,7 @@ func (e *mcEngine) runUnit(u *mcUnit, ws *mcWorkerState, tid int) {
 			}
 			ctl.pos = 0
 		}
-		installProbe(ws.w, e.opt, len(u.execs))
+		installProbe(ws.w, e.opt, len(u.res.Execs))
 		ph := ws.phases
 		if ph == nil {
 			ph = e.p.Phases()
@@ -997,23 +922,17 @@ func (e *mcEngine) runUnit(u *mcUnit, ws *mcWorkerState, tid int) {
 		if !first && dporSeen == nil && !useSnaps {
 			oc = nil // no per-crash work left; keep the hot path bare
 		}
-		aborted, pruned, execErr := runPhasesMC(ph, ws.w, ctl, startPhase, oc, e.opt.tr, tid)
-		switch {
-		case pruned:
-			e.opt.em.Pruned.Inc()
-		case execErr != nil:
-			e.opt.em.Quarantined.Inc()
-			e.opt.fr.Record("explore", "quarantine", -1, execErr.Kind)
-		case aborted:
-			e.opt.em.Aborted.Inc()
-		default:
-			e.opt.em.Completed.Inc()
+		aborted, pruned, execErr := runPhasesMC(ph, ws.w, ctl, startPhase, oc, e.opt.tr, ws.tid)
+		var ex UnitExec
+		if !pruned {
+			ex = execResult(ws.w, aborted, execErr)
 		}
+		var d time.Duration
 		if !execStart.IsZero() {
-			d := time.Since(execStart)
-			e.opt.em.ExecNanos.Observe(int64(d))
-			e.opt.tr.Complete(tid, "explore", "execution", execStart, d, -1)
+			d = time.Since(execStart)
+			e.opt.tr.Complete(ws.tid, "explore", "execution", execStart, d, -1)
 		}
+		e.opt.countExec(pruned, &ex, d)
 		if first {
 			sub.started = true
 		}
@@ -1030,43 +949,28 @@ func (e *mcEngine) runUnit(u *mcUnit, ws *mcWorkerState, tid int) {
 			// continuation is skipped (counted in Pruned, no execution
 			// recorded), the sub-DFS walks on.
 			dporHit = false
-			u.dporPruned++
+			u.res.DPORPruned++
 			e.opt.em.DPORPruned.Inc()
-			if !ctl.backtrackFrom(u.root) {
-				u.markDone()
-				break
-			}
-			pChanged = len(ctl.trail) - 1
-			u.passCuts(pChanged)
-			snaps = pruneSnaps(snaps, pChanged)
-			continue
-		}
-		ex := mcExec{aborted: aborted, execErr: execErr}
-		if execErr != nil {
-			// The panic left the world in an undefined state: discard
-			// it (next iteration builds fresh) and drop its violations,
-			// along with every snapshot taken in it. DPOR registrations
-			// survive — the keys are path-deterministic, not
-			// world-relative.
-			execErr.Program = e.p.Name()
-			execErr.Mode = ModelCheck
-			execErr.Prefix = trailValues(ctl.trail)
-			ws.w = nil
-			snaps = pruneSnaps(snaps, -1)
 		} else {
-			ex.violations = ws.w.Checker.Violations()
-			ex.ops = int64(ws.w.Ops())
-			rs := ws.w.M.Trace().Retired()
-			ex.retirements = int64(rs.Retirements)
-			ex.retiredStores = int64(rs.RetiredStores)
-			ex.retiredEvents = int64(rs.RetiredEvents)
-			ex.pinnedRoots = int64(rs.MaxPinnedRoots)
-			ex.sweepNanos = ws.w.SweepNanos()
-		}
-		u.execs = append(u.execs, ex)
-		sub.nexecs.Add(1)
-		if e.onExec != nil {
-			e.onExec(len(u.execs))
+			if execErr != nil {
+				// The panic left the world in an undefined state: discard
+				// it (next iteration builds fresh) along with every
+				// snapshot taken in it; its canonical index is assigned
+				// at assembly. DPOR registrations survive — the keys are
+				// path-deterministic, not world-relative.
+				execErr.Program = e.p.Name()
+				execErr.Mode = ModelCheck
+				execErr.Prefix = trailValues(ctl.trail)
+				ws.w = nil
+				snaps = pruneSnaps(snaps, -1)
+			} else if e.opt.AfterExecution != nil {
+				e.opt.AfterExecution(ws.w)
+			}
+			u.res.Execs = append(u.res.Execs, ex)
+			sub.nexecs.Add(1)
+			if e.onExec != nil {
+				e.onExec(len(u.res.Execs))
+			}
 		}
 		if !ctl.backtrackFrom(u.root) {
 			u.markDone()
@@ -1086,33 +990,15 @@ func (e *mcEngine) runUnit(u *mcUnit, ws *mcWorkerState, tid int) {
 	pruneSnaps(snaps, -1)
 }
 
-// asm is the assembly walk's accumulator: it splices every unit's
-// execution list back into canonical depth-first order, truncates at
-// the Executions cap, and finds the cut — the first unit in canonical
-// order with uncollected work.
-type asm struct {
-	e         *mcEngine
-	res       *Result
-	seen      map[string]bool
-	idx       int     // canonical stream cursor
-	cut       *mcUnit // first unit with uncollected work
-	truncated bool    // the Executions cap bound before the frontier drained
-	frontier  int     // units with uncollected work
-}
-
-// walk assembles unit u: its own executions interleaved with its passed
-// children's streams at their split points — which is exactly canonical
-// order (every parent execution before splitAt precedes the child's
-// whole range, every one after follows it; children sort by splitAt,
-// then path). Past the cut nothing is collected — a resume re-derives
-// it — but the walk continues for the frontier count and the
-// diagnostic sums. Unpassed children are always canonically after
-// their donor's remaining work, so they are walked last, after the
-// donor's own cut (if any) is recorded.
-func (a *asm) walk(u *mcUnit) {
-	a.res.WorkerTime += u.work
-	a.res.SnapshotRestores += u.snapRestores
-	a.res.DPORPruned += u.dporPruned
+// walk folds unit u into the assembly: its own executions interleaved
+// with its passed children's streams at their split points — which is
+// exactly canonical order (every parent execution before splitAt
+// precedes the child's whole range, every one after follows it;
+// children sort by splitAt, then path). Unpassed children are always
+// canonically after their donor's remaining work, so they are walked
+// last, after the donor's own cut (if any) is recorded.
+func (e *mcEngine) walk(a *Assembler, u *mcUnit) {
+	a.addStats(&u.res)
 	var passed []*mcChild
 	for _, c := range u.children {
 		if c.passed {
@@ -1127,55 +1013,67 @@ func (a *asm) walk(u *mcUnit) {
 	})
 	collected := true
 	pi := 0
-	for ei := 0; ei <= len(u.execs); ei++ {
+	for ei := 0; ei <= len(u.res.Execs); ei++ {
 		for pi < len(passed) && passed[pi].splitAt == ei {
-			a.walk(passed[pi].unit)
+			e.walk(a, passed[pi].unit)
 			pi++
 		}
-		if ei == len(u.execs) {
-			break
-		}
-		if a.cut == nil && a.idx >= a.e.opt.Executions {
-			a.truncated = true
-			a.cut = u
-		}
-		if a.cut != nil {
+		if ei < len(u.res.Execs) && !a.collect(&u.res.Execs[ei]) {
 			collected = false
-			continue
 		}
-		ex := u.execs[ei]
-		if ex.execErr != nil && ex.execErr.Exec < 0 {
-			ex.execErr.Exec = a.idx
-		}
-		a.res.collect(execOutcome{
-			index: a.idx, aborted: ex.aborted, violations: ex.violations, execErr: ex.execErr,
-			ops: ex.ops, retirements: ex.retirements,
-			retiredStores: ex.retiredStores, retiredEvents: ex.retiredEvents,
-			pinnedRoots: ex.pinnedRoots, sweepNanos: ex.sweepNanos,
-		}, a.seen, a.e.opt)
-		a.idx++
 	}
-	if !u.done && a.cut == nil {
-		a.cut = u
-	}
-	if !u.done || !collected {
-		a.frontier++
-	}
+	a.endUnit(e.resumePoint(u), u.res.Done, collected)
 	for _, c := range u.children {
 		if !c.passed {
-			a.walk(c.unit)
+			e.walk(a, c.unit)
 		}
 	}
 }
 
-// run executes the engine and assembles the canonical result.
-func (e *mcEngine) run() *Result {
-	res := &Result{Program: e.p.Name(), Mode: ModelCheck, Workers: e.opt.Workers}
-	start := time.Now()
-	seen := make(map[string]bool)
-	if e.haveResume {
-		primeFromCheckpoint(res, seen, e.opt.Resume)
+// resumePoint is unit u's checkpoint cut, or nil when it has none: it
+// finished, or it bowed out on its allowance mid-DFS (budget
+// truncation; re-run with a larger budget instead). A cut position
+// lines up with a trail when u observed the stop at its loop top
+// (trailSnap) or never ran (its starting trail). The trail is persisted
+// with every live domain cap undone (capRec.dom): the donated ranges
+// those caps carved off are all canonically after the cut, so restoring
+// the original domains makes the resumed run's unbounded backtrack
+// re-derive exactly the dropped remainder.
+func (e *mcEngine) resumePoint(u *mcUnit) *MCCheckpoint {
+	if u.res.Done || (u.popped && !u.stoppedAt) {
+		return nil
 	}
+	mc := &MCCheckpoint{
+		Subtree: u.subOrd,
+		// A stolen unit always carries a trail (its carved prefix); a
+		// subtree root only once its first execution ran.
+		Started:   u.started || !u.classify,
+		SpawnNext: u.sub.class.InjectionFired,
+	}
+	if mc.Started {
+		src := u.trail
+		if u.stoppedAt {
+			src = u.trailSnap
+		}
+		mc.Trail = trailToCheckpoint(src)
+		for _, c := range u.caps {
+			if c.idx < len(mc.Trail) {
+				mc.Trail[c.idx].Domain = c.dom
+			}
+		}
+		mc.DPORKeys = u.dporSnap
+	}
+	return mc
+}
+
+// run executes the engine and folds the unit trees through the
+// Assembler: each subtree's classification, then its units in canonical
+// depth-first order, so collector callbacks (Progress) see strictly
+// increasing indices no matter how units were scheduled or stolen.
+// Collection stops at the cut — the first unit with uncollected work;
+// everything canonically after it is dropped and re-derived on resume.
+func (e *mcEngine) run() *Result {
+	a := newAssembler(e.p.Name(), e.opt)
 	e.start()
 	for i := 0; i < e.opt.Workers; i++ {
 		e.wg.Add(1)
@@ -1187,108 +1085,11 @@ func (e *mcEngine) run() *Result {
 	for range e.pending {
 		e.opt.em.FrontierDepth.Add(-1)
 	}
-
-	// Assembly: walk each subtree's unit tree in subtree order,
-	// splicing unit streams into canonical depth-first visit order and
-	// truncating at the cap. Collector callbacks (Progress) therefore
-	// see strictly increasing indices no matter how units were
-	// scheduled or stolen. Collection stops at the cut — the first unit
-	// with uncollected work; everything canonically after it is dropped
-	// and re-derived on resume.
-	a := &asm{e: e, res: res, seen: seen, idx: e.baseExecs}
-	for si := e.startSubtree; si < len(e.subs); si++ {
-		if u := e.subs[si].rootUnit; u != nil {
-			a.walk(u)
-		}
+	for _, sub := range e.subs[e.startSubtree:] {
+		a.classify(sub.class)
+		e.walk(a, sub.rootUnit)
 	}
-	e.mu.Lock()
+	res := a.finish(e.st)
 	res.Steals = e.steals
-	e.mu.Unlock()
-	if e.cache != nil {
-		res.CacheHits, res.CacheMisses = e.cache.stats()
-	}
-	if a.cut != nil {
-		res.Partial = true
-		if e.st.stopped() {
-			res.noteStop(e.st.why())
-		} else {
-			res.noteStop("exec-budget")
-		}
-		res.FrontierRemaining = a.frontier
-		// A checkpoint needs the cut unit's canonical position to line
-		// up with a trail: either the unit observed the stop at its
-		// loop top (trailSnap) or it never ran (its starting trail is
-		// the cut). Budget truncation — including a unit that bowed out
-		// on its allowance — yields no checkpoint; re-run with a larger
-		// budget instead.
-		if e.st.stopped() && !a.truncated && (a.cut.stoppedAt || !a.cut.popped) {
-			res.Checkpoint = e.checkpoint(res, seen, a.cut, a.idx)
-		}
-	} else if e.st.stopped() {
-		// Stop observed in the same tick the last unit finished: the
-		// run is complete but the reason is still reported (noteStop).
-		res.noteStop(e.st.why())
-	}
-	res.Elapsed = time.Since(start)
 	return res
-}
-
-// checkpoint builds the resume state for a stop cut at unit cutU. The
-// persisted trail is the cut unit's with every live domain cap undone
-// (capRec.dom): the donated ranges those caps carved off are all
-// canonically after the cut, so restoring the original domains makes
-// the resumed run's unbounded backtrack re-derive exactly the dropped
-// remainder.
-func (e *mcEngine) checkpoint(res *Result, seen map[string]bool, cutU *mcUnit, collected int) *Checkpoint {
-	mc := &MCCheckpoint{
-		Subtree: cutU.subOrd,
-		// A stolen unit always carries a trail (its carved prefix); a
-		// subtree root only once its first execution ran.
-		Started:   cutU.started || !cutU.classify,
-		SpawnNext: cutU.sub.injectionFired,
-	}
-	if mc.Started {
-		src := cutU.trail
-		if cutU.stoppedAt {
-			src = cutU.trailSnap
-		}
-		t := append([]decision(nil), src...)
-		for _, c := range cutU.caps {
-			if c.idx < len(t) {
-				t[c.idx].domain = c.dom
-			}
-		}
-		mc.Trail = trailToCheckpoint(t)
-		mc.DPORKeys = cutU.dporSnap
-	}
-	// Cache registrations of subtrees up to the cut, in registration
-	// (spawn-chain = ordinal) order: the pre-cut primed keys first, then
-	// this run's. Hit/miss counters likewise cover only subtrees up to
-	// the cut — later subtrees' lookups are re-derived on resume.
-	mc.CacheKeys = append(mc.CacheKeys, e.primedKeys...)
-	mc.CacheHits, mc.CacheMisses = e.baseHits, e.baseMisses
-	for si := e.startSubtree; si <= cutU.subOrd && si < len(e.subs); si++ {
-		sub := e.subs[si]
-		if sub.keyed {
-			mc.CacheKeys = append(mc.CacheKeys, CacheEntry{Image: sub.key.image, Heap: sub.key.heap})
-			mc.CacheMisses++
-		}
-		if sub.pruned {
-			mc.CacheHits++
-		}
-	}
-	return &Checkpoint{
-		Version:       checkpointVersion,
-		Program:       res.Program,
-		Mode:          ModelCheck.String(),
-		Seed:          e.opt.Seed,
-		Model:         resolveModel(e.opt.Model.Name),
-		Window:        e.opt.Model.Window,
-		DPOR:          !e.opt.DisableDPOR,
-		Collected:     collected,
-		Aborted:       res.Aborted,
-		Quarantined:   res.Quarantined,
-		ViolationKeys: keysOf(seen),
-		MC:            mc,
-	}
 }

@@ -42,7 +42,8 @@
 // workers probing different images never serialize on one mutex. The
 // hit/miss verdict for a given key is decided entirely inside its
 // shard, so sharding cannot change any verdict — only which lock a
-// probe takes. Per-shard hit/miss tallies are summed by stats().
+// probe takes. Hit/miss totals are tallied from the subtrees'
+// classifications (Assembler.classify).
 //
 // Known approximation: the op-budget counter is not part of the key, so
 // a continuation that aborts on its budget could be deduplicated
@@ -82,9 +83,8 @@ func stateKey(w *pmem.World) cacheKey {
 
 // cacheShard is one independently locked stripe of the cache.
 type cacheShard struct {
-	mu           sync.Mutex
-	seen         map[cacheKey]struct{}
-	hits, misses int
+	mu   sync.Mutex
+	seen map[cacheKey]struct{}
 	// images tracks distinct persistence fingerprints to split misses by
 	// class (new image vs. seen image with a new heap mark). It is only
 	// allocated when metrics are live, so the disabled path stays
@@ -122,12 +122,10 @@ func (c *stateCache) lookupOrRegister(k cacheKey) (hit bool) {
 		s.seen = make(map[cacheKey]struct{})
 	}
 	if _, ok := s.seen[k]; ok {
-		s.hits++
 		c.met.Hits.Inc()
 		return true
 	}
 	s.seen[k] = struct{}{}
-	s.misses++
 	c.met.Misses.Inc()
 	if c.met.Probes != nil {
 		if s.images == nil {
@@ -142,18 +140,6 @@ func (c *stateCache) lookupOrRegister(k cacheKey) (hit bool) {
 	}
 	c.met.Entries.Set(c.entries.Add(1))
 	return false
-}
-
-// stats returns the hit/miss counters summed across shards.
-func (c *stateCache) stats() (hits, misses int) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		hits += s.hits
-		misses += s.misses
-		s.mu.Unlock()
-	}
-	return hits, misses
 }
 
 // prime registers a key without touching the counters: checkpoint
@@ -178,15 +164,5 @@ func (c *stateCache) prime(k cacheKey) {
 		// against the same image set an uninterrupted run would have.
 		s.images[k.image] = struct{}{}
 	}
-	s.mu.Unlock()
-}
-
-// seed adds a resumed checkpoint's counters so final stats are
-// cumulative across the interrupted and resumed runs.
-func (c *stateCache) seed(hits, misses int) {
-	s := &c.shards[0]
-	s.mu.Lock()
-	s.hits += hits
-	s.misses += misses
 	s.mu.Unlock()
 }

@@ -21,10 +21,10 @@ import (
 // must still match the never-stealing baseline bit for bit.
 func TestStealsFire(t *testing.T) {
 	base := Run(figure2(), Options{
-		Mode: ModelCheck, Executions: 10000, Workers: 1, DisableStealing: true,
+		Mode: ModelCheck, Executions: 10000, Workers: 1,
 	})
 	if base.Steals != 0 {
-		t.Fatalf("DisableStealing run reported %d steals", base.Steals)
+		t.Fatalf("Workers=1 run reported %d steals", base.Steals)
 	}
 	for _, workers := range []int{1, 8} {
 		res := Run(figure2(), Options{
@@ -46,7 +46,7 @@ func TestStealsFire(t *testing.T) {
 // count is timing-dependent, so only the assembled stream is pinned.
 func TestStealDemandDonationParallel(t *testing.T) {
 	base := Run(figure2(), Options{
-		Mode: ModelCheck, Executions: 10000, Workers: 1, DisableStealing: true,
+		Mode: ModelCheck, Executions: 10000, Workers: 1,
 	})
 	res := Run(figure2(), Options{Mode: ModelCheck, Executions: 10000, Workers: 16})
 	if !reflect.DeepEqual(res.ViolationKeys(), base.ViolationKeys()) ||
@@ -62,7 +62,7 @@ func TestStealDemandDonationParallel(t *testing.T) {
 // checkpoint paths — a cut landing inside a stolen unit, and a resumed
 // root that immediately re-donates.
 func TestStealCheckpointResumeChain(t *testing.T) {
-	full := Run(figure7(), Options{Mode: ModelCheck, Executions: 10000, Workers: 1, DisableStealing: true})
+	full := Run(figure7(), Options{Mode: ModelCheck, Executions: 10000, Workers: 1})
 	res, merged := runToCompletion(t, figure7(), Options{
 		Mode: ModelCheck, Executions: 10000, Workers: 4, ForceSteals: true,
 		Deadline: 500 * time.Microsecond,
@@ -91,7 +91,7 @@ func TestStealBudgetCapDeterminism(t *testing.T) {
 	}
 	cap := total / 2
 	base := Run(figure7(), Options{
-		Mode: ModelCheck, Executions: cap, Workers: 1, DisableStealing: true,
+		Mode: ModelCheck, Executions: cap, Workers: 1,
 	})
 	if base.Executions != cap {
 		t.Fatalf("baseline ran %d executions under a cap of %d", base.Executions, cap)

@@ -10,9 +10,9 @@
 // model-check unit is exactly the engine's own resume path restricted
 // to a single subtree (same trail replay, same primed state cache, same
 // DPOR registrations), and a random unit's executions depend only on
-// their indices. The supervisor's ordered merge of unit streams is
-// therefore bit-identical to the in-process engines' canonical
-// assembly, at any worker count and under any kill schedule.
+// their indices. The supervisor folds unit streams through the same
+// Assembler as an in-process run, so the result is bit-identical at any
+// worker count and under any kill schedule.
 package explore
 
 import (
@@ -65,19 +65,20 @@ type UnitClassification struct {
 	InjectionFired bool       `json:"injectionFired,omitempty"`
 }
 
-// UnitExec is one execution of a unit, in canonical sub-DFS (or index)
-// order. Violations are deduplicated within the unit — each carries the
-// first execution that found it — which is exactly what the
-// supervisor's in-order cross-unit merge needs to reproduce the
-// in-process engines' first-found ordering and ExecutionsToAllBugs.
+// UnitExec is the record of one execution, in canonical sub-DFS (or
+// index) order — the one record every exploration path produces and the
+// Assembler folds. In a RunUnit result violations are deduplicated
+// within the unit — each carries the first execution that found it —
+// which is exactly what the supervisor's in-order cross-unit merge
+// needs to reproduce first-found ordering and ExecutionsToAllBugs.
 type UnitExec struct {
 	Aborted    bool
 	Err        *ExecError
 	Violations []*core.Violation
 	// Ops and the retirement counts carry the execution's world stats
-	// across the process boundary so supervised Result sums match the
-	// in-process engines' (all zero for quarantined executions and, for
-	// the retirement trio, whenever the window is 0).
+	// into the Result sums, across the process boundary too (all zero
+	// for quarantined executions and, for the retirement trio, whenever
+	// the window is 0).
 	Ops           int64 `json:",omitempty"`
 	Retirements   int64 `json:",omitempty"`
 	RetiredStores int64 `json:",omitempty"`
@@ -169,7 +170,6 @@ func RunUnit(p Program, opt Options, spec UnitSpec, hooks UnitHooks) (*UnitResul
 		return nil, fmt.Errorf("unit spec must set exactly one of random and mc")
 	}
 	opt.Workers = 1
-	opt.DisableStealing = true
 	opt.ForceSteals = false
 	opt.applyWindowConstraints()
 	opt.em = obs.ExploreInstruments(opt.Obs.Reg())
@@ -179,10 +179,15 @@ func RunUnit(p Program, opt Options, spec UnitSpec, hooks UnitHooks) (*UnitResul
 		opt.Model.Obs = opt.Obs
 	}
 	st := newStopper(&opt)
+	var ur *UnitResult
 	if spec.Random != nil {
-		return runRandomUnit(p, &opt, st, spec, hooks), nil
+		ur = &UnitResult{}
+		planRandom(p, &opt).runRange(newWorkerState(&opt, 1), spec.Random.Lo, spec.Random.Hi, st, ur, hooks.OnExec)
+	} else {
+		ur = runMCUnit(p, &opt, st, spec, hooks)
 	}
-	return runMCUnit(p, &opt, st, spec, hooks), nil
+	dedupUnit(ur)
+	return ur, nil
 }
 
 // runMCUnit runs one subtree through the pool engine in solo mode: the
@@ -209,73 +214,27 @@ func runMCUnit(p Program, opt *Options, st *stopper, spec UnitSpec, hooks UnitHo
 	e.worker(0)
 
 	sub := e.subs[spec.MC.Subtree]
-	u := sub.rootUnit
-	ur := &UnitResult{
-		Done:             u.done,
-		SnapshotRestores: u.snapRestores,
-		DPORPruned:       u.dporPruned,
-		WorkNanos:        int64(u.work),
-	}
+	ur := &sub.rootUnit.res
 	if !spec.MC.Started {
 		ur.Classified = true
-		ur.Class = UnitClassification{
-			Pruned:         sub.pruned,
-			Keyed:          sub.keyed,
-			Key:            CacheEntry{Image: sub.key.image, Heap: sub.key.heap},
-			InjectionFired: sub.injectionFired,
-		}
-	}
-	seen := make(map[string]bool)
-	for _, ex := range u.execs {
-		ur.Execs = append(ur.Execs, dedupExec(UnitExec{
-			Aborted: ex.aborted, Err: ex.execErr,
-			Ops: ex.ops, Retirements: ex.retirements,
-			RetiredStores: ex.retiredStores, RetiredEvents: ex.retiredEvents,
-			PinnedRoots: ex.pinnedRoots, SweepNanos: ex.sweepNanos,
-		}, ex.violations, seen))
+		ur.Class = sub.class
 	}
 	return ur
 }
 
-// runRandomUnit runs executions [Lo, Hi) of the canonical random
-// stream: the same per-index seed derivation as the pool, on one
-// reused world.
-func runRandomUnit(p Program, opt *Options, st *stopper, spec UnitSpec, hooks UnitHooks) *UnitResult {
-	plan := planRandom(p, opt)
-	ws := &workerState{tid: 1, tr: opt.tr, wm: obs.WorkerInstruments(opt.Obs.Reg(), 1)}
-	ur := &UnitResult{}
-	seen := make(map[string]bool)
-	for exec := spec.Random.Lo; exec < spec.Random.Hi; exec++ {
-		if st.stopped() {
-			return ur
-		}
-		o := randomExecution(p, opt, plan, ws, exec)
-		ws.wm.BusyNanos.Add(int64(o.elapsed))
-		ws.wm.Dispatches.Inc()
-		ur.WorkNanos += int64(o.elapsed)
-		ur.Execs = append(ur.Execs, dedupExec(UnitExec{
-			Aborted: o.aborted, Err: o.execErr,
-			Ops: o.ops, Retirements: o.retirements,
-			RetiredStores: o.retiredStores, RetiredEvents: o.retiredEvents,
-			PinnedRoots: o.pinnedRoots, SweepNanos: o.sweepNanos,
-		}, o.violations, seen))
-		if hooks.OnExec != nil {
-			hooks.OnExec(len(ur.Execs))
-		}
-	}
-	ur.Done = true
-	return ur
-}
-
-// dedupExec keeps each violation's first in-unit occurrence, preserving
+// dedupUnit keeps each violation's first in-unit occurrence, preserving
 // within-execution order — the form the supervisor's cross-unit merge
 // consumes.
-func dedupExec(ue UnitExec, vs []*core.Violation, seen map[string]bool) UnitExec {
-	for _, v := range vs {
-		if !seen[v.Key()] {
-			seen[v.Key()] = true
-			ue.Violations = append(ue.Violations, v)
+func dedupUnit(ur *UnitResult) {
+	seen := make(map[string]bool)
+	for i := range ur.Execs {
+		vs := ur.Execs[i].Violations
+		ur.Execs[i].Violations = nil
+		for _, v := range vs {
+			if k := v.Key(); !seen[k] {
+				seen[k] = true
+				ur.Execs[i].Violations = append(ur.Execs[i].Violations, v)
+			}
 		}
 	}
-	return ue
 }

@@ -99,7 +99,7 @@ func TestUnitDriveMCEquivalence(t *testing.T) {
 }
 
 // TestUnitDriveMCBudget: dispatch-style per-unit budgets truncate at
-// the cap exactly like the engine's allowance + assembly walk.
+// the cap exactly like the engine's allowance + unit-tree walk.
 func TestUnitDriveMCBudget(t *testing.T) {
 	full := Run(figure2(), Options{Mode: ModelCheck, Executions: 10000, Workers: 1})
 	cap := full.Executions / 2

@@ -34,7 +34,9 @@ type ComparisonRow struct {
 
 // Comparison runs each benchmark port once and feeds every explored
 // execution's trace to the baseline checkers, reproducing the §6.4
-// comparison on identical executions.
+// comparison on identical executions. The checkers run as an
+// AfterExecution hook, so every port explores on one worker whatever
+// opt.Workers says.
 func Comparison(opt Options) []ComparisonRow {
 	var rows []ComparisonRow
 	for _, b := range benchmarks.All() {
@@ -49,7 +51,6 @@ func Comparison(opt Options) []ComparisonRow {
 			Mode:       b.PreferredMode,
 			Executions: execs,
 			Seed:       opt.Seed + 1,
-			Workers:    opt.Workers,
 			Model:      opt.modelConfig(),
 			Obs:        opt.Obs,
 			Context:    opt.Context,

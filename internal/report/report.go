@@ -88,11 +88,6 @@ type Options struct {
 	// exploration the tables run — the psan-bench -reduction flag.
 	DisableSnapshots bool
 	DisableDPOR      bool
-	// DisableStealing turns off work stealing in every model-check
-	// exploration the tables run (explore.Options.DisableStealing) —
-	// the psan-bench -steal=false escape hatch. Table results are
-	// identical either way; only wall-clock timing changes.
-	DisableStealing bool
 }
 
 // modelConfig is the explore/pmem model configuration the options select.
@@ -232,7 +227,7 @@ func Table2(opt Options) *Table2Result {
 		buggy := explore.Run(b.Build(bench.Buggy), explore.Options{
 			Mode: b.PreferredMode, Executions: execs, Seed: opt.Seed + 1, Workers: opt.Workers, Deadline: opt.Deadline,
 			Model: opt.modelConfig(), Obs: opt.Obs, Context: opt.Context,
-			DisableSnapshots: opt.DisableSnapshots, DisableDPOR: opt.DisableDPOR, DisableStealing: opt.DisableStealing,
+			DisableSnapshots: opt.DisableSnapshots, DisableDPOR: opt.DisableDPOR,
 		})
 		covered, missed := bench.MatchExpected(b.Expected, buggy.Violations)
 		for _, c := range covered {
@@ -262,7 +257,7 @@ func Table2(opt Options) *Table2Result {
 		fixed := explore.Run(b.Build(bench.Fixed), explore.Options{
 			Mode: b.PreferredMode, Executions: execs, Seed: opt.Seed + 1, Workers: opt.Workers, Deadline: opt.Deadline,
 			Model: opt.modelConfig(), Obs: opt.Obs, Context: opt.Context,
-			DisableSnapshots: opt.DisableSnapshots, DisableDPOR: opt.DisableDPOR, DisableStealing: opt.DisableStealing,
+			DisableSnapshots: opt.DisableSnapshots, DisableDPOR: opt.DisableDPOR,
 		})
 		res.FixedClean[b.Name] = len(fixed.Violations) == 0
 	}
@@ -338,13 +333,13 @@ func Table3(opt Options) []Table3Row {
 			Mode: explore.Random, Executions: timingExecs, Seed: opt.Seed + 2,
 			Workers: opt.Workers, Deadline: opt.Deadline, DisableChecker: true, NoSteering: true,
 			Model: opt.modelConfig(), Obs: opt.Obs, Context: opt.Context,
-			DisableSnapshots: opt.DisableSnapshots, DisableDPOR: opt.DisableDPOR, DisableStealing: opt.DisableStealing,
+			DisableSnapshots: opt.DisableSnapshots, DisableDPOR: opt.DisableDPOR,
 		})
 		psan := explore.Run(b.Build(bench.Buggy), explore.Options{
 			Mode: explore.Random, Executions: timingExecs, Seed: opt.Seed + 2,
 			Workers: opt.Workers, Deadline: opt.Deadline, NoSteering: true,
 			Model: opt.modelConfig(), Obs: opt.Obs, Context: opt.Context,
-			DisableSnapshots: opt.DisableSnapshots, DisableDPOR: opt.DisableDPOR, DisableStealing: opt.DisableStealing,
+			DisableSnapshots: opt.DisableSnapshots, DisableDPOR: opt.DisableDPOR,
 		})
 		execs := b.Executions
 		if opt.Executions > 0 {
@@ -353,7 +348,7 @@ func Table3(opt Options) []Table3Row {
 		discovery := explore.Run(b.Build(bench.Buggy), explore.Options{
 			Mode: explore.Random, Executions: execs, Seed: opt.Seed + 2, Workers: opt.Workers, Deadline: opt.Deadline,
 			Model: opt.modelConfig(), Obs: opt.Obs, Context: opt.Context,
-			DisableSnapshots: opt.DisableSnapshots, DisableDPOR: opt.DisableDPOR, DisableStealing: opt.DisableStealing,
+			DisableSnapshots: opt.DisableSnapshots, DisableDPOR: opt.DisableDPOR,
 		})
 		rows = append(rows, Table3Row{
 			Benchmark:  b.Name,
@@ -399,7 +394,7 @@ func Violations(name string, opt Options) (string, error) {
 	res := explore.Run(b.Build(bench.Buggy), explore.Options{
 		Mode: b.PreferredMode, Executions: execs, Seed: opt.Seed + 1, Workers: opt.Workers,
 		Model: opt.modelConfig(), Obs: opt.Obs, Context: opt.Context,
-		DisableSnapshots: opt.DisableSnapshots, DisableDPOR: opt.DisableDPOR, DisableStealing: opt.DisableStealing,
+		DisableSnapshots: opt.DisableSnapshots, DisableDPOR: opt.DisableDPOR,
 		Provenance: true,
 	})
 	var sb strings.Builder
