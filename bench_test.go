@@ -336,6 +336,24 @@ func BenchmarkCheckerObserveRead(b *testing.B) {
 	}
 }
 
+// BenchmarkWorldReset measures random mode's per-execution fixed cost
+// at the world layer: resetting a reused world to the next execution's
+// seed and drawing its first crash target, as every random execution
+// starts. Reseeding is O(1) — the RNG's register words materialize on
+// first touch — so the cost does not scale with the generator's state.
+func BenchmarkWorldReset(b *testing.B) {
+	w := pmem.NewWorld(pmem.Config{})
+	b.ReportAllocs()
+	drawn := 0
+	for i := 0; i < b.N; i++ {
+		w.Reset(int64(i) * 2654435761)
+		drawn += w.Rand().Intn(64)
+	}
+	if drawn < 0 {
+		b.Fatal("negative crash target")
+	}
+}
+
 // BenchmarkVClockJoin measures the happens-before lattice operation.
 func BenchmarkVClockJoin(b *testing.B) {
 	x := vclock.Bottom().Inc(0).Inc(1).Inc(2).Inc(3)

@@ -2,9 +2,10 @@ package repro
 
 // Determinism regression tests for the parallel exploration engine:
 // for every benchmark in the registry, a run with many workers must be
-// byte-identical to the serial run — same violation keys, same
-// execution counts, same abort counts — in both exploration modes, and
-// the model-check state cache must never change verdicts.
+// byte-identical to the serial run — same violation reports (fixes
+// included) in the same order, same execution counts, same abort
+// counts — in both exploration modes, and the model-check state cache
+// must never change verdicts.
 
 import (
 	"context"
@@ -50,6 +51,14 @@ func assertSameOutcome(t *testing.T, context string, a, b *explore.Result) {
 	}
 	if a.Aborted != b.Aborted {
 		t.Fatalf("%s: Aborted %d vs %d", context, a.Aborted, b.Aborted)
+	}
+	// The rendered reports too, in first-found order: the same keys from
+	// different first executions would differ in their store clocks,
+	// crash interval, or fixes.
+	for i := range a.Violations {
+		if sa, sb := a.Violations[i].String(), b.Violations[i].String(); sa != sb {
+			t.Fatalf("%s: violation %d differs\n  %d workers:\n%s  %d workers:\n%s", context, i, a.Workers, sa, b.Workers, sb)
+		}
 	}
 }
 

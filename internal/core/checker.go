@@ -187,9 +187,17 @@ func (v *Violation) Key() string {
 		if v.Persisted != nil {
 			p = v.Persisted.Loc
 		}
-		v.key = fmt.Sprintf("%s|%s|%s", v.Kind, mf, p)
+		v.key = bugKey(v.Kind, mf, p)
 	}
 	return v.key
+}
+
+// bugKey formats a violation's bug identity from its diagnosis kind and
+// the labels of its missing-flush and persisted store sites ("" for a
+// missing store). It is the one definition behind both Violation.Key and
+// the campaign-known lookups of applyUpdates.
+func bugKey(kind ViolationKind, mfLoc, perLoc string) string {
+	return kind.String() + "|" + mfLoc + "|" + perLoc
 }
 
 // KeySet returns the sorted Key()s of vs — the canonical identity of a
@@ -281,6 +289,9 @@ type Checker struct {
 	// violations accumulates committed violations in detection order.
 	violations []*Violation
 	seen       map[violationKey]bool
+	// known, when set, reports whether the exploration campaign already
+	// holds a violation key (SetKnown).
+	known func(key string) bool
 	// checksum deferral (§6.4): while a thread is inside an annotated
 	// checksum region, its cross-crash loads are buffered here.
 	deferred map[memmodel.ThreadID][]deferredLoad
@@ -320,7 +331,8 @@ func NewWithOptions(tr *trace.Trace, opt Options) *Checker {
 // Reset clears the checker for the next execution on the same (reset)
 // trace. The accumulated violations slice is dropped, not truncated —
 // it escapes to the exploration harness, which may retain it after the
-// reset. The enabled/disabled state and ablation options are kept.
+// reset. The enabled/disabled state, ablation options, provenance
+// setting, and known-key predicate are kept.
 func (c *Checker) Reset() {
 	clear(c.cons)
 	c.violations = nil
@@ -378,8 +390,23 @@ func (c *Checker) freezeEndpoint(e intervals.Endpoint) intervals.Endpoint {
 	return e
 }
 
-// Violations returns the violations committed so far, in detection order.
+// Violations returns the violations committed so far, in detection
+// order. A violation whose key the SetKnown predicate reports as known
+// is never committed, so with a predicate installed the list holds only
+// the bugs new to the campaign.
 func (c *Checker) Violations() []*Violation { return c.violations }
+
+// SetKnown installs (or, with nil, removes) the campaign's known-key
+// predicate: known(k) reports whether a violation with Key k has already
+// been collected by the exploration campaign driving this checker. An
+// emptying read whose key is known is marked seen — so StateFingerprint,
+// snapshots, and every later dedup behave exactly as if it had been
+// diagnosed — but is neither diagnosed nor committed: the campaign
+// would discard the copy, so its fixes and provenance are not
+// synthesized at all. The predicate is consulted at most once per
+// distinct key per execution (only for keys not yet seen) and survives
+// Reset.
+func (c *Checker) SetKnown(known func(key string) bool) { c.known = known }
 
 // SetEnabled turns checking on or off. A disabled checker observes
 // nothing and reports nothing; the harness uses it to measure the
@@ -505,7 +532,9 @@ const (
 // post-loop dedup to throw the copy away. Workloads that keep re-reading
 // a bugged location spend most of their checking time there. Callers
 // therefore see each distinct violation in a return value exactly once
-// per execution; the committed Violations() list is unchanged.
+// per execution. An identity not yet seen is checked against the
+// campaign's known keys (SetKnown) first: a known one is marked seen and
+// skipped the same way, so neither its report nor its fixes are built.
 func (c *Checker) applyUpdates(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.Store, loc trace.LocID, ups []update, mode applyMode) []*Violation {
 	if len(ups) == 0 {
 		// Same-sub-execution reads constrain nothing; skip the scratch
@@ -529,8 +558,15 @@ func (c *Checker) applyUpdates(t memmodel.ThreadID, addr memmodel.Addr, rf *trac
 			next, _ = iv.ConstrainHi(u.clock, u.store)
 		}
 		if next.Empty() {
-			if mode != modeCheck && c.seen[violationKeyFor(rf, u, iv)] {
-				continue // already recorded; skip re-materializing
+			if mode != modeCheck {
+				vk := violationKeyFor(rf, u, iv)
+				if c.seen[vk] {
+					continue // already recorded; skip re-materializing
+				}
+				if c.known != nil && c.known(bugKey(vk.kind, c.tr.LocString(vk.mfLoc), c.tr.LocString(vk.perLoc))) {
+					c.seen[vk] = true // the campaign holds it already
+					continue
+				}
 			}
 			v := c.diagnose(t, addr, rf, loc, u, iv, next)
 			found = append(found, v)

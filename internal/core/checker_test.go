@@ -384,6 +384,54 @@ func TestViolationDedup(t *testing.T) {
 	}
 }
 
+// TestKnownKeysSkipped: a violation whose key the campaign already holds
+// (SetKnown) is marked seen but never diagnosed or committed, while a new
+// bug in the same execution still gets its full report; the predicate is
+// asked once per key, and the checker's state fingerprint is exactly the
+// one it has without a predicate.
+func TestKnownKeysSkipped(t *testing.T) {
+	const addrA, addrB = memmodel.Addr(0x4000), memmodel.Addr(0x5000)
+	run := func(known func(string) bool) *Checker {
+		h := newHarness(t)
+		h.c.SetKnown(known)
+		h.m.Store(0, addrX, 1, h.m.Intern("x=1"))
+		h.m.Store(0, addrY, 1, h.m.Intern("y=1"))
+		h.m.Store(0, addrX, 2, h.m.Intern("x=2"))
+		h.m.Store(0, addrY, 2, h.m.Intern("y=2"))
+		h.m.Store(1, addrA, 1, h.m.Intern("a=1"))
+		h.m.Store(1, addrB, 1, h.m.Intern("b=1"))
+		h.m.Store(1, addrA, 2, h.m.Intern("a=2"))
+		h.m.Store(1, addrB, 2, h.m.Intern("b=2"))
+		h.m.Crash()
+		h.readValue(0, addrX, 1, false, "r1=x")
+		h.readValue(0, addrY, 2, false, "r2=y") // bug 1
+		h.readValue(0, addrY, 2, false, "r3=y") // bug 1 again
+		h.readValue(1, addrA, 1, false, "r4=a")
+		h.readValue(1, addrB, 2, false, "r5=b") // bug 2
+		return h.c
+	}
+	plain := run(nil)
+	all := plain.Violations()
+	if len(all) != 2 {
+		t.Fatalf("without a predicate: %d violations, want 2", len(all))
+	}
+	asked := map[string]int{}
+	c := run(func(k string) bool {
+		asked[k]++
+		return k == all[0].Key()
+	})
+	vs := c.Violations()
+	if len(vs) != 1 || vs[0].String() != all[1].String() {
+		t.Fatalf("with bug 1 known: violations %v, want only\n%s", vs, all[1])
+	}
+	if len(asked) != 2 || asked[all[0].Key()] != 1 || asked[all[1].Key()] != 1 {
+		t.Fatalf("predicate calls = %v, want each of the two keys once", asked)
+	}
+	if got, want := c.StateFingerprint(), plain.StateFingerprint(); got != want {
+		t.Fatalf("StateFingerprint = %#x with the known-key skip, %#x without", got, want)
+	}
+}
+
 // TestContinuesPastViolation: after a violation the emptying constraint
 // is dropped so an independent second bug is still found.
 func TestContinuesPastViolation(t *testing.T) {

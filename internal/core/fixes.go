@@ -25,22 +25,28 @@ func (c *Checker) computeFixes(v *Violation) []Fix {
 	if mf == nil || p == nil || mf.ID == p.ID || mf.Initial || p.Initial {
 		return nil
 	}
-	var fixes []Fix
-	e := mf.SubExec
-	// Candidate threads: the missing-flush store's own thread first (its
-	// window is the primary fix), then every other thread that has
-	// events in the sub-execution.
-	threads := []memmodel.ThreadID{mf.Thread}
-	seen := map[memmodel.ThreadID]bool{mf.Thread: true}
-	for _, ev := range c.tr.SubEvents(e) {
-		if ev.Thread != memmodel.NoThread && !seen[ev.Thread] {
-			seen[ev.Thread] = true
-			threads = append(threads, ev.Thread)
+	// One pass over the sub-execution's events builds every candidate
+	// thread's window at once. Candidates are the missing-flush store's
+	// own thread first (its window is the primary fix), then every other
+	// thread with events in the sub-execution, in order of first event.
+	ws := []fixWindow{{tau: mf.Thread}}
+	c.tr.EachSubEvent(mf.SubExec, func(ev *trace.Event) {
+		if ev.Thread == memmodel.NoThread {
+			return
 		}
-	}
-	for _, tau := range threads {
-		if fix, ok := c.flushWindow(tau, mf, p); ok {
-			fix.Primary = tau == mf.Thread
+		i := 0
+		for i < len(ws) && ws[i].tau != ev.Thread {
+			i++
+		}
+		if i == len(ws) {
+			ws = append(ws, fixWindow{tau: ev.Thread})
+		}
+		ws[i].observe(ev, mf, p)
+	})
+	var fixes []Fix
+	for i := range ws {
+		if fix, ok := c.flushWindow(&ws[i], mf, p); ok {
+			fix.Primary = ws[i].tau == mf.Thread
 			fixes = append(fixes, fix)
 		}
 	}
@@ -52,51 +58,59 @@ func (c *Checker) computeFixes(v *Violation) []Fix {
 	return fixes
 }
 
-// flushWindow computes the flush insertion window for thread tau, if one
-// exists: a range of tau's operations that happen after mf and before p.
-func (c *Checker) flushWindow(tau memmodel.ThreadID, mf, p *StoreRef) (Fix, bool) {
-	evs := c.tr.EventsOf(mf.SubExec, tau)
-	start := -1
-	for i, ev := range evs {
-		if ev.Store != nil && ev.Store.ID == mf.ID {
-			continue // the store itself; the window starts strictly after
+// fixWindow is one thread's flush-window scan state in computeFixes:
+// start is the thread's first operation that happens after mf, end its
+// last operation from start on that happens before p, and after the
+// operation following end (nil while none has been seen).
+type fixWindow struct {
+	tau               memmodel.ThreadID
+	start, end, after *trace.Event
+}
+
+// observe feeds the window the thread's next operation in program order.
+func (w *fixWindow) observe(ev *trace.Event, mf, p *StoreRef) {
+	if w.start == nil {
+		if ev.Store != nil && ev.Store.ID == mf.ID || !mf.CV.Leq(ev.CV) {
+			return // the window starts strictly after mf, at an hb-later op
 		}
-		if mf.CV.Leq(ev.CV) {
-			start = i
-			break
-		}
+		w.start = ev
 	}
+	if ev.CV.Leq(p.CV) {
+		w.end, w.after = ev, nil
+	} else if w.end != nil && w.after == nil {
+		w.after = ev
+	}
+}
+
+// flushWindow turns a thread's scanned window into its flush insertion
+// fix, if one exists: a range of the thread's operations that happen
+// after mf and before p.
+func (c *Checker) flushWindow(w *fixWindow, mf, p *StoreRef) (Fix, bool) {
+	tau := w.tau
 	if tau == mf.Thread && tau == p.Thread {
 		// Single-thread case: the window is simply between the two
 		// stores in program order; it exists even when mf is the
 		// thread's last event.
 		return Fix{Kind: FixInsertFlush, Thread: tau, AfterLoc: mf.Loc, BeforeLoc: p.Loc}, true
 	}
-	if start < 0 {
+	if w.start == nil {
 		// No operation of tau happens after mf: the thread stopped (or
 		// never observed the store) — the Figure 7 empty-window case.
 		return Fix{}, false
 	}
-	// Find the last operation of tau that happens before p.
-	end := -1
-	for i := start; i < len(evs); i++ {
-		if evs[i].CV.Leq(p.CV) {
-			end = i
-		}
-	}
 	if tau == p.Thread {
 		// Operations of p's own thread before p are hb-before p by
 		// program order; anchor the window end at p itself.
-		return Fix{Kind: FixInsertFlush, Thread: tau, AfterLoc: c.evLoc(evs[start]), BeforeLoc: p.Loc}, true
+		return Fix{Kind: FixInsertFlush, Thread: tau, AfterLoc: c.evLoc(w.start), BeforeLoc: p.Loc}, true
 	}
-	if end < 0 {
+	if w.end == nil {
 		return Fix{}, false
 	}
 	before := ""
-	if end+1 < len(evs) {
-		before = c.evLoc(evs[end+1])
+	if w.after != nil {
+		before = c.evLoc(w.after)
 	}
-	return Fix{Kind: FixInsertFlush, Thread: tau, AfterLoc: c.evLoc(evs[start]), BeforeLoc: before}, true
+	return Fix{Kind: FixInsertFlush, Thread: tau, AfterLoc: c.evLoc(w.start), BeforeLoc: before}, true
 }
 
 // evLoc materializes an event's interned label.

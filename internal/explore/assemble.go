@@ -15,7 +15,9 @@
 package explore
 
 import (
+	"maps"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -23,9 +25,12 @@ import (
 
 // Assembler folds unit results, fed in canonical order, into a Result.
 type Assembler struct {
-	opt   Options
-	res   *Result
-	seen  map[string]bool
+	opt  Options
+	res  *Result
+	seen map[string]bool
+	// known is seen, published copy-on-write for the worlds the fold
+	// drives (see isKnown); new keys are rare, so a copy per key is cheap.
+	known atomic.Pointer[map[string]bool]
 	start time.Time
 	idx   int // canonical stream cursor
 
@@ -72,8 +77,25 @@ func newAssembler(program string, opt *Options) *Assembler {
 			a.hits, a.misses = ck.MC.CacheHits, ck.MC.CacheMisses
 		}
 	}
+	a.publish()
 	return a
 }
+
+// publish makes the current dedup set visible to isKnown.
+func (a *Assembler) publish() {
+	m := maps.Clone(a.seen)
+	a.known.Store(&m)
+}
+
+// isKnown reports whether violation key k has already been collected.
+// It is the checker predicate (core.Checker.SetKnown) of every world
+// whose executions this assembly folds, and is safe to call from any
+// worker. Skipping a known key's diagnosis is sound at any width: every
+// collected key came from a canonically earlier execution, so collect
+// would drop the later copy anyway. In model checking the fold runs
+// after the workers finish, so only a resumed checkpoint's keys are
+// known while they run.
+func (a *Assembler) isKnown(k string) bool { return (*a.known.Load())[k] }
 
 // Collected returns the canonical cursor: how many executions have been
 // assembled (including a resumed checkpoint's).
@@ -146,7 +168,11 @@ func (a *Assembler) collect(ex *UnitExec) bool {
 	if ex.Err != nil && ex.Err.Exec < 0 {
 		ex.Err.Exec = a.idx
 	}
+	n := len(a.seen)
 	a.res.collect(ex, a.idx, a.seen, &a.opt)
+	if len(a.seen) != n {
+		a.publish()
+	}
 	a.idx++
 	return true
 }

@@ -219,6 +219,10 @@ type Options struct {
 	// (quarantined and pruned executions hand over none). The world is
 	// only lent for the duration of the call — the engine resets and
 	// reuses it afterwards — so the hook must not retain or mutate it.
+	// The world's Checker.Violations() omits keys the campaign had
+	// already collected before the execution ran: those are recognized
+	// and skipped undiagnosed (core.Checker.SetKnown), so an empty list
+	// means "no new bug", not "no violation".
 	AfterExecution func(*pmem.World)
 
 	// --- failure containment ---
@@ -275,6 +279,10 @@ type Options struct {
 	em obs.ExploreMetrics
 	tr *obs.Tracer
 	fr *obs.FlightRecorder
+	// known is the in-process Assembler's collected-key predicate,
+	// installed on every world the engines build (core.Checker.SetKnown);
+	// nil in RunUnit, whose stream is folded elsewhere.
+	known func(key string) bool
 
 	// Resume continues a previously checkpointed partial run: the
 	// engines skip (without re-executing) everything the checkpoint
@@ -914,6 +922,7 @@ func (pl *randomPlan) execute(ws *workerState, exec int) (UnitExec, time.Duratio
 			RandomDrainPercent: pl.drainPct,
 			Provenance:         opt.Provenance,
 		})
+		ws.w.Checker.SetKnown(opt.known)
 	}
 	w := ws.w
 	if opt.DisableChecker {
@@ -974,6 +983,7 @@ func (pl *randomPlan) runRange(ws *workerState, lo, hi int, st *stopper, ur *Uni
 // one).
 func runRandom(p Program, opt *Options, st *stopper) *Result {
 	a := newAssembler(p.Name(), opt)
+	opt.known = a.isKnown
 	plan := planRandom(p, opt)
 	if opt.Workers > 1 {
 		runRandomParallel(plan, a, st)
@@ -1063,6 +1073,7 @@ func mcWorld(opt *Options, ctl *controller) *pmem.World {
 			return cands[ctl.next(len(cands))]
 		},
 	})
+	w.Checker.SetKnown(opt.known)
 	if opt.DisableChecker {
 		w.Checker.SetEnabled(false)
 	}

@@ -173,6 +173,30 @@ func TestRandomModeFindsFigure7AcrossThreads(t *testing.T) {
 	}
 }
 
+// TestCollectedViolationsNotRediagnosed: once the campaign has collected
+// a violation key, later executions recognize it and skip its diagnosis,
+// so each bug reaches exactly one execution's checker list — the
+// execution that first found it.
+func TestCollectedViolationsNotRediagnosed(t *testing.T) {
+	reported := map[string]int{}
+	res := Run(figure2(), Options{Mode: Random, Executions: 200, Seed: 1, AfterExecution: func(w *pmem.World) {
+		for _, v := range w.Checker.Violations() {
+			reported[v.Key()]++
+		}
+	}})
+	if len(res.Violations) == 0 {
+		t.Fatalf("random mode missed the Figure 2 violation: %s", res)
+	}
+	if len(reported) != len(res.Violations) {
+		t.Fatalf("executions reported keys %v, campaign collected %v", reported, res.ViolationKeys())
+	}
+	for _, k := range res.ViolationKeys() {
+		if reported[k] != 1 {
+			t.Fatalf("key %s diagnosed in %d executions, want 1", k, reported[k])
+		}
+	}
+}
+
 func TestDisabledCheckerReportsNothing(t *testing.T) {
 	res := Run(figure2(), Options{Mode: Random, Executions: 100, Seed: 1, DisableChecker: true})
 	if len(res.Violations) != 0 {

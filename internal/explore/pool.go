@@ -1074,6 +1074,7 @@ func (e *mcEngine) resumePoint(u *mcUnit) *MCCheckpoint {
 // everything canonically after it is dropped and re-derived on resume.
 func (e *mcEngine) run() *Result {
 	a := newAssembler(e.p.Name(), e.opt)
+	e.opt.known = a.isKnown
 	e.start()
 	for i := 0; i < e.opt.Workers; i++ {
 		e.wg.Add(1)

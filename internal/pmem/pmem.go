@@ -210,7 +210,7 @@ func NewWorld(cfg Config) *World {
 		Checker:     core.New(m.Trace()),
 		Heap:        NewHeap(),
 		chooser:     chooser,
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		rng:         rand.New(newLazySource(cfg.Seed)),
 		crashTarget: cfg.CrashTarget,
 		opLimit:     limit,
 		drainPct:    cfg.RandomDrainPercent,

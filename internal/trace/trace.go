@@ -591,15 +591,11 @@ func (tr *Trace) SubEvents(e int) []*Event {
 	return out
 }
 
-// EventsOf returns the events of sub-execution e executed by thread t, in
-// program order. It is used to compute fix windows.
-func (tr *Trace) EventsOf(e int, t memmodel.ThreadID) []*Event {
-	var out []*Event
+// EachSubEvent calls f on every event of sub-execution e, in execution
+// order, without copying the event list. Fix synthesis walks it once per
+// new violation.
+func (tr *Trace) EachSubEvent(e int, f func(*Event)) {
 	for _, idx := range tr.subs[e].events {
-		ev := tr.events[idx-tr.eventBase]
-		if ev.Thread == t {
-			out = append(out, ev)
-		}
+		f(tr.events[idx-tr.eventBase])
 	}
-	return out
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/memmodel"
@@ -206,14 +207,17 @@ func TestGetExec(t *testing.T) {
 	}
 }
 
-func TestEventsOf(t *testing.T) {
+func TestEachSubEvent(t *testing.T) {
 	tr := New()
 	issueCommit(tr, 0, addrX, 1, "a")
 	issueCommit(tr, 1, addrY, 2, "b")
 	tr.Load(0, addrY, nil, memmodel.OpLoad, tr.Intern("c"))
-	evs := tr.EventsOf(0, 0)
-	if len(evs) != 2 || tr.LocString(evs[0].Loc) != "a" || tr.LocString(evs[1].Loc) != "c" {
-		t.Fatalf("EventsOf(0,0) = %v", evs)
+	tr.Crash()
+	issueCommit(tr, 0, addrX, 3, "d")
+	var got []string
+	tr.EachSubEvent(0, func(ev *Event) { got = append(got, tr.LocString(ev.Loc)) })
+	if want := []string{"a", "b", "c", ""}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("EachSubEvent(0) labels = %q, want %q (the crash event last)", got, want)
 	}
 }
 

@@ -174,7 +174,7 @@ func (tr *Trace) FinishRetire() {
 
 	for _, sub := range tr.subs {
 		// Per-sub event index lists: drop retired indices, so SubEvents
-		// and EventsOf never meet a hole and stay O(live).
+		// and EachSubEvent never meet a hole and stay O(live).
 		work += len(sub.events)
 		evs := sub.events[:0]
 		for _, idx := range sub.events {

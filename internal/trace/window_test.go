@@ -26,7 +26,7 @@ func retire(tr *Trace) {
 
 // TestWindowRetirementCompactsEventLog: after a sweep, the physical
 // event log holds only the window tail, logical indices keep counting
-// from the execution start, and SubEvents/EventsOf resolve retained
+// from the execution start, and SubEvents/EachSubEvent resolve retained
 // events through the compacted log.
 func TestWindowRetirementCompactsEventLog(t *testing.T) {
 	tr := New()
@@ -55,9 +55,10 @@ func TestWindowRetirementCompactsEventLog(t *testing.T) {
 	if len(evs) == 0 || evs[len(evs)-1].Index != n-1 {
 		t.Fatalf("SubEvents tail index = %v, want %d", evs[len(evs)-1].Index, n-1)
 	}
-	byThread := tr.EventsOf(0, 0)
-	if len(byThread) != 4 {
-		t.Fatalf("EventsOf returned %d retained events, want 4", len(byThread))
+	walked := 0
+	tr.EachSubEvent(0, func(*Event) { walked++ })
+	if walked != 4 {
+		t.Fatalf("EachSubEvent walked %d retained events, want 4", walked)
 	}
 
 	// New events appended after the sweep continue the logical numbering.
