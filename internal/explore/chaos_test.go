@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/pmem"
 )
 
 // injectEvery returns a chaos plan that panics at op `atOp` on every
@@ -74,6 +76,26 @@ func TestPanicContainmentRandomWorkerInvariance(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.ViolationKeys(), b.ViolationKeys()) {
 		t.Fatalf("violation keys diverge: %v vs %v", a.ViolationKeys(), b.ViolationKeys())
+	}
+}
+
+// TestRandomPilotPanicContainment runs a program that panics in its
+// crashable phase. The pilot must not let the panic escape Run: it keeps
+// the counts it has, and the executions reach the panic and quarantine
+// it, as model checking does.
+func TestRandomPilotPanicContainment(t *testing.T) {
+	prog := &FuncProgram{ProgName: "pilot-panic", PhaseFns: []func(*pmem.World){
+		func(w *pmem.World) {
+			w.Thread(0).Store(addrX, 1, "x=1")
+			panic("phase 0 gives up")
+		},
+		func(w *pmem.World) { w.Thread(0).Load(addrX, "r=x") },
+	}}
+	for _, workers := range []int{1, 2} {
+		res := Run(prog, Options{Mode: Random, Executions: 10, Seed: 5, Workers: workers})
+		if res.Executions != 10 || res.Quarantined != 10 {
+			t.Fatalf("workers=%d: %d executions, %d quarantined; want 10 and 10: %s", workers, res.Executions, res.Quarantined, res)
+		}
 	}
 }
 

@@ -855,18 +855,23 @@ type randomPlan struct {
 
 // planRandom runs the pilot execution and fixes the per-run knobs.
 func planRandom(p Program, opt *Options) *randomPlan {
-	numPre := len(p.Phases()) - 1
-	// Pilot execution: run crash-free to size the crash-point ranges.
+	phases := p.Phases()
+	numPre := len(phases) - 1
+	// Pilot execution: run the crashable phases crash-free to size the
+	// crash-point ranges. A single-phase program has none to size.
 	pilotCounts := make([]int, numPre)
-	// The pilot is sizing scaffolding, not exploration: strip the
-	// observer so its ops never land in the campaign's counters. (A
-	// supervised campaign runs one pilot per unit; fleet-aggregated
-	// counters must still equal the in-process run's, which pilots once.)
-	pilotModel := opt.Model
-	pilotModel.Obs = nil
-	pilot := pmem.NewWorld(pmem.Config{Model: pilotModel, Seed: opt.Seed, OpLimit: opt.OpLimit})
-	pilot.Checker.SetEnabled(false)
-	countingPilot(p, pilot, pilotCounts)
+	if numPre > 0 {
+		// The pilot is sizing scaffolding, not exploration: strip the
+		// observer so its ops never land in the campaign's counters. (A
+		// supervised campaign runs one pilot per unit; fleet-aggregated
+		// counters must still equal the in-process run's, which pilots
+		// once.)
+		pilotModel := opt.Model
+		pilotModel.Obs = nil
+		pilot := pmem.NewWorld(pmem.Config{Model: pilotModel, Seed: opt.Seed, OpLimit: opt.OpLimit})
+		pilot.Checker.SetEnabled(false)
+		countingPilot(phases[:numPre], pilot, pilotCounts)
+	}
 
 	chooser := pmem.ChooseAvoidingViolations(pmem.ChooseRandom)
 	if opt.NoSteering {
@@ -1003,25 +1008,20 @@ func runRandom(p Program, opt *Options, st *stopper) *Result {
 	return a.finish(st)
 }
 
-// countingPilot runs the program crash-free and records how many
-// fence-like operations each non-final phase performs.
-func countingPilot(p Program, w *pmem.World, counts []int) {
-	defer func() {
-		// An aborted pilot still yields usable counts.
-		if r := recover(); r != nil {
-			if _, ok := r.(pmem.AbortSignal); !ok {
-				panic(r)
-			}
-		}
-	}()
-	phases := p.Phases()
-	for i, phase := range phases {
+// countingPilot runs the non-final phases crash-free, crashing the
+// machine between them, and records how many fence-like operations each
+// performs. The final phase is crash-free by construction, so nothing
+// reads its count and the pilot never runs it.
+func countingPilot(pre []func(*pmem.World), w *pmem.World, counts []int) {
+	// A pilot cut short by an abort or a program panic keeps the counts
+	// of the phases it completed. The executions run the same phases and
+	// quarantine such a panic themselves, so the pilot swallows it.
+	defer func() { _ = recover() }()
+	for i, phase := range pre {
 		w.SetCrashTarget(-1)
 		w.RunPhase(phase)
-		if i < len(counts) {
-			counts[i] = w.FenceOps()
-		}
-		if i < len(phases)-1 {
+		counts[i] = w.FenceOps()
+		if i < len(pre)-1 {
 			w.Crash()
 		}
 	}

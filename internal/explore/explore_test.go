@@ -173,6 +173,35 @@ func TestRandomModeFindsFigure7AcrossThreads(t *testing.T) {
 	}
 }
 
+// TestRandomPilotRunsOnlyCrashablePhases pins random mode's pilot: it
+// runs each non-final phase once more than the executions do, to size
+// their crash points, and never runs the crash-free final phase. A
+// single-phase program has nothing to size and gets no pilot at all.
+func TestRandomPilotRunsOnlyCrashablePhases(t *testing.T) {
+	const execs = 25
+	var runs [3]int
+	counted := func(i int) func(*pmem.World) {
+		return func(w *pmem.World) {
+			runs[i]++
+			th := w.Thread(0)
+			th.Store(addrX, memmodel.Value(i+1), "x")
+			th.Flush(addrX, "flush x")
+			th.Load(addrX, "r=x")
+		}
+	}
+	Run(&FuncProgram{ProgName: "three-phase", PhaseFns: []func(*pmem.World){counted(0), counted(1), counted(2)}},
+		Options{Mode: Random, Executions: execs, Seed: 3, Workers: 1})
+	if want := [3]int{execs + 1, execs + 1, execs}; runs != want {
+		t.Fatalf("three-phase phase runs = %v, want %v", runs, want)
+	}
+	runs = [3]int{}
+	Run(&FuncProgram{ProgName: "one-phase", PhaseFns: []func(*pmem.World){counted(0)}},
+		Options{Mode: Random, Executions: execs, Seed: 3, Workers: 1})
+	if runs[0] != execs {
+		t.Fatalf("one-phase phase runs = %d, want %d (no pilot)", runs[0], execs)
+	}
+}
+
 // TestCollectedViolationsNotRediagnosed: once the campaign has collected
 // a violation key, later executions recognize it and skip its diagnosis,
 // so each bug reaches exactly one execution's checker list — the

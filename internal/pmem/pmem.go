@@ -421,17 +421,19 @@ func (w *World) registerThread(id memmodel.ThreadID) {
 
 // Thread is a handle for issuing operations as one simulated thread.
 type Thread struct {
-	ID  memmodel.ThreadID
-	w   *World
-	sim *simThread
+	ID memmodel.ThreadID
+	w  *World
+	// yield, set on spawned threads, runs the cooperative scheduler at
+	// each operation boundary; inline threads leave it nil.
+	yield func()
 }
 
 // World returns the world the thread belongs to.
 func (t *Thread) World() *World { return t.w }
 
 func (t *Thread) step(kind memmodel.OpKind) {
-	if t.sim != nil {
-		t.sim.parkAndWait()
+	if t.yield != nil {
+		t.yield()
 	}
 	t.w.step(kind)
 }
