@@ -23,7 +23,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -31,12 +30,9 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
-	"testing"
 	"time"
 
-	"repro/internal/benchmarks"
 	"repro/internal/benchmarks/bench"
 	"repro/internal/benchmarks/redislog"
 	"repro/internal/benchmarks/slabcache"
@@ -117,7 +113,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	model := fs.String("model", "", "persistency-model backend for tables 2/3/compare/violations: "+strings.Join(persist.Names(), ", "))
 	execs := fs.Int("execs", 0, "override executions per benchmark (0: per-port default)")
 	seed := fs.Int64("seed", 1, "exploration seed")
-	workers := fs.String("workers", "0", "parallel exploration workers (0: all CPUs, 1: serial); results are identical for any count. A comma-separated list (e.g. 1,2,4,8) makes -json sweep the parallel benchmark over each count; tables use the first entry")
+	workers := fs.Int("workers", 0, "parallel exploration workers (0: all CPUs, 1: serial); results are identical for any count")
 	violations := fs.String("violations", "", "print the detailed violation report for one benchmark")
 	deadline := fs.Duration("deadline", 0, "wall-clock budget per benchmark run (0: none); expired runs report partial coverage")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file; flushed even when a deadline or ^C aborts the run")
@@ -135,9 +131,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	wlReadPct := fs.Int("read-pct", 50, "workload GET percentage, 0-100")
 	wlThreads := fs.Int("threads", 2, "workload client threads per wave")
 	wlChurn := fs.Int("churn", 0, "workload thread churn: retire each client thread after N requests and spawn a fresh wave (0: off)")
-	jsonOut := fs.String("json", "", "run the serial model-check benchmark suite instead of tables and write min-of-N results to this file (BENCH_*.json format); with -workload, write that run's row instead")
-	benchCount := fs.Int("bench-count", 3, "repetitions per benchmark for -json; the minimum is reported")
-	benchDesc := fs.String("bench-desc", "", "description string embedded in the -json output")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -146,9 +139,8 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "psan-bench: -reduction: %v\n", err)
 		return 2
 	}
-	workerList, err := parseWorkerList(*workers)
-	if err != nil {
-		fmt.Fprintf(stderr, "psan-bench: -workers: %v\n", err)
+	if *workers < 0 {
+		fmt.Fprintf(stderr, "psan-bench: -workers must be >= 0\n")
 		return 2
 	}
 
@@ -206,19 +198,11 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			ReadPct: *wlReadPct, Threads: *wlThreads, Churn: *wlChurn,
 		}
 		return runWorkloadCmd(ctx, *workloadName, *wlVariant, wcfg, workloadRunOpts{
-			model: *model, window: *window, execs: *execs, seed: *seed,
-			jsonPath: *jsonOut, desc: *benchDesc, obs: observer,
+			model: *model, window: *window, execs: *execs, seed: *seed, obs: observer,
 		}, stdout, stderr)
 	}
-	if *jsonOut != "" {
-		if err := runBenchJSON(*jsonOut, *benchDesc, *reduction, *benchCount, workerList, disableSnaps, disableDPOR, stdout); err != nil {
-			fmt.Fprintf(stderr, "psan-bench: -json: %v\n", err)
-			return 2
-		}
-		return 0
-	}
 	opt := report.Options{
-		Executions: *execs, Seed: *seed, Workers: workerList[0], Deadline: *deadline, Model: *model,
+		Executions: *execs, Seed: *seed, Workers: *workers, Deadline: *deadline, Model: *model,
 		Obs: observer, Context: ctx,
 		DisableSnapshots: disableSnaps, DisableDPOR: disableDPOR,
 	}
@@ -259,18 +243,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 3
 	}
 	return 0
-}
-
-// benchRow is one entry of the emitted BENCH_*.json file.
-type benchRow struct {
-	Name     string `json:"name"`
-	NsOp     int64  `json:"ns_op"`
-	BOp      int64  `json:"B_op"`
-	AllocsOp int64  `json:"allocs_op"`
-	// PeakHeapBytes is the HeapInuse high-water mark sampled while the
-	// row's workload ran — the number the bounded-window pipeline exists
-	// to keep flat on long traces.
-	PeakHeapBytes uint64 `json:"peak_heap_bytes,omitempty"`
 }
 
 // heapWatcher samples runtime.MemStats.HeapInuse on a short ticker and
@@ -315,13 +287,11 @@ func (hw *heapWatcher) stop() uint64 {
 
 // workloadRunOpts carries the non-workload knobs of a -workload run.
 type workloadRunOpts struct {
-	model    string
-	window   int
-	execs    int
-	seed     int64
-	jsonPath string
-	desc     string
-	obs      *obs.Observer
+	model  string
+	window int
+	execs  int
+	seed   int64
+	obs    *obs.Observer
 }
 
 // runWorkloadCmd streams one server-class workload through the
@@ -370,42 +340,6 @@ func runWorkloadCmd(ctx context.Context, name, variant string, wcfg workload.Con
 	peak := hw.stop()
 	fmt.Fprint(stdout, report.RunSummary(res))
 	fmt.Fprintf(stdout, "peak heap: %d bytes\n", peak)
-	if ro.jsonPath != "" {
-		out := benchFile{Description: ro.desc}
-		// Append to an existing harness-generated file, so one
-		// BENCH_*.json can carry the model-check suite rows plus several
-		// workload rows without hand-merging.
-		if data, err := os.ReadFile(ro.jsonPath); err == nil {
-			var prev benchFile
-			if json.Unmarshal(data, &prev) == nil {
-				out.Benchmarks = prev.Benchmarks
-				if out.Description == "" {
-					out.Description = prev.Description
-				}
-			}
-		}
-		if out.Description == "" {
-			out.Description = fmt.Sprintf(
-				"psan-bench -workload %s (%s): ops=%d keys=%d zipf=%g read-pct=%d threads=%d churn=%d window=%d execs=%d; generated on %s/%s (GOMAXPROCS=%d)",
-				name, variant, wcfg.Ops, wcfg.Keys, wcfg.ZipfS, wcfg.ReadPct, wcfg.Threads, wcfg.Churn, ro.window, execs,
-				runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0))
-		}
-		out.Benchmarks = append(out.Benchmarks, benchRow{
-			Name:          fmt.Sprintf("Workload/%s/ops=%d/window=%d", name, wcfg.Ops, ro.window),
-			NsOp:          res.Elapsed.Nanoseconds(),
-			PeakHeapBytes: peak,
-		})
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fmt.Fprintf(stderr, "psan-bench: -json: %v\n", err)
-			return 2
-		}
-		if err := os.WriteFile(ro.jsonPath, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(stderr, "psan-bench: -json: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", ro.jsonPath)
-	}
 	if v == bench.Fixed && len(res.Violations) > 0 {
 		fmt.Fprintf(stderr, "psan-bench: fixed workload reported %d violation(s)\n", len(res.Violations))
 		return 1
@@ -415,118 +349,4 @@ func runWorkloadCmd(ctx context.Context, name, variant string, wcfg workload.Con
 		return 3
 	}
 	return 0
-}
-
-// benchFile matches the BENCH_pr*.json layout the repo tracks.
-type benchFile struct {
-	Description string     `json:"description"`
-	Benchmarks  []benchRow `json:"benchmarks"`
-}
-
-// parseWorkerList parses the -workers flag: a single count or a
-// comma-separated sweep list. Every entry must be >= 0 (0 meaning all
-// CPUs, as in explore.Options.Workers).
-func parseWorkerList(s string) ([]int, error) {
-	if s == "" {
-		return []int{0}, nil
-	}
-	parts := strings.Split(s, ",")
-	list := make([]int, 0, len(parts))
-	for _, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad worker count %q", p)
-		}
-		if n < 0 {
-			return nil, fmt.Errorf("worker count %d is negative", n)
-		}
-		list = append(list, n)
-	}
-	return list, nil
-}
-
-// runBenchJSON reruns the workloads of BenchmarkExploreModelCheckSerial
-// and BenchmarkExploreModelCheckParallel (capped model-check DFS on the
-// CCEH and FAST_FAIR ports) count times per configuration through
-// testing.Benchmark and writes the per-configuration minimum to path,
-// so the tracked BENCH_*.json files are generated by the harness
-// instead of transcribed by hand. The -reduction flag applies, and the
-// parallel rows sweep every -workers entry — the one-command scaling
-// A/B behind EXPERIMENTS.md.
-func runBenchJSON(path, desc, reduction string, count int, workerList []int, disableSnaps, disableDPOR bool, stdout io.Writer) error {
-	if count < 1 {
-		count = 1
-	}
-	out := benchFile{Description: desc}
-	if out.Description == "" {
-		out.Description = fmt.Sprintf(
-			"psan-bench -json: model-check exploration (Executions:200) on the CCEH and FAST_FAIR ports, reduction=%s, workers=%v, min of %d; generated on %s/%s (GOMAXPROCS=%d)",
-			reduction, workerList, count, runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0))
-	}
-	measure := func(name string, workers int) benchRow {
-		bm := benchmarks.ByName(name)
-		var best benchRow
-		for rep := 0; rep < count; rep++ {
-			hw := startHeapWatcher()
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res := explore.Run(bm.Build(bench.Buggy), explore.Options{
-						Mode:             explore.ModelCheck,
-						Executions:       200,
-						Workers:          workers,
-						DisableSnapshots: disableSnaps,
-						DisableDPOR:      disableDPOR,
-					})
-					if res.Executions == 0 {
-						b.Fatal("no executions ran")
-					}
-				}
-			})
-			row := benchRow{
-				Name:          "BenchmarkExploreModelCheckSerial/" + name,
-				NsOp:          r.NsPerOp(),
-				BOp:           r.AllocedBytesPerOp(),
-				AllocsOp:      r.AllocsPerOp(),
-				PeakHeapBytes: hw.stop(),
-			}
-			if workers != 1 {
-				shown := workers
-				if shown == 0 {
-					shown = runtime.NumCPU()
-				}
-				row.Name = fmt.Sprintf("BenchmarkExploreModelCheckParallel/%s/workers=%d", name, shown)
-			}
-			if rep == 0 || row.NsOp < best.NsOp {
-				best = row
-			}
-			fmt.Fprintf(stdout, "%s rep %d/%d: %d ns/op  %d B/op  %d allocs/op\n",
-				row.Name, rep+1, count, row.NsOp, row.BOp, row.AllocsOp)
-		}
-		return best
-	}
-	for _, name := range []string{"CCEH", "FAST_FAIR"} {
-		if benchmarks.ByName(name) == nil {
-			return fmt.Errorf("benchmark %q not registered", name)
-		}
-		// The serial row keeps its historical name so BENCH_*.json files
-		// stay comparable across PRs; the sweep adds one parallel row per
-		// requested worker count.
-		out.Benchmarks = append(out.Benchmarks, measure(name, 1))
-		for _, w := range workerList {
-			if w == 1 {
-				continue // already measured as the serial row
-			}
-			out.Benchmarks = append(out.Benchmarks, measure(name, w))
-		}
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "wrote %s\n", path)
-	return nil
 }

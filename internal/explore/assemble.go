@@ -88,13 +88,9 @@ func (a *Assembler) publish() {
 }
 
 // isKnown reports whether violation key k has already been collected.
-// It is the checker predicate (core.Checker.SetKnown) of every world
-// whose executions this assembly folds, and is safe to call from any
-// worker. Skipping a known key's diagnosis is sound at any width: every
-// collected key came from a canonically earlier execution, so collect
-// would drop the later copy anyway. In model checking the fold runs
-// after the workers finish, so only a resumed checkpoint's keys are
-// known while they run.
+// Workers consult it after their unit's own keys (workerState.isKnown).
+// Model checking folds only after the workers finish, so there only a
+// resumed checkpoint's keys are known while they run.
 func (a *Assembler) isKnown(k string) bool { return (*a.known.Load())[k] }
 
 // Collected returns the canonical cursor: how many executions have been

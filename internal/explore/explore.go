@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -220,8 +221,9 @@ type Options struct {
 	// only lent for the duration of the call — the engine resets and
 	// reuses it afterwards — so the hook must not retain or mutate it.
 	// The world's Checker.Violations() omits keys the campaign had
-	// already collected before the execution ran: those are recognized
-	// and skipped undiagnosed (core.Checker.SetKnown), so an empty list
+	// already collected, or an earlier execution of the same work unit
+	// already reported, when the execution ran: those are recognized and
+	// skipped undiagnosed (core.Checker.SetKnown), so an empty list
 	// means "no new bug", not "no violation".
 	AfterExecution func(*pmem.World)
 
@@ -279,9 +281,10 @@ type Options struct {
 	em obs.ExploreMetrics
 	tr *obs.Tracer
 	fr *obs.FlightRecorder
-	// known is the in-process Assembler's collected-key predicate,
-	// installed on every world the engines build (core.Checker.SetKnown);
-	// nil in RunUnit, whose stream is folded elsewhere.
+	// known is the in-process Assembler's collected-key predicate, which
+	// every world's checker consults after its unit's own reported keys
+	// (workerState.isKnown); nil in RunUnit, whose stream is folded
+	// elsewhere.
 	known func(key string) bool
 
 	// Resume continues a previously checkpointed partial run: the
@@ -890,21 +893,46 @@ func planRandom(p Program, opt *Options) *randomPlan {
 // world (machine, trace, checker, heap, RNG — reset between executions
 // and, in model checking, across units), the controller its decisions
 // replay through, the resolved phase slice (model checking, reentrant
-// programs only), and the worker's observability identity (trace
-// timeline tid and per-worker instrument bundle; zero when off).
+// programs only), its unit's reported keys, and the worker's
+// observability identity (trace timeline tid and per-worker instrument
+// bundle; zero when off).
 type workerState struct {
-	w      *pmem.World
-	ctl    *controller
-	phases []func(*pmem.World)
-	tid    int // 1-based trace timeline id (tid 0 is the campaign thread)
-	tr     *obs.Tracer
-	wm     obs.WorkerMetrics
+	w        *pmem.World
+	ctl      *controller
+	phases   []func(*pmem.World)
+	reported map[string]bool       // cleared at the start of every unit
+	known    func(key string) bool // Options.known
+	tid      int                   // 1-based trace timeline id (tid 0 is the campaign thread)
+	tr       *obs.Tracer
+	wm       obs.WorkerMetrics
 }
 
 func newWorkerState(opt *Options, tid int) *workerState {
-	ws := &workerState{ctl: &controller{}, tid: tid, tr: opt.tr, wm: obs.WorkerInstruments(opt.Obs.Reg(), tid)}
+	ws := &workerState{ctl: &controller{}, reported: map[string]bool{}, known: opt.known, tid: tid, tr: opt.tr, wm: obs.WorkerInstruments(opt.Obs.Reg(), tid)}
 	ws.tr.NameThread(tid, "worker-"+strconv.Itoa(tid))
 	return ws
+}
+
+// isKnown is the known-key predicate (core.Checker.SetKnown) of the
+// worker's worlds: reported earlier in the current unit, or collected by
+// the campaign. DESIGN.md, "Collected-key skip", has the soundness case.
+func (ws *workerState) isKnown(k string) bool {
+	return ws.reported[k] || (ws.known != nil && ws.known(k))
+}
+
+// record appends ex to ur with only the violations new to the unit, and
+// marks them reported. A list with an already-reported key is filtered
+// in a copy: ex.Violations is the checker's own slice and, after a
+// snapshot restore, the snapshot's.
+func (ws *workerState) record(ur *UnitResult, ex UnitExec) {
+	reported := func(v *core.Violation) bool { return ws.reported[v.Key()] }
+	if slices.ContainsFunc(ex.Violations, reported) {
+		ex.Violations = slices.DeleteFunc(slices.Clone(ex.Violations), reported)
+	}
+	for _, v := range ex.Violations {
+		ws.reported[v.Key()] = true
+	}
+	ur.Execs = append(ur.Execs, ex)
 }
 
 // execute runs execution exec of a random-mode run. The seed is derived
@@ -927,7 +955,7 @@ func (pl *randomPlan) execute(ws *workerState, exec int) (UnitExec, time.Duratio
 			RandomDrainPercent: pl.drainPct,
 			Provenance:         opt.Provenance,
 		})
-		ws.w.Checker.SetKnown(opt.known)
+		ws.w.Checker.SetKnown(ws.isKnown)
 	}
 	w := ws.w
 	if opt.DisableChecker {
@@ -964,6 +992,7 @@ func (pl *randomPlan) execute(ws *workerState, exec int) (UnitExec, time.Duratio
 // stop is checked before each execution and leaves ur.Done false; the
 // pool passes nil because a claimed batch always runs to completion.
 func (pl *randomPlan) runRange(ws *workerState, lo, hi int, st *stopper, ur *UnitResult, onExec func(int)) {
+	clear(ws.reported)
 	for exec := lo; exec < hi; exec++ {
 		if st != nil && st.stopped() {
 			return
@@ -972,7 +1001,7 @@ func (pl *randomPlan) runRange(ws *workerState, lo, hi int, st *stopper, ur *Uni
 		ex, d := pl.execute(ws, exec)
 		ws.wm.BusyNanos.Add(int64(d))
 		ur.WorkNanos += int64(d)
-		ur.Execs = append(ur.Execs, ex)
+		ws.record(ur, ex)
 		if onExec != nil {
 			onExec(len(ur.Execs))
 		}
@@ -1062,18 +1091,17 @@ func (c *controller) closeCurrent(idx int, domain int) {
 }
 
 // mcWorld builds a fresh model-checking world whose read choices replay
-// and extend the controller's decision trail.
-func mcWorld(opt *Options, ctl *controller) *pmem.World {
+// and extend the worker's decision trail.
+func mcWorld(opt *Options, ws *workerState) *pmem.World {
 	w := pmem.NewWorld(pmem.Config{
 		Model:      opt.Model,
-		Seed:       0,
 		OpLimit:    opt.OpLimit,
 		Provenance: opt.Provenance,
 		Chooser: func(_ *pmem.World, _ memmodel.ThreadID, _ memmodel.Addr, cands []persist.Candidate, _ trace.LocID) persist.Candidate {
-			return cands[ctl.next(len(cands))]
+			return cands[ws.ctl.next(len(cands))]
 		},
 	})
-	w.Checker.SetKnown(opt.known)
+	w.Checker.SetKnown(ws.isKnown)
 	if opt.DisableChecker {
 		w.Checker.SetEnabled(false)
 	}

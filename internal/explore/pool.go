@@ -782,6 +782,7 @@ func (e *mcEngine) worker(id int) {
 // inside the World.
 func (e *mcEngine) runUnit(u *mcUnit, ws *workerState) {
 	sub := u.sub
+	clear(ws.reported)
 	ctl := ws.ctl
 	ctl.trail = u.trail
 	ctl.pos = 0
@@ -892,7 +893,7 @@ func (e *mcEngine) runUnit(u *mcUnit, ws *workerState) {
 		startPhase := 0
 		switch {
 		case ws.w == nil || e.opt.FreshWorlds:
-			ws.w = mcWorld(e.opt, ctl)
+			ws.w = mcWorld(e.opt, ws)
 			snaps = pruneSnaps(snaps, -1)
 			ctl.pos = 0
 		case len(snaps) > 0:
@@ -966,7 +967,7 @@ func (e *mcEngine) runUnit(u *mcUnit, ws *workerState) {
 			} else if e.opt.AfterExecution != nil {
 				e.opt.AfterExecution(ws.w)
 			}
-			u.res.Execs = append(u.res.Execs, ex)
+			ws.record(&u.res, ex)
 			sub.nexecs.Add(1)
 			if e.onExec != nil {
 				e.onExec(len(u.res.Execs))
@@ -980,11 +981,6 @@ func (e *mcEngine) runUnit(u *mcUnit, ws *workerState) {
 		u.passCuts(pChanged)
 		snaps = pruneSnaps(snaps, pChanged)
 	}
-	// Hand the (possibly reallocated) live trail back to the unit; the
-	// checkpoint path reads trailSnap for units stopped mid-DFS and the
-	// starting trail for parked ones, but keeping the field current
-	// costs nothing and aids debugging.
-	u.trail = ctl.trail
 	// Snapshots never outlive the unit (the world is reused by the next
 	// one).
 	pruneSnaps(snaps, -1)

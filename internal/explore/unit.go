@@ -67,10 +67,10 @@ type UnitClassification struct {
 
 // UnitExec is the record of one execution, in canonical sub-DFS (or
 // index) order — the one record every exploration path produces and the
-// Assembler folds. In a RunUnit result violations are deduplicated
-// within the unit — each carries the first execution that found it —
-// which is exactly what the supervisor's in-order cross-unit merge
-// needs to reproduce first-found ordering and ExecutionsToAllBugs.
+// Assembler folds. Every unit stream is deduplicated within its unit as
+// it is recorded (workerState.record): each violation is carried by the
+// first execution that found it, which is all the in-order cross-unit
+// merge needs to reproduce first-found ordering and ExecutionsToAllBugs.
 type UnitExec struct {
 	Aborted    bool
 	Err        *ExecError
@@ -179,14 +179,11 @@ func RunUnit(p Program, opt Options, spec UnitSpec, hooks UnitHooks) (*UnitResul
 		opt.Model.Obs = opt.Obs
 	}
 	st := newStopper(&opt)
-	var ur *UnitResult
-	if spec.Random != nil {
-		ur = &UnitResult{}
-		planRandom(p, &opt).runRange(newWorkerState(&opt, 1), spec.Random.Lo, spec.Random.Hi, st, ur, hooks.OnExec)
-	} else {
-		ur = runMCUnit(p, &opt, st, spec, hooks)
+	if spec.MC != nil {
+		return runMCUnit(p, &opt, st, spec, hooks), nil
 	}
-	dedupUnit(ur)
+	ur := &UnitResult{}
+	planRandom(p, &opt).runRange(newWorkerState(&opt, 1), spec.Random.Lo, spec.Random.Hi, st, ur, hooks.OnExec)
 	return ur, nil
 }
 
@@ -220,21 +217,4 @@ func runMCUnit(p Program, opt *Options, st *stopper, spec UnitSpec, hooks UnitHo
 		ur.Class = sub.class
 	}
 	return ur
-}
-
-// dedupUnit keeps each violation's first in-unit occurrence, preserving
-// within-execution order — the form the supervisor's cross-unit merge
-// consumes.
-func dedupUnit(ur *UnitResult) {
-	seen := make(map[string]bool)
-	for i := range ur.Execs {
-		vs := ur.Execs[i].Violations
-		ur.Execs[i].Violations = nil
-		for _, v := range vs {
-			if k := v.Key(); !seen[k] {
-				seen[k] = true
-				ur.Execs[i].Violations = append(ur.Execs[i].Violations, v)
-			}
-		}
-	}
 }

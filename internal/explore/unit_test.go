@@ -3,6 +3,9 @@ package explore
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/memmodel"
+	"repro/internal/pmem"
 )
 
 // driveMC is a minimal in-test supervisor: dispatch subtree units one
@@ -163,5 +166,74 @@ func TestUnitSpecValidation(t *testing.T) {
 	both := UnitSpec{Random: &RandomRange{Hi: 1}, MC: &MCCheckpoint{}}
 	if _, err := RunUnit(figure2(), Options{}, both, UnitHooks{}); err == nil {
 		t.Fatal("double spec should be rejected")
+	}
+}
+
+// TestUnitDiagnosesEachKeyOnce: within one work unit a violation key is
+// diagnosed by exactly one execution, the first to reach it; later
+// executions of the unit recognize it as already reported and skip it.
+func TestUnitDiagnosesEachKeyOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  Options
+		spec UnitSpec
+	}{
+		{"random", Options{Mode: Random, Seed: 1}, UnitSpec{Random: &RandomRange{Lo: 0, Hi: 200}}},
+		{"mc", Options{Mode: ModelCheck}, UnitSpec{MC: &MCCheckpoint{Subtree: 0}}},
+	} {
+		// The trailing read re-runs figure2's violating reads once per
+		// candidate it can read, so model checking meets them again.
+		p := withTailRead(figure2())
+		t.Run(tc.name, func(t *testing.T) {
+			reported := map[string]int{}
+			tc.opt.AfterExecution = func(w *pmem.World) {
+				for _, v := range w.Checker.Violations() {
+					reported[v.Key()]++
+				}
+			}
+			ur, err := RunUnit(p, tc.opt, tc.spec, UnitHooks{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var keys []string
+			for _, ex := range ur.Execs {
+				for _, v := range ex.Violations {
+					keys = append(keys, v.Key())
+				}
+			}
+			if len(keys) == 0 {
+				t.Fatalf("the unit found no violation in %d executions", len(ur.Execs))
+			}
+			if len(reported) != len(keys) {
+				t.Fatalf("executions reported keys %v, unit stream holds %v", reported, keys)
+			}
+			for _, k := range keys {
+				if reported[k] != 1 {
+					t.Fatalf("key %s diagnosed in %d executions, want 1", k, reported[k])
+				}
+			}
+		})
+	}
+}
+
+// withTailRead appends to p's final phase a load of a variable its
+// pre-crash phase stored twice without a flush.
+func withTailRead(p Program) Program {
+	const addrZ = memmodel.Addr(0x4000)
+	phases := p.Phases()
+	pre, post := phases[0], phases[len(phases)-1]
+	return &FuncProgram{
+		ProgName: p.Name() + "+z",
+		PhaseFns: []func(*pmem.World){
+			func(w *pmem.World) {
+				pre(w)
+				w.Thread(0).Store(addrZ, 1, "z=1")
+				w.Thread(0).Store(addrZ, 2, "z=2")
+			},
+			func(w *pmem.World) {
+				post(w)
+				w.Thread(0).Load(addrZ, "r3=z")
+			},
+		},
 	}
 }

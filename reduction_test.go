@@ -15,6 +15,7 @@ package repro
 // these are the safety net that lets the reductions default to on.
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -137,6 +138,83 @@ func TestSnapshotEquivalenceOnBenchmarks(t *testing.T) {
 				assertSameReducedOutcome(t, b.Name, on, off)
 			}
 		})
+	}
+}
+
+// relayProgram is a three-phase program whose bug is found in the middle
+// phase: phase 1 reads x and y across the first crash (x=1 and y=1 sit
+// on separate lines with no flush), so reading y=1 but x=0 is a
+// violation, then relays what it read into z for phase 2 to read across
+// the second crash. The crash snapshot after phase 1 therefore already
+// carries a violation, and every execution restored from it starts with
+// that prefix report.
+func relayProgram() explore.Program {
+	const x, y, z, w = memmodel.Addr(0x2000), memmodel.Addr(0x3000), memmodel.Addr(0x4000), memmodel.Addr(0x5000)
+	return &explore.FuncProgram{
+		ProgName: "relay",
+		PhaseFns: []func(*pmem.World){
+			func(wd *pmem.World) {
+				th := wd.Thread(0)
+				th.Store(x, 1, "x=1")
+				th.Store(y, 1, "y=1")
+			},
+			func(wd *pmem.World) {
+				th := wd.Thread(0)
+				r1 := th.Load(x, "p1 r1=x")
+				r2 := th.Load(y, "p1 r2=y")
+				th.Store(z, r1+r2, "z=r1+r2")
+				th.Flush(z, "flush z")
+				th.SFence("fence z")
+				th.Store(w, 1, "w=1")
+				th.Store(z, 9, "z=9")
+			},
+			func(wd *pmem.World) {
+				th := wd.Thread(0)
+				th.Load(w, "p2 r3=w")
+				th.Load(z, "p2 r4=z")
+			},
+		},
+	}
+}
+
+// TestSnapshotRestoreNonFinalPhaseBug: a bug found before a crash
+// snapshot is part of every restored execution's checker state, yet the
+// unit reports it once. The rendered reports must be identical with
+// snapshots on and off, serially and with steals forced at two workers.
+// DPOR is off so the root unit may donate (a DPOR-active unit keeps its
+// whole range); it prunes nothing here, which the last case checks.
+func TestSnapshotRestoreNonFinalPhaseBug(t *testing.T) {
+	forceProcs(t, 2)
+	type config struct {
+		snaps, dpor bool
+		workers     int
+	}
+	run := func(c config) *explore.Result {
+		return explore.Run(relayProgram(), explore.Options{
+			Mode: explore.ModelCheck, Executions: 10000, Workers: c.workers, ForceSteals: c.workers > 1,
+			DisableSnapshots: !c.snaps, DisableDPOR: !c.dpor,
+		})
+	}
+	ref := run(config{workers: 1})
+	if ref.Partial || len(ref.Violations) < 2 {
+		t.Fatalf("reference run should complete with bugs in both post-crash phases: %s", ref)
+	}
+	midPhase := false
+	for _, v := range ref.Violations {
+		midPhase = midPhase || strings.Contains(v.String(), `"p1 `)
+	}
+	if !midPhase {
+		t.Fatalf("no violation found in the middle phase: %v", ref.ViolationKeys())
+	}
+	for _, c := range []config{{true, false, 1}, {false, false, 2}, {true, false, 2}, {true, true, 1}} {
+		got := run(c)
+		assertSameOutcome(t, fmt.Sprintf("%+v", c), ref, got)
+		if c.snaps && got.SnapshotRestores == 0 {
+			t.Fatalf("%+v: no execution restored a crash snapshot", c)
+		}
+		if c.workers > 1 && got.Steals == 0 {
+			t.Fatalf("%+v: forced steals never fired", c)
+		}
 	}
 }
 
