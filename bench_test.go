@@ -22,6 +22,7 @@ import (
 	"repro/internal/px86"
 	"repro/internal/repair"
 	"repro/internal/report"
+	"repro/internal/trace"
 	"repro/internal/vclock"
 )
 
@@ -316,23 +317,71 @@ func BenchmarkPx86StoreFlushCrashRead(b *testing.B) {
 	}
 }
 
+// checkerBenchRead builds a two-crash trace and returns a checker on it
+// with a post-crash read of y that constrains three (sub-execution,
+// thread) intervals without violating: both threads of sub-execution 0
+// (thread 1's y=1 happens after thread 0's x=1) from below, and thread 0
+// of sub-execution 1, which must not have committed its y=3, from above.
+func checkerBenchRead(b *testing.B) (*core.Checker, *trace.Store, trace.LocID) {
+	const x, y = memmodel.Addr(0x1000), memmodel.Addr(0x2000)
+	m := px86.New(px86.Config{})
+	m.Store(0, x, 1, m.Intern("x=1"))
+	cands := m.LoadCandidates(1, x)
+	m.Load(1, x, cands[0], m.Intern("r=x"))
+	m.Store(1, y, 1, m.Intern("y=1"))
+	m.Crash()
+	m.Store(0, y, 3, m.Intern("y=3"))
+	m.Crash()
+	var rf *trace.Store
+	for _, c := range m.LoadCandidates(0, y) {
+		if !c.Store.Initial && c.Store.Value == 1 {
+			rf = c.Store
+		}
+	}
+	if rf == nil {
+		b.Fatal("no candidate reads y=1")
+	}
+	checker := core.New(m.Trace())
+	loc := m.Intern("bench read")
+	if vs := checker.ObserveRead(0, y, rf, loc); len(vs) != 0 {
+		b.Fatalf("bench read violates: %v", vs)
+	}
+	n := 0
+	for sub := 0; sub < 2; sub++ {
+		for t := memmodel.ThreadID(0); t < 2; t++ {
+			if !checker.Interval(sub, t).Unconstrained() {
+				n++
+			}
+		}
+	}
+	if n != 3 {
+		b.Fatalf("bench read constrains %d intervals, want 3", n)
+	}
+	return checker, rf, loc
+}
+
 // BenchmarkCheckerObserveRead measures the LOAD-PREV constraint update
 // on a cross-crash read — the per-load cost PSan adds over the
-// simulator.
+// simulator — committing three crash intervals per call.
 func BenchmarkCheckerObserveRead(b *testing.B) {
-	w := pmem.NewWorld(pmem.Config{CrashTarget: -1})
-	th := w.Thread(0)
-	for i := 0; i < 64; i++ {
-		th.Store(memmodel.Addr(0x1000+64*i), memmodel.Value(i), "s")
-	}
-	w.Crash()
-	cands := w.M.LoadCandidates(0, 0x1000)
-	rf := cands[0].Store
-	checker := core.New(w.M.Trace())
-	benchLoc := w.M.Intern("bench read")
+	checker, rf, loc := checkerBenchRead(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		checker.CheckRead(0, 0x1000, rf, benchLoc)
+		checker.ObserveRead(0, 0x2000, rf, loc)
+	}
+}
+
+// BenchmarkCheckerWouldViolate measures the read-steering probe: the
+// same update, applied speculatively with nothing committed.
+func BenchmarkCheckerWouldViolate(b *testing.B) {
+	checker, rf, _ := checkerBenchRead(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if checker.WouldViolate(0, rf) {
+			b.Fatal("bench read violates")
+		}
 	}
 }
 

@@ -28,6 +28,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -234,6 +235,20 @@ type consKey struct {
 	thread  memmodel.ThreadID
 }
 
+// consEntry is one committed crash interval in a sub-execution's
+// constraint row.
+type consEntry struct {
+	thread memmodel.ThreadID
+	iv     intervals.Interval
+}
+
+// pendingEntry is one interval narrowed by an earlier update of the load
+// being applied but not committed (modeCheck, modeFlag, WouldViolate).
+type pendingEntry struct {
+	key consKey
+	iv  intervals.Interval
+}
+
 // violationKey is the intra-world dedup identity of a violation: the
 // diagnosis kind plus the two interned store sites. LocIDs are stable
 // within one world, which is exactly the scope of the checker's seen
@@ -256,6 +271,30 @@ type update struct {
 	store *trace.Store
 }
 
+// narrow conjoins the update's bound with iv, or with the unconstrained
+// interval when iv is nil.
+func (u *update) narrow(iv *intervals.Interval) intervals.Interval {
+	next := intervals.New()
+	if iv != nil {
+		next = *iv
+	}
+	if u.lo {
+		next, _ = next.ConstrainLo(u.clock, u.store)
+	} else {
+		next, _ = next.ConstrainHi(u.clock, u.store)
+	}
+	return next
+}
+
+// tightens reports whether the update would move a bound of iv; one
+// that does not leaves iv exactly as it is.
+func (u *update) tightens(iv *intervals.Interval) bool {
+	if u.lo {
+		return u.clock > iv.Lo.Clock
+	}
+	return u.clock < iv.Hi.Clock
+}
+
 // Options enables the ablations of the two ideas §4.2 argues are
 // necessary. Both default to off (the full algorithm).
 type Options struct {
@@ -276,7 +315,7 @@ const globalThread = memmodel.ThreadID(-2)
 
 // Checker is a PSan robustness checker attached to one execution trace.
 // It is not safe for concurrent use, mirroring the serialized simulator.
-// All of its state — the constraint map, violation list, and seen-set —
+// All of its state — the constraint rows, violation list, and seen-set —
 // is per-instance with no package-level sharing, so the parallel
 // exploration engine runs one Checker per world on its own goroutine
 // and never shares one across executions.
@@ -285,7 +324,13 @@ type Checker struct {
 	opt      Options
 	disabled bool
 	prov     bool
-	cons     map[consKey]intervals.Interval
+	// cons holds the committed crash intervals: row i is sub-execution
+	// i's, a short slice sorted by thread (thread IDs need not be dense,
+	// and GlobalInterval keys its one interval by globalThread). A pair
+	// without an entry is unconstrained. Reset and Restore truncate the
+	// rows and keep their backing arrays, so the per-load path runs
+	// without Go map operations.
+	cons [][]consEntry
 	// violations accumulates committed violations in detection order.
 	violations []*Violation
 	seen       map[violationKey]bool
@@ -296,10 +341,15 @@ type Checker struct {
 	// checksum region, its cross-crash loads are buffered here.
 	deferred map[memmodel.ThreadID][]deferredLoad
 
-	// ups is updatesFor's scratch buffer; apply is applyUpdates'
-	// speculative-interval scratch. Both are reused across loads.
-	ups   []update
-	apply map[consKey]intervals.Interval
+	// ups is updatesFor's scratch buffer; pending holds the intervals
+	// applyUpdates and WouldViolate narrowed for the load in progress
+	// without committing them, searched linearly (a load yields a
+	// handful of updates). Both are reused across loads.
+	ups     []update
+	pending []pendingEntry
+	// keys memoizes the Key string of each violation identity. LocIDs
+	// are stable for the world's lifetime, so it survives Reset.
+	keys map[violationKey]string
 }
 
 // deferredLoad is a cross-crash read buffered inside a checksum region.
@@ -321,10 +371,9 @@ func NewWithOptions(tr *trace.Trace, opt Options) *Checker {
 	return &Checker{
 		tr:       tr,
 		opt:      opt,
-		cons:     make(map[consKey]intervals.Interval),
 		seen:     make(map[violationKey]bool),
 		deferred: make(map[memmodel.ThreadID][]deferredLoad),
-		apply:    make(map[consKey]intervals.Interval),
+		keys:     make(map[violationKey]string),
 	}
 }
 
@@ -334,7 +383,7 @@ func NewWithOptions(tr *trace.Trace, opt Options) *Checker {
 // reset. The enabled/disabled state, ablation options, provenance
 // setting, and known-key predicate are kept.
 func (c *Checker) Reset() {
-	clear(c.cons)
+	c.cons = c.cons[:0]
 	c.violations = nil
 	clear(c.seen)
 	clear(c.deferred)
@@ -346,7 +395,7 @@ func (c *Checker) Intern(loc string) trace.LocID { return c.tr.Intern(loc) }
 
 // MarkRetireRoots pins the stores the checker still needs during a
 // bounded-window retirement (the pmem world passes it to the model's
-// Retire as the extra-roots hook). The checker's constraint map keys
+// Retire as the extra-roots hook). The checker's constraint rows key
 // crash intervals by (sub-execution, thread) and its violations freeze
 // store sites into StoreRefs at flag time, so the only live store
 // pointers it owns are the read-from stores of loads deferred inside
@@ -423,10 +472,98 @@ func (c *Checker) SetProvenance(on bool) { c.prov = on }
 // Interval returns the current crash interval for a (sub-execution,
 // thread) pair, mainly for tests and the litmus printer.
 func (c *Checker) Interval(subExec int, t memmodel.ThreadID) intervals.Interval {
-	if iv, ok := c.cons[consKey{subExec, t}]; ok {
-		return iv
+	if iv := c.committed(consKey{subExec, t}); iv != nil {
+		return *iv
 	}
 	return intervals.New()
+}
+
+// committed returns k's committed interval in its row, or nil.
+func (c *Checker) committed(k consKey) *intervals.Interval {
+	if k.subExec < len(c.cons) {
+		row := c.cons[k.subExec]
+		for i := range row {
+			if row[i].thread >= k.thread {
+				if row[i].thread == k.thread {
+					return &row[i].iv
+				}
+				break
+			}
+		}
+	}
+	return nil
+}
+
+// growRows extends cons to n rows, truncating each row it exposes: a
+// row past the length still holds a previous execution's entries.
+func (c *Checker) growRows(n int) {
+	for len(c.cons) < n {
+		if i := len(c.cons); i < cap(c.cons) {
+			c.cons = c.cons[:i+1]
+			c.cons[i] = c.cons[i][:0]
+		} else {
+			c.cons = append(c.cons, nil)
+		}
+	}
+}
+
+// commit records iv as k's interval, keeping k's row sorted by thread.
+func (c *Checker) commit(k consKey, iv intervals.Interval) {
+	c.growRows(k.subExec + 1)
+	row := c.cons[k.subExec]
+	i := 0
+	for i < len(row) && row[i].thread < k.thread {
+		i++
+	}
+	if i < len(row) && row[i].thread == k.thread {
+		row[i].iv = iv
+		return
+	}
+	c.cons[k.subExec] = slices.Insert(row, i, consEntry{thread: k.thread, iv: iv})
+}
+
+// current returns the interval an update to k narrows: the one an
+// earlier update of the same load left pending, else the committed one,
+// else nil (unconstrained).
+func (c *Checker) current(k consKey) *intervals.Interval {
+	for i := range c.pending {
+		if c.pending[i].key == k {
+			return &c.pending[i].iv
+		}
+	}
+	return c.committed(k)
+}
+
+// stage records iv as k's pending interval for the load in progress.
+func (c *Checker) stage(k consKey, iv intervals.Interval) {
+	for i := range c.pending {
+		if c.pending[i].key == k {
+			c.pending[i].iv = iv
+			return
+		}
+	}
+	c.pending = append(c.pending, pendingEntry{key: k, iv: iv})
+}
+
+// deferring reports whether thread t is inside a checksum region. The
+// length check keeps loads outside any region off the map.
+func (c *Checker) deferring(t memmodel.ThreadID) bool {
+	if len(c.deferred) == 0 {
+		return false
+	}
+	_, in := c.deferred[t]
+	return in
+}
+
+// keyOf returns the Key string of violation identity vk, formatting it
+// at most once per world.
+func (c *Checker) keyOf(vk violationKey) string {
+	k, ok := c.keys[vk]
+	if !ok {
+		k = bugKey(vk.kind, c.tr.LocString(vk.mfLoc), c.tr.LocString(vk.perLoc))
+		c.keys[vk] = k
+	}
+	return k
 }
 
 // updatesFor computes the constraint updates a read of rf by a load in
@@ -537,44 +674,49 @@ const (
 // skipped the same way, so neither its report nor its fixes are built.
 func (c *Checker) applyUpdates(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.Store, loc trace.LocID, ups []update, mode applyMode) []*Violation {
 	if len(ups) == 0 {
-		// Same-sub-execution reads constrain nothing; skip the scratch
-		// clear — most loads in store-heavy phases take this path.
+		// Same-sub-execution reads constrain nothing — most loads in
+		// store-heavy phases take this path.
 		return nil
 	}
 	var found []*Violation
-	scratch := c.apply
-	clear(scratch)
-	for _, u := range ups {
-		iv, ok := scratch[u.key]
-		if !ok {
-			if iv, ok = c.cons[u.key]; !ok {
-				iv = intervals.New()
-			}
+	// modeObserve commits each update as it goes, so later updates of
+	// the load read it back from the rows; the other modes stage it.
+	c.pending = c.pending[:0]
+	for i := range ups {
+		u := &ups[i]
+		cur := c.current(u.key)
+		if cur != nil && !u.tightens(cur) {
+			// A recorded interval is never empty, and this one stays
+			// as it is.
+			continue
 		}
-		var next intervals.Interval
-		if u.lo {
-			next, _ = iv.ConstrainLo(u.clock, u.store)
-		} else {
-			next, _ = iv.ConstrainHi(u.clock, u.store)
-		}
+		next := u.narrow(cur)
 		if next.Empty() {
+			before := intervals.New()
+			if cur != nil {
+				before = *cur
+			}
 			if mode != modeCheck {
-				vk := violationKeyFor(rf, u, iv)
+				vk := violationKeyFor(rf, u, before)
 				if c.seen[vk] {
 					continue // already recorded; skip re-materializing
 				}
-				if c.known != nil && c.known(bugKey(vk.kind, c.tr.LocString(vk.mfLoc), c.tr.LocString(vk.perLoc))) {
+				if c.known != nil && c.known(c.keyOf(vk)) {
 					c.seen[vk] = true // the campaign holds it already
 					continue
 				}
 			}
-			v := c.diagnose(t, addr, rf, loc, u, iv, next)
+			v := c.diagnose(t, addr, rf, loc, u, before, next)
 			found = append(found, v)
 			continue // do not record the emptying constraint
 		}
-		scratch[u.key] = next
-		if mode == modeObserve {
-			c.cons[u.key] = next
+		switch {
+		case mode != modeObserve:
+			c.stage(u.key, next)
+		case cur != nil:
+			*cur = next // pending is empty, so cur is in its row
+		default:
+			c.commit(u.key, next)
 		}
 	}
 	if mode != modeCheck {
@@ -610,7 +752,7 @@ func locOf(s *trace.Store) trace.LocID {
 // store that set that upper bound; an upper-bound update that passed the
 // recorded lower bound is a read-too-old whose missing flush is the
 // update's own store.
-func violationKeyFor(rf *trace.Store, u update, before intervals.Interval) violationKey {
+func violationKeyFor(rf *trace.Store, u *update, before intervals.Interval) violationKey {
 	if u.lo {
 		mf, _ := before.Hi.Store.(*trace.Store)
 		return violationKey{kind: ReadTooNew, mfLoc: locOf(mf), perLoc: locOf(rf)}
@@ -622,7 +764,7 @@ func violationKeyFor(rf *trace.Store, u update, before intervals.Interval) viola
 // diagnose builds the violation report for an update that emptied an
 // interval, per the two cases of §5.2. Every store reference is frozen
 // here, so the report survives trace recycling.
-func (c *Checker) diagnose(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.Store, loc trace.LocID, u update, before, after intervals.Interval) *Violation {
+func (c *Checker) diagnose(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.Store, loc trace.LocID, u *update, before, after intervals.Interval) *Violation {
 	v := &Violation{
 		LoadLoc:    c.tr.LocString(loc),
 		LoadThread: t,
@@ -654,6 +796,7 @@ func (c *Checker) diagnose(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.St
 	v.MissingFlush = c.freeze(mf)
 	v.Persisted = c.freeze(per)
 	v.vkey = violationKeyFor(rf, u, before)
+	v.key = c.keyOf(v.vkey)
 	return v
 }
 
@@ -664,32 +807,22 @@ func (c *Checker) diagnose(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.St
 // Inside a checksum region the read would be deferred, so it cannot
 // violate yet.
 func (c *Checker) WouldViolate(t memmodel.ThreadID, rf *trace.Store) bool {
-	if _, in := c.deferred[t]; in {
+	if c.deferring(t) {
 		return false
 	}
 	ups := c.updatesFor(rf)
-	if len(ups) == 0 {
-		return false
-	}
-	scratch := c.apply
-	clear(scratch)
-	for _, u := range ups {
-		iv, ok := scratch[u.key]
-		if !ok {
-			if iv, ok = c.cons[u.key]; !ok {
-				iv = intervals.New()
-			}
+	c.pending = c.pending[:0]
+	for i := range ups {
+		u := &ups[i]
+		cur := c.current(u.key)
+		if cur != nil && !u.tightens(cur) {
+			continue
 		}
-		var next intervals.Interval
-		if u.lo {
-			next, _ = iv.ConstrainLo(u.clock, u.store)
-		} else {
-			next, _ = iv.ConstrainHi(u.clock, u.store)
-		}
+		next := u.narrow(cur)
 		if next.Empty() {
 			return true
 		}
-		scratch[u.key] = next
+		c.stage(u.key, next)
 	}
 	return false
 }
@@ -699,7 +832,7 @@ func (c *Checker) WouldViolate(t memmodel.ThreadID, rf *trace.Store) bool {
 // explorer uses it to steer loads away from already-diagnosed outcomes
 // so one execution can expose multiple bugs.
 func (c *Checker) CheckRead(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.Store, loc trace.LocID) []*Violation {
-	if _, in := c.deferred[t]; in {
+	if c.deferring(t) {
 		return nil // inside a checksum region the read would be deferred
 	}
 	return c.applyUpdates(t, addr, rf, loc, c.updatesFor(rf), modeCheck)
@@ -710,7 +843,7 @@ func (c *Checker) CheckRead(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.S
 // steers away from: the buggy outcome is reachable and must be reported
 // even though this execution avoids it.
 func (c *Checker) FlagRead(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.Store, loc trace.LocID) []*Violation {
-	if _, in := c.deferred[t]; in {
+	if c.deferring(t) {
 		return nil // inside a checksum region the read would be deferred
 	}
 	return c.applyUpdates(t, addr, rf, loc, c.updatesFor(rf), modeFlag)
@@ -720,7 +853,7 @@ func (c *Checker) FlagRead(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.St
 // at addr. It returns any new violations. Inside a checksum region the
 // read is deferred instead (§6.4).
 func (c *Checker) ObserveRead(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.Store, loc trace.LocID) []*Violation {
-	if _, in := c.deferred[t]; in {
+	if c.deferring(t) {
 		c.deferred[t] = append(c.deferred[t], deferredLoad{thread: t, addr: addr, rf: rf, loc: loc})
 		return nil
 	}

@@ -1,0 +1,565 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/intervals"
+	"repro/internal/memmodel"
+	"repro/internal/px86"
+	"repro/internal/trace"
+)
+
+// refChecker is the map-keyed constraint store the checker used before
+// its dense rows, kept as the reference the dense checker must match
+// call for call: crash intervals live in a map keyed by (sub-execution,
+// thread), applyUpdates stages speculative intervals in a second map it
+// clears per load, the known-key lookup formats the key string every
+// time, and StateFingerprint collects and sorts the keys before hashing.
+// The stateless parts of the algorithm — updatesFor, diagnose, fix
+// synthesis and provenance — are the checker's own, through aux, which
+// holds no constraint state of its own.
+type refChecker struct {
+	aux        *Checker
+	cons       map[consKey]intervals.Interval
+	violations []*Violation
+	seen       map[violationKey]bool
+	known      func(key string) bool
+	deferred   map[memmodel.ThreadID][]deferredLoad
+	apply      map[consKey]intervals.Interval
+}
+
+type refSnapshot struct {
+	cons       map[consKey]intervals.Interval
+	seen       map[violationKey]bool
+	deferred   map[memmodel.ThreadID][]deferredLoad
+	violations []*Violation
+}
+
+func newRefChecker(tr *trace.Trace, opt Options) *refChecker {
+	return &refChecker{
+		aux:      NewWithOptions(tr, opt),
+		cons:     make(map[consKey]intervals.Interval),
+		seen:     make(map[violationKey]bool),
+		deferred: make(map[memmodel.ThreadID][]deferredLoad),
+		apply:    make(map[consKey]intervals.Interval),
+	}
+}
+
+func (c *refChecker) Reset() {
+	clear(c.cons)
+	c.violations = nil
+	clear(c.seen)
+	clear(c.deferred)
+}
+
+func (c *refChecker) Violations() []*Violation         { return c.violations }
+func (c *refChecker) SetKnown(known func(string) bool) { c.known = known }
+func (c *refChecker) SetProvenance(on bool)            { c.aux.SetProvenance(on) }
+
+func (c *refChecker) Interval(subExec int, t memmodel.ThreadID) intervals.Interval {
+	if iv, ok := c.cons[consKey{subExec, t}]; ok {
+		return iv
+	}
+	return intervals.New()
+}
+
+func (c *refChecker) applyUpdates(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.Store, loc trace.LocID, ups []update, mode applyMode) []*Violation {
+	if len(ups) == 0 {
+		return nil
+	}
+	tr := c.aux.tr
+	var found []*Violation
+	scratch := c.apply
+	clear(scratch)
+	for _, u := range ups {
+		iv, ok := scratch[u.key]
+		if !ok {
+			if iv, ok = c.cons[u.key]; !ok {
+				iv = intervals.New()
+			}
+		}
+		var next intervals.Interval
+		if u.lo {
+			next, _ = iv.ConstrainLo(u.clock, u.store)
+		} else {
+			next, _ = iv.ConstrainHi(u.clock, u.store)
+		}
+		if next.Empty() {
+			if mode != modeCheck {
+				vk := violationKeyFor(rf, &u, iv)
+				if c.seen[vk] {
+					continue
+				}
+				if c.known != nil && c.known(bugKey(vk.kind, tr.LocString(vk.mfLoc), tr.LocString(vk.perLoc))) {
+					c.seen[vk] = true
+					continue
+				}
+			}
+			found = append(found, c.aux.diagnose(t, addr, rf, loc, &u, iv, next))
+			continue
+		}
+		scratch[u.key] = next
+		if mode == modeObserve {
+			c.cons[u.key] = next
+		}
+	}
+	if mode != modeCheck {
+		for _, v := range found {
+			if !c.seen[v.vkey] {
+				c.seen[v.vkey] = true
+				v.Fixes = c.aux.computeFixes(v)
+				if c.aux.prov {
+					v.Prov = c.aux.computeProvenance(v)
+				}
+				c.violations = append(c.violations, v)
+			}
+		}
+	}
+	return found
+}
+
+func (c *refChecker) WouldViolate(t memmodel.ThreadID, rf *trace.Store) bool {
+	if _, in := c.deferred[t]; in {
+		return false
+	}
+	ups := c.aux.updatesFor(rf)
+	if len(ups) == 0 {
+		return false
+	}
+	scratch := c.apply
+	clear(scratch)
+	for _, u := range ups {
+		iv, ok := scratch[u.key]
+		if !ok {
+			if iv, ok = c.cons[u.key]; !ok {
+				iv = intervals.New()
+			}
+		}
+		var next intervals.Interval
+		if u.lo {
+			next, _ = iv.ConstrainLo(u.clock, u.store)
+		} else {
+			next, _ = iv.ConstrainHi(u.clock, u.store)
+		}
+		if next.Empty() {
+			return true
+		}
+		scratch[u.key] = next
+	}
+	return false
+}
+
+func (c *refChecker) CheckRead(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.Store, loc trace.LocID) []*Violation {
+	if _, in := c.deferred[t]; in {
+		return nil
+	}
+	return c.applyUpdates(t, addr, rf, loc, c.aux.updatesFor(rf), modeCheck)
+}
+
+func (c *refChecker) FlagRead(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.Store, loc trace.LocID) []*Violation {
+	if _, in := c.deferred[t]; in {
+		return nil
+	}
+	return c.applyUpdates(t, addr, rf, loc, c.aux.updatesFor(rf), modeFlag)
+}
+
+func (c *refChecker) ObserveRead(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.Store, loc trace.LocID) []*Violation {
+	if _, in := c.deferred[t]; in {
+		c.deferred[t] = append(c.deferred[t], deferredLoad{thread: t, addr: addr, rf: rf, loc: loc})
+		return nil
+	}
+	return c.applyUpdates(t, addr, rf, loc, c.aux.updatesFor(rf), modeObserve)
+}
+
+func (c *refChecker) BeginChecksumRegion(t memmodel.ThreadID) {
+	if _, in := c.deferred[t]; !in {
+		c.deferred[t] = []deferredLoad{}
+	}
+}
+
+func (c *refChecker) EndChecksumRegion(t memmodel.ThreadID, valid bool) []*Violation {
+	loads, in := c.deferred[t]
+	if !in {
+		return nil
+	}
+	delete(c.deferred, t)
+	if !valid {
+		return nil
+	}
+	var all []*Violation
+	for _, dl := range loads {
+		all = append(all, c.applyUpdates(dl.thread, dl.addr, dl.rf, dl.loc, c.aux.updatesFor(dl.rf), modeObserve)...)
+	}
+	return all
+}
+
+func (c *refChecker) Snapshot() *refSnapshot {
+	s := &refSnapshot{
+		cons:     make(map[consKey]intervals.Interval, len(c.cons)),
+		seen:     make(map[violationKey]bool, len(c.seen)),
+		deferred: make(map[memmodel.ThreadID][]deferredLoad, len(c.deferred)),
+	}
+	for k, v := range c.cons {
+		s.cons[k] = v
+	}
+	for k := range c.seen {
+		s.seen[k] = true
+	}
+	for t, dl := range c.deferred {
+		cp := make([]deferredLoad, len(dl))
+		copy(cp, dl)
+		s.deferred[t] = cp
+	}
+	s.violations = make([]*Violation, len(c.violations))
+	copy(s.violations, c.violations)
+	return s
+}
+
+func (c *refChecker) Restore(s *refSnapshot) {
+	clear(c.cons)
+	for k, v := range s.cons {
+		c.cons[k] = v
+	}
+	clear(c.seen)
+	for k := range s.seen {
+		c.seen[k] = true
+	}
+	clear(c.deferred)
+	for t, dl := range s.deferred {
+		c.deferred[t] = dl
+	}
+	c.violations = s.violations
+}
+
+func (c *refChecker) StateFingerprint() uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	mix := func(v uint64) {
+		h ^= v
+		h *= prime64
+	}
+	in := c.aux.tr.Interner()
+	mixLoc := func(id trace.LocID) {
+		s := in.Str(id)
+		mix(uint64(len(s)))
+		for i := 0; i < len(s); i++ {
+			h ^= uint64(s[i])
+			h *= prime64
+		}
+	}
+	endpoint := func(e intervals.Endpoint) {
+		mix(uint64(e.Clock))
+		if s, ok := e.Store.(*trace.Store); ok && s != nil {
+			mix(uint64(s.ID))
+			mixLoc(s.Loc)
+		} else {
+			mix(^uint64(0))
+		}
+	}
+
+	consKeys := make([]consKey, 0, len(c.cons))
+	for k := range c.cons {
+		consKeys = append(consKeys, k)
+	}
+	sort.Slice(consKeys, func(i, j int) bool {
+		a, b := consKeys[i], consKeys[j]
+		if a.subExec != b.subExec {
+			return a.subExec < b.subExec
+		}
+		return a.thread < b.thread
+	})
+	mix(uint64(len(consKeys)))
+	for _, k := range consKeys {
+		iv := c.cons[k]
+		mix(uint64(k.subExec))
+		mix(uint64(int64(k.thread)))
+		endpoint(iv.Lo)
+		endpoint(iv.Hi)
+	}
+
+	seenKeys := make([]violationKey, 0, len(c.seen))
+	for k := range c.seen {
+		seenKeys = append(seenKeys, k)
+	}
+	sort.Slice(seenKeys, func(i, j int) bool {
+		a, b := seenKeys[i], seenKeys[j]
+		if a.kind != b.kind {
+			return a.kind < b.kind
+		}
+		if as, bs := in.Str(a.mfLoc), in.Str(b.mfLoc); as != bs {
+			return as < bs
+		}
+		return in.Str(a.perLoc) < in.Str(b.perLoc)
+	})
+	mix(uint64(len(seenKeys)))
+	for _, k := range seenKeys {
+		mix(uint64(k.kind))
+		mixLoc(k.mfLoc)
+		mixLoc(k.perLoc)
+	}
+
+	threads := make([]memmodel.ThreadID, 0, len(c.deferred))
+	for t := range c.deferred {
+		threads = append(threads, t)
+	}
+	sort.Slice(threads, func(i, j int) bool { return threads[i] < threads[j] })
+	mix(uint64(len(threads)))
+	for _, t := range threads {
+		mix(uint64(int64(t)))
+		dls := c.deferred[t]
+		mix(uint64(len(dls)))
+		for _, dl := range dls {
+			mix(uint64(int64(dl.thread)))
+			mix(uint64(dl.addr))
+			if dl.rf != nil {
+				mix(uint64(dl.rf.ID))
+			} else {
+				mix(^uint64(0))
+			}
+			mixLoc(dl.loc)
+		}
+	}
+	return h
+}
+
+// checkerPair drives the dense checker and the map reference through the
+// same calls, on checkers attached to one machine's trace, and fails the
+// test at the first call or state that differs.
+type checkerPair struct {
+	t     *testing.T
+	m     *px86.Machine
+	d     *Checker
+	r     *refChecker
+	where string
+	// asked logs each checker's known-key predicate calls.
+	asked [2][]string
+}
+
+type pairSnapshot struct {
+	d *Snapshot
+	r *refSnapshot
+}
+
+func newCheckerPair(t *testing.T, opt Options, prov bool, known func(string) bool) *checkerPair {
+	m := px86.New(px86.Config{})
+	p := &checkerPair{t: t, m: m, d: NewWithOptions(m.Trace(), opt), r: newRefChecker(m.Trace(), opt)}
+	p.d.SetProvenance(prov)
+	p.r.SetProvenance(prov)
+	if known != nil {
+		p.d.SetKnown(func(k string) bool { p.asked[0] = append(p.asked[0], k); return known(k) })
+		p.r.SetKnown(func(k string) bool { p.asked[1] = append(p.asked[1], k); return known(k) })
+	}
+	return p
+}
+
+// render is a violation list's observable form: every report as
+// String() renders it, its Key, and its provenance.
+func render(vs []*Violation) string {
+	var b strings.Builder
+	for _, v := range vs {
+		fmt.Fprintf(&b, "%s key=%s prov=%+v\n", v, v.Key(), v.Prov)
+	}
+	return b.String()
+}
+
+func (p *checkerPair) same(call string, d, r []*Violation) {
+	p.t.Helper()
+	if ds, rs := render(d), render(r); ds != rs {
+		p.t.Fatalf("%s: %s returned\n%s\nreference returned\n%s", p.where, call, ds, rs)
+	}
+}
+
+// sync compares the two checkers' whole observable state: the committed
+// violations, every crash interval of every sub-execution and thread
+// (the global-interval key included), the fingerprint, and the known-key
+// predicate calls so far.
+func (p *checkerPair) sync(step string) {
+	p.t.Helper()
+	p.where = step
+	p.same("Violations", p.d.Violations(), p.r.Violations())
+	for sub := 0; sub <= p.m.Trace().Current().Index; sub++ {
+		for th := globalThread; th < 4; th++ {
+			if d, r := p.d.Interval(sub, th), p.r.Interval(sub, th); d != r {
+				p.t.Fatalf("%s: Interval(%d, %d) = %v, reference %v", step, sub, th, d, r)
+			}
+		}
+	}
+	if d, r := p.d.StateFingerprint(), p.r.StateFingerprint(); d != r {
+		p.t.Fatalf("%s: StateFingerprint %#x, reference %#x", step, d, r)
+	}
+	if d, r := strings.Join(p.asked[0], ","), strings.Join(p.asked[1], ","); d != r {
+		p.t.Fatalf("%s: known-key calls %q, reference %q", step, d, r)
+	}
+}
+
+// read has thread th read addr from candidate pick (modulo the
+// candidate count). Every candidate is first put to WouldViolate and
+// CheckRead, the one after pick is flagged when flag is set, and the
+// picked one is loaded and observed.
+func (p *checkerPair) read(th memmodel.ThreadID, addr memmodel.Addr, pick int, flag bool, label string) bool {
+	p.t.Helper()
+	cands := p.m.LoadCandidates(th, addr)
+	lid := p.m.Intern(label)
+	for i, c := range cands {
+		if d, r := p.d.WouldViolate(th, c.Store), p.r.WouldViolate(th, c.Store); d != r {
+			p.t.Fatalf("%s: WouldViolate(cand %d) = %v, reference %v", p.where, i, d, r)
+		}
+		p.same(fmt.Sprintf("CheckRead(cand %d)", i), p.d.CheckRead(th, addr, c.Store, lid), p.r.CheckRead(th, addr, c.Store, lid))
+	}
+	if flag && len(cands) > 1 {
+		c := cands[(pick+1)%len(cands)]
+		p.same("FlagRead", p.d.FlagRead(th, addr, c.Store, lid), p.r.FlagRead(th, addr, c.Store, lid))
+	}
+	c := cands[pick%len(cands)]
+	p.m.Load(th, addr, c, lid)
+	d, r := p.d.ObserveRead(th, addr, c.Store, lid), p.r.ObserveRead(th, addr, c.Store, lid)
+	p.same("ObserveRead", d, r)
+	return len(d) > 0
+}
+
+func (p *checkerPair) snapshot() pairSnapshot { return pairSnapshot{p.d.Snapshot(), p.r.Snapshot()} }
+
+func (p *checkerPair) restore(s pairSnapshot) {
+	p.d.Restore(s.d)
+	p.r.Restore(s.r)
+}
+
+func (p *checkerPair) reset() {
+	p.m.Reset()
+	p.d.Reset()
+	p.r.Reset()
+}
+
+// driveRandomOps runs a seeded stream of stores, flushes, reads, crashes,
+// checksum regions, snapshots, restores and resets through the pair.
+// Labels come from a small pool, so distinct stores share sites and
+// violation keys collide the way they do in real ports.
+func driveRandomOps(p *checkerPair, rng *rand.Rand, steps int) {
+	addrs := []memmodel.Addr{0x1000, 0x1008, 0x2000, 0x3000}
+	label := func(kind string) string { return fmt.Sprintf("%s#%d", kind, rng.Intn(4)) }
+	var snaps []pairSnapshot
+	value := memmodel.Value(1)
+	for step := 0; step < steps; step++ {
+		th := memmodel.ThreadID(rng.Intn(3))
+		addr := addrs[rng.Intn(len(addrs))]
+		var op string
+		switch k := rng.Intn(20); {
+		case k < 6:
+			op = "store"
+			p.m.Store(th, addr, value, p.m.Intern(label("st")))
+			value++
+		case k < 8:
+			op = "flush"
+			p.m.Flush(th, addr, p.m.Intern(label("fl")))
+		case k < 14:
+			op = "read"
+			p.where = fmt.Sprintf("step %d read", step)
+			p.read(th, addr, rng.Intn(4), rng.Intn(3) == 0, label("ld"))
+		case k < 15:
+			op = "crash"
+			if p.m.Trace().NumCrashes() < 4 {
+				p.m.Crash()
+			}
+		case k < 16:
+			op = "checksum"
+			if rng.Intn(2) == 0 {
+				p.d.BeginChecksumRegion(th)
+				p.r.BeginChecksumRegion(th)
+			} else {
+				valid := rng.Intn(2) == 0
+				p.where = fmt.Sprintf("step %d end checksum", step)
+				p.same("EndChecksumRegion", p.d.EndChecksumRegion(th, valid), p.r.EndChecksumRegion(th, valid))
+			}
+		case k < 18:
+			op = "snapshot"
+			snaps = append(snaps, p.snapshot())
+		case k < 19:
+			op = "restore"
+			if len(snaps) > 0 {
+				p.restore(snaps[rng.Intn(len(snaps))])
+			}
+		default:
+			op = "reset"
+			if rng.Intn(3) == 0 {
+				p.reset()
+				snaps = snaps[:0]
+			}
+		}
+		p.sync(fmt.Sprintf("step %d (%s)", step, op))
+	}
+}
+
+// TestDenseCheckerMatchesMapReference: the dense constraint rows, the
+// slice scratch and the memoized keys behave exactly like the map-keyed
+// checker they replaced — same returned and committed reports (rendered),
+// same crash intervals, same StateFingerprint, same known-key queries —
+// over seeded random op streams and the oracle programs, under both
+// ablations, with provenance and a known-key predicate, and across
+// snapshot round trips.
+func TestDenseCheckerMatchesMapReference(t *testing.T) {
+	opts := []Options{{}, {GlobalInterval: true}, {NoHBClosure: true}}
+	known := func(k string) bool { return len(k)%3 == 0 }
+	violations := 0
+	for seed := int64(0); seed < 150; seed++ {
+		for oi, opt := range opts {
+			var kn func(string) bool
+			if seed%2 == 1 {
+				kn = known
+			}
+			p := newCheckerPair(t, opt, seed%3 == 0, kn)
+			driveRandomOps(p, rand.New(rand.NewSource(seed*7+int64(oi))), 120)
+			violations += len(p.d.Violations())
+		}
+	}
+	if violations == 0 {
+		t.Fatal("random op streams reported no violations; the comparison is too weak")
+	}
+	// The oracle programs, every pick vector, with a snapshot at the
+	// last crash restored twice: once after the post-crash reads, once
+	// after more reads on the restored state.
+	for seed := int64(0); seed < 120; seed++ {
+		ops := genOps(seed)
+		p1, p2 := genOps2(seed)
+		for picks := 0; picks < 27; picks++ {
+			for oi, opt := range opts {
+				p := newCheckerPair(t, opt, false, nil)
+				var snap pairSnapshot
+				postReads := func(tag string) {
+					for i, a := range []memmodel.Addr{0x1000, 0x1008, 0x2000} {
+						p.where = fmt.Sprintf("seed %d picks %d opt %d %s read %d", seed, picks, oi, tag, i)
+						p.read(0, a, picks/[]int{1, 3, 9}[i]%3, i == 1, "post read")
+						p.sync(p.where)
+					}
+				}
+				for _, prog := range [][]oracleOp{ops, p1, p2} {
+					for _, op := range prog {
+						switch op.kind {
+						case 0:
+							p.m.Store(op.thread, op.addr, op.value, p.m.Intern("s"))
+						case 1:
+							p.m.Flush(op.thread, op.addr, p.m.Intern("f"))
+						case 2:
+							p.where = fmt.Sprintf("seed %d sync read", seed)
+							p.read(op.thread, op.addr, 0, false, "sync read")
+						}
+					}
+					p.m.Crash()
+					snap = p.snapshot()
+				}
+				postReads("first")
+				p.restore(snap)
+				p.sync("restored")
+				postReads("second")
+				p.restore(snap)
+				p.sync("restored again")
+			}
+		}
+	}
+}

@@ -15,24 +15,29 @@ import (
 // trace rewind leaves untouched, so a snapshot stays valid for as long
 // as its trace mark does.
 type Snapshot struct {
-	cons       map[consKey]intervals.Interval
+	cons       [][]consEntry
 	seen       map[violationKey]bool
 	deferred   map[memmodel.ThreadID][]deferredLoad
 	violations []*Violation
 }
 
-// Snapshot captures the checker's state for later Restores. The copied
-// slices are allocated with capacity equal to length, so appends after a
-// Restore always reallocate instead of scribbling on the shared backing
-// arrays.
+// Snapshot captures the checker's state for later Restores. The
+// constraint rows are copied into one backing array, which Restore
+// copies back out of, so the checker's own rows never alias it. The
+// other copied slices are allocated with capacity equal to length, so
+// appends after a Restore always reallocate instead of scribbling on the
+// shared backing arrays.
 func (c *Checker) Snapshot() *Snapshot {
 	s := &Snapshot{
-		cons:     make(map[consKey]intervals.Interval, len(c.cons)),
+		cons:     make([][]consEntry, len(c.cons)),
 		seen:     make(map[violationKey]bool, len(c.seen)),
 		deferred: make(map[memmodel.ThreadID][]deferredLoad, len(c.deferred)),
 	}
-	for k, v := range c.cons {
-		s.cons[k] = v
+	flat := make([]consEntry, 0, c.numCons())
+	for i, row := range c.cons {
+		start := len(flat)
+		flat = append(flat, row...)
+		s.cons[i] = flat[start:len(flat):len(flat)]
 	}
 	for k := range c.seen {
 		s.seen[k] = true
@@ -54,9 +59,10 @@ func (c *Checker) Snapshot() *Snapshot {
 // are never overwritten in place (the same reason Reset drops the slice
 // instead of truncating it).
 func (c *Checker) Restore(s *Snapshot) {
-	clear(c.cons)
-	for k, v := range s.cons {
-		c.cons[k] = v
+	c.cons = c.cons[:0]
+	c.growRows(len(s.cons))
+	for i, row := range s.cons {
+		c.cons[i] = append(c.cons[i], row...)
 	}
 	clear(c.seen)
 	for k := range s.seen {
@@ -77,13 +83,14 @@ func (c *Checker) Restore(s *Snapshot) {
 // violation keys. The explorer uses this as one component of its
 // partial-order-reduction key; see DESIGN.md.
 //
-// Locations are folded in by label *string*, not LocID, and the
-// violation set is sorted by string too: LocIDs are private to one
-// interner, and the fingerprint must agree between worlds (and between
-// processes — DPOR registrations ride in checkpoints) that reached the
-// same state along different interning histories. Store IDs are safe as
-// numbers: a trace reset rewinds them, so they depend only on the
-// execution's decision path.
+// Intervals are hashed in (sub-execution, thread) order. Locations are
+// folded in by label *string*, not LocID, and the violation set is
+// sorted by string too: LocIDs are private to one interner, and the
+// fingerprint must agree between worlds (and between processes — DPOR
+// registrations ride in checkpoints) that reached the same state along
+// different interning histories. Store IDs are safe as numbers: a trace
+// reset rewinds them, so they depend only on the execution's decision
+// path.
 func (c *Checker) StateFingerprint() uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -113,24 +120,15 @@ func (c *Checker) StateFingerprint() uint64 {
 		}
 	}
 
-	consKeys := make([]consKey, 0, len(c.cons))
-	for k := range c.cons {
-		consKeys = append(consKeys, k)
-	}
-	sort.Slice(consKeys, func(i, j int) bool {
-		a, b := consKeys[i], consKeys[j]
-		if a.subExec != b.subExec {
-			return a.subExec < b.subExec
+	// The rows are already in (sub-execution, thread) order.
+	mix(uint64(c.numCons()))
+	for sub, row := range c.cons {
+		for _, e := range row {
+			mix(uint64(sub))
+			mix(uint64(int64(e.thread)))
+			endpoint(e.iv.Lo)
+			endpoint(e.iv.Hi)
 		}
-		return a.thread < b.thread
-	})
-	mix(uint64(len(consKeys)))
-	for _, k := range consKeys {
-		iv := c.cons[k]
-		mix(uint64(k.subExec))
-		mix(uint64(int64(k.thread)))
-		endpoint(iv.Lo)
-		endpoint(iv.Hi)
 	}
 
 	seenKeys := make([]violationKey, 0, len(c.seen))
@@ -176,4 +174,13 @@ func (c *Checker) StateFingerprint() uint64 {
 		}
 	}
 	return h
+}
+
+// numCons returns the number of committed crash intervals.
+func (c *Checker) numCons() int {
+	n := 0
+	for _, row := range c.cons {
+		n += len(row)
+	}
+	return n
 }
