@@ -1,0 +1,52 @@
+package persist_test
+
+import (
+	"testing"
+
+	"repro/internal/memmodel"
+	"repro/internal/persist"
+)
+
+// TestDelayedCommitDrainLoopAllocs checks that store buffers are reused:
+// once warmed up, a delayed-commit execution that fills two threads'
+// buffers with stores and flushes and empties them by single drains and
+// fences allocates only its stores' clock vectors (vclock.Inc builds a
+// fresh immutable vector per store issue). The buffers themselves,
+// px86's pending flushes, the trace indexes and the crash image allocate
+// nothing. ptsosyn runs without clflushopt: its per-line flush markers
+// still live in a map that every reset clears.
+func TestDelayedCommitDrainLoopAllocs(t *testing.T) {
+	for _, name := range []string{"px86", "ptsosyn"} {
+		flushOpts := name == "px86"
+		m := persist.MustNew(persist.Config{Name: name, DelayedCommit: true})
+		st, fl, fo, fe := m.Intern("store"), m.Intern("flush"), m.Intern("flushopt"), m.Intern("sfence")
+		const stores = 2 * 3 * 8
+		run := func() {
+			m.Reset()
+			for round := 0; round < 3; round++ {
+				for th := memmodel.ThreadID(1); th <= 2; th++ {
+					for i := 0; i < 8; i++ {
+						a := memmodel.Addr(0x100000 + 8*i)
+						m.Store(th, a, memmodel.Value(i+1), st)
+						if flushOpts && i%3 == 0 {
+							m.FlushOpt(th, a, fo)
+						}
+					}
+					m.Flush(th, 0x100000, fl)
+					m.DrainOne(th)
+					m.DrainOne(th)
+				}
+				for th := memmodel.ThreadID(1); th <= 2; th++ {
+					m.SFence(th, fe)
+					if m.BufferLen(th) != 0 {
+						t.Fatalf("%s: thread %d buffer not drained by sfence", name, th)
+					}
+				}
+			}
+		}
+		run()
+		if got := testing.AllocsPerRun(20, run); got != stores {
+			t.Errorf("%s: %v allocations per warmed-up execution, want %d (one clock vector per store)", name, got, stores)
+		}
+	}
+}

@@ -1,7 +1,8 @@
 package persist
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/memmodel"
 	"repro/internal/trace"
@@ -34,8 +35,10 @@ func (ep *epoch) indexOfFirst(w memmodel.Addr) int {
 // epochs from previous sub-executions (oldest first) plus the live epoch
 // of the current sub-execution. For the live epoch, lo is the number of
 // stores guaranteed persistent by completed flushes; hi is unused until
-// the epoch is sealed by a crash.
+// the epoch is sealed by a crash. A lineState outside the image's all
+// list is clean: no sealed epochs and an empty live epoch.
 type lineState struct {
+	line   memmodel.Addr
 	sealed []*epoch
 	live   *epoch
 }
@@ -52,17 +55,21 @@ type lineState struct {
 //
 // An Image is not safe for concurrent use, matching the Model contract.
 type Image struct {
-	name  string // owning backend, for InvariantError attribution
-	lines map[memmodel.Addr]*lineState
+	name string // owning backend, for InvariantError attribution
+	// lines finds a line's state by line index (addr>>6); all lists the
+	// lines touched since the last Reset in creation order, which is
+	// what Seal, Reset, Retire, Snapshot and Restore walk. A line
+	// dropped from both keeps its lineState in its table slot for reuse.
+	lines trace.Table[*lineState]
+	all   []*lineState
 
 	// epochFree recycles sealed epochs across Reset; Seal draws from it
 	// before allocating.
 	epochFree []*epoch
 	// candIdxs is AppendSealedCandidates' per-epoch store-index scratch.
 	candIdxs []int
-	// retireLast is Retire's per-epoch nearest-following-index scratch,
-	// allocated on first retirement so unbounded machines never pay it.
-	retireLast map[memmodel.Addr]int
+	// fpLines is Fingerprint's line-sorting scratch.
+	fpLines []*lineState
 }
 
 // NewImage returns an empty image owned by the named backend.
@@ -76,20 +83,29 @@ func NewImage(name string) *Image {
 // by value and avoid a separate allocation per machine.
 func (im *Image) Init(name string) {
 	im.name = name
-	im.lines = make(map[memmodel.Addr]*lineState)
 }
 
+// lineKey is a line's table key.
+func lineKey(a memmodel.Addr) uint64 { return uint64(a) >> 6 }
+
 // Reset rewinds the image to empty, recycling cache-line records and
-// sealed epochs.
+// sealed epochs: O(lines touched since the last Reset), not O(lines
+// ever touched).
 func (im *Image) Reset() {
-	for _, ls := range im.lines {
-		im.epochFree = append(im.epochFree, ls.sealed...)
-		ls.sealed = ls.sealed[:0]
-		if ls.live != nil {
-			im.epochFree = append(im.epochFree, ls.live)
-		}
-		ls.live = im.newEpoch()
+	for _, ls := range im.all {
+		im.clean(ls)
 	}
+	im.all = im.all[:0]
+	im.lines.Reset()
+}
+
+// clean recycles a line's sealed epochs and empties its live epoch.
+func (im *Image) clean(ls *lineState) {
+	im.epochFree = append(im.epochFree, ls.sealed...)
+	clear(ls.sealed)
+	ls.sealed = ls.sealed[:0]
+	ls.live.stores = ls.live.stores[:0]
+	ls.live.lo, ls.live.hi = 0, 0
 }
 
 // newEpoch returns a zeroed epoch, recycled when possible.
@@ -105,13 +121,26 @@ func (im *Image) newEpoch() *epoch {
 }
 
 // line returns (creating on demand) the state of the line containing a.
+// A line new to this execution reuses the clean lineState its table
+// slot kept from an earlier one.
 func (im *Image) line(a memmodel.Addr) *lineState {
-	l := a.Line()
-	ls, ok := im.lines[l]
-	if !ok {
-		ls = &lineState{live: &epoch{}}
-		im.lines[l] = ls
+	slot, ok := im.lines.Slot(lineKey(a))
+	if ok {
+		return *slot
 	}
+	ls := *slot
+	if ls == nil {
+		ls = &lineState{line: a.Line(), live: &epoch{}}
+		*slot = ls
+	}
+	im.all = append(im.all, ls)
+	return ls
+}
+
+// lookup returns the state of the line containing a, or nil if no
+// operation touched the line in this execution.
+func (im *Image) lookup(a memmodel.Addr) *lineState {
+	ls, _ := im.lines.Get(lineKey(a))
 	return ls
 }
 
@@ -150,7 +179,7 @@ func (im *Image) GuaranteeUpTo(a memmodel.Addr, n int) {
 // GuaranteedCount returns how many committed stores to the line
 // containing a are guaranteed persistent in the current sub-execution.
 func (im *Image) GuaranteedCount(a memmodel.Addr) int {
-	if ls := im.lines[a.Line()]; ls != nil {
+	if ls := im.lookup(a); ls != nil {
 		return ls.live.lo
 	}
 	return 0
@@ -161,7 +190,7 @@ func (im *Image) GuaranteedCount(a memmodel.Addr) int {
 // from the flush-guaranteed lower bound up to the full history, and a
 // fresh live epoch begins.
 func (im *Image) Seal() {
-	for _, ls := range im.lines {
+	for _, ls := range im.all {
 		if len(ls.live.stores) > 0 || ls.live.lo > 0 {
 			ls.live.hi = len(ls.live.stores)
 			ls.sealed = append(ls.sealed, ls.live)
@@ -179,7 +208,7 @@ func (im *Image) Seal() {
 // guaranteed prefix includes a store to a). When it does not, the caller
 // appends the initial-value candidate.
 func (im *Image) AppendSealedCandidates(cands []Candidate, a memmodel.Addr) ([]Candidate, bool) {
-	ls := im.lines[a.Line()]
+	ls := im.lookup(a)
 	var sealed []*epoch
 	if ls != nil {
 		sealed = ls.sealed
@@ -232,7 +261,7 @@ func (im *Image) Resolve(a memmodel.Addr, c Candidate, tr *trace.Trace, loc trac
 	if !c.Resolve {
 		return // volatile read: nothing to narrow
 	}
-	ls := im.lines[a.Line()]
+	ls := im.lookup(a)
 	if ls == nil {
 		return
 	}
@@ -277,40 +306,33 @@ func (im *Image) Resolve(a memmodel.Addr, c Candidate, tr *trace.Trace, loc trac
 // AppendSealedCandidates sees the same (lo, hi) windows and the same
 // blocked verdict it would have computed on the full history.
 func (im *Image) Retire(mark func(*trace.Store)) {
-	if im.retireLast == nil {
-		im.retireLast = make(map[memmodel.Addr]int)
-	}
-	for _, ls := range im.lines {
+	for _, ls := range im.all {
 		for _, ep := range ls.sealed {
-			im.retireEpoch(ep, mark)
+			retireEpoch(ep, mark)
 		}
-		im.retireEpoch(ls.live, mark)
+		retireEpoch(ls.live, mark)
 	}
 }
 
 // retireEpoch applies the per-epoch kill rule; see Retire.
-func (im *Image) retireEpoch(ep *epoch, mark func(*trace.Store)) {
-	if ep == nil || len(ep.stores) == 0 {
-		return
-	}
-	last := im.retireLast
-	for k := range last {
-		delete(last, k)
-	}
+func retireEpoch(ep *epoch, mark func(*trace.Store)) {
+	// next holds, per word of the line, 1 + the nearest following
+	// non-hole index (0: none yet). A previously killed follower is fine
+	// to stand in for a live one: kills only happen below ep.lo, so the
+	// comparison agrees.
+	var next [memmodel.WordsPerLine]int
 	for i := len(ep.stores) - 1; i >= 0; i-- {
 		s := ep.stores[i]
 		if s == nil {
 			continue
 		}
-		// last holds the nearest following non-hole index per word. A
-		// previously killed follower is fine to stand in for a live one:
-		// kills only happen below ep.lo, so the comparison agrees.
-		if j, ok := last[s.Addr]; ok && j < ep.lo {
+		w := s.Addr.LineIndex()
+		if j := next[w]; j > 0 && j-1 < ep.lo {
 			ep.stores[i] = nil
 		} else {
 			mark(s)
 		}
-		last[s.Addr] = i
+		next[w] = i + 1
 	}
 }
 
@@ -325,24 +347,29 @@ type epochBounds struct {
 // boundary. Take it immediately after Seal, when every live epoch is
 // empty: the snapshot then consists solely of per-line sealed-epoch
 // counts and prefix bounds, so its cost is O(sealed epochs), not
-// O(stores).
+// O(stores). Lines are identified by their position in the image's
+// creation-order line list, so a snapshot belongs to the image (and the
+// execution) it was taken from, like the trace mark it travels with.
 type ImageSnapshot struct {
-	bounds map[memmodel.Addr][]epochBounds
+	// bounds holds every line's sealed-epoch bounds back to back; the
+	// line at position i owns bounds[ends[i-1]:ends[i]].
+	bounds []epochBounds
+	ends   []int32
 }
 
 // Snapshot captures the image's state for a later Restore. The caller
 // must be at a crash boundary (immediately after Seal).
 func (im *Image) Snapshot() *ImageSnapshot {
-	snap := &ImageSnapshot{bounds: make(map[memmodel.Addr][]epochBounds)}
-	for l, ls := range im.lines {
-		if len(ls.sealed) == 0 {
-			continue
+	n := 0
+	for _, ls := range im.all {
+		n += len(ls.sealed)
+	}
+	snap := &ImageSnapshot{bounds: make([]epochBounds, 0, n), ends: make([]int32, len(im.all))}
+	for i, ls := range im.all {
+		for _, ep := range ls.sealed {
+			snap.bounds = append(snap.bounds, epochBounds{lo: ep.lo, hi: ep.hi})
 		}
-		bs := make([]epochBounds, len(ls.sealed))
-		for i, ep := range ls.sealed {
-			bs[i] = epochBounds{lo: ep.lo, hi: ep.hi}
-		}
-		snap.bounds[l] = bs
+		snap.ends[i] = int32(len(snap.bounds))
 	}
 	return snap
 }
@@ -351,20 +378,32 @@ func (im *Image) Snapshot() *ImageSnapshot {
 // sealed since the snapshot are recycled, prefix bounds narrowed by
 // post-snapshot reads are widened back, and live epochs restart empty
 // (they were empty when the snapshot was taken). Lines first touched
-// after the snapshot revert to an inert empty state.
+// after the snapshot are cleaned and dropped, as if never touched.
 func (im *Image) Restore(snap *ImageSnapshot) {
-	for l, ls := range im.lines {
-		bs := snap.bounds[l]
+	if len(snap.ends) > len(im.all) {
+		panic("persist: image snapshot restored outside the execution it was taken in")
+	}
+	start := int32(0)
+	for i, ls := range im.all {
+		if i >= len(snap.ends) {
+			im.clean(ls)
+			im.lines.Delete(lineKey(ls.line))
+			continue
+		}
+		bs := snap.bounds[start:snap.ends[i]]
+		start = snap.ends[i]
 		if len(ls.sealed) > len(bs) {
 			im.epochFree = append(im.epochFree, ls.sealed[len(bs):]...)
+			clear(ls.sealed[len(bs):])
 			ls.sealed = ls.sealed[:len(bs)]
 		}
-		for i, ep := range ls.sealed {
-			ep.lo, ep.hi = bs[i].lo, bs[i].hi
+		for j, ep := range ls.sealed {
+			ep.lo, ep.hi = bs[j].lo, bs[j].hi
 		}
 		ls.live.stores = ls.live.stores[:0]
 		ls.live.lo, ls.live.hi = 0, 0
 	}
+	im.all = im.all[:len(snap.ends)]
 }
 
 // Fingerprint hashes the image's persistent state: every cache line's
@@ -377,13 +416,14 @@ func (im *Image) Restore(snap *ImageSnapshot) {
 // fingerprints mean the surviving images are the same image, not merely
 // similar ones.
 func (im *Image) Fingerprint() uint64 {
-	lines := make([]memmodel.Addr, 0, len(im.lines))
-	for l, ls := range im.lines {
+	lines := im.fpLines[:0]
+	for _, ls := range im.all {
 		if len(ls.sealed) > 0 {
-			lines = append(lines, l)
+			lines = append(lines, ls)
 		}
 	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
+	slices.SortFunc(lines, func(a, b *lineState) int { return cmp.Compare(a.line, b.line) })
+	im.fpLines = lines
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -397,9 +437,8 @@ func (im *Image) Fingerprint() uint64 {
 			v >>= 8
 		}
 	}
-	for _, l := range lines {
-		ls := im.lines[l]
-		mix(uint64(l))
+	for _, ls := range lines {
+		mix(uint64(ls.line))
 		mix(uint64(len(ls.sealed)))
 		for _, ep := range ls.sealed {
 			mix(uint64(ep.lo))

@@ -74,13 +74,22 @@ type marker struct {
 	pos int
 }
 
+// threadBuf is one thread's TSO store buffer, oldest entry first.
+type threadBuf struct {
+	t   memmodel.ThreadID
+	buf []bufEntry
+}
+
 // Machine simulates a PTSOsyn multiprocessor with persistent memory.
-// Not safe for concurrent use; drive one Machine per goroutine.
+// Not safe for concurrent use; drive one Machine per goroutine. As in
+// px86, the volatile cache is the tail of the trace's per-word commit
+// list (trace.SubExec.LastTo), not a table of its own.
 type Machine struct {
-	cfg     Config
-	tr      *trace.Trace
-	mem     map[memmodel.Addr]*trace.Store // volatile cache: last committed store per word, this sub-execution
-	buffers map[memmodel.ThreadID][]bufEntry
+	cfg Config
+	tr  *trace.Trace
+	// buffers holds one row per thread with a store buffer, searched
+	// linearly; rows are truncated, not freed, so buffers are reused.
+	buffers []threadBuf
 	// markers holds each line's unfulfilled flush markers, oldest first
 	// — the per-location persistence-buffer content beyond the committed
 	// stores themselves (which live in img).
@@ -95,8 +104,6 @@ func New(cfg Config) *Machine {
 	m := &Machine{
 		cfg:     cfg,
 		tr:      trace.New(),
-		mem:     make(map[memmodel.Addr]*trace.Store),
-		buffers: make(map[memmodel.ThreadID][]bufEntry),
 		markers: make(map[memmodel.Addr][]marker),
 	}
 	m.img.Init("ptsosyn")
@@ -116,11 +123,49 @@ func (m *Machine) Intern(loc string) trace.LocID { return m.tr.Intern(loc) }
 // Reset rewinds the machine and its trace to the freshly-constructed
 // state; see the Model contract.
 func (m *Machine) Reset() {
-	clear(m.mem)
-	clear(m.buffers)
+	m.dropBuffers()
 	clear(m.markers)
 	m.img.Reset()
 	m.tr.Reset()
+}
+
+// findBuf returns thread t's buffer row, or nil if t has none.
+func (m *Machine) findBuf(t memmodel.ThreadID) *threadBuf {
+	for i := range m.buffers {
+		if m.buffers[i].t == t {
+			return &m.buffers[i]
+		}
+	}
+	return nil
+}
+
+// buffer appends e to thread t's store buffer, creating the row on
+// first use; a new row reuses the buffer a truncated row left at its
+// position.
+func (m *Machine) buffer(t memmodel.ThreadID, e bufEntry) {
+	tb := m.findBuf(t)
+	if tb == nil {
+		n := len(m.buffers)
+		if n < cap(m.buffers) {
+			m.buffers = m.buffers[:n+1]
+			m.buffers[n].t = t
+		} else {
+			m.buffers = append(m.buffers, threadBuf{t: t})
+		}
+		tb = &m.buffers[n]
+	}
+	tb.buf = append(tb.buf, e)
+}
+
+// dropBuffers discards every store buffer, as a crash does, keeping
+// their backing arrays for reuse.
+func (m *Machine) dropBuffers() {
+	for i := range m.buffers {
+		tb := &m.buffers[i]
+		clear(tb.buf)
+		tb.buf = tb.buf[:0]
+	}
+	m.buffers = m.buffers[:0]
 }
 
 // exitEntry applies the oldest store-buffer entry of thread t, per the
@@ -148,34 +193,47 @@ func (m *Machine) exitEntry(t memmodel.ThreadID, e bufEntry) {
 // persistence buffer (the live history).
 func (m *Machine) commit(st *trace.Store) {
 	m.tr.StoreCommit(st)
-	m.mem[st.Addr] = st
 	m.img.Commit(st)
 }
 
 // DrainAll commits every pending entry of thread t's store buffer, in
-// FIFO order.
+// FIFO order. The emptied buffer keeps its backing array.
 func (m *Machine) DrainAll(t memmodel.ThreadID) {
-	for _, e := range m.buffers[t] {
+	tb := m.findBuf(t)
+	if tb == nil {
+		return
+	}
+	for _, e := range tb.buf {
 		m.exitEntry(t, e)
 	}
-	m.buffers[t] = nil
+	clear(tb.buf)
+	tb.buf = tb.buf[:0]
 }
 
 // DrainOne commits the oldest pending entry of thread t's store buffer,
-// reporting whether there was one.
+// reporting whether there was one. The remaining entries shift down in
+// place, so the buffer neither reallocates nor holds on to the drained
+// store.
 func (m *Machine) DrainOne(t memmodel.ThreadID) bool {
-	buf := m.buffers[t]
-	if len(buf) == 0 {
+	tb := m.findBuf(t)
+	if tb == nil || len(tb.buf) == 0 {
 		return false
 	}
 	m.cfg.Metrics.Drains.Inc()
-	m.exitEntry(t, buf[0])
-	m.buffers[t] = buf[1:]
+	m.exitEntry(t, tb.buf[0])
+	n := copy(tb.buf, tb.buf[1:])
+	tb.buf[n] = bufEntry{}
+	tb.buf = tb.buf[:n]
 	return true
 }
 
 // BufferLen returns the number of pending entries in t's store buffer.
-func (m *Machine) BufferLen(t memmodel.ThreadID) int { return len(m.buffers[t]) }
+func (m *Machine) BufferLen(t memmodel.ThreadID) int {
+	if tb := m.findBuf(t); tb != nil {
+		return len(tb.buf)
+	}
+	return 0
+}
 
 // drainCompletes fulfils thread t's markers in every line's persistence
 // buffer: the line is guaranteed persistent at least up to each marker's
@@ -201,7 +259,7 @@ func (m *Machine) Store(t memmodel.ThreadID, a memmodel.Addr, v memmodel.Value, 
 	m.cfg.Metrics.Stores.Inc()
 	st := m.tr.StoreIssue(t, a, v, memmodel.OpStore, loc)
 	if m.cfg.DelayedCommit {
-		m.buffers[t] = append(m.buffers[t], bufEntry{kind: memmodel.OpStore, store: st, loc: loc})
+		m.buffer(t, bufEntry{kind: memmodel.OpStore, store: st, loc: loc})
 	} else {
 		m.commit(st)
 	}
@@ -215,7 +273,7 @@ func (m *Machine) Flush(t memmodel.ThreadID, a memmodel.Addr, loc trace.LocID) {
 	m.tr.Fence(t, memmodel.OpFlush, a.Line(), loc)
 	e := bufEntry{kind: memmodel.OpFlush, line: a.Line(), loc: loc}
 	if m.cfg.DelayedCommit {
-		m.buffers[t] = append(m.buffers[t], e)
+		m.buffer(t, e)
 	} else {
 		m.exitEntry(t, e)
 	}
@@ -227,7 +285,7 @@ func (m *Machine) FlushOpt(t memmodel.ThreadID, a memmodel.Addr, loc trace.LocID
 	m.tr.Fence(t, memmodel.OpFlushOpt, a.Line(), loc)
 	e := bufEntry{kind: memmodel.OpFlushOpt, line: a.Line(), loc: loc}
 	if m.cfg.DelayedCommit {
-		m.buffers[t] = append(m.buffers[t], e)
+		m.buffer(t, e)
 	} else {
 		m.exitEntry(t, e)
 	}
@@ -257,15 +315,16 @@ func (m *Machine) LoadCandidates(t memmodel.ThreadID, a memmodel.Addr) []persist
 	a = a.Word()
 	cands := m.cands[:0]
 	// TSO store-buffer forwarding: newest buffered store to a by t.
-	buf := m.buffers[t]
-	for i := len(buf) - 1; i >= 0; i-- {
-		if e := buf[i]; e.store != nil && e.store.Addr == a {
-			m.cands = append(cands, persist.Candidate{Store: e.store, Epoch: -1})
-			return m.cands
+	if tb := m.findBuf(t); tb != nil {
+		for i := len(tb.buf) - 1; i >= 0; i-- {
+			if e := tb.buf[i]; e.store != nil && e.store.Addr == a {
+				m.cands = append(cands, persist.Candidate{Store: e.store, Epoch: -1})
+				return m.cands
+			}
 		}
 	}
 	// Committed this sub-execution: the cache holds a definite value.
-	if st, ok := m.mem[a]; ok {
+	if st := m.tr.Current().LastTo(a); st != nil {
 		m.cands = append(cands, persist.Candidate{Store: st, Epoch: -1})
 		return m.cands
 	}
@@ -340,9 +399,8 @@ func (m *Machine) FAA(t memmodel.ThreadID, a memmodel.Addr, c persist.Candidate,
 // history is sealed with its persisted-prefix range.
 func (m *Machine) Crash() {
 	m.cfg.Metrics.Crashes.Inc()
-	clear(m.buffers)
+	m.dropBuffers()
 	clear(m.markers)
-	clear(m.mem)
 	m.img.Seal()
 	m.tr.Crash()
 }
@@ -358,24 +416,21 @@ func (m *Machine) Snapshot() *persist.ImageSnapshot { return m.img.Snapshot() }
 // Restore rewinds the machine to a previously captured Snapshot; the
 // shared trace is rewound by the caller.
 func (m *Machine) Restore(snap *persist.ImageSnapshot) {
-	clear(m.buffers)
+	m.dropBuffers()
 	clear(m.markers)
-	clear(m.mem)
 	m.img.Restore(snap)
 }
 
 // Retire implements persist.Retirable: one bounded-window retirement.
-// The machine's roots are the volatile cache, TSO-buffered stores, and
-// the crash image's still-readable entries; flush markers record
-// (thread, depth) pairs and hold no store pointers.
+// The machine's roots are TSO-buffered stores and the crash image's
+// still-readable entries, which include the volatile cache (the newest
+// entry per word of the live epoch); flush markers record (thread,
+// depth) pairs and hold no store pointers.
 func (m *Machine) Retire(extraRoots func(mark func(*trace.Store))) {
 	m.tr.BeginRetire()
 	mark := m.tr.MarkRetireRoot
-	for _, st := range m.mem {
-		mark(st)
-	}
-	for _, buf := range m.buffers {
-		for _, e := range buf {
+	for _, tb := range m.buffers {
+		for _, e := range tb.buf {
 			if e.store != nil {
 				mark(e.store)
 			}

@@ -38,9 +38,11 @@ func init() {
 // Machine simulates a machine with strict persistency. Like the other
 // backends it is not safe for concurrent use; drive one Machine per
 // goroutine.
+//
+// The last committed store per word in the current sub-execution is the
+// tail of the trace's per-word commit list (trace.SubExec.LastTo).
 type Machine struct {
 	tr  *trace.Trace
-	mem map[memmodel.Addr]*trace.Store // last committed store per word, this sub-execution
 	img persist.Image
 	met obs.PersistMetrics // zero value (all nil) = counting disabled
 
@@ -49,10 +51,7 @@ type Machine struct {
 
 // New returns a machine with all of persistent memory zero-initialized.
 func New() *Machine {
-	m := &Machine{
-		tr:  trace.New(),
-		mem: make(map[memmodel.Addr]*trace.Store),
-	}
+	m := &Machine{tr: trace.New()}
 	m.img.Init("strict")
 	return m
 }
@@ -69,7 +68,6 @@ func (m *Machine) Intern(loc string) trace.LocID { return m.tr.Intern(loc) }
 // Reset rewinds the machine and its trace to the freshly-constructed
 // state; see the Model contract.
 func (m *Machine) Reset() {
-	clear(m.mem)
 	m.img.Reset()
 	m.tr.Reset()
 }
@@ -79,7 +77,6 @@ func (m *Machine) Reset() {
 // history guaranteed persistent.
 func (m *Machine) commit(st *trace.Store) {
 	m.tr.StoreCommit(st)
-	m.mem[st.Addr] = st
 	m.img.Commit(st)
 	m.img.Guarantee(st.Addr)
 }
@@ -134,7 +131,7 @@ func (m *Machine) BufferLen(t memmodel.ThreadID) int { return 0 }
 func (m *Machine) LoadCandidates(t memmodel.ThreadID, a memmodel.Addr) []persist.Candidate {
 	a = a.Word()
 	cands := m.cands[:0]
-	if st, ok := m.mem[a]; ok {
+	if st := m.tr.Current().LastTo(a); st != nil {
 		m.cands = append(cands, persist.Candidate{Store: st, Epoch: -1})
 		return m.cands
 	}
@@ -201,7 +198,6 @@ func (m *Machine) resolve(a memmodel.Addr, c persist.Candidate, loc trace.LocID)
 // post-crash state is uniquely the newest committed values.
 func (m *Machine) Crash() {
 	m.met.Crashes.Inc()
-	clear(m.mem)
 	m.img.Seal()
 	m.tr.Crash()
 }
@@ -217,21 +213,17 @@ func (m *Machine) Snapshot() *persist.ImageSnapshot { return m.img.Snapshot() }
 // Restore rewinds the machine to a previously captured Snapshot; the
 // shared trace is rewound by the caller.
 func (m *Machine) Restore(snap *persist.ImageSnapshot) {
-	clear(m.mem)
 	m.img.Restore(snap)
 }
 
 // Retire implements persist.Retirable: one bounded-window retirement.
-// Strict machines have no buffers; the roots are the volatile cache and
-// the crash image's still-readable entries (under strict every sealed
-// epoch has lo = hi = len, so the image retains exactly the newest
-// surviving store per word and kills everything older).
+// Strict machines have no buffers; the roots are the crash image's
+// still-readable entries (under strict every epoch has lo = len, so the
+// image retains exactly the newest store per word — the volatile cache,
+// for the live epoch — and kills everything older).
 func (m *Machine) Retire(extraRoots func(mark func(*trace.Store))) {
 	m.tr.BeginRetire()
 	mark := m.tr.MarkRetireRoot
-	for _, st := range m.mem {
-		mark(st)
-	}
 	m.img.Retire(mark)
 	if extraRoots != nil {
 		extraRoots(mark)

@@ -83,18 +83,31 @@ type pendingFlush struct {
 	coverage int // line-history length at buffer exit
 }
 
+// threadState is one thread's volatile machine state: its store buffer
+// (oldest entry first) and its exited-but-undrained clflushopts.
+type threadState struct {
+	t       memmodel.ThreadID
+	buf     []bufEntry
+	pending []pendingFlush
+}
+
 // Machine is a simulated Px86 multiprocessor with persistent memory.
 // It is not safe for concurrent use: simulated threads are interleaved
 // by the caller (the exploration harness), not by goroutines. A Machine
 // holds no package-level state, so distinct Machines may be driven from
 // distinct goroutines concurrently — the parallel exploration engine
 // relies on exactly this one-world-per-goroutine discipline.
+//
+// The volatile cache — the last store committed to each word in the
+// current sub-execution — is not kept here: it is the tail of the
+// trace's per-word commit list (trace.SubExec.LastTo).
 type Machine struct {
-	cfg     Config
-	tr      *trace.Trace
-	mem     map[memmodel.Addr]*trace.Store // volatile cache: last committed store per word, this sub-execution
-	buffers map[memmodel.ThreadID][]bufEntry
-	pending map[memmodel.ThreadID][]pendingFlush
+	cfg Config
+	tr  *trace.Trace
+	// threads holds one row per thread with buffered or pending state,
+	// searched linearly: thread IDs are few and not dense. Rows are
+	// truncated, not freed, so their buffers are reused.
+	threads []threadState
 	img     persist.Image
 
 	// cands is the scratch buffer LoadCandidates returns; see its
@@ -105,11 +118,8 @@ type Machine struct {
 // New returns a machine with all of persistent memory zero-initialized.
 func New(cfg Config) *Machine {
 	m := &Machine{
-		cfg:     cfg,
-		tr:      trace.New(),
-		mem:     make(map[memmodel.Addr]*trace.Store),
-		buffers: make(map[memmodel.ThreadID][]bufEntry),
-		pending: make(map[memmodel.ThreadID][]pendingFlush),
+		cfg: cfg,
+		tr:  trace.New(),
 	}
 	m.img.Init("px86")
 	m.tr.SetWindow(cfg.Window)
@@ -131,14 +141,58 @@ func (m *Machine) Intern(loc string) trace.LocID { return m.tr.Intern(loc) }
 // sealed epochs. The trace's intern table is kept. Pointers previously
 // obtained from the machine or its trace become invalid.
 func (m *Machine) Reset() {
-	clear(m.mem)
-	clear(m.buffers)
-	clear(m.pending)
+	m.dropVolatile()
 	m.img.Reset()
 	m.tr.Reset()
 }
 
 // --- store buffer mechanics ---
+
+// findThread returns thread t's row, or nil if t has none.
+func (m *Machine) findThread(t memmodel.ThreadID) *threadState {
+	for i := range m.threads {
+		if m.threads[i].t == t {
+			return &m.threads[i]
+		}
+	}
+	return nil
+}
+
+// thread returns thread t's row, creating it on first use; a new row
+// reuses the buffers a truncated row left at its position. The pointer
+// is valid until the next row creation.
+func (m *Machine) thread(t memmodel.ThreadID) *threadState {
+	if ts := m.findThread(t); ts != nil {
+		return ts
+	}
+	n := len(m.threads)
+	if n < cap(m.threads) {
+		m.threads = m.threads[:n+1]
+		ts := &m.threads[n]
+		ts.t = t
+		return ts
+	}
+	m.threads = append(m.threads, threadState{t: t})
+	return &m.threads[n]
+}
+
+// dropVolatile discards every store buffer and pending flush, as a
+// crash does, keeping the rows' backing arrays for reuse.
+func (m *Machine) dropVolatile() {
+	for i := range m.threads {
+		ts := &m.threads[i]
+		clear(ts.buf)
+		ts.buf = ts.buf[:0]
+		ts.pending = ts.pending[:0]
+	}
+	m.threads = m.threads[:0]
+}
+
+// buffer appends e to thread t's store buffer.
+func (m *Machine) buffer(t memmodel.ThreadID, e bufEntry) {
+	ts := m.thread(t)
+	ts.buf = append(ts.buf, e)
+}
 
 // exitEntry applies the oldest store-buffer entry of thread t to the
 // cache, per the Px86sim buffer-exit transitions.
@@ -152,7 +206,8 @@ func (m *Machine) exitEntry(t memmodel.ThreadID, e bufEntry) {
 		// clflushopt writes the line back asynchronously; completion is
 		// guaranteed only by a later drain of the same thread. Record
 		// the coverage (stores committed at buffer exit).
-		m.pending[t] = append(m.pending[t], pendingFlush{line: e.line, coverage: m.img.LiveLen(e.line)})
+		ts := m.thread(t)
+		ts.pending = append(ts.pending, pendingFlush{line: e.line, coverage: m.img.LiveLen(e.line)})
 	default:
 		m.commit(e.store)
 	}
@@ -162,43 +217,60 @@ func (m *Machine) exitEntry(t memmodel.ThreadID, e bufEntry) {
 // joins its cache line's history.
 func (m *Machine) commit(st *trace.Store) {
 	m.tr.StoreCommit(st)
-	m.mem[st.Addr] = st
 	m.img.Commit(st)
 }
 
 // DrainAll commits every pending entry of thread t's store buffer, in
-// FIFO order.
+// FIFO order. The emptied buffer keeps its backing array.
 func (m *Machine) DrainAll(t memmodel.ThreadID) {
-	for _, e := range m.buffers[t] {
+	ts := m.findThread(t)
+	if ts == nil {
+		return
+	}
+	for _, e := range ts.buf {
 		m.exitEntry(t, e)
 	}
-	m.buffers[t] = nil
+	clear(ts.buf)
+	ts.buf = ts.buf[:0]
 }
 
 // DrainOne commits the oldest pending entry of thread t's store buffer,
 // reporting whether there was one. Exploration harnesses use it to
-// exercise store-buffer interleavings in delayed-commit mode.
+// exercise store-buffer interleavings in delayed-commit mode. The
+// remaining entries shift down in place, so the buffer neither
+// reallocates nor holds on to the drained store.
 func (m *Machine) DrainOne(t memmodel.ThreadID) bool {
-	buf := m.buffers[t]
-	if len(buf) == 0 {
+	ts := m.findThread(t)
+	if ts == nil || len(ts.buf) == 0 {
 		return false
 	}
 	m.cfg.Metrics.Drains.Inc()
-	m.exitEntry(t, buf[0])
-	m.buffers[t] = buf[1:]
+	m.exitEntry(t, ts.buf[0])
+	n := copy(ts.buf, ts.buf[1:])
+	ts.buf[n] = bufEntry{}
+	ts.buf = ts.buf[:n]
 	return true
 }
 
 // BufferLen returns the number of pending entries in t's store buffer.
-func (m *Machine) BufferLen(t memmodel.ThreadID) int { return len(m.buffers[t]) }
+func (m *Machine) BufferLen(t memmodel.ThreadID) int {
+	if ts := m.findThread(t); ts != nil {
+		return len(ts.buf)
+	}
+	return 0
+}
 
 // drainCompletes marks thread t's exited clflushopt operations as
 // guaranteed persistent (a drain instruction committed).
 func (m *Machine) drainCompletes(t memmodel.ThreadID) {
-	for _, pf := range m.pending[t] {
+	ts := m.findThread(t)
+	if ts == nil {
+		return
+	}
+	for _, pf := range ts.pending {
 		m.img.GuaranteeUpTo(pf.line, pf.coverage)
 	}
-	m.pending[t] = nil
+	ts.pending = ts.pending[:0]
 }
 
 // --- instruction interface ---
@@ -209,7 +281,7 @@ func (m *Machine) Store(t memmodel.ThreadID, a memmodel.Addr, v memmodel.Value, 
 	m.cfg.Metrics.Stores.Inc()
 	st := m.tr.StoreIssue(t, a, v, memmodel.OpStore, loc)
 	if m.cfg.DelayedCommit {
-		m.buffers[t] = append(m.buffers[t], bufEntry{kind: memmodel.OpStore, store: st, loc: loc})
+		m.buffer(t, bufEntry{kind: memmodel.OpStore, store: st, loc: loc})
 	} else {
 		m.commit(st)
 	}
@@ -223,7 +295,7 @@ func (m *Machine) Flush(t memmodel.ThreadID, a memmodel.Addr, loc trace.LocID) {
 	m.tr.Fence(t, memmodel.OpFlush, a.Line(), loc)
 	e := bufEntry{kind: memmodel.OpFlush, line: a.Line(), loc: loc}
 	if m.cfg.DelayedCommit {
-		m.buffers[t] = append(m.buffers[t], e)
+		m.buffer(t, e)
 	} else {
 		m.exitEntry(t, e)
 	}
@@ -236,7 +308,7 @@ func (m *Machine) FlushOpt(t memmodel.ThreadID, a memmodel.Addr, loc trace.LocID
 	m.tr.Fence(t, memmodel.OpFlushOpt, a.Line(), loc)
 	e := bufEntry{kind: memmodel.OpFlushOpt, line: a.Line(), loc: loc}
 	if m.cfg.DelayedCommit {
-		m.buffers[t] = append(m.buffers[t], e)
+		m.buffer(t, e)
 	} else {
 		m.exitEntry(t, e)
 	}
@@ -275,15 +347,16 @@ func (m *Machine) LoadCandidates(t memmodel.ThreadID, a memmodel.Addr) []Candida
 	a = a.Word()
 	cands := m.cands[:0]
 	// TSO store-buffer forwarding: newest buffered store to a by t.
-	buf := m.buffers[t]
-	for i := len(buf) - 1; i >= 0; i-- {
-		if e := buf[i]; e.store != nil && e.store.Addr == a {
-			m.cands = append(cands, Candidate{Store: e.store, Epoch: -1})
-			return m.cands
+	if ts := m.findThread(t); ts != nil {
+		for i := len(ts.buf) - 1; i >= 0; i-- {
+			if e := ts.buf[i]; e.store != nil && e.store.Addr == a {
+				m.cands = append(cands, Candidate{Store: e.store, Epoch: -1})
+				return m.cands
+			}
 		}
 	}
 	// Committed this sub-execution: the cache holds a definite value.
-	if st, ok := m.mem[a]; ok {
+	if st := m.tr.Current().LastTo(a); st != nil {
 		m.cands = append(cands, Candidate{Store: st, Epoch: -1})
 		return m.cands
 	}
@@ -372,9 +445,7 @@ func (m *Machine) FAA(t memmodel.ThreadID, a memmodel.Addr, c Candidate, delta m
 // full history. A new sub-execution begins.
 func (m *Machine) Crash() {
 	m.cfg.Metrics.Crashes.Inc()
-	clear(m.buffers)
-	clear(m.pending)
-	clear(m.mem)
+	m.dropVolatile()
 	m.img.Seal()
 	m.tr.Crash()
 }
@@ -401,27 +472,24 @@ func (m *Machine) Snapshot() *persist.ImageSnapshot { return m.img.Snapshot() }
 // the snapshot point) and the crash image is rewound. The shared trace
 // is rewound by the caller.
 func (m *Machine) Restore(snap *persist.ImageSnapshot) {
-	clear(m.buffers)
-	clear(m.pending)
-	clear(m.mem)
+	m.dropVolatile()
 	m.img.Restore(snap)
 }
 
 // Retire implements persist.Retirable: one bounded-window retirement of
-// the machine's trace. The machine's own roots are the volatile cache
-// (newest committed store per word), buffered stores still waiting to
-// commit, and every crash-image entry that can still become a read
-// candidate (the image kills the provably dead ones as it marks);
-// pending clflushopt records hold line coverage counts, not stores.
-// extraRoots lets the caller pin checker-owned stores before the sweep.
+// the machine's trace. The machine's own roots are buffered stores still
+// waiting to commit and every crash-image entry that can still become a
+// read candidate (the image kills the provably dead ones as it marks).
+// The volatile cache needs no marking of its own: its content, the
+// newest committed store per word, is the newest entry of that word in
+// the live epoch, which the image always pins. Pending clflushopt
+// records hold line coverage counts, not stores. extraRoots lets the
+// caller pin checker-owned stores before the sweep.
 func (m *Machine) Retire(extraRoots func(mark func(*trace.Store))) {
 	m.tr.BeginRetire()
 	mark := m.tr.MarkRetireRoot
-	for _, st := range m.mem {
-		mark(st)
-	}
-	for _, buf := range m.buffers {
-		for _, e := range buf {
+	for _, ts := range m.threads {
+		for _, e := range ts.buf {
 			if e.store != nil {
 				mark(e.store)
 			}

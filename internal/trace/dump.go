@@ -105,7 +105,7 @@ func (tr *Trace) Stats() Stats {
 		s.Retirements = tr.retirements
 		s.RetainedEvents = tr.eventBase + len(tr.events) - tr.eventFloor
 		s.RetiredEvents = tr.retired.Events
-		s.RetainedStores = retainedStores + len(tr.initials)
+		s.RetainedStores = retainedStores + len(tr.initList)
 		s.RetiredStores = tr.retiredStores
 		s.RetainedBytes = int64(s.RetainedEvents)*eventBytes + int64(s.RetainedStores)*storeBytes
 		s.RetiredBytes = int64(s.RetiredEvents)*eventBytes + int64(s.RetiredStores)*storeBytes

@@ -127,66 +127,124 @@ type SubExec struct {
 	Index int
 	// Stores holds the committed stores in TSO (commit) order.
 	Stores []*Store
-	// byLoc indexes committed stores per location, in commit order.
-	byLoc map[memmodel.Addr][]*Store
-	// byThread indexes every issued store per thread; the store with
-	// clock c sits at index c-1 (clocks are dense per thread).
-	byThread map[memmodel.ThreadID][]*Store
-	// threadCV is the CV map of Figure 3, reset at each crash.
-	threadCV map[memmodel.ThreadID]vclock.CV
+	// byLoc indexes committed stores per word (key addr>>3), in commit
+	// order. Its tail is the word's volatile cache content: the last
+	// store committed to it in this sub-execution (LastTo).
+	byLoc Table[[]*Store]
+	// threads holds one row per thread that stored or loaded, in
+	// first-touch order. Thread IDs are few and not dense, so a linear
+	// search beats any index.
+	threads []threadRow
 	// seq is the strictly increasing commit counter, reset at crashes.
 	seq vclock.Seq
 	// events are the indices of this sub-execution's events in the log.
 	events []int
 }
 
-// reset rewinds the sub-execution for reuse at position idx. Map entries
-// are kept with emptied values rather than deleted: an empty store list
-// behaves exactly like an absent one (StoresTo, StoreByClock, and
-// ThreadCV all treat them identically), and keeping the entries lets the
-// backing arrays be reused when the same addresses and threads reappear
-// in the next execution.
+// threadRow is one thread's state within a sub-execution.
+type threadRow struct {
+	t memmodel.ThreadID
+	// stores indexes every issued store of the thread; the store with
+	// clock c sits at index c-1 (clocks are dense per thread).
+	stores []*Store
+	// cv is the thread's entry in the CV map of Figure 3, reset at each
+	// crash.
+	cv vclock.CV
+}
+
+// reset rewinds the sub-execution for reuse at position idx in O(1):
+// byLoc starts a new generation and the thread rows are truncated, and
+// both keep their backing arrays for the next execution.
 func (e *SubExec) reset(idx int) {
 	e.Index = idx
 	e.Stores = e.Stores[:0]
-	for k, v := range e.byLoc {
-		e.byLoc[k] = v[:0]
-	}
-	for k, v := range e.byThread {
-		e.byThread[k] = v[:0]
-	}
-	for k := range e.threadCV {
-		e.threadCV[k] = vclock.CV{}
-	}
+	e.byLoc.Reset()
+	e.threads = e.threads[:0]
 	e.seq = 0
 	e.events = e.events[:0]
 }
 
+// wordKey is a word address's byLoc key.
+func wordKey(a memmodel.Addr) uint64 { return uint64(a) >> 3 }
+
+// findRow returns thread t's row, or nil if t has none yet.
+func (e *SubExec) findRow(t memmodel.ThreadID) *threadRow {
+	for i := range e.threads {
+		if e.threads[i].t == t {
+			return &e.threads[i]
+		}
+	}
+	return nil
+}
+
+// row returns thread t's row, creating it on first touch. A new row
+// reuses the backing array a truncated row left at its position. The
+// pointer is valid until the next row creation.
+func (e *SubExec) row(t memmodel.ThreadID) *threadRow {
+	if r := e.findRow(t); r != nil {
+		return r
+	}
+	n := len(e.threads)
+	if n < cap(e.threads) {
+		e.threads = e.threads[:n+1]
+		r := &e.threads[n]
+		clear(r.stores)
+		*r = threadRow{t: t, stores: r.stores[:0]}
+		return r
+	}
+	e.threads = append(e.threads, threadRow{t: t})
+	return &e.threads[n]
+}
+
 // StoresTo returns the committed stores to addr in TSO order.
-func (e *SubExec) StoresTo(addr memmodel.Addr) []*Store { return e.byLoc[addr.Word()] }
+func (e *SubExec) StoresTo(addr memmodel.Addr) []*Store {
+	sts, _ := e.byLoc.Get(wordKey(addr.Word()))
+	return sts
+}
+
+// LastTo returns the last store committed to addr's word in this
+// sub-execution, or nil if none was — the word's volatile cache content
+// while this is the current sub-execution. Bounded-window sweeps keep
+// it: the newest store per word is always pinned.
+func (e *SubExec) LastTo(addr memmodel.Addr) *Store {
+	sts := e.StoresTo(addr)
+	if len(sts) == 0 {
+		return nil
+	}
+	return sts[len(sts)-1]
+}
 
 // StoreByClock returns thread t's store with the given clock, or nil if
 // no such store was issued. It resolves interval endpoints back to the
 // stores that set them.
 func (e *SubExec) StoreByClock(t memmodel.ThreadID, c vclock.Clock) *Store {
-	sts := e.byThread[t]
-	if c < 1 || int(c) > len(sts) {
+	r := e.findRow(t)
+	if r == nil || c < 1 || int(c) > len(r.stores) {
 		return nil
 	}
-	return sts[c-1]
+	return r.stores[c-1]
 }
 
 // ThreadCV returns thread t's current clock vector.
-func (e *SubExec) ThreadCV(t memmodel.ThreadID) vclock.CV { return e.threadCV[t] }
+func (e *SubExec) ThreadCV(t memmodel.ThreadID) vclock.CV {
+	if r := e.findRow(t); r != nil {
+		return r.cv
+	}
+	return vclock.CV{}
+}
 
 // Trace is a recorded execution. It is not safe for concurrent use: the
 // simulated machine serializes all operations (simulated threads are
 // interleaved by the explorer, not by goroutines).
 type Trace struct {
-	subs        []*SubExec // active prefix of subPool
-	subPool     []*SubExec // every sub-execution ever created, reused by Reset
-	events      []*Event
-	initials    map[memmodel.Addr]*Store
+	subs    []*SubExec // active prefix of subPool
+	subPool []*SubExec // every sub-execution ever created, reused by Reset
+	events  []*Event
+	// initials indexes the synthetic initial stores per word (key
+	// addr>>3); initList holds them in creation order, so store IDs
+	// -1, -2, ... sit at positions 0, 1, ....
+	initials    Table[*Store]
+	initList    []*Store
 	nextStoreID int64
 
 	interner *Interner
@@ -233,10 +291,7 @@ type Trace struct {
 
 // New returns an empty trace with one (initial) sub-execution.
 func New() *Trace {
-	t := &Trace{
-		initials: make(map[memmodel.Addr]*Store),
-		interner: NewInterner(),
-	}
+	t := &Trace{interner: NewInterner()}
 	t.pushSubExec()
 	return t
 }
@@ -252,7 +307,9 @@ func (tr *Trace) Reset() {
 	}
 	tr.subs = tr.subPool[:0]
 	tr.events = tr.events[:0]
-	clear(tr.initials)
+	tr.initials.Reset()
+	clear(tr.initList)
+	tr.initList = tr.initList[:0]
 	tr.nextStoreID = 0
 	tr.stores.reset()
 	tr.evs.reset()
@@ -284,12 +341,7 @@ func (tr *Trace) pushSubExec() {
 		tr.subs = tr.subPool[:n+1]
 		return
 	}
-	tr.subPool = append(tr.subPool, &SubExec{
-		Index:    n,
-		byLoc:    make(map[memmodel.Addr][]*Store),
-		byThread: make(map[memmodel.ThreadID][]*Store),
-		threadCV: make(map[memmodel.ThreadID]vclock.CV),
-	})
+	tr.subPool = append(tr.subPool, &SubExec{Index: n})
 	tr.subs = tr.subPool
 }
 
@@ -313,16 +365,18 @@ func (tr *Trace) Events() []*Event { return tr.events }
 // sequence 0: they are TSO-before and happen-before everything.
 func (tr *Trace) Initial(addr memmodel.Addr) *Store {
 	addr = addr.Word()
-	if s, ok := tr.initials[addr]; ok {
-		return s
+	slot, ok := tr.initials.Slot(wordKey(addr))
+	if ok {
+		return *slot
 	}
 	s := tr.newStore()
-	s.ID = -int64(len(tr.initials)) - 1
+	s.ID = -int64(len(tr.initList)) - 1
 	s.Addr = addr
 	s.Thread = memmodel.NoThread
 	s.SubExec = 0
 	s.Initial = true
-	tr.initials[addr] = s
+	*slot = s
+	tr.initList = append(tr.initList, s)
 	return s
 }
 
@@ -340,8 +394,9 @@ func (tr *Trace) appendEvent(ev *Event) *Event {
 // number, and logs the event. The returned store is not yet committed.
 func (tr *Trace) StoreIssue(t memmodel.ThreadID, addr memmodel.Addr, v memmodel.Value, kind memmodel.OpKind, loc LocID) *Store {
 	cur := tr.Current()
-	cv := cur.threadCV[t].Inc(t)
-	cur.threadCV[t] = cv
+	r := cur.row(t)
+	cv := r.cv.Inc(t)
+	r.cv = cv
 	tr.nextStoreID++
 	st := tr.newStore()
 	st.ID = tr.nextStoreID
@@ -353,7 +408,7 @@ func (tr *Trace) StoreIssue(t memmodel.ThreadID, addr memmodel.Addr, v memmodel.
 	st.CV = cv
 	st.Kind = kind
 	st.Loc = loc
-	cur.byThread[t] = append(cur.byThread[t], st)
+	r.stores = append(r.stores, st)
 	ev := tr.newEvent()
 	ev.Kind = kind
 	ev.Thread = t
@@ -381,7 +436,11 @@ func (tr *Trace) StoreCommit(st *Store) {
 	cur.seq++
 	st.Seq = cur.seq
 	cur.Stores = append(cur.Stores, st)
-	cur.byLoc[st.Addr] = append(cur.byLoc[st.Addr], st)
+	list, ok := cur.byLoc.Slot(wordKey(st.Addr))
+	if !ok {
+		*list = (*list)[:0] // reuse a stale generation's backing array
+	}
+	*list = append(*list, st)
 }
 
 // Load applies the [LOAD] rule: it logs the read and, when the store read
@@ -392,8 +451,9 @@ func (tr *Trace) StoreCommit(st *Store) {
 // LOAD-PREV rule of the robustness checker.
 func (tr *Trace) Load(t memmodel.ThreadID, addr memmodel.Addr, rf *Store, kind memmodel.OpKind, loc LocID) *Event {
 	cur := tr.Current()
+	r := cur.row(t)
 	if rf != nil && !rf.Initial && rf.SubExec == cur.Index {
-		cur.threadCV[t] = cur.threadCV[t].Join(rf.CV)
+		r.cv = r.cv.Join(rf.CV)
 	}
 	var v memmodel.Value
 	if rf != nil {
@@ -406,7 +466,7 @@ func (tr *Trace) Load(t memmodel.ThreadID, addr memmodel.Addr, rf *Store, kind m
 	ev.Value = v
 	ev.RF = rf
 	ev.Loc = loc
-	ev.CV = cur.threadCV[t]
+	ev.CV = r.cv
 	return tr.appendEvent(ev)
 }
 
@@ -417,7 +477,7 @@ func (tr *Trace) Fence(t memmodel.ThreadID, kind memmodel.OpKind, addr memmodel.
 	ev.Thread = t
 	ev.Addr = addr
 	ev.Loc = loc
-	ev.CV = tr.Current().threadCV[t]
+	ev.CV = tr.Current().ThreadCV(t)
 	return tr.appendEvent(ev)
 }
 
@@ -458,7 +518,7 @@ func (tr *Trace) Mark() TraceMark {
 	return TraceMark{
 		subs:        len(tr.subs),
 		events:      len(tr.events),
-		initials:    len(tr.initials),
+		initials:    len(tr.initList),
 		nextStoreID: tr.nextStoreID,
 		stores:      tr.stores.mark(),
 		evs:         tr.evs.mark(),
@@ -483,13 +543,13 @@ func (tr *Trace) Rewind(m TraceMark) {
 	// since belongs to the discarded suffix.
 	tr.subs[m.subs-1].reset(m.subs - 1)
 	tr.events = tr.events[:m.events]
-	for a, s := range tr.initials {
-		// Initial stores are numbered -1, -2, ... in creation order, so
-		// the ones created after the mark are exactly those below
-		// -m.initials.
-		if s.ID < -int64(m.initials) {
-			delete(tr.initials, a)
-		}
+	// Initial stores created after the mark are exactly the tail of
+	// the creation-order list.
+	for len(tr.initList) > m.initials {
+		n := len(tr.initList) - 1
+		tr.initials.Delete(wordKey(tr.initList[n].Addr))
+		tr.initList[n] = nil
+		tr.initList = tr.initList[:n]
 	}
 	tr.nextStoreID = m.nextStoreID
 	tr.stores.rewind(m.stores)
@@ -549,12 +609,12 @@ func (tr *Trace) Next(st *Store, ecur int) []*Store {
 	start := st.SubExec + 1
 	if st.Initial {
 		// The initial store precedes all stores of sub-execution 0.
-		tr.firstPerThread(tr.subs[st.SubExec].byLoc[st.Addr], 0)
+		tr.firstPerThread(tr.subs[st.SubExec].StoresTo(st.Addr), 0)
 	} else {
-		tr.firstPerThread(tr.subs[st.SubExec].byLoc[st.Addr], st.Seq)
+		tr.firstPerThread(tr.subs[st.SubExec].StoresTo(st.Addr), st.Seq)
 	}
 	for i := start; i < ecur && i < len(tr.subs); i++ {
-		tr.firstPerThread(tr.subs[i].byLoc[st.Addr], 0)
+		tr.firstPerThread(tr.subs[i].StoresTo(st.Addr), 0)
 	}
 	return tr.nextOut
 }

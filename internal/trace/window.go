@@ -13,7 +13,8 @@
 // under clock-vector resolution:
 //
 //   - the persistency model's candidate sources (crash-image epochs that
-//     can still produce read candidates, the volatile memory map, store
+//     can still produce read candidates — among them the volatile
+//     cache, the newest store per word of the live epoch — and store
 //     buffers) — marked by the machine (persist.Retirable),
 //   - the checker's deferred checksum-region reads — marked through the
 //     extra-roots hook,
@@ -27,7 +28,7 @@
 // query — LoadCandidates epoch walks, Next/firstPerThread, StoreByClock,
 // SubEvents — returns exactly what it would have returned on the
 // unbounded trace. Structures whose *positions* are meaningful (the
-// event log, byThread clock indexing, epoch store lists) keep their
+// event log, per-thread clock indexing, epoch store lists) keep their
 // positions and take nil holes; structures that are scanned in order
 // with no positional meaning (byLoc, SubExec.Stores, SubExec.events)
 // are compacted. The per-list byLoc rule — keep a store if it is its
@@ -126,7 +127,7 @@ func (tr *Trace) MarkRetireRoot(st *Store) {
 // sweeps every index structure, unlinking records no root can reach.
 func (tr *Trace) FinishRetire() {
 	gen := tr.markGen
-	for _, s := range tr.initials {
+	for _, s := range tr.initList {
 		tr.MarkRetireRoot(s)
 	}
 	// The per-thread CV frontier resolves through StoreByClock exactly
@@ -136,8 +137,8 @@ func (tr *Trace) FinishRetire() {
 	// is what keeps this walk from ever resolving to an unlinked entry.
 	for _, sub := range tr.subs {
 		sub := sub
-		for _, cv := range sub.threadCV {
-			cv.ForEach(func(t memmodel.ThreadID, c vclock.Clock) {
+		for _, r := range sub.threads {
+			r.cv.ForEach(func(t memmodel.ThreadID, c vclock.Clock) {
 				if p := sub.StoreByClock(t, c); p != nil {
 					tr.MarkRetireRoot(p)
 				}
@@ -184,10 +185,11 @@ func (tr *Trace) FinishRetire() {
 		}
 		sub.events = evs
 
-		// byThread is positional (clock c lives at index c-1): unpinned
+		// Thread rows are positional (clock c lives at index c-1): unpinned
 		// entries become nil holes. The pin closure guarantees no future
 		// StoreByClock query lands on one.
-		for _, sts := range sub.byThread {
+		for _, r := range sub.threads {
+			sts := r.stores
 			work += len(sts)
 			for i, s := range sts {
 				if s != nil && s.mark != gen {
@@ -212,7 +214,8 @@ func (tr *Trace) FinishRetire() {
 
 		// byLoc feeds firstPerThread; see the package comment for why
 		// first-of-thread ∪ Seq ≥ oldest-pinned-Seq preserves its output.
-		for a, list := range sub.byLoc {
+		sub.byLoc.Each(func(_ uint64, lp *[]*Store) {
+			list := *lp
 			work += len(list)
 			minPinned := vclock.Seq(int64(^uint64(0) >> 1))
 			pinnedAny := false
@@ -240,8 +243,9 @@ func (tr *Trace) FinishRetire() {
 				}
 			}
 			tr.markScratch = seen[:0]
-			sub.byLoc[a] = out
-		}
+			clear(list[len(out):])
+			*lp = out
+		})
 	}
 	tr.lastSweepWork = work
 	tr.retirements++
