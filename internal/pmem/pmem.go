@@ -7,9 +7,8 @@
 //
 // A World couples one simulated machine with one checker and a read
 // policy. Simulated threads are either inline (the test driver scripts
-// the interleaving itself) or spawned (cooperative goroutines scheduled
-// one operation at a time, so executions stay serialized and
-// reproducible).
+// the interleaving itself) or spawned (coroutines scheduled one
+// operation at a time, so executions stay serialized and reproducible).
 //
 // Crash points follow the paper's §6.1: the exploration harness sets a
 // crash target k, and the world injects a crash immediately before the

@@ -5,8 +5,8 @@ import (
 )
 
 // refThread and refRunThreads are the channel scheduler spawned threads
-// ran under before the baton handoff, kept as the reference the baton
-// scheduler must match schedule for schedule. A dedicated scheduler
+// first ran under, kept as the reference the coroutine scheduler must
+// match schedule for schedule. A dedicated scheduler
 // goroutine grants one step at a time and waits for the thread to park
 // again, so every operation costs two channel round trips. Its drain
 // wakes a thread that never ran only once, which leaves that goroutine
