@@ -137,6 +137,33 @@ func TestParallelDeterminismModelCheck(t *testing.T) {
 	}
 }
 
+// TestCacheStatsWorkerIndependent: with a binding Executions cap, the
+// state-cache hit and miss counts are the same at one worker and at
+// four. Past the cap, whether a subtree classified depends on how far
+// its first execution ran under the conservative allowance, so only
+// subtrees that start inside the collected prefix may count. Each
+// parallel run repeats, since a leak shows only on some schedules.
+func TestCacheStatsWorkerIndependent(t *testing.T) {
+	forceProcs(t, 4)
+	for _, name := range []string{"FAST_FAIR", "PMDK", "Redis"} {
+		b := benchmarks.ByName(name)
+		opt := explore.Options{Mode: explore.ModelCheck, Executions: scaled(3000), Workers: 1}
+		serial := explore.Run(b.Build(bench.Buggy), opt)
+		if !serial.Partial {
+			t.Fatalf("%s: the cap should bind: %s", name, serial)
+		}
+		opt.Workers = 4
+		for rep := 0; rep < 3; rep++ {
+			par := explore.Run(b.Build(bench.Buggy), opt)
+			assertSameOutcome(t, name, serial, par)
+			if par.CacheHits != serial.CacheHits || par.CacheMisses != serial.CacheMisses {
+				t.Fatalf("%s run %d: cache %d/%d at 4 workers, %d/%d at 1", name, rep,
+					par.CacheHits, par.CacheMisses, serial.CacheHits, serial.CacheMisses)
+			}
+		}
+	}
+}
+
 // mergeKeys folds a result's violation keys into a set.
 func mergeKeys(into map[string]bool, res *explore.Result) {
 	for _, k := range res.ViolationKeys() {

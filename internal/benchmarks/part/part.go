@@ -433,25 +433,17 @@ func (a *art) recoverNode(th *pmem.Thread, node memmodel.Addr, depth int) {
 	}
 }
 
-// Build constructs the exploration program for a variant: constructor,
-// six inserts (forcing the N4→N16 grow), a GC pass, then recovery.
-func Build(v bench.Variant) explore.Program {
-	return build(v)
-}
-
-// workloadPhase is the pre-crash phase: constructor, six inserts
-// (forcing the N4→N16 grow), a GC pass, driver marker.
-func workloadPhase(a *art) func(*pmem.World) {
-	return func(w *pmem.World) {
-		th := w.Thread(0)
-		a.create(th)
-		for k := memmodel.Value(1); k <= 6; k++ {
-			a.insert(th, k, k*10)
-		}
-		a.collectGarbage(th)
-		th.Store(markerAddr, 6, "driver marker")
-		th.Persist(markerAddr, memmodel.WordSize, "persist driver marker")
+// workload is the pre-crash phase: constructor, six inserts (forcing
+// the N4→N16 grow), a GC pass, driver marker.
+func (a *art) workload(w *pmem.World) {
+	th := w.Thread(0)
+	a.create(th)
+	for k := memmodel.Value(1); k <= 6; k++ {
+		a.insert(th, k, k*10)
 	}
+	a.collectGarbage(th)
+	th.Store(markerAddr, 6, "driver marker")
+	th.Persist(markerAddr, memmodel.WordSize, "persist driver marker")
 }
 
 // template runs the workload once, crash-free, on a throwaway world to
@@ -459,27 +451,31 @@ func workloadPhase(a *art) func(*pmem.World) {
 // heap allocator is deterministic, so every execution allocates the
 // same addresses; recovery treats the mirrors as statically-known
 // restart-time layout even when the crash preempted the assignment.
+// The template is read-only once built: the pre-crash phase works on a
+// per-call copy, so it is the same in every execution and on every
+// worker, and recovery can be re-entered on a restored snapshot.
 func template(v bench.Variant) *art {
 	a := &art{v: v}
 	w := pmem.NewWorld(pmem.Config{CrashTarget: -1})
 	w.Checker.SetEnabled(false)
-	w.RunPhase(workloadPhase(a))
+	w.RunPhase(a.workload)
 	return a
 }
 
-func build(v bench.Variant) explore.Program {
+// Build constructs the exploration program for a variant: constructor,
+// six inserts (forcing the N4→N16 grow), a GC pass, then recovery.
+func Build(v bench.Variant) explore.Program {
 	tmpl := template(v)
-	return &explore.InstancedProgram{
+	return &explore.FuncProgram{
 		ProgName: "P-ART-" + v.String(),
-		New: func() []func(*pmem.World) {
-			a := &art{}
-			*a = *tmpl
-			return []func(*pmem.World){
-				workloadPhase(a),
-				func(w *pmem.World) {
-					a.recover(w.Thread(0))
-				},
-			}
+		PhaseFns: []func(*pmem.World){
+			func(w *pmem.World) {
+				a := *tmpl
+				a.workload(w)
+			},
+			func(w *pmem.World) {
+				tmpl.recover(w.Thread(0))
+			},
 		},
 	}
 }

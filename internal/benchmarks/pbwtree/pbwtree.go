@@ -228,19 +228,17 @@ func (t *bwTree) recover(th *pmem.Thread) {
 	}
 }
 
-// workloadPhase is the pre-crash phase: constructor, thread-local GC
-// setup, five inserts (forcing one GrowChunk), driver marker.
-func workloadPhase(t *bwTree) func(*pmem.World) {
-	return func(w *pmem.World) {
-		th := w.Thread(0)
-		t.create(th)
-		t.prepareThreadLocal(th)
-		for k := memmodel.Value(1); k <= 5; k++ {
-			t.insert(th, k, k*10)
-		}
-		th.Store(markerAddr, 5, "driver marker")
-		th.Persist(markerAddr, memmodel.WordSize, "persist driver marker")
+// workload is the pre-crash phase: constructor, thread-local GC setup,
+// five inserts (forcing one GrowChunk), driver marker.
+func (t *bwTree) workload(w *pmem.World) {
+	th := w.Thread(0)
+	t.create(th)
+	t.prepareThreadLocal(th)
+	for k := memmodel.Value(1); k <= 5; k++ {
+		t.insert(th, k, k*10)
 	}
+	th.Store(markerAddr, 5, "driver marker")
+	th.Persist(markerAddr, memmodel.WordSize, "persist driver marker")
 }
 
 // template runs the workload once, crash-free, on a throwaway world to
@@ -248,31 +246,31 @@ func workloadPhase(t *bwTree) func(*pmem.World) {
 // GC arena). The heap allocator is deterministic, so every execution
 // allocates the same addresses; recovery treats the mirrors as the
 // statically-known thread-local layout the original C++ restart code
-// has, even when the crash preempted the assignment.
+// has, even when the crash preempted the assignment. The template is
+// read-only once built: the pre-crash phase works on a per-call copy,
+// so it is the same in every execution and on every worker, and
+// recovery can be re-entered on a restored snapshot.
 func template(v bench.Variant) *bwTree {
 	t := &bwTree{v: v}
 	w := pmem.NewWorld(pmem.Config{CrashTarget: -1})
 	w.Checker.SetEnabled(false)
-	w.RunPhase(workloadPhase(t))
+	w.RunPhase(t.workload)
 	return t
 }
 
-// Build constructs the exploration program for a variant. Each
-// execution gets a fresh bwTree instance (pre-seeded from the template)
-// so concurrent executions never share the mirror fields.
+// Build constructs the exploration program for a variant.
 func Build(v bench.Variant) explore.Program {
 	tmpl := template(v)
-	return &explore.InstancedProgram{
+	return &explore.FuncProgram{
 		ProgName: "P-BwTree-" + v.String(),
-		New: func() []func(*pmem.World) {
-			t := &bwTree{}
-			*t = *tmpl
-			return []func(*pmem.World){
-				workloadPhase(t),
-				func(w *pmem.World) {
-					t.recover(w.Thread(0))
-				},
-			}
+		PhaseFns: []func(*pmem.World){
+			func(w *pmem.World) {
+				t := *tmpl
+				t.workload(w)
+			},
+			func(w *pmem.World) {
+				tmpl.recover(w.Thread(0))
+			},
 		},
 	}
 }

@@ -117,8 +117,15 @@ func (a *Assembler) Add(spec UnitSpec, ur *UnitResult) {
 func (a *Assembler) AddLost(spec UnitSpec) { a.endUnit(spec.MC, false, false) }
 
 // classify logs a model-check subtree's first-crash classification: the
-// state-cache registration (a miss) or hit it made.
+// state-cache registration (a miss) or hit it made. Only a subtree that
+// starts inside the collected prefix counts. Past a cut or the
+// Executions cap, whether a subtree classified at all depends on
+// scheduling: with several workers its first execution may have run
+// under the conservative allowance, and with one it never does.
 func (a *Assembler) classify(c UnitClassification) {
+	if a.cut || a.idx >= a.opt.Executions {
+		return
+	}
 	if c.Keyed {
 		a.cacheKeys = append(a.cacheKeys, c.Key)
 		a.misses++

@@ -40,6 +40,13 @@ import (
 // surviving persistent image. Phase functions must be deterministic
 // given the world (all nondeterminism flows through the world's random
 // source and read policy).
+//
+// Every phase is reentrant. The explorer calls Phases once per worker
+// and runs the returned closures for every execution on that worker,
+// including re-entering a later phase on a restored crash snapshot
+// without re-running the earlier ones. So cross-phase state must live
+// in the World, or be identical in every execution; state private to a
+// worker comes from returning fresh closures on each call.
 type Program interface {
 	// Name identifies the program in reports.
 	Name() string
@@ -49,9 +56,8 @@ type Program interface {
 
 // FuncProgram adapts plain functions to the Program interface.
 type FuncProgram struct {
-	ProgName  string
-	PhaseFns  []func(*pmem.World)
-	SetupNote string
+	ProgName string
+	PhaseFns []func(*pmem.World)
 }
 
 // Name implements Program.
@@ -60,54 +66,12 @@ func (p *FuncProgram) Name() string { return p.ProgName }
 // Phases implements Program.
 func (p *FuncProgram) Phases() []func(*pmem.World) { return p.PhaseFns }
 
-// InstancedProgram builds a fresh set of phase closures for every
-// execution. Ports whose phase functions mutate receiver state (pointer
-// mirrors filled in during the pre-crash phase) use it so concurrent
-// executions never share that state: the harness calls Phases once per
-// execution, and each call gets its own instance.
-type InstancedProgram struct {
-	ProgName string
-	// New returns a freshly instantiated phase slice. It must be safe
-	// to call from multiple goroutines and each returned slice must be
-	// independent of every other.
-	New func() []func(*pmem.World)
-}
-
-// Name implements Program.
-func (p *InstancedProgram) Name() string { return p.ProgName }
-
-// Phases implements Program.
-func (p *InstancedProgram) Phases() []func(*pmem.World) { return p.New() }
-
-// ReentrantPhases is an optional Program capability: a program reports
-// true when its phase functions derive all cross-phase state from the
-// World — no mutable receiver or captured state carried from one phase
-// into the next — so the explorer may re-enter a later phase on a
-// restored world snapshot without re-running the earlier ones.
+// ReentrantPhases was an optional Program capability that opted a
+// program into crash snapshots and DPOR.
 //
-// FuncProgram qualifies by construction: the parallel engine already
-// calls the same closures concurrently from many workers, so they
-// cannot carry mutable shared state. InstancedProgram exists precisely
-// for ports that mutate per-execution receiver state (pointer mirrors
-// filled in pre-crash) and reports false. Programs that do not
-// implement the interface are conservatively treated as non-reentrant.
+// Deprecated: ignored. Every Program is reentrant (see Program).
 type ReentrantPhases interface {
 	PhasesReentrant() bool
-}
-
-// PhasesReentrant implements ReentrantPhases: plain phase functions are
-// shared across concurrent workers and so must already be world-pure.
-func (p *FuncProgram) PhasesReentrant() bool { return true }
-
-// PhasesReentrant implements ReentrantPhases: instanced ports mutate
-// per-execution receiver state, so a later phase cannot be re-entered
-// without re-running the phases that populated it.
-func (p *InstancedProgram) PhasesReentrant() bool { return false }
-
-// phasesReentrant resolves the capability with the conservative default.
-func phasesReentrant(p Program) bool {
-	r, ok := p.(ReentrantPhases)
-	return ok && r.PhasesReentrant()
 }
 
 // Mode selects the exploration strategy.
@@ -157,9 +121,8 @@ type Options struct {
 	// snapshot taken at its deepest still-valid crash boundary.
 	// Results are bit-identical either way (the snapshot property test
 	// asserts it); the option exists for A/B timing and for debugging
-	// suspected restore bugs. Snapshots only apply to programs whose
-	// phases are reentrant (see ReentrantPhases) and never to
-	// FreshWorlds runs.
+	// suspected restore bugs. Snapshots never apply to FreshWorlds
+	// runs.
 	DisableSnapshots bool
 	// DisableDPOR turns off crash-state partial-order reduction
 	// (ModelCheck mode): a deeper crash (phase >= 1) whose complete
@@ -373,7 +336,8 @@ type Result struct {
 	// CacheHits and CacheMisses count post-crash state-cache lookups in
 	// ModelCheck mode: a hit is a crash point whose surviving
 	// persistent image was already explored, pruning its entire
-	// post-crash enumeration.
+	// post-crash enumeration. Only subtrees that start inside the
+	// collected prefix count, so both are identical at any worker count.
 	CacheHits, CacheMisses int
 	// SnapshotRestores counts executions the ModelCheck engine resumed
 	// from a crash-boundary world snapshot instead of replaying from the
@@ -892,8 +856,8 @@ func planRandom(p Program, opt *Options) *randomPlan {
 // workerState is one worker's reusable machinery in either mode: the
 // world (machine, trace, checker, heap, RNG — reset between executions
 // and, in model checking, across units), the controller its decisions
-// replay through, the resolved phase slice (model checking, reentrant
-// programs only), its unit's reported keys, and the worker's
+// replay through, the program's phase slice (Phases, resolved once per
+// worker), its unit's reported keys, and the worker's
 // observability identity (trace timeline tid and per-worker instrument
 // bundle; zero when off).
 type workerState struct {
@@ -907,8 +871,8 @@ type workerState struct {
 	wm       obs.WorkerMetrics
 }
 
-func newWorkerState(opt *Options, tid int) *workerState {
-	ws := &workerState{ctl: &controller{}, reported: map[string]bool{}, known: opt.known, tid: tid, tr: opt.tr, wm: obs.WorkerInstruments(opt.Obs.Reg(), tid)}
+func newWorkerState(p Program, opt *Options, tid int) *workerState {
+	ws := &workerState{ctl: &controller{}, phases: p.Phases(), reported: map[string]bool{}, known: opt.known, tid: tid, tr: opt.tr, wm: obs.WorkerInstruments(opt.Obs.Reg(), tid)}
 	ws.tr.NameThread(tid, "worker-"+strconv.Itoa(tid))
 	return ws
 }
@@ -970,7 +934,7 @@ func (pl *randomPlan) execute(ws *workerState, exec int) (UnitExec, time.Duratio
 		t := w.Rand().Intn(n + 1)
 		ctl.trail = append(ctl.trail, decision{val: t, domain: t + 1})
 	}
-	aborted, _, execErr := runPhasesMC(pl.p.Phases(), w, ctl, 0, nil, ws.tr, ws.tid)
+	aborted, _, execErr := runPhasesMC(ws.phases, w, ctl, 0, nil, ws.tr, ws.tid)
 	ex := execResult(w, aborted, execErr)
 	d := time.Since(start)
 	opt.countExec(false, &ex, d)
@@ -1022,7 +986,7 @@ func runRandom(p Program, opt *Options, st *stopper) *Result {
 	if opt.Workers > 1 {
 		runRandomParallel(plan, a, st)
 	} else {
-		ws := newWorkerState(opt, 1)
+		ws := newWorkerState(p, opt, 1)
 		ur := &UnitResult{}
 		for !a.cut && a.idx < opt.Executions {
 			*ur = UnitResult{Execs: ur.Execs[:0]}

@@ -85,7 +85,7 @@ func runRandomParallel(plan *randomPlan, a *Assembler, st *stopper) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			ws := newWorkerState(opt, id+1) // worker-lifetime reusable world + scratch
+			ws := newWorkerState(plan.p, opt, id+1) // worker-lifetime reusable world + scratch
 			metered := ws.wm.IdleNanos != nil
 			for {
 				var idleStart time.Time
@@ -349,11 +349,10 @@ type mcSubtree struct {
 // workers draining a canonically ordered queue of work units, with
 // busy units donating trail cuts to hungry workers.
 type mcEngine struct {
-	p         Program
-	opt       *Options
-	st        *stopper
-	numPre    int
-	reentrant bool
+	p      Program
+	opt    *Options
+	st     *stopper
+	numPre int
 
 	wg sync.WaitGroup
 	// reg is the campaign metrics registry (nil when observability is
@@ -400,12 +399,11 @@ type mcEngine struct {
 
 func newMCEngine(p Program, opt *Options, st *stopper) *mcEngine {
 	e := &mcEngine{
-		p:         p,
-		opt:       opt,
-		st:        st,
-		numPre:    len(p.Phases()) - 1,
-		reentrant: phasesReentrant(p),
-		reg:       opt.Obs.Reg(),
+		p:      p,
+		opt:    opt,
+		st:     st,
+		numPre: len(p.Phases()) - 1,
+		reg:    opt.Obs.Reg(),
 	}
 	e.cond = sync.NewCond(&e.mu)
 	if !opt.NoStateCache && e.numPre > 0 {
@@ -688,14 +686,8 @@ func (e *mcEngine) worker(id int) {
 	// restores the initial state exactly; the reuse property test
 	// asserts it); unit trails are swapped in and out of the controller
 	// its choosers close over.
-	ws := newWorkerState(e.opt, id+1)
+	ws := newWorkerState(e.p, e.opt, id+1)
 	metered := ws.wm.IdleNanos != nil
-	if e.reentrant {
-		// Reentrant phase slices are world-pure; resolve once. The
-		// non-reentrant (InstancedProgram) contract is one Phases call
-		// per execution, done per execution in runUnit.
-		ws.phases = e.p.Phases()
-	}
 	for {
 		var idleStart time.Time
 		if metered {
@@ -776,10 +768,10 @@ func (e *mcEngine) worker(id int) {
 //     which executions are pruned); such programs parallelize across
 //     subtrees only.
 //
-// Both require reentrant phases (ReentrantPhases): a snapshot resume
-// re-enters a later phase without re-running earlier ones, and DPOR's
+// Both rest on the Program contract: a snapshot resume re-enters a
+// later phase without re-running earlier ones, and DPOR's
 // equal-state-equal-continuation argument needs all cross-phase state
-// inside the World.
+// inside the World (or identical in every execution).
 func (e *mcEngine) runUnit(u *mcUnit, ws *workerState) {
 	sub := u.sub
 	clear(ws.reported)
@@ -797,9 +789,9 @@ func (e *mcEngine) runUnit(u *mcUnit, ws *workerState) {
 	if !first {
 		pChanged = len(ctl.trail) - 1
 	}
-	useSnaps := e.reentrant && !e.opt.DisableSnapshots && !e.opt.FreshWorlds
+	useSnaps := !e.opt.DisableSnapshots && !e.opt.FreshWorlds
 	var dporSeen map[dporKey]struct{}
-	if e.reentrant && !e.opt.DisableDPOR && e.numPre > 1 && !u.stolen {
+	if !e.opt.DisableDPOR && e.numPre > 1 && !u.stolen {
 		dporSeen = make(map[dporKey]struct{})
 		for _, k := range u.resumeDPOR {
 			dporSeen[dporKey{phase: k.Phase, image: k.Image, heap: k.Heap, ops: k.Ops, checker: k.Checker, trace: k.Trace}] = struct{}{}
@@ -915,15 +907,11 @@ func (e *mcEngine) runUnit(u *mcUnit, ws *workerState) {
 			ctl.pos = 0
 		}
 		installProbe(ws.w, e.opt, len(u.res.Execs))
-		ph := ws.phases
-		if ph == nil {
-			ph = e.p.Phases()
-		}
 		oc := onCrash
 		if !first && dporSeen == nil && !useSnaps {
 			oc = nil // no per-crash work left; keep the hot path bare
 		}
-		aborted, pruned, execErr := runPhasesMC(ph, ws.w, ctl, startPhase, oc, e.opt.tr, ws.tid)
+		aborted, pruned, execErr := runPhasesMC(ws.phases, ws.w, ctl, startPhase, oc, e.opt.tr, ws.tid)
 		var ex UnitExec
 		if !pruned {
 			ex = execResult(ws.w, aborted, execErr)

@@ -183,7 +183,7 @@ func RunUnit(p Program, opt Options, spec UnitSpec, hooks UnitHooks) (*UnitResul
 		return runMCUnit(p, &opt, st, spec, hooks), nil
 	}
 	ur := &UnitResult{}
-	planRandom(p, &opt).runRange(newWorkerState(&opt, 1), spec.Random.Lo, spec.Random.Hi, st, ur, hooks.OnExec)
+	planRandom(p, &opt).runRange(newWorkerState(p, &opt, 1), spec.Random.Lo, spec.Random.Hi, st, ur, hooks.OnExec)
 	return ur, nil
 }
 

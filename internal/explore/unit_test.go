@@ -237,3 +237,45 @@ func withTailRead(p Program) Program {
 		},
 	}
 }
+
+// TestAssemblerCountsCacheStatsInPrefix: a subtree's classification
+// counts toward CacheHits/CacheMisses only when the subtree starts
+// inside the collected prefix. One past the Executions cap, or after a
+// cut, may or may not have classified depending on scheduling, so it
+// must not move the counts.
+func TestAssemblerCountsCacheStatsInPrefix(t *testing.T) {
+	miss := UnitClassification{Keyed: true, InjectionFired: true}
+	hit := UnitClassification{Pruned: true, InjectionFired: true}
+	unit := func(c UnitClassification, execs int) *UnitResult {
+		return &UnitResult{Classified: true, Class: c, Execs: make([]UnitExec, execs), Done: true}
+	}
+	cases := []struct {
+		name                 string
+		units                []*UnitResult
+		lostAt               int // index of a unit fed to AddLost, -1: none
+		wantHits, wantMisses int
+	}{
+		{"under the cap", []*UnitResult{unit(miss, 1), unit(hit, 0), unit(miss, 1)}, -1, 1, 2},
+		// The third unit overshoots the cap of 3 and cuts; the fourth
+		// and fifth start past it.
+		{"truncated", []*UnitResult{unit(miss, 2), unit(hit, 0), unit(miss, 2), unit(miss, 1), unit(hit, 0)}, -1, 1, 2},
+		// The cap is reached exactly, without a cut.
+		{"cap reached", []*UnitResult{unit(miss, 3), unit(hit, 0), unit(miss, 1)}, -1, 0, 1},
+		{"lost unit", []*UnitResult{unit(miss, 1), nil, unit(hit, 0), unit(miss, 1)}, 1, 0, 1},
+	}
+	for _, c := range cases {
+		asm := NewAssembler("p", Options{Mode: ModelCheck, Executions: 3})
+		for v, ur := range c.units {
+			spec := UnitSpec{MC: &MCCheckpoint{Subtree: v}}
+			if v == c.lostAt {
+				asm.AddLost(spec)
+				continue
+			}
+			asm.Add(spec, ur)
+		}
+		res := asm.Finish("")
+		if res.CacheHits != c.wantHits || res.CacheMisses != c.wantMisses {
+			t.Errorf("%s: cache %d/%d, want %d/%d", c.name, res.CacheHits, res.CacheMisses, c.wantHits, c.wantMisses)
+		}
+	}
+}

@@ -141,14 +141,10 @@ func (p *Program) NameOf(a memmodel.Addr) string {
 	return ""
 }
 
-// PhasesReentrant implements explore.ReentrantPhases: every phase
-// closure builds fresh per-thread interpreter state (register files)
-// on entry, so all cross-phase state lives in the world and a later
-// phase can be re-entered on a restored snapshot.
-func (p *Program) PhasesReentrant() bool { return true }
-
 // Phases implements explore.Program: each phase spawns its threads under
-// the cooperative scheduler.
+// the cooperative scheduler. A phase builds fresh per-thread interpreter
+// state (register files) on entry, so all cross-phase state lives in
+// the world.
 func (p *Program) Phases() []func(*pmem.World) {
 	phases := make([]func(*pmem.World), len(p.src.Phases))
 	for i, ph := range p.src.Phases {

@@ -123,11 +123,13 @@ func TestSnapshotEquivalenceAcrossModels(t *testing.T) {
 	}
 }
 
-// TestSnapshotEquivalenceOnBenchmarks runs the same A/B on the real
-// benchmark ports at both worker counts the determinism suite pins.
+// TestSnapshotEquivalenceOnBenchmarks runs the same A/B on every
+// benchmark port and workload server at both worker counts the
+// determinism suite pins. Every port is reentrant, so every one must
+// actually resume from snapshots.
 func TestSnapshotEquivalenceOnBenchmarks(t *testing.T) {
 	execs := scaled(400)
-	for _, b := range benchmarks.All() {
+	for _, b := range registryAndServers() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			for _, workers := range []int{1, 8} {
@@ -136,6 +138,9 @@ func TestSnapshotEquivalenceOnBenchmarks(t *testing.T) {
 				opt.DisableSnapshots = true
 				off := explore.Run(b.Build(bench.Buggy), opt)
 				assertSameReducedOutcome(t, b.Name, on, off)
+				if on.SnapshotRestores == 0 {
+					t.Fatalf("%s at %d workers: no snapshot restores", b.Name, workers)
+				}
 			}
 		})
 	}
