@@ -393,18 +393,32 @@ func (c *Checker) Reset() {
 // checker's read hooks take.
 func (c *Checker) Intern(loc string) trace.LocID { return c.tr.Intern(loc) }
 
-// MarkRetireRoots pins the stores the checker still needs during a
-// bounded-window retirement (the pmem world passes it to the model's
-// Retire as the extra-roots hook). The checker's constraint rows key
-// crash intervals by (sub-execution, thread) and its violations freeze
-// store sites into StoreRefs at flag time, so the only live store
-// pointers it owns are the read-from stores of loads deferred inside
-// open checksum regions: those replay through OnRead at region end and
-// must survive until then.
+// MarkRetireRoots marks the stores the checker still references during
+// a bounded-window retirement (the pmem world passes it to the model's
+// Retire as the extra-roots hook). Violations freeze store sites into
+// StoreRefs at flag time, so the checker keeps two kinds of live store
+// pointers. The read-from stores of loads deferred inside open checksum
+// regions replay through OnRead at region end, so they are pinned: they
+// must stay indexed, since their clock vectors resolve through
+// StoreByClock. The constraint-row endpoints (intervals.Endpoint.Store)
+// are only read for their fields — diagnose and violationKeyFor take
+// their labels — so they are held: the sweep may unlink them, but must
+// not reuse their slots.
 func (c *Checker) MarkRetireRoots(mark func(*trace.Store)) {
 	for _, loads := range c.deferred {
 		for _, dl := range loads {
 			mark(dl.rf)
+		}
+	}
+	for _, row := range c.cons {
+		for i := range row {
+			iv := &row[i].iv
+			if s, ok := iv.Lo.Store.(*trace.Store); ok {
+				c.tr.HoldStore(s)
+			}
+			if s, ok := iv.Hi.Store.(*trace.Store); ok {
+				c.tr.HoldStore(s)
+			}
 		}
 	}
 }
@@ -592,9 +606,10 @@ func (c *Checker) updatesFor(rf *trace.Store) []update {
 	// rf's own thread that is rf itself. Initial stores have an empty
 	// clock vector, so they contribute no lower bounds.
 	if !rf.Initial {
-		rf.CV.ForEach(func(tau memmodel.ThreadID, clk vclock.Clock) {
+		for i, n := 0, rf.CV.Len(); i < n; i++ {
+			tau, clk := rf.CV.Comp(i)
 			if c.opt.NoHBClosure && tau != rf.Thread {
-				return // ablation: drop implication 4.3
+				continue // ablation: drop implication 4.3
 			}
 			c.ups = append(c.ups, update{
 				key:   consKey{e.Index, tau},
@@ -602,7 +617,7 @@ func (c *Checker) updatesFor(rf *trace.Store) []update {
 				clock: clk,
 				store: e.StoreByClock(tau, clk),
 			})
-		})
+		}
 	}
 	// Implication 4.2 extended across sub-executions (§4.4): the first
 	// store to the location per thread, TSO-after rf or in intervening
@@ -742,6 +757,7 @@ func locOf(s *trace.Store) trace.LocID {
 	if s == nil {
 		return trace.NoLoc
 	}
+	s.CheckLive()
 	return s.Loc
 }
 

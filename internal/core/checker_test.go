@@ -538,3 +538,90 @@ func TestSameLineStoresNeedNoFlush(t *testing.T) {
 		t.Fatalf("same-line TSO prefix must be robust: %v", vs)
 	}
 }
+
+// TestFrozenStoreRefSurvivesReset: the clock vectors a violation's
+// StoreRefs carry are copies, not views of trace records. They read the
+// same after the world is Reset and 100 more executions have reused
+// every store and event slot with other vectors.
+func TestFrozenStoreRefSurvivesReset(t *testing.T) {
+	h := newHarness(t)
+	// Figure 2 across two threads: thread 1 reads x=2 before storing
+	// y=2, so y=2's vector spans both threads. Post-crash, y=2 persisted
+	// while x=2 did not: read-too-new, with y=2 as the read-from store.
+	h.m.Store(0, addrX, 1, h.m.Intern("x=1"))
+	h.m.Store(0, addrX, 2, h.m.Intern("x=2"))
+	h.readValue(1, addrX, 2, false, "r=x")
+	h.m.Store(1, addrY, 2, h.m.Intern("y=2"))
+	h.m.Crash()
+	h.readValue(2, addrX, 1, false, "r1=x")
+	vs := h.readValue(2, addrY, 2, false, "r2=y")
+	if len(vs) != 1 {
+		t.Fatalf("want 1 violation, got %d", len(vs))
+	}
+	v := vs[0]
+	refs := []*StoreRef{v.ReadFrom, v.MissingFlush, v.Persisted}
+	for _, e := range []any{v.Interval.Lo.Store, v.Interval.Hi.Store} {
+		if r, ok := e.(*StoreRef); ok {
+			refs = append(refs, r)
+		}
+	}
+	want := make([]string, len(refs))
+	for i, r := range refs {
+		want[i] = r.CV.String()
+	}
+	if got := v.ReadFrom.CV.String(); got != "{t0:2 t1:1}" {
+		t.Fatalf("read-from store %v has CV %s, want {t0:2 t1:1}", v.ReadFrom, got)
+	}
+
+	for exec := 0; exec < 100; exec++ {
+		h.m.Reset()
+		h.c.Reset()
+		for i := 0; i < 24; i++ {
+			th := memmodel.ThreadID(i % 3)
+			a := memmodel.Addr(0x4000 + 8*(i%5))
+			h.m.Store(th, a, memmodel.Value(exec*100+i), h.m.Intern("other"))
+			h.m.DrainOne(th)
+			cands := h.m.LoadCandidates((th+1)%3, a)
+			h.m.Load((th+1)%3, a, cands[len(cands)-1], h.m.Intern("other-r"))
+		}
+	}
+	for i, r := range refs {
+		if got := r.CV.String(); got != want[i] {
+			t.Errorf("StoreRef %v: CV %s after reuse, want %s", r, got, want[i])
+		}
+	}
+}
+
+// TestMarkRetireRootsHoldsEndpoints: a constraint-row endpoint that no
+// root pins and no index keeps survives a windowed sweep with its
+// fields intact, because the checker's retirement hook holds it.
+// Without the hook the same sweep releases (and zeroes) it.
+func TestMarkRetireRootsHoldsEndpoints(t *testing.T) {
+	for _, hook := range []bool{true, false} {
+		tr := trace.New()
+		tr.SetWindow(1)
+		c := New(tr)
+		store := func(a memmodel.Addr, v memmodel.Value) *trace.Store {
+			s := tr.StoreIssue(0, a, v, memmodel.OpStore, tr.Intern("s"))
+			tr.StoreCommit(s)
+			return s
+		}
+		store(addrX, 1)
+		s2 := store(addrX, 2)
+		s3 := store(addrX, 3)
+		store(addrY, 4) // the thread's frontier pins this store only
+		tr.Crash()
+		// Reading x=2 bounds thread 0's crash point to [2, 3): the
+		// endpoints are s2 and s3, neither pinned nor kept by byLoc.
+		c.ObserveRead(1, addrX, s2, tr.Intern("r"))
+		tr.BeginRetire()
+		if hook {
+			c.MarkRetireRoots(tr.MarkRetireRoot)
+		}
+		tr.FinishRetire()
+		intact := s2.ID == 2 && s2.Value == 2 && s3.ID == 3 && s3.Value == 3
+		if intact != hook {
+			t.Errorf("hook %v: endpoints intact = %v (s2 %v, s3 %v)", hook, intact, s2, s3)
+		}
+	}
+}

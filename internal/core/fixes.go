@@ -34,6 +34,7 @@ func (c *Checker) computeFixes(v *Violation) []Fix {
 		if ev.Thread == memmodel.NoThread {
 			return
 		}
+		ev.Store.CheckLive()
 		i := 0
 		for i < len(ws) && ws[i].tau != ev.Thread {
 			i++

@@ -10,11 +10,11 @@ import (
 // TestDelayedCommitDrainLoopAllocs checks that store buffers are reused:
 // once warmed up, a delayed-commit execution that fills two threads'
 // buffers with stores and flushes and empties them by single drains and
-// fences allocates only its stores' clock vectors (vclock.Inc builds a
-// fresh immutable vector per store issue). The buffers themselves,
-// px86's pending flushes, the trace indexes and the crash image allocate
-// nothing. ptsosyn runs without clflushopt: its per-line flush markers
-// still live in a map that every reset clears.
+// fences allocates nothing: the buffers themselves, px86's pending
+// flushes, the trace indexes, the crash image and the stores' clock
+// vectors (inline in the trace records for two threads) are all reused.
+// ptsosyn runs without clflushopt: its per-line flush markers still live
+// in a map that every reset clears.
 func TestDelayedCommitDrainLoopAllocs(t *testing.T) {
 	for _, name := range []string{"px86", "ptsosyn"} {
 		flushOpts := name == "px86"
@@ -45,8 +45,8 @@ func TestDelayedCommitDrainLoopAllocs(t *testing.T) {
 			}
 		}
 		run()
-		if got := testing.AllocsPerRun(20, run); got != stores {
-			t.Errorf("%s: %v allocations per warmed-up execution, want %d (one clock vector per store)", name, got, stores)
+		if got := testing.AllocsPerRun(20, run); got != 0 {
+			t.Errorf("%s: %v allocations per warmed-up execution of %d stores, want 0", name, got, stores)
 		}
 	}
 }

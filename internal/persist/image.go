@@ -223,6 +223,7 @@ func (im *Image) AppendSealedCandidates(cands []Candidate, a memmodel.Addr) ([]C
 		// depends on — are preserved.
 		idxs := im.candIdxs[:0]
 		for i, s := range ep.stores {
+			s.CheckLive()
 			if s != nil && s.Addr == a {
 				idxs = append(idxs, i)
 			}

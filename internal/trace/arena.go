@@ -10,13 +10,24 @@ const arenaChunk = 256
 // while keeping the chunks. Pointers returned before a reset must not be
 // retained across it — the checker freezes any store it reports into a
 // violation for exactly this reason.
+//
+// A bounded-window trace also hands single records back before Reset:
+// the owner zeroes a record it releases and pushes it on free, and
+// alloc reuses free slots before bumping the cursor, so a windowed
+// execution's arenas stop growing at the window's live high-water mark.
 type arena[T any] struct {
 	chunks [][]T
-	ci     int // index of the chunk currently being filled
-	n      int // records used in chunk ci
+	ci     int  // index of the chunk currently being filled
+	n      int  // records used in chunk ci
+	free   []*T // released (zeroed) records, reused last-in first-out
 }
 
 func (a *arena[T]) alloc() *T {
+	if k := len(a.free); k > 0 {
+		p := a.free[k-1]
+		a.free = a.free[:k-1]
+		return p
+	}
 	if a.ci == len(a.chunks) {
 		a.chunks = append(a.chunks, make([]T, arenaChunk))
 	}
@@ -60,9 +71,13 @@ func (a *arena[T]) rewind(m arenaMark) {
 	a.ci, a.n = m.ci, m.n
 }
 
+// release returns p, which the caller has zeroed, to the free list.
+func (a *arena[T]) release(p *T) { a.free = append(a.free, p) }
+
 // reset zeroes the used prefix (so recycled records start out as if
-// freshly allocated) and rewinds the arena.
+// freshly allocated), empties the free list and rewinds the arena.
 func (a *arena[T]) reset() {
+	a.free = a.free[:0]
 	var zero T
 	for i := 0; i < a.ci; i++ {
 		c := a.chunks[i]

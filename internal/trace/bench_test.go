@@ -70,3 +70,86 @@ func BenchmarkTraceNext(b *testing.B) {
 		b.Fatal("Next found no later stores")
 	}
 }
+
+// appendWords is the word count of the trace-append layer workload.
+const appendWords = 64
+
+// appendOp runs operation i of the trace-append layer workload: thread
+// i%4 issues and commits a store to word i%64, then loads that word's
+// newest store (which joins another thread's clock vector into its
+// own). Under a window, every 64 operations retire with the newest
+// store per word as the only roots.
+func appendOp(tr *Trace, i int, loc LocID) {
+	t := memmodel.ThreadID(i % 4)
+	a := memmodel.Addr(0x100000 + 8*((i*7)%appendWords))
+	st := tr.StoreIssue(t, a, memmodel.Value(i), memmodel.OpStore, loc)
+	tr.StoreCommit(st)
+	r := memmodel.Addr(0x100000 + 8*((i*5)%appendWords))
+	if rf := tr.Current().LastTo(r); rf != nil {
+		tr.Load(memmodel.ThreadID((i+1)%4), r, rf, memmodel.OpLoad, loc)
+	}
+	if tr.WindowSize() > 0 && i%64 == 63 {
+		tr.BeginRetire()
+		sub := tr.Current()
+		for w := 0; w < appendWords; w++ {
+			tr.MarkRetireRoot(sub.LastTo(memmodel.Addr(0x100000 + 8*w)))
+		}
+		tr.FinishRetire()
+	}
+}
+
+// appendExecOps is the length of one execution of the append workload;
+// the trace is Reset between executions.
+const appendExecOps = 1 << 12
+
+// BenchmarkTraceAppend measures the trace-append layer: StoreIssue,
+// StoreCommit and Load (clock-vector Inc and Join included), with the
+// periodic retirement a 64-op window runs. Executions of 4096 ops are
+// separated by Reset, so both modes reuse their arenas; allocs/op is 0
+// in both once warmed up.
+func BenchmarkTraceAppend(b *testing.B) {
+	for _, window := range []int{0, 64} {
+		name := "unbounded"
+		if window > 0 {
+			name = fmt.Sprintf("window=%d", window)
+		}
+		b.Run(name, func(b *testing.B) {
+			tr := New()
+			tr.SetWindow(window)
+			loc := tr.Intern("bench")
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%appendExecOps == 0 {
+					tr.Reset()
+				}
+				appendOp(tr, i, loc)
+			}
+		})
+	}
+}
+
+// TestTraceAppendSteadyStateAllocs: once a trace has run one execution
+// of the append workload, further executions allocate nothing, with or
+// without a window — records come from the arenas (and, windowed, from
+// their free lists), clock vectors of four threads are inline, and
+// every index keeps its backing arrays across Reset.
+func TestTraceAppendSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation perturbs allocation counts")
+	}
+	for _, window := range []int{0, 64} {
+		tr := New()
+		tr.SetWindow(window)
+		loc := tr.Intern("bench")
+		exec := func() {
+			tr.Reset()
+			for i := 0; i < appendExecOps; i++ {
+				appendOp(tr, i, loc)
+			}
+		}
+		exec()
+		if n := testing.AllocsPerRun(5, exec); n != 0 {
+			t.Errorf("window %d: %v allocations per warmed-up %d-op execution, want 0", window, n, appendExecOps)
+		}
+	}
+}

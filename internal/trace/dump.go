@@ -26,6 +26,9 @@ func (tr *Trace) Dump(w io.Writer) {
 		if ev == nil {
 			continue
 		}
+		ev.CheckLive()
+		ev.Store.CheckLive()
+		ev.RF.CheckLive()
 		if ev.Kind == memmodel.OpCrash {
 			sub++
 			fmt.Fprintf(w, "--- crash C%d ---\n=== sub-execution e%d ===\n", sub, sub+1)

@@ -8,11 +8,14 @@
 // sequence numbers (tracking the TSO commit order), and the getexec/next
 // helpers used by the LOAD-PREV rule in Figure 10.
 //
-// Store and Event records are allocated from per-trace arenas and source
-// labels are interned to LocIDs, so a trace can be recycled across
-// executions with Reset in O(1) heap traffic. Pointers into a trace
-// (stores, events, Next results) are valid only until the next Reset;
-// consumers that outlive an execution must copy what they keep.
+// Store and Event records are allocated from per-trace arenas, clock
+// vectors live inline in the records, and source labels are interned to
+// LocIDs, so a trace can be recycled across executions with Reset in
+// O(1) heap traffic. Pointers into a trace (stores, events, Next
+// results) are valid only until the next Reset — and, under a
+// bounded window, only until the retirement sweep that releases the
+// record (window.go); consumers that outlive an execution must copy
+// what they keep.
 package trace
 
 import (
@@ -56,12 +59,18 @@ type Store struct {
 	// Initial marks the synthetic pre-execution store.
 	Initial bool
 
-	// mark is the retirement mark generation: the store is pinned by the
-	// current retirement exactly when mark equals the trace's markGen.
-	// Comparing a field beats any side table — the retirement sweep
-	// touches every index-structure entry once, so the per-entry test
-	// must be a load and a compare. Zero (never marked) sorts with "not
-	// pinned", which is correct: generation numbers start at 1.
+	// gen is the arena slot's generation: odd while the slot sits on
+	// the free list (released by a windowed sweep), even while it holds
+	// a live store. It fits the padding after Initial.
+	gen uint16
+	// mark is the retirement mark: the store is pinned by the current
+	// retirement exactly when mark equals the trace's markGen, and held
+	// (unlinked but still referenced, so its slot must not be reused)
+	// when it equals markGen+1. Comparing a field beats any side table —
+	// the retirement sweep touches every index-structure entry once, so
+	// the per-entry test must be a load and a compare. Zero (never
+	// marked) sorts with "neither", which is correct: generation numbers
+	// start at 2.
 	mark uint64
 }
 
@@ -116,6 +125,8 @@ type Event struct {
 	SubExec int
 	// Loc is the interned source label of the operation.
 	Loc LocID
+	// gen is the arena slot's generation; see Store.gen.
+	gen uint16
 	// CV is the executing thread's clock vector immediately after the
 	// event, used to compute fix windows (§5.2).
 	CV vclock.CV
@@ -144,9 +155,13 @@ type SubExec struct {
 // threadRow is one thread's state within a sub-execution.
 type threadRow struct {
 	t memmodel.ThreadID
-	// stores indexes every issued store of the thread; the store with
-	// clock c sits at index c-1 (clocks are dense per thread).
+	// stores indexes the thread's issued stores from clock base+1 on:
+	// the store with clock c sits at index c-base-1 (clocks are dense
+	// per thread). base is 0 until a windowed sweep trims the row's
+	// leading holes (stores it retired), which keeps a long execution's
+	// rows at their live span.
 	stores []*Store
+	base   vclock.Clock
 	// cv is the thread's entry in the CV map of Figure 3, reset at each
 	// crash.
 	cv vclock.CV
@@ -219,10 +234,12 @@ func (e *SubExec) LastTo(addr memmodel.Addr) *Store {
 // stores that set them.
 func (e *SubExec) StoreByClock(t memmodel.ThreadID, c vclock.Clock) *Store {
 	r := e.findRow(t)
-	if r == nil || c < 1 || int(c) > len(r.stores) {
+	if r == nil || c <= r.base || c > r.base+vclock.Clock(len(r.stores)) {
 		return nil
 	}
-	return r.stores[c-1]
+	s := r.stores[c-r.base-1]
+	s.CheckLive()
+	return s
 }
 
 // ThreadCV returns thread t's current clock vector.
@@ -258,10 +275,9 @@ type Trace struct {
 	// --- bounded-window (streaming) state; see window.go ---
 
 	// window is the retirement window in operations; 0 (the default)
-	// keeps the classic unbounded arena pipeline, byte-identical to a
-	// trace without windowing. When positive, Store and Event records
-	// are allocated from the GC heap instead of the arenas so the
-	// retirement sweep can actually release them.
+	// keeps the classic unbounded pipeline, byte-identical to a trace
+	// without windowing. When positive, retirement sweeps return
+	// released records to the arenas' free lists.
 	window int
 	// markGen is the current retirement mark generation (see Store.mark).
 	markGen uint64
@@ -281,6 +297,13 @@ type Trace struct {
 	retired       Stats
 	retiredStores int
 	retirements   int
+	// releasedStores counts stores whose slots went back to the free
+	// list; it trails retiredStores by the held stores in limbo.
+	releasedStores int
+	// limbo holds the stores sweeps unlinked from their thread rows but
+	// have not released: each sweep adds the ones it unlinks, then
+	// releases every one nothing holds (see FinishRetire).
+	limbo []*Store
 	// lastPinned counts the stores the current (or most recent) sweep's
 	// mark closure pinned; maxPinned is the execution-wide maximum.
 	lastPinned int
@@ -318,6 +341,9 @@ func (tr *Trace) Reset() {
 	tr.lastSweepWork = 0
 	tr.retired = Stats{}
 	tr.retiredStores = 0
+	tr.releasedStores = 0
+	clear(tr.limbo)
+	tr.limbo = tr.limbo[:0]
 	tr.retirements = 0
 	tr.lastPinned = 0
 	tr.maxPinned = 0
@@ -605,6 +631,7 @@ func (tr *Trace) GetExec(st *Store) *SubExec { return tr.subs[st.SubExec] }
 // The returned slice is a trace-owned scratch buffer, valid only until
 // the next Next call on the same trace.
 func (tr *Trace) Next(st *Store, ecur int) []*Store {
+	st.CheckLive()
 	tr.nextOut = tr.nextOut[:0]
 	start := st.SubExec + 1
 	if st.Initial {
@@ -625,6 +652,7 @@ func (tr *Trace) Next(st *Store, ecur int) []*Store {
 func (tr *Trace) firstPerThread(stores []*Store, after vclock.Seq) {
 	tr.nextSeen = tr.nextSeen[:0]
 	for _, s := range stores {
+		s.CheckLive()
 		if s.Seq <= after {
 			continue
 		}
@@ -646,7 +674,9 @@ func (tr *Trace) firstPerThread(stores []*Store, after vclock.Seq) {
 func (tr *Trace) SubEvents(e int) []*Event {
 	out := make([]*Event, 0, len(tr.subs[e].events))
 	for _, idx := range tr.subs[e].events {
-		out = append(out, tr.events[idx-tr.eventBase])
+		ev := tr.events[idx-tr.eventBase]
+		ev.CheckLive()
+		out = append(out, ev)
 	}
 	return out
 }
@@ -656,6 +686,8 @@ func (tr *Trace) SubEvents(e int) []*Event {
 // new violation.
 func (tr *Trace) EachSubEvent(e int, f func(*Event)) {
 	for _, idx := range tr.subs[e].events {
-		f(tr.events[idx-tr.eventBase])
+		ev := tr.events[idx-tr.eventBase]
+		ev.CheckLive()
+		f(ev)
 	}
 }

@@ -1,13 +1,16 @@
 // Bounded-window (streaming) traces: the retirement machinery that lets
 // an execution run millions of operations in bounded memory.
 //
-// The classic pipeline records the whole trace in per-trace arenas and
-// consumes it afterwards; nothing is ever released before Reset. Under a
-// window, records are GC-heap allocated instead, and every `window`
-// operations the machine runs a *retirement*: everything the remaining
-// computation can still observe is pinned, and every unpinned record is
-// unlinked from the trace's index structures so the garbage collector
-// can reclaim it.
+// Every Store and Event comes from the trace's arenas, in both modes.
+// The classic pipeline records the whole trace and consumes it
+// afterwards; nothing is released before Reset. Under a window, every
+// `window` operations the machine runs a *retirement*: everything the
+// remaining computation can still observe is pinned, every unpinned
+// record is unlinked from the trace's index structures, and the sweep
+// hands the slots of records nothing references any more back to the
+// arenas' free lists, where the next allocations reuse them. A windowed
+// execution's record memory therefore stops growing at its live
+// high-water mark and never passes through the garbage collector.
 //
 // What must stay reachable is exactly the closure of the live roots
 // under clock-vector resolution:
@@ -23,6 +26,17 @@
 //     resolves to: the checker's LOAD-PREV lower bounds call
 //     SubExec.StoreByClock on the components of a read-from store's CV,
 //     so a pinned store pins its CV closure (MarkRetireRoot).
+//
+// An unlinked store is not necessarily free. Pinned means "still
+// indexed": some future query can reach the store. Held means "still
+// referenced": an event the window retains points at it (Event.Store,
+// Event.RF), an unpinned byLoc entry the first-per-thread rule keeps,
+// or the checker (a constraint-row endpoint, marked through HoldStore).
+// A held store keeps its slot, waiting in limbo, until a sweep finds
+// nothing holding it; events are referenced by the log alone, so every
+// event below the window is released at once. Released slots carry an
+// odd generation stamp, and a build with the psanpoison tag makes
+// every read path panic on one (Store.CheckLive).
 //
 // The sweep then rewrites the index structures so that every future
 // query — LoadCandidates epoch walks, Next/firstPerThread, StoreByClock,
@@ -46,6 +60,7 @@
 package trace
 
 import (
+	"fmt"
 	"unsafe"
 
 	"repro/internal/memmodel"
@@ -59,9 +74,7 @@ const (
 )
 
 // SetWindow switches the trace into bounded-window mode (n > 0) or back
-// to the unbounded arena pipeline (n == 0). Call it on a fresh or Reset
-// trace only: mixing arena-allocated and heap-allocated records within
-// one execution would let the sweep unlink records the arena still owns.
+// to the unbounded pipeline (n == 0). Call it between executions.
 func (tr *Trace) SetWindow(n int) {
 	if n < 0 {
 		n = 0
@@ -72,30 +85,84 @@ func (tr *Trace) SetWindow(n int) {
 // WindowSize returns the configured retirement window (0: unbounded).
 func (tr *Trace) WindowSize() int { return tr.window }
 
-// newStore allocates one Store record: from the arena in unbounded mode
-// (recycled wholesale by Reset), from the GC heap under a window (so
-// retirement can release it individually).
+// newStore allocates one zeroed Store record from the arena: a released
+// slot if the free list has one (its generation turns even again), the
+// next fresh slot otherwise.
 func (tr *Trace) newStore() *Store {
-	if tr.window > 0 {
-		return &Store{}
-	}
-	return tr.stores.alloc()
+	s := tr.stores.alloc()
+	s.gen += s.gen & 1
+	return s
 }
 
 // newEvent allocates one Event record; see newStore.
 func (tr *Trace) newEvent() *Event {
-	if tr.window > 0 {
-		return &Event{}
-	}
-	return tr.evs.alloc()
+	ev := tr.evs.alloc()
+	ev.gen += ev.gen & 1
+	return ev
 }
 
-// BeginRetire opens a retirement: it advances the mark generation so
-// every store is initially unpinned. The machine then marks its roots
-// (MarkRetireRoot), and FinishRetire sweeps.
+// releaseStore zeroes s and returns its slot to the free list with an
+// odd generation.
+func (tr *Trace) releaseStore(s *Store) {
+	g := s.gen + 1
+	*s = Store{gen: g}
+	tr.stores.release(s)
+	tr.releasedStores++
+}
+
+// releaseEvent zeroes ev and returns its slot to the free list.
+func (tr *Trace) releaseEvent(ev *Event) {
+	g := ev.gen + 1
+	*ev = Event{gen: g}
+	tr.evs.release(ev)
+}
+
+// CheckLive panics if s is a released slot, in a build with the
+// psanpoison tag; in any other build it compiles to nothing. Read paths
+// that follow store pointers a sweep could have released call it: the
+// trace's own indexes, the crash image's candidate walk and the
+// checker's diagnosis.
+func (s *Store) CheckLive() {
+	if poisonChecks && s != nil && s.gen&1 != 0 {
+		panicReleased("store", s.gen)
+	}
+}
+
+// CheckLive is the released-slot check for events; see Store.CheckLive.
+func (ev *Event) CheckLive() {
+	if poisonChecks && ev != nil && ev.gen&1 != 0 {
+		panicReleased("event", ev.gen)
+	}
+}
+
+func panicReleased(kind string, gen uint16) {
+	panic(fmt.Sprintf("trace: read of a released %s slot (generation %d)", kind, gen))
+}
+
+// BeginRetire opens a retirement: it advances the mark generation (by
+// two: markGen pins, markGen+1 holds) so every store is initially
+// neither pinned nor held. The machine then marks its roots
+// (MarkRetireRoot) and the checker its held stores (HoldStore), and
+// FinishRetire sweeps.
 func (tr *Trace) BeginRetire() {
-	tr.markGen++
+	tr.markGen += 2
 	tr.lastPinned = 0
+}
+
+// HoldStore marks st held for the running retirement: the sweep may
+// unlink it from the index structures (unless it is also pinned), but
+// keeps its slot out of the free list, because the caller still
+// references it. Consumers that keep store pointers across operations
+// without needing them indexed — the checker's constraint-row
+// endpoints — hold them from the retirement's extra-roots hook.
+func (tr *Trace) HoldStore(st *Store) {
+	if st == nil {
+		return
+	}
+	st.CheckLive()
+	if st.mark != tr.markGen {
+		st.mark = tr.markGen + 1
+	}
 }
 
 // MarkRetireRoot pins st and, transitively, every store its clock
@@ -109,22 +176,24 @@ func (tr *Trace) MarkRetireRoot(st *Store) {
 	if st == nil || st.mark == tr.markGen {
 		return
 	}
+	st.CheckLive()
 	st.mark = tr.markGen
 	tr.lastPinned++
 	if st.Initial || st.CV.IsBottom() {
 		return
 	}
 	sub := tr.subs[st.SubExec]
-	st.CV.ForEach(func(t memmodel.ThreadID, c vclock.Clock) {
-		if p := sub.StoreByClock(t, c); p != nil {
+	for i, n := 0, st.CV.Len(); i < n; i++ {
+		if p := sub.StoreByClock(st.CV.Comp(i)); p != nil {
 			tr.MarkRetireRoot(p)
 		}
-	})
+	}
 }
 
 // FinishRetire pins the structural roots the trace itself owns (initial
 // stores and each sub-execution's thread clock-vector frontier), then
-// sweeps every index structure, unlinking records no root can reach.
+// sweeps every index structure, unlinking records no root can reach,
+// and releases the slots of unlinked records nothing holds.
 func (tr *Trace) FinishRetire() {
 	gen := tr.markGen
 	for _, s := range tr.initList {
@@ -136,13 +205,13 @@ func (tr *Trace) FinishRetire() {
 	// frontiers are frozen and were pinned by the previous sweep, which
 	// is what keeps this walk from ever resolving to an unlinked entry.
 	for _, sub := range tr.subs {
-		sub := sub
-		for _, r := range sub.threads {
-			r.cv.ForEach(func(t memmodel.ThreadID, c vclock.Clock) {
-				if p := sub.StoreByClock(t, c); p != nil {
+		for ri := range sub.threads {
+			cv := &sub.threads[ri].cv
+			for i, n := 0, cv.Len(); i < n; i++ {
+				if p := sub.StoreByClock(cv.Comp(i)); p != nil {
 					tr.MarkRetireRoot(p)
 				}
-			})
+			}
 		}
 	}
 
@@ -155,12 +224,14 @@ func (tr *Trace) FinishRetire() {
 	// Event log: keep the last window entries. Indices are logical —
 	// eventBase is the logical index of tr.events[0] — so the retired
 	// prefix is physically dropped, not just nil-holed, and the log's
-	// footprint stays at window entries.
+	// footprint stays at window entries. Only the log references an
+	// event, so a retired event's slot is free at once.
 	cutoff := tr.eventBase + len(tr.events) - tr.window
 	if cutoff > tr.eventFloor {
 		for i := tr.eventFloor - tr.eventBase; i < cutoff-tr.eventBase; i++ {
 			if ev := tr.events[i]; ev != nil {
 				tr.retired.countEvent(ev)
+				tr.releaseEvent(ev)
 			}
 		}
 		tr.eventFloor = cutoff
@@ -171,6 +242,10 @@ func (tr *Trace) FinishRetire() {
 		tr.events = tr.events[:n]
 		tr.eventBase = tr.eventFloor
 		work += n + drop
+	}
+	for _, ev := range tr.events {
+		tr.HoldStore(ev.Store)
+		tr.HoldStore(ev.RF)
 	}
 
 	for _, sub := range tr.subs {
@@ -185,17 +260,32 @@ func (tr *Trace) FinishRetire() {
 		}
 		sub.events = evs
 
-		// Thread rows are positional (clock c lives at index c-1): unpinned
-		// entries become nil holes. The pin closure guarantees no future
-		// StoreByClock query lands on one.
-		for _, r := range sub.threads {
+		// Thread rows are positional (clock c lives at index c-base-1):
+		// unpinned entries become nil holes, and the leading holes are
+		// trimmed into base. The pin closure guarantees no future
+		// StoreByClock query lands on a hole. Work counts the row's
+		// logical length, trimmed prefix included, so the cadence the
+		// machine derives from it does not depend on the trimming.
+		for i := range sub.threads {
+			r := &sub.threads[i]
 			sts := r.stores
-			work += len(sts)
+			work += int(r.base) + len(sts)
 			for i, s := range sts {
 				if s != nil && s.mark != gen {
 					sts[i] = nil
 					tr.retiredStores++
+					tr.limbo = append(tr.limbo, s)
 				}
+			}
+			lead := 0
+			for lead < len(sts) && sts[lead] == nil {
+				lead++
+			}
+			if lead > 0 {
+				n := copy(sts, sts[lead:])
+				clear(sts[n:])
+				r.stores = sts[:n]
+				r.base += vclock.Clock(lead)
 			}
 		}
 
@@ -214,6 +304,7 @@ func (tr *Trace) FinishRetire() {
 
 		// byLoc feeds firstPerThread; see the package comment for why
 		// first-of-thread ∪ Seq ≥ oldest-pinned-Seq preserves its output.
+		// A kept entry that is not pinned is held: Next still reads it.
 		sub.byLoc.Each(func(_ uint64, lp *[]*Store) {
 			list := *lp
 			work += len(list)
@@ -240,6 +331,7 @@ func (tr *Trace) FinishRetire() {
 				}
 				if first || (pinnedAny && s.Seq >= minPinned) {
 					out = append(out, s)
+					tr.HoldStore(s)
 				}
 			}
 			tr.markScratch = seen[:0]
@@ -247,6 +339,22 @@ func (tr *Trace) FinishRetire() {
 			*lp = out
 		})
 	}
+
+	// Release every unlinked store nothing holds — this sweep's and the
+	// ones earlier sweeps left in limbo; the held ones stay in limbo for
+	// the next sweep to re-check. An unlinked store is never pinned
+	// again (no root reaches it), so held is the only way to stay.
+	keep := tr.limbo[:0]
+	for _, s := range tr.limbo {
+		if s.mark == gen+1 {
+			keep = append(keep, s)
+		} else {
+			tr.releaseStore(s)
+		}
+	}
+	clear(tr.limbo[len(keep):])
+	tr.limbo = keep
+
 	tr.lastSweepWork = work
 	tr.retirements++
 	if tr.lastPinned > tr.maxPinned {
@@ -255,8 +363,9 @@ func (tr *Trace) FinishRetire() {
 }
 
 // LastSweepWork reports how many index entries the most recent sweep
-// walked — a deterministic proxy for the live-set size that the machine
-// folds into its retirement cadence.
+// walked, counting each thread row at its logical length (trimmed
+// prefix included) — a deterministic proxy for the live-set size that
+// the machine folds into its retirement cadence.
 func (tr *Trace) LastSweepWork() int { return tr.lastSweepWork }
 
 // RetireStats summarizes what windowed retirement has released so far
@@ -265,7 +374,9 @@ type RetireStats struct {
 	// Retirements is the number of completed sweeps.
 	Retirements int
 	// RetiredEvents and RetiredStores count unlinked records;
-	// ReleasedBytes estimates the record memory they gave back.
+	// ReleasedBytes is the record memory returned to the arenas' free
+	// lists for reuse: every retired event, and every retired store
+	// nothing held any more (a held store is released by a later sweep).
 	RetiredEvents, RetiredStores int
 	ReleasedBytes                int64
 	// RetainedEvents counts the live (non-hole) entries of the event
@@ -288,7 +399,7 @@ func (tr *Trace) Retired() RetireStats {
 		Retirements:    tr.retirements,
 		RetiredEvents:  tr.retired.Events,
 		RetiredStores:  tr.retiredStores,
-		ReleasedBytes:  int64(tr.retired.Events)*eventBytes + int64(tr.retiredStores)*storeBytes,
+		ReleasedBytes:  int64(tr.retired.Events)*eventBytes + int64(tr.releasedStores)*storeBytes,
 		RetainedEvents: tr.eventBase + len(tr.events) - tr.eventFloor,
 		PinnedRoots:    tr.lastPinned,
 		MaxPinnedRoots: tr.maxPinned,

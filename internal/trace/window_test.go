@@ -161,3 +161,113 @@ func TestUnboundedTraceNeverRetires(t *testing.T) {
 		t.Fatalf("unbounded Stats carries retirement suffix: %q", s.String())
 	}
 }
+
+// TestWindowHeldStoreSurvivesSweep: a store the sweep unlinks but
+// something still references — a retained event's RF, or a checker
+// endpoint marked with HoldStore — keeps its slot: its fields stay
+// intact and no allocation reuses it. Once nothing holds it, a later
+// sweep releases it to the free list and the slot is reused.
+func TestWindowHeldStoreSurvivesSweep(t *testing.T) {
+	for _, holder := range []string{"event", "endpoint"} {
+		t.Run(holder, func(t *testing.T) {
+			tr := New()
+			tr.SetWindow(8)
+			// Three stores by one thread to x: s1 stays in x's byLoc list
+			// as its thread's first entry, s3 is pinned as x's newest, and
+			// s2 is neither — only what holds it below keeps its slot.
+			issueCommit(tr, 0, 0x1000, 1, "s1")
+			s2 := issueCommit(tr, 0, 0x1000, 2, "s2")
+			tr.Load(1, 0x1000, s2, memmodel.OpLoad, tr.Intern("r=s2"))
+			s3 := issueCommit(tr, 0, 0x1000, 3, "s3")
+			// Thread 1 reads on past s2, so its clock-vector frontier no
+			// longer pins s2.
+			tr.Load(1, 0x1000, s3, memmodel.OpLoad, tr.Intern("r=s3"))
+			pad := 0
+			padStores := func(n int) {
+				for i := 0; i < n; i++ {
+					issueCommit(tr, 2, 0x2000, memmodel.Value(pad), "pad")
+					pad++
+				}
+			}
+			if holder == "endpoint" {
+				padStores(16) // pushes the load of s2 out of the window
+			}
+			sweep := func(hold bool) {
+				tr.BeginRetire()
+				if hold {
+					tr.HoldStore(s2)
+				}
+				tr.MarkRetireRoot(tr.Current().LastTo(0x1000))
+				tr.MarkRetireRoot(tr.Current().LastTo(0x2000))
+				tr.FinishRetire()
+			}
+			sweep(holder == "endpoint")
+			if got := tr.Current().StoreByClock(0, s2.Clock); got != nil {
+				t.Fatal("held but unpinned s2 is still indexed")
+			}
+			if s2.gen&1 != 0 || s2.Value != 2 || s2.Loc != tr.Intern("s2") {
+				t.Fatalf("held s2 was released: gen %d value %d", s2.gen, s2.Value)
+			}
+			for i := 0; i < 64; i++ {
+				if tr.StoreIssue(3, 0x3000, 0, memmodel.OpStore, 0) == s2 {
+					t.Fatal("allocation reused the held s2 slot")
+				}
+			}
+
+			// Nothing holds s2 any more: the endpoint is not re-marked and
+			// the load that read it has left the window.
+			padStores(16)
+			sweep(false)
+			if s2.gen&1 == 0 {
+				t.Fatal("s2 not released once nothing held it")
+			}
+			reused := false
+			for i := 0; i < 256 && !reused; i++ {
+				reused = tr.StoreIssue(3, 0x3000, 0, memmodel.OpStore, 0) == s2
+			}
+			if !reused {
+				t.Fatal("released s2 slot never reused")
+			}
+			if s2.gen&1 != 0 {
+				t.Fatal("reused slot kept the released generation")
+			}
+		})
+	}
+}
+
+// TestWindowRowsStayBounded: a windowed trace that issues 1M
+// overwriting stores to 64 words keeps every thread row at its live
+// span — sweeps trim the retired prefix into the row's clock base — and
+// StoreByClock still resolves the newest stores.
+func TestWindowRowsStayBounded(t *testing.T) {
+	tr := New()
+	tr.SetWindow(64)
+	loc := tr.Intern("s")
+	const n = 1 << 20
+	var last [4]*Store
+	for i := 0; i < n; i++ {
+		th := memmodel.ThreadID(i % 4)
+		st := tr.StoreIssue(th, memmodel.Addr(0x1000+8*(i%64)), memmodel.Value(i), memmodel.OpStore, loc)
+		tr.StoreCommit(st)
+		last[th] = st
+		if i%64 == 63 {
+			tr.BeginRetire()
+			sub := tr.Current()
+			for w := 0; w < 64; w++ {
+				tr.MarkRetireRoot(sub.LastTo(memmodel.Addr(0x1000 + 8*w)))
+			}
+			tr.FinishRetire()
+		}
+	}
+	sub := tr.Current()
+	for i := range sub.threads {
+		if r := &sub.threads[i]; cap(r.stores) > 1024 {
+			t.Errorf("thread %d row capacity %d after %d stores, want bounded", r.t, cap(r.stores), n)
+		}
+	}
+	for th, st := range last {
+		if got := sub.StoreByClock(memmodel.ThreadID(th), st.Clock); got != st {
+			t.Errorf("StoreByClock(%d, %d) = %v, want %v", th, st.Clock, got, st)
+		}
+	}
+}
