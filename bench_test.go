@@ -124,13 +124,12 @@ func BenchmarkExploreParallel(b *testing.B) {
 }
 
 // BenchmarkExploreModelCheckParallel measures model-check throughput
-// of the work-stealing scheduler on the CCEH and FAST_FAIR ports at
+// of the subtree-unit driver on the CCEH and FAST_FAIR ports at
 // 1/2/4/8 workers. Every width assembles the identical canonical
-// stream (see TestStealDeterminismModelCheck); only wall-clock
+// stream (see TestParallelDeterminismModelCheck); only wall-clock
 // changes, and only on multi-core hardware — on one core the wider
-// rows price the scheduler's overhead instead. The workers=1 row is the
-// never-stealing reference: a lone worker is never hungry, so it never
-// donates.
+// rows price the scheduling overhead instead. The workers=1 row runs
+// every unit on the calling goroutine.
 func BenchmarkExploreModelCheckParallel(b *testing.B) {
 	for _, name := range []string{"CCEH", "FAST_FAIR"} {
 		bm := benchmarks.ByName(name)

@@ -102,7 +102,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	memprofile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	metricsAddr := fs.String("metrics-addr", "", "serve campaign metrics over HTTP on this address (/metrics OpenMetrics text, /metrics.json JSON snapshot, /debug/vars expvar)")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace_event timeline to this file (plus <file>.jsonl) on exit; with -isolate the timeline merges every worker process's spans")
-	flightOut := fs.String("flight-out", "", "write the campaign flight record (JSONL ring of steals, redeliveries, quarantines, stop transitions) to this file on exit; recording is always on under -isolate and the ring is dumped to stderr on poison, quarantined executions, or SIGQUIT")
+	flightOut := fs.String("flight-out", "", "write the campaign flight record (JSONL ring of redeliveries, quarantines, stop transitions) to this file on exit; recording is always on under -isolate and the ring is dumped to stderr on poison, quarantined executions, or SIGQUIT")
 	progress := fs.Duration("progress", 0, "print live campaign progress to stderr at this interval (0: off)")
 	isolate := fs.Bool("isolate", false, "run work units in isolated psan-worker OS processes: a worker crash, hang, or kill loses one unit, not the campaign (results identical to in-process runs)")
 	lease := fs.Duration("lease", 10*time.Second, "with -isolate: heartbeat deadline per delivered unit; a silent worker is killed and its unit redelivered")

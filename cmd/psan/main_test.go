@@ -205,12 +205,12 @@ func buildWorker(t *testing.T) string {
 var elapsedRe = regexp.MustCompile(`, [^,]* total`)
 
 // normalize strips the nondeterministic parts of a run summary: elapsed
-// time and the scheduling-diagnostic lines (work stealing, redelivery
-// tallies) that the determinism contract explicitly excludes.
+// time and the scheduling-diagnostic line (redelivery tallies) that the
+// determinism contract explicitly excludes.
 func normalize(s string) string {
 	var keep []string
 	for _, line := range strings.Split(elapsedRe.ReplaceAllString(s, ""), "\n") {
-		if strings.HasPrefix(line, "work stealing:") || strings.HasPrefix(line, "process isolation:") {
+		if strings.HasPrefix(line, "process isolation:") {
 			continue
 		}
 		keep = append(keep, line)

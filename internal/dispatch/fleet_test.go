@@ -21,16 +21,13 @@ import (
 // fleet-exactness contract. The contract covers every counter the
 // exploration itself emits (explore.*, pmem.*, persist.*) and excludes
 // the few that record engine-instance artifacts rather than canonical
-// work: timing totals (_ns), snapshot reuse (an in-process engine can
-// share snapshots across subtrees where isolated units cannot), and
-// work stealing (scheduling, not exploration).
+// work: timing totals (_ns) and snapshot reuse (an in-process engine can
+// share snapshots across subtrees where isolated units cannot).
 func deterministicCounter(name string) bool {
 	switch {
 	case strings.HasSuffix(name, "_ns"):
 		return false
 	case name == "explore.snapshots_taken", name == "explore.snapshots_restored":
-		return false
-	case name == "explore.steals", name == "explore.steal_failures":
 		return false
 	}
 	return strings.HasPrefix(name, "explore.") ||

@@ -50,7 +50,6 @@ type wireOptions struct {
 	Window           int    `json:"window,omitempty"`
 	StoreBuffers     bool   `json:"storeBuffers,omitempty"`
 	NoSteering       bool   `json:"noSteering,omitempty"`
-	FreshWorlds      bool   `json:"freshWorlds,omitempty"`
 	DisableSnapshots bool   `json:"disableSnapshots,omitempty"`
 	DisableDPOR      bool   `json:"disableDPOR,omitempty"`
 	NoStateCache     bool   `json:"noStateCache,omitempty"`
@@ -70,7 +69,6 @@ func optionsToWire(opt explore.Options) wireOptions {
 		Window:           opt.Model.Window,
 		StoreBuffers:     opt.StoreBuffers,
 		NoSteering:       opt.NoSteering,
-		FreshWorlds:      opt.FreshWorlds,
 		DisableSnapshots: opt.DisableSnapshots,
 		DisableDPOR:      opt.DisableDPOR,
 		NoStateCache:     opt.NoStateCache,
@@ -89,7 +87,6 @@ func optionsFromWire(w wireOptions) explore.Options {
 		Model:            persist.Config{Name: w.Model, Window: w.Window},
 		StoreBuffers:     w.StoreBuffers,
 		NoSteering:       w.NoSteering,
-		FreshWorlds:      w.FreshWorlds,
 		DisableSnapshots: w.DisableSnapshots,
 		DisableDPOR:      w.DisableDPOR,
 		NoStateCache:     w.NoStateCache,

@@ -6,8 +6,8 @@
 // unit with uncollected work), counts the frontier, and writes the v3
 // checkpoint at the cut. Units are fed in canonical order — index order
 // for random mode (the in-process loop and pool batches, or the
-// dispatch supervisor's ranges), depth-first order for model checking
-// (the pool's unit-tree walk, or the supervisor's subtree units).
+// dispatch supervisor's ranges), subtree order for model checking (the
+// in-process unit chain, or the supervisor's subtree units).
 // Because the fold is a pure function of the unit streams, and each
 // unit's stream is deterministic in its spec, the assembled Result is
 // bit-identical at any worker count, under any kill schedule, and
@@ -89,8 +89,8 @@ func (a *Assembler) publish() {
 
 // isKnown reports whether violation key k has already been collected.
 // Workers consult it after their unit's own keys (workerState.isKnown).
-// Model checking folds only after the workers finish, so there only a
-// resumed checkpoint's keys are known while they run.
+// Both in-process modes fold as units finish, so a unit sees the keys
+// of every unit folded before it ran.
 func (a *Assembler) isKnown(k string) bool { return (*a.known.Load())[k] }
 
 // Collected returns the canonical cursor: how many executions have been

@@ -138,19 +138,14 @@ func TestPanicContainmentModelCheck(t *testing.T) {
 	}
 }
 
-// TestPanicContainmentStealModelCheck runs the containment harness over
-// a steal-heavy schedule. Fault injection normally suppresses demand
-// donations (a hungry peer would make the unit tree timing-dependent),
-// but ForceSteals donates deterministically by trail shape alone, so
-// quarantines inside stolen units must classify identically at any
-// worker count. Injection ordinals are unit-local, so the stolen
-// schedule is compared against itself across worker counts, not
-// against the never-stealing one.
+// TestPanicContainmentStealModelCheck runs the containment harness at
+// 4 and 16 workers against one. Injection ordinals are subtree-unit-
+// local, so quarantines must classify identically whichever worker
+// claims a unit and whenever it is folded.
 func TestPanicContainmentStealModelCheck(t *testing.T) {
 	run := func(workers int) *Result {
 		return Run(figure2(), Options{
 			Mode: ModelCheck, Executions: 10000, Workers: workers,
-			ForceSteals: true,
 			InjectFault: injectEvery(4, 2, 3),
 		})
 	}
@@ -160,9 +155,6 @@ func TestPanicContainmentStealModelCheck(t *testing.T) {
 	}
 	if a.Quarantined == 0 {
 		t.Fatalf("expected quarantined executions: %s", a)
-	}
-	if a.Steals == 0 {
-		t.Fatalf("forced donations never fired under injection: %s", a)
 	}
 	for _, ee := range a.ExecErrors {
 		if ee.Kind != "injected-fault" {
@@ -175,7 +167,7 @@ func TestPanicContainmentStealModelCheck(t *testing.T) {
 	for _, workers := range []int{4, 16} {
 		b := run(workers)
 		if a.Quarantined != b.Quarantined || a.Executions != b.Executions ||
-			a.Aborted != b.Aborted || a.Steals != b.Steals {
+			a.Aborted != b.Aborted {
 			t.Fatalf("workers=%d diverges: %s vs %s", workers, b, a)
 		}
 		if !reflect.DeepEqual(a.ViolationKeys(), b.ViolationKeys()) {
@@ -274,6 +266,8 @@ func TestCheckpointRoundtrip(t *testing.T) {
 
 // runToCompletion chains checkpoint resumes until the run completes,
 // returning the final cumulative result and the merged violation keys.
+// Every partial leg must report unexplored frontier, and the completing
+// leg a drained one.
 func runToCompletion(t *testing.T, p Program, opt Options) (*Result, []string) {
 	t.Helper()
 	merged := make(map[string]bool)
@@ -287,7 +281,13 @@ func runToCompletion(t *testing.T, p Program, opt Options) (*Result, []string) {
 			merged[k] = true
 		}
 		if !res.Partial {
+			if res.FrontierRemaining != 0 {
+				t.Fatalf("complete leg %d reports %d frontier units remaining", leg, res.FrontierRemaining)
+			}
 			break
+		}
+		if res.FrontierRemaining == 0 {
+			t.Fatalf("partial leg %d reports a drained frontier: %s", leg, res)
 		}
 		if res.Checkpoint == nil {
 			t.Fatalf("partial leg %d without a checkpoint: %s", leg, res)
@@ -319,22 +319,42 @@ func TestCancelResumeRandom(t *testing.T) {
 	}
 }
 
-// TestCancelResumeModelCheck does the same for the frontier-split DFS,
-// whose checkpoint must also replay the state cache.
+// TestCancelResumeModelCheck does the same for model checking, whose
+// checkpoint must also replay the state cache. Short deadlines land
+// cuts both inside a running unit and between units.
 func TestCancelResumeModelCheck(t *testing.T) {
-	full := Run(figure7(), Options{Mode: ModelCheck, Executions: 10000, Workers: 4})
-	res, merged := runToCompletion(t, figure7(), Options{
-		Mode: ModelCheck, Executions: 10000, Workers: 4,
-		Deadline: 500 * time.Microsecond,
-	})
-	if res.Executions != full.Executions || res.Aborted != full.Aborted {
-		t.Fatalf("cumulative counts diverge: %s vs %s", res, full)
-	}
-	if res.CacheHits != full.CacheHits || res.CacheMisses != full.CacheMisses {
-		t.Fatalf("cumulative cache stats diverge: %d/%d vs %d/%d",
-			res.CacheHits, res.CacheMisses, full.CacheHits, full.CacheMisses)
-	}
-	if !reflect.DeepEqual(merged, full.ViolationKeys()) {
-		t.Fatalf("merged keys %v != uninterrupted %v", merged, full.ViolationKeys())
+	checkResumeChain(t, 1)
+}
+
+// TestStealCheckpointResumeChain runs the resume chain with 4 workers
+// claiming subtree units, against the uninterrupted Workers=1 run, so a
+// cut can land while later units are already running. (The name dates
+// from the work-stealing scheduler.)
+func TestStealCheckpointResumeChain(t *testing.T) {
+	checkResumeChain(t, 4)
+}
+
+// checkResumeChain interrupts figure7's enumeration at workers width
+// under doubling deadlines from two starting points and chains resumes
+// to completion: the cumulative counts, cache stats and merged violation
+// set must equal the uninterrupted Workers=1 run.
+func checkResumeChain(t *testing.T, workers int) {
+	t.Helper()
+	full := Run(figure7(), Options{Mode: ModelCheck, Executions: 10000, Workers: 1})
+	for _, deadline := range []time.Duration{50 * time.Microsecond, 500 * time.Microsecond} {
+		res, merged := runToCompletion(t, figure7(), Options{
+			Mode: ModelCheck, Executions: 10000, Workers: workers,
+			Deadline: deadline,
+		})
+		if res.Executions != full.Executions || res.Aborted != full.Aborted {
+			t.Fatalf("workers=%d: cumulative counts diverge: %s vs %s", workers, res, full)
+		}
+		if res.CacheHits != full.CacheHits || res.CacheMisses != full.CacheMisses {
+			t.Fatalf("workers=%d: cumulative cache stats diverge: %d/%d vs %d/%d", workers,
+				res.CacheHits, res.CacheMisses, full.CacheHits, full.CacheMisses)
+		}
+		if !reflect.DeepEqual(merged, full.ViolationKeys()) {
+			t.Fatalf("workers=%d: merged keys %v != uninterrupted %v", workers, merged, full.ViolationKeys())
+		}
 	}
 }

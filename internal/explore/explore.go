@@ -103,12 +103,11 @@ type Options struct {
 	Seed int64
 	// Workers is the number of parallel exploration workers: 0 uses
 	// runtime.NumCPU(), 1 runs every execution on the calling goroutine
-	// in canonical order (and never steals). Any worker count produces
-	// bit-identical results: in Random mode each execution's seed is
-	// derived from its index alone (never a shared RNG), and in
-	// ModelCheck mode per-unit results are assembled in canonical
-	// depth-first order, so scheduling cannot leak into Violations,
-	// ExecutionsToAllBugs, or Aborted.
+	// in canonical order. Any worker count produces bit-identical
+	// results: in Random mode each execution's seed is derived from its
+	// index alone (never a shared RNG), and in ModelCheck mode each
+	// subtree unit is folded in canonical order, so scheduling cannot
+	// leak into Violations, ExecutionsToAllBugs, or Aborted.
 	Workers int
 	// NoStateCache disables the post-crash state cache (ModelCheck
 	// mode): crash points whose surviving persistent image is identical
@@ -121,8 +120,7 @@ type Options struct {
 	// snapshot taken at its deepest still-valid crash boundary.
 	// Results are bit-identical either way (the snapshot property test
 	// asserts it); the option exists for A/B timing and for debugging
-	// suspected restore bugs. Snapshots never apply to FreshWorlds
-	// runs.
+	// suspected restore bugs.
 	DisableSnapshots bool
 	// DisableDPOR turns off crash-state partial-order reduction
 	// (ModelCheck mode): a deeper crash (phase >= 1) whose complete
@@ -134,14 +132,6 @@ type Options struct {
 	// executions run); the violation key set is unaffected. See
 	// DESIGN.md, "Prefix snapshots and partial-order reduction".
 	DisableDPOR bool
-	// ForceSteals is a test hook: the model-check engine donates a work
-	// unit at every sub-DFS loop top where the trail has a donatable cut,
-	// whether or not any worker is hungry. Donation decisions then depend
-	// only on the decision trail — never on scheduler timing — so the
-	// resulting work-unit tree is identical at any worker count, which is
-	// what lets the determinism and chaos suites drive steal-heavy
-	// schedules reproducibly. Production runs leave it false.
-	ForceSteals bool
 	// Model selects and configures the persistency-model backend
 	// (persist.Config zero value: px86, immediate commit). It is the
 	// single model-config path — pmem.Config receives exactly this
@@ -168,26 +158,21 @@ type Options struct {
 	// concurrently and the indices are strictly increasing (1, 2, …),
 	// regardless of the order worker goroutines finish in.
 	Progress func(exec int)
-	// FreshWorlds builds a new World for every execution instead of
-	// resetting and reusing a per-worker one. Results are bit-identical
-	// either way (World.Reset restores the initial state exactly, and the
-	// reuse property test asserts it); the option exists for that test
-	// and for debugging suspected reuse bugs.
-	FreshWorlds bool
 	// AfterExecution, when non-nil, receives each execution's world
 	// after its phases complete, letting post-hoc analyses (the baseline
 	// checkers of §6.4) inspect the trace. It runs at the execution site,
-	// so setting it resolves Workers to 1 (and ForceSteals off): every
-	// execution then runs on the calling goroutine in canonical index
-	// order, and the hook sees exactly Executions − Quarantined worlds
-	// (quarantined and pruned executions hand over none). The world is
-	// only lent for the duration of the call — the engine resets and
-	// reuses it afterwards — so the hook must not retain or mutate it.
-	// The world's Checker.Violations() omits keys the campaign had
-	// already collected, or an earlier execution of the same work unit
-	// already reported, when the execution ran: those are recognized and
-	// skipped undiagnosed (core.Checker.SetKnown), so an empty list
-	// means "no new bug", not "no violation".
+	// so setting it resolves Workers to 1: every execution then runs on
+	// the calling goroutine in canonical index order (a panic in the hook
+	// reaches Run's caller), and the hook sees exactly Executions −
+	// Quarantined worlds (quarantined and pruned executions hand over
+	// none). The world is only lent for the duration of the call — the
+	// engine resets and reuses it afterwards — so the hook must not
+	// retain or mutate it. The world's Checker.Violations() omits keys
+	// the campaign had already collected (every earlier execution's, at
+	// one worker), or an earlier execution of the same work unit already
+	// reported, when the execution ran: those are recognized and skipped
+	// undiagnosed (core.Checker.SetKnown), so an empty list means "no new
+	// bug", not "no violation".
 	AfterExecution func(*pmem.World)
 
 	// --- failure containment ---
@@ -214,13 +199,9 @@ type Options struct {
 	// per execution, for a fault plan the engine then deliberately
 	// triggers from inside the execution (panics through the pmem/px86
 	// stack, slow steps). The argument is a deterministic schedule
-	// ordinal — the execution index in Random mode, the work-unit-local
-	// execution ordinal in ModelCheck mode — so injection is independent
-	// of worker count. Arming it disables demand-driven work stealing
-	// (donations would make unit-local ordinals depend on scheduler
-	// timing); combine it with ForceSteals to chaos-test steal-heavy
-	// schedules, whose trail-driven unit tree keeps ordinals
-	// deterministic. Production runs leave it nil.
+	// ordinal — the execution index in Random mode, the subtree-unit-
+	// local execution ordinal in ModelCheck mode — so injection is
+	// independent of worker count. Production runs leave it nil.
 	InjectFault func(ordinal int) Fault
 	// --- observability ---
 
@@ -244,6 +225,12 @@ type Options struct {
 	em obs.ExploreMetrics
 	tr *obs.Tracer
 	fr *obs.FlightRecorder
+	// freshWorlds builds a new World for every execution instead of
+	// resetting and reusing a per-worker one (and turns crash snapshots
+	// off). Results are bit-identical either way: it is the reference
+	// path the world-reuse tests compare against, set through the
+	// package's test seam.
+	freshWorlds bool
 	// known is the in-process Assembler's collected-key predicate, which
 	// every world's checker consults after its unit's own reported keys
 	// (workerState.isKnown); nil in RunUnit, whose stream is folded
@@ -344,11 +331,11 @@ type Result struct {
 	// program start. It is a throughput diagnostic: results are
 	// bit-identical with snapshots disabled.
 	SnapshotRestores int
-	// Steals counts work units the ModelCheck engine's work-stealing
-	// scheduler carved off busy workers' decision trails and handed to
-	// idle ones. Like SnapshotRestores it is a scheduling diagnostic —
-	// the assembled stream is bit-identical at any steal count — and is
-	// excluded from the determinism contract.
+	// Steals counted work units the model-check engine moved between
+	// workers.
+	//
+	// Deprecated: always 0. Model checking runs one unit per subtree,
+	// and a unit never moves once claimed.
 	Steals int
 	// DPORPruned counts deeper (phase >= 1) crash states the ModelCheck
 	// engine pruned by partial-order reduction: their complete post-crash
@@ -396,11 +383,10 @@ type Result struct {
 	// is still reported, so a SIGINT is never silently swallowed.
 	StopReason string
 	// FrontierRemaining counts known-unexplored work at the stop:
-	// executions not run in Random mode; in ModelCheck mode, DFS work
+	// executions not run in Random mode; in ModelCheck mode, subtree
 	// units with uncollected work — in-flight units the stop interrupted,
-	// stolen units still parked in the scheduler queue, and units whose
-	// finished work fell canonically after the cut (a resume re-derives
-	// it). It is exact even when a stop lands mid-steal.
+	// spawned units no worker claimed, and units whose finished work fell
+	// canonically after the cut (a resume re-derives it).
 	FrontierRemaining int
 	// Quarantined counts executions whose engine panic was contained
 	// (see ExecErrors); they contribute no violations.
@@ -566,9 +552,8 @@ func Run(p Program, opt Options) *Result {
 	}
 	if opt.AfterExecution != nil {
 		// The hook runs at the execution site, so executions must run one
-		// at a time in canonical order: one worker, no donated units.
+		// at a time in canonical order, on the calling goroutine.
 		opt.Workers = 1
-		opt.ForceSteals = false
 	} else if opt.Workers <= 0 {
 		opt.Workers = runtime.NumCPU()
 	}
@@ -584,7 +569,7 @@ func Run(p Program, opt Options) *Result {
 	opt.applyWindowConstraints()
 	st := newStopper(&opt)
 	if opt.Mode == ModelCheck {
-		return newMCEngine(p, &opt, st).run()
+		return runMC(p, &opt, st)
 	}
 	return runRandom(p, &opt, st)
 }
@@ -908,7 +893,7 @@ func (pl *randomPlan) execute(ws *workerState, exec int) (UnitExec, time.Duratio
 	start := time.Now()
 	opt.em.Started.Inc()
 	seed := opt.Seed + int64(exec)*2654435761
-	if ws.w != nil && !opt.FreshWorlds {
+	if ws.w != nil && !opt.freshWorlds {
 		ws.w.Reset(seed)
 	} else {
 		ws.w = pmem.NewWorld(pmem.Config{

@@ -58,6 +58,26 @@ func TestModelCheckParallelCapDeterministic(t *testing.T) {
 	}
 }
 
+// TestStealBudgetCapDeterminism pins the allowance rule where it binds
+// inside a subtree: with the Executions cap cutting figure7's
+// enumeration in half while later subtree units may already be running,
+// 4 and 16 workers truncate at exactly the same canonical prefix as one.
+// (The name dates from the work-stealing scheduler.)
+func TestStealBudgetCapDeterminism(t *testing.T) {
+	total := Run(figure7(), Options{Mode: ModelCheck, Executions: 10000, Workers: 1}).Executions
+	if total < 4 {
+		t.Fatalf("figure7 enumerates only %d executions, cap cannot bind", total)
+	}
+	cap := total / 2
+	serial := Run(figure7(), Options{Mode: ModelCheck, Executions: cap, Workers: 1})
+	if serial.Executions != cap {
+		t.Fatalf("serial ran %d executions under a cap of %d", serial.Executions, cap)
+	}
+	for _, workers := range []int{4, 16} {
+		sameOutcome(t, serial, Run(figure7(), Options{Mode: ModelCheck, Executions: cap, Workers: workers}))
+	}
+}
+
 // Progress must arrive serialized with strictly increasing 1-based
 // indices, regardless of worker count or mode.
 func TestProgressSerializedMonotone(t *testing.T) {
@@ -102,6 +122,28 @@ func TestAfterExecutionOrderedUnderParallelism(t *testing.T) {
 	})
 	if count != res.Executions {
 		t.Fatalf("AfterExecution ran %d times for %d executions", count, res.Executions)
+	}
+}
+
+// TestAfterExecutionPanicReachesCaller: the hook runs on the calling
+// goroutine in both modes, so a panic in it unwinds through Run to a
+// caller that can recover it, instead of killing the process from a
+// worker goroutine.
+func TestAfterExecutionPanicReachesCaller(t *testing.T) {
+	type hookPanic struct{}
+	for _, mode := range []Mode{Random, ModelCheck} {
+		t.Run(mode.String(), func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != (hookPanic{}) {
+					t.Fatalf("recovered %v, want the hook's panic", r)
+				}
+			}()
+			Run(figure2(), Options{
+				Mode: mode, Executions: 50, Seed: 1, Workers: 4,
+				AfterExecution: func(*pmem.World) { panic(hookPanic{}) },
+			})
+			t.Fatal("Run returned after its hook panicked")
+		})
 	}
 }
 

@@ -35,15 +35,8 @@
 // and with it every count in Result — is identical for any worker
 // count. Deeper crashes (programs with three or more phases) are not
 // cached: their keys would also need the checker's constraint state and
-// the pending crash-target choices of unreached phases.
-//
-// The cache is sharded: keys are striped over cacheShards independently
-// locked segments by the low bits of the image hash, so concurrent
-// workers probing different images never serialize on one mutex. The
-// hit/miss verdict for a given key is decided entirely inside its
-// shard, so sharding cannot change any verdict — only which lock a
-// probe takes. Hit/miss totals are tallied from the subtrees'
-// classifications (Assembler.classify).
+// the pending crash-target choices of unreached phases. Hit/miss totals
+// are tallied from the subtrees' classifications (Assembler.classify).
 //
 // Known approximation: the op-budget counter is not part of the key, so
 // a continuation that aborts on its budget could be deduplicated
@@ -54,16 +47,10 @@ package explore
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/pmem"
 )
-
-// cacheShards is the stripe count. Shard selection uses the low bits of
-// the image hash (PersistFingerprint output is well-mixed), so the
-// count must stay a power of two.
-const cacheShards = 16
 
 // cacheKey identifies a surviving persistent image.
 type cacheKey struct {
@@ -71,18 +58,16 @@ type cacheKey struct {
 	heap  int    // pmem.Heap.Used
 }
 
-// shard returns the stripe index the key lives in.
-func (k cacheKey) shard() int {
-	return int(k.image & (cacheShards - 1))
-}
-
 // stateKey computes the cache key of a just-crashed world.
 func stateKey(w *pmem.World) cacheKey {
 	return cacheKey{image: w.M.PersistFingerprint(), heap: w.Heap.Used()}
 }
 
-// cacheShard is one independently locked stripe of the cache.
-type cacheShard struct {
+// stateCache records explored crash images. The spawn chain already
+// serializes every lookupOrRegister and prime call (a subtree
+// classifies before its successor exists), so one mutex is never
+// contended; it keeps the structure safe under any call pattern.
+type stateCache struct {
 	mu   sync.Mutex
 	seen map[cacheKey]struct{}
 	// images tracks distinct persistence fingerprints to split misses by
@@ -90,55 +75,38 @@ type cacheShard struct {
 	// allocated when metrics are live, so the disabled path stays
 	// byte-identical to a build with observability off.
 	images map[uint64]struct{}
-}
-
-// stateCache records explored crash images, striped over cacheShards
-// segments keyed by image fingerprint. The spawn chain already
-// serializes classification lookups, but the per-shard mutexes keep the
-// structure safe — and uncontended — under any call pattern.
-type stateCache struct {
-	shards  [cacheShards]cacheShard
-	entries atomic.Int64 // total keys across shards (Entries gauge)
-	met     obs.CacheMetrics
+	met    obs.CacheMetrics
 }
 
 func newStateCache(met obs.CacheMetrics) *stateCache {
-	c := &stateCache{met: met}
-	// Shard maps are allocated lazily on first touch, so a run that only
-	// probes a few images pays for the shards it uses.
+	c := &stateCache{seen: make(map[cacheKey]struct{}), met: met}
+	if met.Probes != nil {
+		c.images = make(map[uint64]struct{})
+	}
 	return c
 }
 
 // lookupOrRegister reports whether the key was already explored,
-// registering it if not. The verdict is decided entirely inside the
-// key's shard.
+// registering it if not.
 func (c *stateCache) lookupOrRegister(k cacheKey) (hit bool) {
-	s := &c.shards[k.shard()]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c.met.ShardProbes.Inc()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.met.Probes.Inc()
-	if s.seen == nil {
-		s.seen = make(map[cacheKey]struct{})
-	}
-	if _, ok := s.seen[k]; ok {
+	if _, ok := c.seen[k]; ok {
 		c.met.Hits.Inc()
 		return true
 	}
-	s.seen[k] = struct{}{}
+	c.seen[k] = struct{}{}
 	c.met.Misses.Inc()
-	if c.met.Probes != nil {
-		if s.images == nil {
-			s.images = make(map[uint64]struct{})
-		}
-		if _, ok := s.images[k.image]; ok {
+	if c.images != nil {
+		if _, ok := c.images[k.image]; ok {
 			c.met.MissNewHeap.Inc()
 		} else {
-			s.images[k.image] = struct{}{}
+			c.images[k.image] = struct{}{}
 			c.met.MissNewImage.Inc()
 		}
 	}
-	c.met.Entries.Set(c.entries.Add(1))
+	c.met.Entries.Set(int64(len(c.seen)))
 	return false
 }
 
@@ -146,23 +114,13 @@ func (c *stateCache) lookupOrRegister(k cacheKey) (hit bool) {
 // resume replays the pre-cut registrations so post-cut lookups see
 // exactly the cache an uninterrupted run would have had.
 func (c *stateCache) prime(k cacheKey) {
-	s := &c.shards[k.shard()]
-	s.mu.Lock()
-	c.met.ShardProbes.Inc()
-	if s.seen == nil {
-		s.seen = make(map[cacheKey]struct{})
-	}
-	if _, ok := s.seen[k]; !ok {
-		s.seen[k] = struct{}{}
-		c.met.Entries.Set(c.entries.Add(1))
-	}
-	if c.met.Probes != nil {
-		if s.images == nil {
-			s.images = make(map[uint64]struct{})
-		}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.seen[k] = struct{}{}
+	c.met.Entries.Set(int64(len(c.seen)))
+	if c.images != nil {
 		// Replay the fingerprint too, so post-resume misses classify
 		// against the same image set an uninterrupted run would have.
-		s.images[k.image] = struct{}{}
+		c.images[k.image] = struct{}{}
 	}
-	s.mu.Unlock()
 }

@@ -7,16 +7,17 @@
 // MCCheckpoint for model-check units; a random unit is just an index
 // range), so the supervisor↔worker wire protocol and the on-disk resume
 // format are one format. Determinism is inherited wholesale: a
-// model-check unit is exactly the engine's own resume path restricted
-// to a single subtree (same trail replay, same primed state cache, same
-// DPOR registrations), and a random unit's executions depend only on
-// their indices. The supervisor folds unit streams through the same
-// Assembler as an in-process run, so the result is bit-identical at any
-// worker count and under any kill schedule.
+// model-check unit runs through the same subtree runner as an
+// in-process run (same trail replay, same primed state cache, same DPOR
+// registrations), and a random unit's executions depend only on their
+// indices. The supervisor folds unit streams through the same Assembler
+// as an in-process run, so the result is bit-identical at any worker
+// count and under any kill schedule.
 package explore
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -160,17 +161,15 @@ func (p *PoisonUnit) String() string {
 // process and the supervisor's degraded in-process fallback, which is
 // what makes the two modes bit-identical.
 //
-// Options are interpreted as in Run, except: Workers is forced to 1,
-// stealing is off (a unit never donates — the supervisor owns the unit
-// tree), and Executions is superseded by spec.Budget for model-check
-// units and by the range for random ones. A Context/Deadline stop
-// parks the unit with Done false.
+// Options are interpreted as in Run, except: the unit runs on the
+// calling goroutine, and Executions is superseded by spec.Budget for
+// model-check units and by the range for random ones. A
+// Context/Deadline stop parks the unit with Done false.
 func RunUnit(p Program, opt Options, spec UnitSpec, hooks UnitHooks) (*UnitResult, error) {
 	if (spec.Random == nil) == (spec.MC == nil) {
 		return nil, fmt.Errorf("unit spec must set exactly one of random and mc")
 	}
 	opt.Workers = 1
-	opt.ForceSteals = false
 	opt.applyWindowConstraints()
 	opt.em = obs.ExploreInstruments(opt.Obs.Reg())
 	opt.tr = opt.Obs.Trace()
@@ -179,42 +178,27 @@ func RunUnit(p Program, opt Options, spec UnitSpec, hooks UnitHooks) (*UnitResul
 		opt.Model.Obs = opt.Obs
 	}
 	st := newStopper(&opt)
-	if spec.MC != nil {
-		return runMCUnit(p, &opt, st, spec, hooks), nil
+	if spec.MC == nil {
+		ur := &UnitResult{}
+		planRandom(p, &opt).runRange(newWorkerState(p, &opt, 1), spec.Random.Lo, spec.Random.Hi, st, ur, hooks.OnExec)
+		return ur, nil
 	}
-	ur := &UnitResult{}
-	planRandom(p, &opt).runRange(newWorkerState(p, &opt, 1), spec.Random.Lo, spec.Random.Hi, st, ur, hooks.OnExec)
-	return ur, nil
-}
-
-// runMCUnit runs one subtree through the pool engine in solo mode: the
-// engine's resume machinery primes the cache and restores the trail
-// exactly as an in-process resume would, spawnRoot is suppressed (the
-// supervisor owns successors), and the sub-DFS runs on the calling
-// goroutine.
-func runMCUnit(p Program, opt *Options, st *stopper, spec UnitSpec, hooks UnitHooks) *UnitResult {
-	// Synthesize the resume checkpoint the engine's constructor already
-	// knows how to consume. Collected stays 0: unit-local execution
-	// ordinals are the currency; the supervisor assigns global indices.
-	opt.Resume = &Checkpoint{
-		Version: checkpointVersion,
-		Mode:    ModelCheck.String(),
-		MC:      spec.MC,
+	// A one-unit chain on the calling goroutine: the supervisor, not
+	// this engine, spawns the successor subtree from the classification
+	// hook, and folds the stream.
+	limit := spec.Budget
+	if limit <= 0 {
+		limit = math.MaxInt
 	}
-	e := newMCEngine(p, opt, st)
-	e.solo = true
-	e.soloBudget = spec.Budget
+	e := newMCEngine(p, &opt, st, limit)
 	e.onExec = hooks.OnExec
-	e.onClassify = hooks.OnClassify
-	e.start()
-	e.wg.Add(1)
-	e.worker(0)
-
-	sub := e.subs[spec.MC.Subtree]
-	ur := &sub.rootUnit.res
-	if !spec.MC.Started {
-		ur.Classified = true
-		ur.Class = sub.class
+	e.classified = func(u *mcUnit) {
+		if hooks.OnClassify != nil {
+			hooks.OnClassify(u.res.Class)
+		}
 	}
-	return ur
+	u := e.seed(spec.MC)
+	e.worker(0)
+	u.res.Classified = !u.resumed
+	return &u.res, nil
 }

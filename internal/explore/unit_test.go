@@ -102,7 +102,7 @@ func TestUnitDriveMCEquivalence(t *testing.T) {
 }
 
 // TestUnitDriveMCBudget: dispatch-style per-unit budgets truncate at
-// the cap exactly like the engine's allowance + unit-tree walk.
+// the cap exactly like the engine's allowance and in-order fold.
 func TestUnitDriveMCBudget(t *testing.T) {
 	full := Run(figure2(), Options{Mode: ModelCheck, Executions: 10000, Workers: 1})
 	cap := full.Executions / 2
@@ -172,14 +172,18 @@ func TestUnitSpecValidation(t *testing.T) {
 // TestUnitDiagnosesEachKeyOnce: within one work unit a violation key is
 // diagnosed by exactly one execution, the first to reach it; later
 // executions of the unit recognize it as already reported and skip it.
+// The "run-mc" case is the campaign-wide form: Run folds each subtree
+// unit as soon as it and every earlier one are done, so a key one
+// subtree diagnosed is known to every later subtree.
 func TestUnitDiagnosesEachKeyOnce(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opt  Options
-		spec UnitSpec
+		spec *UnitSpec // nil: the whole campaign through Run
 	}{
-		{"random", Options{Mode: Random, Seed: 1}, UnitSpec{Random: &RandomRange{Lo: 0, Hi: 200}}},
-		{"mc", Options{Mode: ModelCheck}, UnitSpec{MC: &MCCheckpoint{Subtree: 0}}},
+		{"random", Options{Mode: Random, Seed: 1}, &UnitSpec{Random: &RandomRange{Lo: 0, Hi: 200}}},
+		{"mc", Options{Mode: ModelCheck}, &UnitSpec{MC: &MCCheckpoint{Subtree: 0}}},
+		{"run-mc", Options{Mode: ModelCheck, Workers: 1}, nil},
 	} {
 		// The trailing read re-runs figure2's violating reads once per
 		// candidate it can read, so model checking meets them again.
@@ -191,21 +195,25 @@ func TestUnitDiagnosesEachKeyOnce(t *testing.T) {
 					reported[v.Key()]++
 				}
 			}
-			ur, err := RunUnit(p, tc.opt, tc.spec, UnitHooks{})
-			if err != nil {
-				t.Fatal(err)
-			}
 			var keys []string
-			for _, ex := range ur.Execs {
-				for _, v := range ex.Violations {
-					keys = append(keys, v.Key())
+			if tc.spec == nil {
+				keys = Run(p, tc.opt).ViolationKeys()
+			} else {
+				ur, err := RunUnit(p, tc.opt, *tc.spec, UnitHooks{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, ex := range ur.Execs {
+					for _, v := range ex.Violations {
+						keys = append(keys, v.Key())
+					}
 				}
 			}
 			if len(keys) == 0 {
-				t.Fatalf("the unit found no violation in %d executions", len(ur.Execs))
+				t.Fatal("no violation found")
 			}
 			if len(reported) != len(keys) {
-				t.Fatalf("executions reported keys %v, unit stream holds %v", reported, keys)
+				t.Fatalf("executions reported keys %v, stream holds %v", reported, keys)
 			}
 			for _, k := range keys {
 				if reported[k] != 1 {
@@ -217,7 +225,9 @@ func TestUnitDiagnosesEachKeyOnce(t *testing.T) {
 }
 
 // withTailRead appends to p's final phase a load of a variable its
-// pre-crash phase stored twice without a flush.
+// pre-crash phase stored twice without a flush, after a fence. The
+// fence splits model checking into two subtrees (a crash before it and
+// one past the end) that both reach p's own violations.
 func withTailRead(p Program) Program {
 	const addrZ = memmodel.Addr(0x4000)
 	phases := p.Phases()
@@ -227,6 +237,7 @@ func withTailRead(p Program) Program {
 		PhaseFns: []func(*pmem.World){
 			func(w *pmem.World) {
 				pre(w)
+				w.Thread(0).SFence("sfence")
 				w.Thread(0).Store(addrZ, 1, "z=1")
 				w.Thread(0).Store(addrZ, 2, "z=2")
 			},

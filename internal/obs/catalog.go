@@ -89,8 +89,6 @@ var catalog = []MetricDef{
 	{"psan_explore_snapshots_taken", "counter", nil, "Crash-boundary world snapshots taken."},
 	{"psan_explore_snapshots_restored", "counter", nil, "Executions resumed from a world snapshot."},
 	{"psan_explore_dpor_pruned", "counter", nil, "Deeper-crash states pruned by partial-order reduction."},
-	{"psan_explore_steals", "counter", nil, "Work units donated to idle workers (model-check mode)."},
-	{"psan_explore_steal_failures", "counter", nil, "Workers that went hungry and exited unfed."},
 	{"psan_explore_worker_idle_ns", "counter", nil, "Aggregate worker idle time in nanoseconds."},
 	{"psan_explore_stops_deadline", "counter", nil, "Campaign stops latched by the wall-clock deadline."},
 	{"psan_explore_stops_canceled", "counter", nil, "Campaign stops latched by context cancellation."},
@@ -104,7 +102,6 @@ var catalog = []MetricDef{
 	{"psan_statecache_misses_new_heap", "counter", nil, "Misses whose image was seen with a different heap size."},
 	{"psan_statecache_evictions", "counter", nil, "State-cache evictions (always 0: no eviction policy)."},
 	{"psan_statecache_entries", "gauge", nil, "Live state-cache entries."},
-	{"psan_statecache_shard_probes", "counter", nil, "State-cache shard-lock acquisitions."},
 
 	{"psan_persist_stores", "counter", []string{"model"}, "Persistent stores issued, per persistency-model backend."},
 	{"psan_persist_flushes", "counter", []string{"model"}, "Cache-line flushes (clflush) per backend."},

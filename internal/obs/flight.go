@@ -11,9 +11,9 @@ import (
 )
 
 // The campaign flight recorder: a bounded in-memory ring of structured
-// events covering the moments a post-mortem needs — work-unit steals,
-// lease redeliveries, poison quarantines, retirement sweeps, state-
-// cache evictions, stop-reason transitions. Recording is cheap (one
+// events covering the moments a post-mortem needs — lease
+// redeliveries, poison quarantines, retirement sweeps, state-cache
+// evictions, stop-reason transitions. Recording is cheap (one
 // mutex + ring slot write, no allocation after warm-up) and the ring is
 // bounded, so the recorder can run for the whole campaign and be
 // dumped only when something goes wrong (poison, ExecError, SIGQUIT)
@@ -38,7 +38,7 @@ type FlightEvent struct {
 	Pid int `json:"pid,omitempty"`
 	// Cat groups events ("dispatch", "explore", "pmem", ...).
 	Cat string `json:"cat"`
-	// Name is the event kind ("steal", "redelivery", "poison", ...).
+	// Name is the event kind ("redelivery", "poison", "quarantine", ...).
 	Name string `json:"name"`
 	// Unit is the dispatch work-unit id the event concerns (-1: none).
 	// It is serialized explicitly — unit 0 is a real id.

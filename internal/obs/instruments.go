@@ -19,9 +19,7 @@ type ExploreMetrics struct {
 	SnapshotsRestored *Counter // explore.snapshots_restored (executions resumed from one)
 	DPORPruned        *Counter // explore.dpor_pruned (deeper-crash prunes; subset of Pruned)
 
-	Steals        *Counter // explore.steals (work units donated to idle workers, mc mode)
-	StealFailures *Counter // explore.steal_failures (workers that went hungry and exited unfed)
-	WorkerIdle    *Counter // explore.worker_idle_ns (aggregate idle time across all workers)
+	WorkerIdle *Counter // explore.worker_idle_ns (aggregate idle time across all workers)
 
 	StopDeadline *Counter // explore.stops_deadline
 	StopCanceled *Counter // explore.stops_canceled
@@ -44,8 +42,6 @@ func ExploreInstruments(r *Registry) ExploreMetrics {
 		SnapshotsTaken:    r.Counter("explore.snapshots_taken"),
 		SnapshotsRestored: r.Counter("explore.snapshots_restored"),
 		DPORPruned:        r.Counter("explore.dpor_pruned"),
-		Steals:            r.Counter("explore.steals"),
-		StealFailures:     r.Counter("explore.steal_failures"),
 		WorkerIdle:        r.Counter("explore.worker_idle_ns"),
 		StopDeadline:      r.Counter("explore.stops_deadline"),
 		StopCanceled:      r.Counter("explore.stops_canceled"),
@@ -68,7 +64,6 @@ type CacheMetrics struct {
 	MissNewHeap  *Counter // statecache.misses_new_heap
 	Evictions    *Counter // statecache.evictions
 	Entries      *Gauge   // statecache.entries
-	ShardProbes  *Counter // statecache.shard_probes (shard-lock acquisitions)
 }
 
 // CacheInstruments resolves the state-cache bundle from r.
@@ -84,7 +79,6 @@ func CacheInstruments(r *Registry) CacheMetrics {
 		MissNewHeap:  r.Counter("statecache.misses_new_heap"),
 		Evictions:    r.Counter("statecache.evictions"),
 		Entries:      r.Gauge("statecache.entries"),
-		ShardProbes:  r.Counter("statecache.shard_probes"),
 	}
 }
 

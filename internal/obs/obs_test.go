@@ -46,12 +46,9 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	}
 	em := ExploreInstruments(nil)
 	em.Started.Inc()
-	em.Steals.Inc()
-	em.StealFailures.Inc()
 	em.WorkerIdle.Add(1234)
 	cm := CacheInstruments(nil)
 	cm.Probes.Inc()
-	cm.ShardProbes.Inc()
 	pm := PersistInstruments(nil, "px86")
 	pm.Stores.Inc()
 	wm := WorldInstruments(nil)

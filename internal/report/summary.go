@@ -31,9 +31,6 @@ func RunSummary(res *explore.Result) string {
 	} else if res.StopReason != "" {
 		fmt.Fprintf(&b, "stop (%s) observed as the frontier drained; coverage is complete\n", res.StopReason)
 	}
-	if res.Steals > 0 {
-		fmt.Fprintf(&b, "work stealing: %d unit(s) donated to idle workers\n", res.Steals)
-	}
 	// Streaming-window record (bounded-window runs only, keeping the
 	// -window 0 output byte-identical to pre-window builds): throughput
 	// and how much trace history the retirement frontier released.

@@ -1,69 +1,16 @@
 package repro
 
-// Regression tests for the allocation-free hot path: per-worker World
-// reuse (World.Reset) must be observationally identical to building a
-// fresh World per execution, and the trace's location interner must
-// round-trip every label.
+// Regression test for the allocation-free hot path: the trace's
+// location interner must round-trip every label. The World-reuse
+// equivalence tests live in internal/explore (reuse_test.go), next to
+// the fresh-world reference path they compare against.
 
 import (
 	"reflect"
 	"testing"
 
-	"repro/internal/benchmarks"
-	"repro/internal/benchmarks/bench"
-	"repro/internal/explore"
 	"repro/internal/trace"
 )
-
-// TestWorldReuseMatchesFreshWorlds: for every registered benchmark and
-// both exploration modes, the default reused-World engine produces the
-// same Result as one forced to build a fresh World per execution. This
-// is the oracle for Machine.Reset, Trace.Reset, Checker.Reset, and
-// Heap.Reset: any state leaking across executions shows up as a
-// violation-key, execution-count, or abort-count difference.
-func TestWorldReuseMatchesFreshWorlds(t *testing.T) {
-	execs := scaled(100)
-	for _, mode := range []explore.Mode{explore.Random, explore.ModelCheck} {
-		mode := mode
-		for _, b := range benchmarks.All() {
-			b := b
-			t.Run(mode.String()+"/"+b.Name, func(t *testing.T) {
-				opt := explore.Options{Mode: mode, Executions: execs, Seed: 11, Workers: 1}
-				reused := explore.Run(b.Build(bench.Buggy), opt)
-				opt.FreshWorlds = true
-				fresh := explore.Run(b.Build(bench.Buggy), opt)
-				assertSameOutcome(t, b.Name, reused, fresh)
-				// Violation reports must match in full, not just by key:
-				// frozen store copies, fixes, and intervals are part of
-				// the user-visible output.
-				if len(reused.Violations) == len(fresh.Violations) {
-					for i := range reused.Violations {
-						if reused.Violations[i].String() != fresh.Violations[i].String() {
-							t.Fatalf("violation %d renders differently:\nreused: %s\nfresh:  %s",
-								i, reused.Violations[i], fresh.Violations[i])
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestWorldReuseMatchesFreshWorldsParallel covers the per-worker reuse
-// path of the parallel random engine.
-func TestWorldReuseMatchesFreshWorldsParallel(t *testing.T) {
-	execs := scaled(100)
-	for _, b := range benchmarks.All() {
-		b := b
-		t.Run(b.Name, func(t *testing.T) {
-			opt := explore.Options{Mode: explore.Random, Executions: execs, Seed: 11, Workers: 8}
-			reused := explore.Run(b.Build(bench.Buggy), opt)
-			opt.FreshWorlds = true
-			fresh := explore.Run(b.Build(bench.Buggy), opt)
-			assertSameOutcome(t, b.Name, reused, fresh)
-		})
-	}
-}
 
 // TestInternerRoundTrip: interning is idempotent and Str inverts Intern,
 // including across a Trace.Reset (the intern table deliberately
