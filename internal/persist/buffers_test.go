@@ -11,13 +11,11 @@ import (
 // once warmed up, a delayed-commit execution that fills two threads'
 // buffers with stores and flushes and empties them by single drains and
 // fences allocates nothing: the buffers themselves, px86's pending
-// flushes, the trace indexes, the crash image and the stores' clock
-// vectors (inline in the trace records for two threads) are all reused.
-// ptsosyn runs without clflushopt: its per-line flush markers still live
-// in a map that every reset clears.
+// flushes, ptsosyn's per-line flush markers, the trace indexes, the
+// crash image and the stores' clock vectors (inline in the trace records
+// for two threads) are all reused.
 func TestDelayedCommitDrainLoopAllocs(t *testing.T) {
 	for _, name := range []string{"px86", "ptsosyn"} {
-		flushOpts := name == "px86"
 		m := persist.MustNew(persist.Config{Name: name, DelayedCommit: true})
 		st, fl, fo, fe := m.Intern("store"), m.Intern("flush"), m.Intern("flushopt"), m.Intern("sfence")
 		const stores = 2 * 3 * 8
@@ -28,7 +26,7 @@ func TestDelayedCommitDrainLoopAllocs(t *testing.T) {
 					for i := 0; i < 8; i++ {
 						a := memmodel.Addr(0x100000 + 8*i)
 						m.Store(th, a, memmodel.Value(i+1), st)
-						if flushOpts && i%3 == 0 {
+						if i%3 == 0 {
 							m.FlushOpt(th, a, fo)
 						}
 					}

@@ -15,20 +15,58 @@ import (
 type epoch struct {
 	stores []*trace.Store
 	lo, hi int
+	// idx is the per-word position index of a sealed epoch, built word
+	// by word on first use (see positions). It sits behind a pointer so
+	// an epoch stays small: every touched line has a live epoch, and
+	// most are never read through the crash image.
+	idx *wordIndex
 }
 
-// indexOfFirst returns the index of the first store to word w, or -1.
-// Retired entries are nil holes (see Retire) and never match: a retired
-// first-store-to-w implies the epoch's guaranteed prefix already covers
-// a newer store to w, so the narrowing that would have used it can no
-// longer be asked for.
-func (ep *epoch) indexOfFirst(w memmodel.Addr) int {
+// wordIndex groups a sealed epoch's store positions by word, so a
+// post-crash load visits only the stores to its own word rather than
+// the line's whole history. Word w's positions, ascending, are
+// pos[begin[w]:end[w]] once bit w of built is set; the retired ones
+// before begin[w] are nil holes in the epoch (see Retire), which never
+// reappear once killed, so begin only moves forward. The index is
+// kept when the epoch is recycled and emptied at Seal, when the epoch
+// takes a new history.
+type wordIndex struct {
+	built      uint8
+	pos        []int32
+	begin, end [memmodel.WordsPerLine]int32
+}
+
+// positions returns the positions of word w's unretired stores in the
+// sealed epoch, ascending, indexing the word on first use.
+func (ep *epoch) positions(w int) []int32 {
+	if x := ep.idx; x != nil && x.built&(1<<w) != 0 {
+		return x.pos[x.begin[w]:x.end[w]]
+	}
+	return ep.indexWord(w)
+}
+
+// indexWord appends word w's positions to the epoch's index in one pass
+// over the history — the pass a linear candidate walk would make — so
+// an epoch read through one or two words costs what it did without an
+// index, and every later walk of those words skips the rest of the
+// line. Holes already in the history are skipped: they are retired
+// stores, a prefix of their word's positions.
+func (ep *epoch) indexWord(w int) []int32 {
+	x := ep.idx
+	if x == nil {
+		x = &wordIndex{}
+		ep.idx = x
+	}
+	b := len(x.pos)
 	for i, s := range ep.stores {
-		if s != nil && s.Addr == w {
-			return i
+		if s != nil && s.Addr.LineIndex() == w {
+			s.CheckLive()
+			x.pos = append(x.pos, int32(i))
 		}
 	}
-	return -1
+	x.begin[w], x.end[w] = int32(b), int32(len(x.pos))
+	x.built |= 1 << w
+	return x.pos[b:]
 }
 
 // lineState is the full persistence state of one cache line: sealed
@@ -63,11 +101,9 @@ type Image struct {
 	lines trace.Table[*lineState]
 	all   []*lineState
 
-	// epochFree recycles sealed epochs across Reset; Seal draws from it
-	// before allocating.
+	// epochFree recycles sealed epochs, word indexes included, across
+	// Reset and Restore; Seal draws from it before allocating.
 	epochFree []*epoch
-	// candIdxs is AppendSealedCandidates' per-epoch store-index scratch.
-	candIdxs []int
 	// fpLines is Fingerprint's line-sorting scratch.
 	fpLines []*lineState
 }
@@ -193,6 +229,10 @@ func (im *Image) Seal() {
 	for _, ls := range im.all {
 		if len(ls.live.stores) > 0 || ls.live.lo > 0 {
 			ls.live.hi = len(ls.live.stores)
+			if x := ls.live.idx; x != nil {
+				// A recycled epoch's index describes its old history.
+				x.built, x.pos = 0, x.pos[:0]
+			}
 			ls.sealed = append(ls.sealed, ls.live)
 			ls.live = im.newEpoch()
 		} else {
@@ -209,49 +249,47 @@ func (im *Image) Seal() {
 // appends the initial-value candidate.
 func (im *Image) AppendSealedCandidates(cands []Candidate, a memmodel.Addr) ([]Candidate, bool) {
 	ls := im.lookup(a)
-	var sealed []*epoch
-	if ls != nil {
-		sealed = ls.sealed
+	if ls == nil {
+		return cands, false
 	}
-	blocked := false
-	for j := len(sealed) - 1; j >= 0 && !blocked; j-- {
-		ep := sealed[j]
-		// Indices of stores to a within this epoch. Retired entries are
-		// nil holes; skipping them is exact because retirement only
-		// removes stores whose visibility window is already empty (see
-		// Retire), and positions — which the prefix arithmetic below
-		// depends on — are preserved.
-		idxs := im.candIdxs[:0]
-		for i, s := range ep.stores {
-			s.CheckLive()
-			if s != nil && s.Addr == a {
-				idxs = append(idxs, i)
-			}
+	w := a.LineIndex()
+	for j := len(ls.sealed) - 1; j >= 0; j-- {
+		ep := ls.sealed[j]
+		idxs := ep.positions(w)
+		if len(idxs) == 0 {
+			continue
 		}
-		im.candIdxs = idxs
-		for k, i := range idxs {
-			// Store at index i is visible for prefix lengths in
-			// [i+1, next], where next is the index of the next store to
-			// a (exclusive upper bound on prefixes that still show i).
+		// The store at position i is visible for prefix lengths in
+		// [i+1, next], where next is the position of the next store to
+		// a (or the epoch length). These windows tile the history in
+		// order, so the first one reaching ep.lo belongs to the store
+		// before the first position at or past ep.lo, and none past the
+		// first position at or past ep.hi can start below it. Retired
+		// stores are excluded exactly: retirement only kills stores
+		// whose window is already empty (see Retire), and positions —
+		// which the prefix arithmetic depends on — are preserved.
+		k, _ := slices.BinarySearch(idxs, int32(ep.lo))
+		for k = max(k-1, 0); k < len(idxs) && int(idxs[k]) < ep.hi; k++ {
+			i := int(idxs[k])
 			next := len(ep.stores)
 			if k+1 < len(idxs) {
-				next = idxs[k+1]
+				next = int(idxs[k+1])
 			}
 			lo := max(ep.lo, i+1)
 			hi := min(ep.hi, next)
 			if lo <= hi {
-				cands = append(cands, Candidate{Store: ep.stores[i], Resolve: true, Epoch: j, LoNew: lo, HiNew: hi})
+				s := ep.stores[i]
+				s.CheckLive()
+				cands = append(cands, Candidate{Store: s, Resolve: true, Epoch: j, LoNew: lo, HiNew: hi})
 			}
 		}
-		if len(idxs) > 0 {
-			// Older epochs are visible only if this epoch's prefix can
-			// exclude all stores to a.
-			if ep.lo > idxs[0] {
-				blocked = true
-			}
+		// Older epochs are visible only if this epoch's prefix can
+		// exclude all stores to a.
+		if ep.lo > int(idxs[0]) {
+			return cands, true
 		}
 	}
-	return cands, blocked
+	return cands, false
 }
 
 // Resolve narrows epoch ranges so that future reads agree with the
@@ -268,12 +306,15 @@ func (im *Image) Resolve(a memmodel.Addr, c Candidate, tr *trace.Trace, loc trac
 	}
 	// All epochs newer than the chosen one must exclude their stores
 	// to a; for the initial value (Epoch -1 via sealed path) every
-	// epoch must.
-	from := len(ls.sealed) - 1
-	for j := from; j > c.Epoch; j-- {
+	// epoch must. Each one's bound is its first unretired store to a: a
+	// retired first store implies the guaranteed prefix already covers
+	// a newer one, so the narrowing it would have asked for cannot be
+	// asked for any more.
+	w := a.LineIndex()
+	for j := len(ls.sealed) - 1; j > c.Epoch; j-- {
 		ep := ls.sealed[j]
-		if first := ep.indexOfFirst(a); first >= 0 && ep.hi > first {
-			ep.hi = first
+		if idxs := ep.positions(w); len(idxs) > 0 && ep.hi > int(idxs[0]) {
+			ep.hi = int(idxs[0])
 			if ep.lo > ep.hi {
 				panic(InvariantError{Model: im.name, Check: "crash-image resolution", Addr: a, Loc: tr.LocString(loc)})
 			}
@@ -302,20 +343,43 @@ func (im *Image) Resolve(a memmodel.Addr, c Candidate, tr *trace.Trace, loc trac
 // dead and becomes a nil hole (positions carry the prefix arithmetic,
 // so the slot must stay). Everything else is marked. The newest entry
 // per word has no follower and always survives, which is what keeps
-// final-heap reconstruction's address set intact. Killed entries form a
-// per-word prefix of the word's index list, so the candidate walk in
+// final-heap reconstruction's address set intact.
+//
+// Since positions per word ascend, the killed entries of a word are a
+// prefix of its unretired ones. A sealed epoch's kills therefore just
+// advance each word's begin in the word index, and only the survivors
+// are visited to be marked; the candidate walk in
 // AppendSealedCandidates sees the same (lo, hi) windows and the same
-// blocked verdict it would have computed on the full history.
+// blocked verdict it would have computed on the full history. The live
+// epoch, still growing, is swept linearly.
 func (im *Image) Retire(mark func(*trace.Store)) {
 	for _, ls := range im.all {
 		for _, ep := range ls.sealed {
-			retireEpoch(ep, mark)
+			retireSealed(ep, mark)
 		}
 		retireEpoch(ls.live, mark)
 	}
 }
 
-// retireEpoch applies the per-epoch kill rule; see Retire.
+// retireSealed applies the kill rule to a sealed epoch through its word
+// index; see Retire.
+func retireSealed(ep *epoch, mark func(*trace.Store)) {
+	for w := range memmodel.WordsPerLine {
+		idxs := ep.positions(w)
+		k := 0
+		for k+1 < len(idxs) && int(idxs[k+1]) < ep.lo {
+			ep.stores[idxs[k]] = nil
+			k++
+		}
+		ep.idx.begin[w] += int32(k)
+		for _, i := range idxs[k:] {
+			mark(ep.stores[i])
+		}
+	}
+}
+
+// retireEpoch applies the kill rule to the live epoch by one backward
+// sweep; see Retire.
 func retireEpoch(ep *epoch, mark func(*trace.Store)) {
 	// next holds, per word of the line, 1 + the nearest following
 	// non-hole index (0: none yet). A previously killed follower is fine

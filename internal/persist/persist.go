@@ -161,11 +161,12 @@ type Config struct {
 	// model to retire history behind the frontier — stores that can no
 	// longer be read by any future load (not a crash-image candidate,
 	// not volatile state, not pinned by the checker or by clock-vector
-	// resolution) are unlinked and released to the GC. 0 (the default)
-	// keeps the classic record-everything arena pipeline, byte-identical
-	// to previous releases. Window changes which exploration features
-	// are available (snapshots, DPOR, and the post-crash state cache are
-	// forced off) and is validated by checkpoints.
+	// resolution) are unlinked, and their arena slots go back on the
+	// trace's free lists for reuse. 0 (the default) keeps every record
+	// until Reset, byte-identical to previous releases. Window changes
+	// which exploration features are available (snapshots, DPOR, and the
+	// post-crash state cache are forced off) and is validated by
+	// checkpoints.
 	Window int
 	// Obs, when it carries a metrics registry, makes backends built from
 	// this config emit per-model instruction counters

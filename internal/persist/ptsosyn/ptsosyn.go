@@ -74,6 +74,14 @@ type marker struct {
 	pos int
 }
 
+// markerRow is one line's persistence-buffer markers, oldest first.
+// listed tells whether the row is on the machine's marked-line list.
+type markerRow struct {
+	line   memmodel.Addr
+	mks    []marker
+	listed bool
+}
+
 // threadBuf is one thread's TSO store buffer, oldest entry first.
 type threadBuf struct {
 	t   memmodel.ThreadID
@@ -90,10 +98,14 @@ type Machine struct {
 	// buffers holds one row per thread with a store buffer, searched
 	// linearly; rows are truncated, not freed, so buffers are reused.
 	buffers []threadBuf
-	// markers holds each line's unfulfilled flush markers, oldest first
-	// — the per-location persistence-buffer content beyond the committed
-	// stores themselves (which live in img).
-	markers map[memmodel.Addr][]marker
+	// markers holds each line's unfulfilled flush markers, keyed by line
+	// index (addr>>6) — the per-location persistence-buffer content
+	// beyond the committed stores themselves (which live in img). Rows
+	// are reused across resets like every other paged table. marked
+	// lists the rows that may hold markers, so a drain visits those
+	// lines only, not every line ever flushed.
+	markers trace.Table[markerRow]
+	marked  []*markerRow
 	img     persist.Image
 
 	cands []persist.Candidate // LoadCandidates scratch
@@ -102,9 +114,8 @@ type Machine struct {
 // New returns a machine with all of persistent memory zero-initialized.
 func New(cfg Config) *Machine {
 	m := &Machine{
-		cfg:     cfg,
-		tr:      trace.New(),
-		markers: make(map[memmodel.Addr][]marker),
+		cfg: cfg,
+		tr:  trace.New(),
 	}
 	m.img.Init("ptsosyn")
 	m.tr.SetWindow(cfg.Window)
@@ -124,7 +135,7 @@ func (m *Machine) Intern(loc string) trace.LocID { return m.tr.Intern(loc) }
 // state; see the Model contract.
 func (m *Machine) Reset() {
 	m.dropBuffers()
-	clear(m.markers)
+	m.dropMarkers()
 	m.img.Reset()
 	m.tr.Reset()
 }
@@ -168,6 +179,26 @@ func (m *Machine) dropBuffers() {
 	m.buffers = m.buffers[:0]
 }
 
+// dropMarkers discards every unfulfilled marker, as a crash does. The
+// rows stay in the table for reuse.
+func (m *Machine) dropMarkers() {
+	m.markers.Reset()
+	clear(m.marked)
+	m.marked = m.marked[:0]
+}
+
+// rowOf returns the marker row of line, emptied if the line had
+// none in the current generation.
+func (m *Machine) rowOf(line memmodel.Addr) *markerRow {
+	row, ok := m.markers.Slot(uint64(line) >> 6)
+	if !ok {
+		row.line = line
+		row.mks = row.mks[:0]
+		row.listed = false
+	}
+	return row
+}
+
 // exitEntry applies the oldest store-buffer entry of thread t, per the
 // PTSOsyn buffer-exit transitions.
 func (m *Machine) exitEntry(t memmodel.ThreadID, e bufEntry) {
@@ -175,15 +206,20 @@ func (m *Machine) exitEntry(t memmodel.ThreadID, e bufEntry) {
 	case memmodel.OpFlush:
 		// clflush synchronously empties the line's persistence buffer:
 		// the whole committed history persists, and every pending marker
-		// is trivially fulfilled.
+		// is trivially fulfilled. The emptied row stays listed until the
+		// next drain drops it.
 		m.img.Guarantee(e.line)
-		if mk := m.markers[e.line]; len(mk) > 0 {
-			m.markers[e.line] = mk[:0]
-		}
+		row := m.rowOf(e.line)
+		row.mks = row.mks[:0]
 	case memmodel.OpFlushOpt:
 		// clflushopt enters the line's persistence buffer as a marker at
 		// the current depth.
-		m.markers[e.line] = append(m.markers[e.line], marker{t: t, pos: m.img.LiveLen(e.line)})
+		row := m.rowOf(e.line)
+		row.mks = append(row.mks, marker{t: t, pos: m.img.LiveLen(e.line)})
+		if !row.listed {
+			row.listed = true
+			m.marked = append(m.marked, row)
+		}
 	default:
 		m.commit(e.store)
 	}
@@ -235,22 +271,30 @@ func (m *Machine) BufferLen(t memmodel.ThreadID) int {
 	return 0
 }
 
-// drainCompletes fulfils thread t's markers in every line's persistence
-// buffer: the line is guaranteed persistent at least up to each marker's
-// depth. The guarantee is a running maximum, so the map iteration order
-// is immaterial.
+// drainCompletes fulfils thread t's markers in every listed line's
+// persistence buffer: the line is guaranteed persistent at least up to
+// each marker's depth. The guarantee is a running maximum, so the order
+// lines are visited in is immaterial. Rows left empty leave the list.
 func (m *Machine) drainCompletes(t memmodel.ThreadID) {
-	for line, mks := range m.markers {
-		kept := mks[:0]
-		for _, mk := range mks {
+	listed := m.marked[:0]
+	for _, row := range m.marked {
+		kept := row.mks[:0]
+		for _, mk := range row.mks {
 			if mk.t == t {
-				m.img.GuaranteeUpTo(line, mk.pos)
+				m.img.GuaranteeUpTo(row.line, mk.pos)
 			} else {
 				kept = append(kept, mk)
 			}
 		}
-		m.markers[line] = kept
+		row.mks = kept
+		if len(kept) > 0 {
+			listed = append(listed, row)
+		} else {
+			row.listed = false
+		}
 	}
+	clear(m.marked[len(listed):])
+	m.marked = listed
 }
 
 // Store issues a store of v to word a by thread t; in delayed-commit
@@ -400,7 +444,7 @@ func (m *Machine) FAA(t memmodel.ThreadID, a memmodel.Addr, c persist.Candidate,
 func (m *Machine) Crash() {
 	m.cfg.Metrics.Crashes.Inc()
 	m.dropBuffers()
-	clear(m.markers)
+	m.dropMarkers()
 	m.img.Seal()
 	m.tr.Crash()
 }
@@ -417,7 +461,7 @@ func (m *Machine) Snapshot() *persist.ImageSnapshot { return m.img.Snapshot() }
 // shared trace is rewound by the caller.
 func (m *Machine) Restore(snap *persist.ImageSnapshot) {
 	m.dropBuffers()
-	clear(m.markers)
+	m.dropMarkers()
 	m.img.Restore(snap)
 }
 
