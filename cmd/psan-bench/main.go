@@ -121,7 +121,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	metricsAddr := fs.String("metrics-addr", "", "serve campaign metrics over HTTP on this address (/metrics OpenMetrics text, /metrics.json JSON snapshot, /debug/vars expvar)")
 	progress := fs.Duration("progress", 0, "print live campaign progress to stderr at this interval (0: off)")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace_event timeline to this file (plus <file>.jsonl) on exit")
-	reduction := fs.String("reduction", "all", "model-check reductions: all, snapshots, dpor, or none (A/B timing; tables are identical either way)")
 	window := fs.Int("window", 0, "bounded trace window for -workload runs: retire trace history every N operations, keeping memory flat (0: unbounded; verdicts are identical either way)")
 	workloadName := fs.String("workload", "", "stream a server-class workload instead of tables: redis (append-log+dict) or slab (slab cache)")
 	wlVariant := fs.String("variant", "fixed", "workload variant: fixed or buggy")
@@ -132,11 +131,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	wlThreads := fs.Int("threads", 2, "workload client threads per wave")
 	wlChurn := fs.Int("churn", 0, "workload thread churn: retire each client thread after N requests and spawn a fresh wave (0: off)")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	disableSnaps, disableDPOR, err := explore.ParseReduction(*reduction)
-	if err != nil {
-		fmt.Fprintf(stderr, "psan-bench: -reduction: %v\n", err)
 		return 2
 	}
 	if *workers < 0 {
@@ -204,7 +198,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	opt := report.Options{
 		Executions: *execs, Seed: *seed, Workers: *workers, Deadline: *deadline, Model: *model,
 		Obs: observer, Context: ctx,
-		DisableSnapshots: disableSnaps, DisableDPOR: disableDPOR,
 	}
 	if *violations != "" {
 		out, err := report.Violations(*violations, opt)

@@ -96,9 +96,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fix := fs.Bool("fix", false, "apply PSan's suggested fixes until the program is clean and print it")
 	dumpTrace := fs.Bool("trace", false, "dump one crash-free execution's event trace and exit")
 	model := fs.String("model", "", "persistency-model backend: "+strings.Join(persist.Names(), ", "))
-	window := fs.Int("window", 0, "bounded trace window: retire trace history every N operations, keeping memory flat on long executions (0: unbounded; forces -reduction none and -state-cache=false; verdicts are identical either way)")
-	stateCache := fs.Bool("state-cache", true, "post-crash state cache in mc mode; -state-cache=false re-explores cached subtrees (A/B timing and debugging)")
-	reduction := fs.String("reduction", "all", "model-check reductions: all, snapshots, dpor, or none (A/B timing and debugging; results carry the same violations either way)")
+	window := fs.Int("window", 0, "bounded trace window: retire trace history every N operations, keeping memory flat on long executions (0: unbounded; a window turns the model-check reductions off; verdicts are identical either way)")
 	memprofile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	metricsAddr := fs.String("metrics-addr", "", "serve campaign metrics over HTTP on this address (/metrics OpenMetrics text, /metrics.json JSON snapshot, /debug/vars expvar)")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace_event timeline to this file (plus <file>.jsonl) on exit; with -isolate the timeline merges every worker process's spans")
@@ -204,24 +202,16 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			}
 		}()
 	}
-	disableSnaps, disableDPOR, err := explore.ParseReduction(*reduction)
-	if err != nil {
-		fmt.Fprintf(stderr, "psan: -reduction: %v\n", err)
-		return exitInternal
-	}
 	opts := explore.Options{
-		Executions:       execs,
-		Seed:             *seed,
-		Workers:          *workers,
-		Context:          ctx,
-		Deadline:         *deadline,
-		StepTimeout:      *stepTimeout,
-		Model:            modelCfg,
-		Obs:              observer,
-		Provenance:       true,
-		DisableSnapshots: disableSnaps,
-		DisableDPOR:      disableDPOR,
-		NoStateCache:     !*stateCache,
+		Executions:  execs,
+		Seed:        *seed,
+		Workers:     *workers,
+		Context:     ctx,
+		Deadline:    *deadline,
+		StepTimeout: *stepTimeout,
+		Model:       modelCfg,
+		Obs:         observer,
+		Provenance:  true,
 	}
 	switch *mode {
 	case "mc":

@@ -126,6 +126,19 @@ func TestCLICheckpointResume(t *testing.T) {
 	if code != exitInternal || !strings.Contains(errOut, "-resume") {
 		t.Fatalf("mismatched resume must exit %d: %d %q", exitInternal, code, errOut)
 	}
+	// A windowed model-check checkpoint resumes under the same window
+	// and completes the campaign an uninterrupted windowed run covers.
+	wckpt := filepath.Join(t.TempDir(), "window.ckpt")
+	code, out, errOut = cli(t, "-mode", "mc", "-window", "4", "-deadline", "1ns",
+		"-checkpoint", wckpt, "../../testdata/figure2.pm")
+	if code != exitPartial || !strings.Contains(out, "checkpoint written") {
+		t.Fatalf("windowed cut: exit = %d, want %d\nstdout:\n%s\nstderr:\n%s", code, exitPartial, out, errOut)
+	}
+	code, out, errOut = cli(t, "-mode", "mc", "-window", "4", "-resume", wckpt, "../../testdata/figure2.pm")
+	if code != exitViolations || !strings.Contains(out, "9 executions") {
+		t.Fatalf("windowed resume: exit = %d, want %d with 9 executions\nstdout:\n%s\nstderr:\n%s",
+			code, exitViolations, out, errOut)
+	}
 }
 
 func TestCLIMaxExecsAlias(t *testing.T) {

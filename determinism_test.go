@@ -4,8 +4,10 @@ package repro
 // for every benchmark in the registry, a run with many workers must be
 // byte-identical to the serial run — same violation reports (fixes
 // included) in the same order, same execution counts, same abort
-// counts — in both exploration modes, and the model-check state cache
-// must never change verdicts.
+// counts — in both exploration modes. The model-check tests run the
+// default engine here; their "unreduced" variants, and the tests that
+// compare against the unreduced engine, live in internal/explore next to
+// the test seam that builds it.
 
 import (
 	"context"
@@ -95,34 +97,30 @@ func TestParallelDeterminismRandom(t *testing.T) {
 	}
 }
 
-// reductionVariants names the two reduction settings the model-check
-// determinism tests must hold under: the default (snapshots + DPOR on)
-// and the -reduction none escape hatch.
-var reductionVariants = []struct {
-	name    string
-	disable bool
-}{
-	{"reduced", false},
-	{"unreduced", true},
+// modelCheckVariant is one engine setting a model-check determinism
+// test must hold under.
+type modelCheckVariant struct {
+	name  string
+	apply func(explore.Options) explore.Options
 }
+
+// reduced is the default engine: snapshots, DPOR and the state cache on.
+var reduced = modelCheckVariant{"reduced", func(o explore.Options) explore.Options { return o }}
 
 // TestParallelDeterminismModelCheck: subtree units claimed by 8
 // workers reproduce the single-worker DFS exactly, including where the
-// Executions cap truncates the search — with the reductions on and off,
-// on every registered benchmark and workload server.
+// Executions cap truncates the search, on every registered benchmark
+// and workload server. The "unreduced" variant is in internal/explore.
 func TestParallelDeterminismModelCheck(t *testing.T) {
 	forceProcs(t, 4)
 	execs := scaled(400)
-	for _, v := range reductionVariants {
+	for _, v := range []modelCheckVariant{reduced} {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			for _, b := range registryAndServers() {
 				b := b
 				t.Run(b.Name, func(t *testing.T) {
-					opt := explore.Options{
-						Mode: explore.ModelCheck, Executions: execs,
-						DisableSnapshots: v.disable, DisableDPOR: v.disable,
-					}
+					opt := v.apply(explore.Options{Mode: explore.ModelCheck, Executions: execs})
 					opt.Workers = 1
 					serial := explore.Run(b.Build(bench.Buggy), opt)
 					opt.Workers = 8
@@ -244,21 +242,24 @@ func TestCancelResumeDeterminismRandom(t *testing.T) {
 // TestCancelResumeDeterminismModelCheck: for every benchmark, interrupt
 // the frontier-split DFS under escalating deadlines and chain resumes
 // until the campaign ends; the merged outcome must match the
-// uninterrupted run — with the reductions on and off. A leg that ends
-// on the execution budget (no checkpoint) is terminal by construction —
-// the uninterrupted run ends the same way at the same canonical prefix.
+// uninterrupted run — with the default engine and under a bounded
+// window, whose checkpoints record the reductions it turns off. The
+// "unreduced" variant is in internal/explore. A leg that ends on the
+// execution budget (no checkpoint) is terminal by construction — the
+// uninterrupted run ends the same way at the same canonical prefix.
 func TestCancelResumeDeterminismModelCheck(t *testing.T) {
 	execs := scaled(400)
-	for _, v := range reductionVariants {
+	windowed := modelCheckVariant{"windowed", func(o explore.Options) explore.Options {
+		o.Model.Window = 4
+		return o
+	}}
+	for _, v := range []modelCheckVariant{reduced, windowed} {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			for _, b := range benchmarks.All() {
 				b := b
 				t.Run(b.Name, func(t *testing.T) {
-					opt := explore.Options{
-						Mode: explore.ModelCheck, Executions: execs, Workers: 4,
-						DisableSnapshots: v.disable, DisableDPOR: v.disable,
-					}
+					opt := v.apply(explore.Options{Mode: explore.ModelCheck, Executions: execs, Workers: 4})
 					full := explore.Run(b.Build(bench.Buggy), opt)
 
 					merged := make(map[string]bool)
@@ -298,23 +299,20 @@ func TestCancelResumeDeterminismModelCheck(t *testing.T) {
 
 // TestStealDeterminismModelCheck: the narrowest and widest worker
 // counts, 4 and 16, assemble the same canonical stream as a Workers=1
-// run bit for bit, with the reductions on and off, including where the
-// Executions cap truncates the search. (The name dates from the
-// work-stealing scheduler, whose donations this test once forced; the
-// width property it pins outlived it.)
+// run bit for bit, including where the Executions cap truncates the
+// search. The "unreduced" variant is in internal/explore. (The name
+// dates from the work-stealing scheduler, whose donations this test
+// once forced; the width property it pins outlived it.)
 func TestStealDeterminismModelCheck(t *testing.T) {
 	forceProcs(t, 4)
 	execs := scaled(400)
-	for _, v := range reductionVariants {
+	for _, v := range []modelCheckVariant{reduced} {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			for _, b := range benchmarks.All() {
 				b := b
 				t.Run(b.Name, func(t *testing.T) {
-					opt := explore.Options{
-						Mode: explore.ModelCheck, Executions: execs,
-						DisableSnapshots: v.disable, DisableDPOR: v.disable,
-					}
+					opt := v.apply(explore.Options{Mode: explore.ModelCheck, Executions: execs})
 					opt.Workers = 1
 					baseline := explore.Run(b.Build(bench.Buggy), opt)
 					for _, workers := range []int{4, 16} {
@@ -326,39 +324,6 @@ func TestStealDeterminismModelCheck(t *testing.T) {
 						t.Fatal("no executions ran")
 					}
 				})
-			}
-		})
-	}
-}
-
-// TestStateCacheSoundOnBenchmarks: pruning crash points with identical
-// surviving images must never lose a bug. Under a binding Executions
-// cap the cached run advances further through the decision tree and may
-// legitimately find additional bugs, so the invariant is one-sided:
-// every violation the uncached run reports, the cached run reports too.
-func TestStateCacheSoundOnBenchmarks(t *testing.T) {
-	execs := scaled(400)
-	for _, b := range benchmarks.All() {
-		b := b
-		t.Run(b.Name, func(t *testing.T) {
-			cached := explore.Run(b.Build(bench.Buggy), explore.Options{
-				Mode: explore.ModelCheck, Executions: execs, Workers: 1,
-			})
-			uncached := explore.Run(b.Build(bench.Buggy), explore.Options{
-				Mode: explore.ModelCheck, Executions: execs, Workers: 1, NoStateCache: true,
-			})
-			have := make(map[string]bool)
-			for _, k := range cached.ViolationKeys() {
-				have[k] = true
-			}
-			for _, k := range uncached.ViolationKeys() {
-				if !have[k] {
-					t.Fatalf("state cache lost violation %s\n  cached:   %v\n  uncached: %v",
-						k, cached.ViolationKeys(), uncached.ViolationKeys())
-				}
-			}
-			if cached.CacheHits+cached.CacheMisses == 0 {
-				t.Fatal("cache saw no lookups")
 			}
 		})
 	}

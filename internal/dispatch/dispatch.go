@@ -21,8 +21,8 @@ const WorkerBinEnv = "PSAN_WORKER_BIN"
 // Options configures a supervised campaign.
 type Options struct {
 	// Explore carries the campaign knobs, interpreted as in explore.Run:
-	// Workers is the worker-process count, Executions/Seed/Model/
-	// reductions define the canonical stream, Resume continues a v3
+	// Workers is the worker-process count, Executions/Seed/Model
+	// define the canonical stream, Resume continues a v3
 	// checkpoint, Deadline/Context stop the campaign. Obs instruments
 	// the supervisor (dispatch.* bundle) and receives the fleet
 	// telemetry: worker processes run matching sinks and ship metric
@@ -56,13 +56,14 @@ type Options struct {
 	Lease time.Duration
 	// Retry is the redelivery schedule.
 	Retry RetryPolicy
-	// InProcess forces degraded mode: units run in this process (no
-	// isolation, no kill resilience — but bit-identical results).
-	InProcess bool
-	// UnitExecs sizes random-mode units (executions per unit). 0: an
-	// eighth of the per-worker share, at least 16.
-	UnitExecs int
 
+	// inProcess forces degraded mode: units run in this process (no
+	// isolation, no kill resilience — but bit-identical results; test
+	// hook).
+	inProcess bool
+	// unitExecs sizes random-mode units (executions per unit; test
+	// hook). 0: an eighth of the per-worker share, at least 16.
+	unitExecs int
 	// spawnFailLimit is how many consecutive spawn failures a slot
 	// tolerates before latching degraded mode (test hook; 0 = 3).
 	spawnFailLimit int
@@ -186,13 +187,13 @@ func newSupervisor(opt Options) *supervisor {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.start = time.Now()
-	if !opt.InProcess {
+	if !opt.inProcess {
 		s.bin = resolveWorkerBin(opt.WorkerBin)
 	}
 	if s.bin == "" {
 		s.degraded = true
 		s.dm.Degraded.Inc()
-		if !opt.InProcess {
+		if !opt.inProcess {
 			s.fr.Record("dispatch", "degraded", -1, "no worker binary found")
 		}
 	}
@@ -248,7 +249,7 @@ func (s *supervisor) seedUnits() {
 		if ck := opt.Resume; ck != nil {
 			lo = ck.Collected
 		}
-		chunk := s.opt.UnitExecs
+		chunk := s.opt.unitExecs
 		if chunk <= 0 {
 			chunk = (opt.Executions - lo) / (opt.Workers * 8)
 			if chunk < 16 {
@@ -380,13 +381,6 @@ func (s *supervisor) next() *unit {
 			// Frontier drained.
 			s.drainLocked()
 			return nil
-		}
-		if !live && !s.mcDone {
-			// No deliverable unit but the chain is open: the next subtree
-			// appears when the current one classifies. With every unit
-			// terminal and none classified-with-successor, the chain is
-			// wedged (can only happen after a poison already latched
-			// draining). Wait for a broadcast either way.
 		}
 		if !soonest.IsZero() {
 			// Wake ourselves when the earliest backoff releases.
@@ -655,6 +649,8 @@ func (s *supervisor) slot(i int, wg *sync.WaitGroup) {
 }
 
 // cutFor shapes the unit as a checkpoint for worker-side validation.
+// DPOR is explore's reduction predicate as every caller outside the
+// explore package sees it: on iff the window is unbounded.
 func (s *supervisor) cutFor(u *unit) explore.Checkpoint {
 	ck := explore.Checkpoint{
 		Version: explore.CheckpointVersion,
@@ -663,7 +659,7 @@ func (s *supervisor) cutFor(u *unit) explore.Checkpoint {
 		Seed:    s.opt.Explore.Seed,
 		Model:   s.opt.Explore.Model.Name,
 		Window:  s.opt.Explore.Model.Window,
-		DPOR:    !s.opt.Explore.DisableDPOR,
+		DPOR:    s.opt.Explore.Model.Window == 0,
 		MC:      u.spec.MC,
 	}
 	return ck
@@ -690,7 +686,7 @@ func (s *supervisor) merge() *explore.Result {
 	res.Elapsed = time.Since(s.start) // the assembler only saw the merge
 	res.Workers = s.opt.Explore.Workers
 	res.Isolated = !s.degraded
-	res.Degraded = s.degraded && !s.opt.InProcess
+	res.Degraded = s.degraded && !s.opt.inProcess
 	baseRedeliveries, baseRestarts := 0, 0
 	var priorPoison []explore.PoisonRecord
 	if ck := s.opt.Explore.Resume; ck != nil && ck.Dispatch != nil {

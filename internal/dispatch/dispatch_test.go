@@ -11,6 +11,7 @@ import (
 	"repro/internal/explore"
 	"repro/internal/memmodel"
 	"repro/internal/obs"
+	"repro/internal/persist"
 	"repro/internal/pmem"
 )
 
@@ -200,7 +201,8 @@ func sameResult(t *testing.T, got, want *explore.Result) {
 
 // TestIsolatedMatchesInProcess: no chaos — a supervised campaign over
 // worker processes assembles the same Result as explore.Run, at every
-// worker count, in both modes.
+// worker count, in both modes. The windowed case pins that the unit
+// cuts record the reductions the window turns off, as workers check.
 func TestIsolatedMatchesInProcess(t *testing.T) {
 	cases := []struct {
 		name string
@@ -209,6 +211,7 @@ func TestIsolatedMatchesInProcess(t *testing.T) {
 	}{
 		{"random", "figure2", explore.Options{Mode: explore.Random, Executions: 300, Seed: 11}},
 		{"mc", "figure7", explore.Options{Mode: explore.ModelCheck, Executions: 10000}},
+		{"mc-windowed", "figure7", explore.Options{Mode: explore.ModelCheck, Executions: 10000, Model: persist.Config{Window: 4}}},
 		{"mc-quarantine", "panicker", explore.Options{Mode: explore.ModelCheck, Executions: 10000}},
 	}
 	for _, tc := range cases {
@@ -216,7 +219,7 @@ func TestIsolatedMatchesInProcess(t *testing.T) {
 		for _, workers := range []int{1, 4, 8} {
 			t.Run(fmt.Sprintf("%s/w%d", tc.name, workers), func(t *testing.T) {
 				opt := supOptions(t, tc.prog, tc.opt, workers, "")
-				opt.UnitExecs = 32
+				opt.unitExecs = 32
 				res := Run(opt)
 				sameResult(t, res, base)
 				if !res.Isolated {
@@ -254,7 +257,7 @@ func TestKillChaosDeterminism(t *testing.T) {
 		for _, workers := range []int{1, 4, 8} {
 			t.Run(fmt.Sprintf("%s/w%d", tc.name, workers), func(t *testing.T) {
 				opt := supOptions(t, tc.prog, tc.opt, workers, tc.chaos)
-				opt.UnitExecs = 25
+				opt.unitExecs = 25
 				res := Run(opt)
 				sameResult(t, res, base)
 				if res.Redeliveries < 3 {
@@ -281,7 +284,7 @@ func TestHungWorkerLeaseExpiry(t *testing.T) {
 	eopt := explore.Options{Mode: explore.Random, Executions: 60, Seed: 3}
 	base := explore.Run(figure2(), withWorkers(eopt, 1))
 	opt := supOptions(t, "figure2", eopt, 2, "hang=0")
-	opt.UnitExecs = 20
+	opt.unitExecs = 20
 	opt.Lease = 400 * time.Millisecond
 	res := Run(opt)
 	sameResult(t, res, base)
@@ -297,7 +300,7 @@ func TestHungWorkerLeaseExpiry(t *testing.T) {
 func TestPoisonQuarantine(t *testing.T) {
 	eopt := explore.Options{Mode: explore.Random, Executions: 60, Seed: 3}
 	opt := supOptions(t, "figure2", eopt, 2, "poison=1")
-	opt.UnitExecs = 20
+	opt.unitExecs = 20
 	opt.Retry = RetryPolicy{Base: 5 * time.Millisecond, Cap: 25 * time.Millisecond, Retries: 1, Seed: 9}
 	res := Run(opt)
 	if !res.Partial {
@@ -352,7 +355,7 @@ func TestDegradedFallback(t *testing.T) {
 	base := explore.Run(figure2(), withWorkers(eopt, 1))
 	opt := supOptions(t, "figure2", eopt, 2, "")
 	opt.WorkerBin = "/nonexistent/psan-worker"
-	opt.UnitExecs = 20
+	opt.unitExecs = 20
 	opt.spawnFailLimit = 2
 	res := Run(opt)
 	sameResult(t, res, base)
@@ -364,13 +367,13 @@ func TestDegradedFallback(t *testing.T) {
 	}
 }
 
-// TestInProcessForced: InProcess is a deliberate choice, not a
+// TestInProcessForced: inProcess is a deliberate choice, not a
 // degradation — same bytes, Degraded unset.
 func TestInProcessForced(t *testing.T) {
 	eopt := explore.Options{Mode: explore.ModelCheck, Executions: 10000}
 	base := explore.Run(figure2(), withWorkers(eopt, 1))
 	opt := supOptions(t, "figure2", eopt, 4, "")
-	opt.InProcess = true
+	opt.inProcess = true
 	res := Run(opt)
 	sameResult(t, res, base)
 	if res.Degraded {
@@ -400,7 +403,7 @@ func TestSupervisorRestart(t *testing.T) {
 			base := explore.Run(testPrograms[tc.prog](), withWorkers(tc.opt, 1))
 
 			opt1 := supOptions(t, tc.prog, tc.opt, 4, "")
-			opt1.UnitExecs = 20
+			opt1.unitExecs = 20
 			opt1.haltAfterUnits = tc.halt
 			res1 := Run(opt1)
 			if !res1.Partial {
@@ -413,7 +416,7 @@ func TestSupervisorRestart(t *testing.T) {
 			eopt2 := tc.opt
 			eopt2.Resume = res1.Checkpoint
 			opt2 := supOptions(t, tc.prog, eopt2, 4, "")
-			opt2.UnitExecs = 20
+			opt2.unitExecs = 20
 			res2 := Run(opt2)
 
 			// A resumed run reports only violations NOT already in the
@@ -449,7 +452,7 @@ func TestRestartAfterKillChaos(t *testing.T) {
 	base := explore.Run(figure2(), withWorkers(eopt, 1))
 
 	opt1 := supOptions(t, "figure2", eopt, 4, "kill-after=4")
-	opt1.UnitExecs = 16
+	opt1.unitExecs = 16
 	opt1.haltAfterUnits = 4
 	res1 := Run(opt1)
 	if res1.Checkpoint == nil {
@@ -462,7 +465,7 @@ func TestRestartAfterKillChaos(t *testing.T) {
 	eopt2 := eopt
 	eopt2.Resume = res1.Checkpoint
 	opt2 := supOptions(t, "figure2", eopt2, 4, "")
-	opt2.UnitExecs = 16
+	opt2.unitExecs = 16
 	res2 := Run(opt2)
 	base2 := explore.Run(figure2(), withWorkers(eopt2, 1))
 	sameResult(t, res2, base2)
@@ -491,7 +494,7 @@ func TestRestartAfterKillChaos(t *testing.T) {
 func TestWorkerValidationRejectsSkew(t *testing.T) {
 	eopt := explore.Options{Mode: explore.Random, Executions: 40, Seed: 3}
 	opt := supOptions(t, "figure2", eopt, 1, "")
-	opt.UnitExecs = 20
+	opt.unitExecs = 20
 	// Sabotage: the supervisor ships hello options with a different seed
 	// than the cuts it delivers, so every unit fails validation.
 	opt.Explore.Seed = 3
@@ -527,14 +530,14 @@ func TestProtoOptionsRoundTrip(t *testing.T) {
 		Mode:        explore.ModelCheck,
 		Executions:  123,
 		Seed:        77,
-		DisableDPOR: true,
+		Model:       persist.Config{Window: 4},
 		Provenance:  true,
 		OpLimit:     9,
 		StepTimeout: 250 * time.Millisecond,
 	}
 	out := optionsFromWire(optionsToWire(in))
 	if out.Mode != in.Mode || out.Executions != in.Executions || out.Seed != in.Seed ||
-		out.DisableDPOR != in.DisableDPOR || out.Provenance != in.Provenance ||
+		out.Model.Window != in.Model.Window || out.Provenance != in.Provenance ||
 		out.OpLimit != in.OpLimit || out.StepTimeout != in.StepTimeout {
 		t.Errorf("round trip = %+v, want %+v", out, in)
 	}
@@ -549,7 +552,7 @@ func TestProtoOptionsRoundTrip(t *testing.T) {
 func TestMetricsWired(t *testing.T) {
 	eopt := explore.Options{Mode: explore.Random, Executions: 100, Seed: 7}
 	opt := supOptions(t, "figure2", eopt, 1, "kill-after=5")
-	opt.UnitExecs = 25
+	opt.unitExecs = 25
 	reg := obs.NewRegistry()
 	opt.Explore.Obs = &obs.Observer{Metrics: reg}
 	res := Run(opt)

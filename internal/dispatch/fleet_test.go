@@ -20,14 +20,10 @@ import (
 // deterministicCounter reports whether a metric participates in the
 // fleet-exactness contract. The contract covers every counter the
 // exploration itself emits (explore.*, pmem.*, persist.*) and excludes
-// the few that record engine-instance artifacts rather than canonical
-// work: timing totals (_ns) and snapshot reuse (an in-process engine can
-// share snapshots across subtrees where isolated units cannot).
+// timing totals (_ns), which record wall-clock artifacts rather than
+// canonical work.
 func deterministicCounter(name string) bool {
-	switch {
-	case strings.HasSuffix(name, "_ns"):
-		return false
-	case name == "explore.snapshots_taken", name == "explore.snapshots_restored":
+	if strings.HasSuffix(name, "_ns") {
 		return false
 	}
 	return strings.HasPrefix(name, "explore.") ||
@@ -39,10 +35,10 @@ func deterministicCounter(name string) bool {
 // delivery is killed mid-unit; after redelivery and rollback the
 // fleet-aggregated counters are identical to the uninterrupted
 // in-process run's. The random case runs a bounded window so the
-// pmem.* retirement counters are exercised; the model-check case
-// disables snapshots so prefix replay work (and with it the persist.*
-// op counts) is canonical rather than an artifact of which engine
-// instance happened to hold a reusable snapshot.
+// pmem.* retirement counters are exercised; the model-check case runs
+// with crash snapshots on, which are unit-local, so snapshot reuse and
+// the prefix replay work it saves (and with it the persist.* op
+// counts) are the same in a worker process as in-process.
 func TestFleetMetricsExactness(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -54,7 +50,7 @@ func TestFleetMetricsExactness(t *testing.T) {
 			explore.Options{Mode: explore.Random, Executions: 200, Seed: 7, Model: persist.Config{Window: 4}},
 			"kill-after=5"},
 		{"mc", "figure7",
-			explore.Options{Mode: explore.ModelCheck, Executions: 10000, DisableSnapshots: true},
+			explore.Options{Mode: explore.ModelCheck, Executions: 10000},
 			"kill-after=1"},
 	}
 	for _, tc := range cases {
@@ -68,7 +64,7 @@ func TestFleetMetricsExactness(t *testing.T) {
 			tr := obs.NewTracer()
 			fr := obs.NewFlightRecorder(0)
 			opt := supOptions(t, tc.prog, tc.opt, 4, tc.chaos)
-			opt.UnitExecs = 25
+			opt.unitExecs = 25
 			opt.Explore.Obs = &obs.Observer{Metrics: fleetReg, Tracer: tr, Flight: fr}
 			res := Run(opt)
 			sameResult(t, res, base)
@@ -122,6 +118,9 @@ func TestFleetMetricsExactness(t *testing.T) {
 			if tc.opt.Model.Window > 0 && want.Counters["pmem.retirements"] == 0 {
 				t.Error("windowed run recorded no pmem.retirements")
 			}
+			if tc.opt.Mode == explore.ModelCheck && want.Counters["explore.snapshots_restored"] == 0 {
+				t.Error("model-check run restored no crash snapshot")
+			}
 
 			// Merged timeline: worker spans were rebased into the
 			// supervisor's tracer, so the trace spans multiple processes.
@@ -159,7 +158,7 @@ func TestFleetMetricsExactnessCleanRun(t *testing.T) {
 
 	fleetReg := obs.NewRegistry()
 	opt := supOptions(t, "figure2", eopt, 4, "")
-	opt.UnitExecs = 30
+	opt.unitExecs = 30
 	opt.Explore.Obs = &obs.Observer{Metrics: fleetReg}
 	res := Run(opt)
 	sameResult(t, res, base)

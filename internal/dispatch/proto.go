@@ -43,57 +43,48 @@ type telemetrySpec struct {
 // canonical execution stream (plus the per-execution guards). Anything
 // omitted here must not change what a unit produces.
 type wireOptions struct {
-	Mode             string `json:"mode"`
-	Executions       int    `json:"executions"`
-	Seed             int64  `json:"seed"`
-	Model            string `json:"model,omitempty"`
-	Window           int    `json:"window,omitempty"`
-	StoreBuffers     bool   `json:"storeBuffers,omitempty"`
-	NoSteering       bool   `json:"noSteering,omitempty"`
-	DisableSnapshots bool   `json:"disableSnapshots,omitempty"`
-	DisableDPOR      bool   `json:"disableDPOR,omitempty"`
-	NoStateCache     bool   `json:"noStateCache,omitempty"`
-	DisableChecker   bool   `json:"disableChecker,omitempty"`
-	Provenance       bool   `json:"provenance,omitempty"`
-	OpLimit          int    `json:"opLimit,omitempty"`
-	StepTimeoutNS    int64  `json:"stepTimeoutNs,omitempty"`
+	Mode           string `json:"mode"`
+	Executions     int    `json:"executions"`
+	Seed           int64  `json:"seed"`
+	Model          string `json:"model,omitempty"`
+	Window         int    `json:"window,omitempty"`
+	StoreBuffers   bool   `json:"storeBuffers,omitempty"`
+	NoSteering     bool   `json:"noSteering,omitempty"`
+	DisableChecker bool   `json:"disableChecker,omitempty"`
+	Provenance     bool   `json:"provenance,omitempty"`
+	OpLimit        int    `json:"opLimit,omitempty"`
+	StepTimeoutNS  int64  `json:"stepTimeoutNs,omitempty"`
 }
 
 // optionsToWire extracts the stream-defining knobs.
 func optionsToWire(opt explore.Options) wireOptions {
 	return wireOptions{
-		Mode:             opt.Mode.String(),
-		Executions:       opt.Executions,
-		Seed:             opt.Seed,
-		Model:            opt.Model.Name,
-		Window:           opt.Model.Window,
-		StoreBuffers:     opt.StoreBuffers,
-		NoSteering:       opt.NoSteering,
-		DisableSnapshots: opt.DisableSnapshots,
-		DisableDPOR:      opt.DisableDPOR,
-		NoStateCache:     opt.NoStateCache,
-		DisableChecker:   opt.DisableChecker,
-		Provenance:       opt.Provenance,
-		OpLimit:          opt.OpLimit,
-		StepTimeoutNS:    int64(opt.StepTimeout),
+		Mode:           opt.Mode.String(),
+		Executions:     opt.Executions,
+		Seed:           opt.Seed,
+		Model:          opt.Model.Name,
+		Window:         opt.Model.Window,
+		StoreBuffers:   opt.StoreBuffers,
+		NoSteering:     opt.NoSteering,
+		DisableChecker: opt.DisableChecker,
+		Provenance:     opt.Provenance,
+		OpLimit:        opt.OpLimit,
+		StepTimeoutNS:  int64(opt.StepTimeout),
 	}
 }
 
 // optionsFromWire rebuilds the worker-side explore.Options.
 func optionsFromWire(w wireOptions) explore.Options {
 	opt := explore.Options{
-		Executions:       w.Executions,
-		Seed:             w.Seed,
-		Model:            persist.Config{Name: w.Model, Window: w.Window},
-		StoreBuffers:     w.StoreBuffers,
-		NoSteering:       w.NoSteering,
-		DisableSnapshots: w.DisableSnapshots,
-		DisableDPOR:      w.DisableDPOR,
-		NoStateCache:     w.NoStateCache,
-		DisableChecker:   w.DisableChecker,
-		Provenance:       w.Provenance,
-		OpLimit:          w.OpLimit,
-		StepTimeout:      time.Duration(w.StepTimeoutNS),
+		Executions:     w.Executions,
+		Seed:           w.Seed,
+		Model:          persist.Config{Name: w.Model, Window: w.Window},
+		StoreBuffers:   w.StoreBuffers,
+		NoSteering:     w.NoSteering,
+		DisableChecker: w.DisableChecker,
+		Provenance:     w.Provenance,
+		OpLimit:        w.OpLimit,
+		StepTimeout:    time.Duration(w.StepTimeoutNS),
 	}
 	if w.Mode == explore.ModelCheck.String() {
 		opt.Mode = explore.ModelCheck

@@ -52,7 +52,6 @@ type Assembler struct {
 // in Run; opt.Resume primes the cursor, counters, and dedup set exactly
 // like a resumed in-process run).
 func NewAssembler(program string, opt Options) *Assembler {
-	opt.applyWindowConstraints()
 	opt.em = obs.ExploreInstruments(opt.Obs.Reg())
 	opt.tr = opt.Obs.Trace()
 	return newAssembler(program, &opt)
@@ -268,7 +267,7 @@ func (a *Assembler) checkpoint() *Checkpoint {
 		ViolationKeys: keysOf(a.seen),
 	}
 	if a.opt.Mode == ModelCheck {
-		ck.DPOR = !a.opt.DisableDPOR
+		ck.DPOR = a.opt.useDPOR()
 		mc := *a.cutMC
 		mc.CacheKeys, mc.CacheHits, mc.CacheMisses = a.ckKeys, a.ckHits, a.ckMisses
 		ck.MC = &mc

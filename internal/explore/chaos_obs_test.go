@@ -181,8 +181,8 @@ func TestObsCountersReductionsUnderContainment(t *testing.T) {
 	// violations the campaign reports.
 	off := Run(figure2(), Options{
 		Mode: ModelCheck, Executions: 10000, Workers: 8,
-		InjectFault:      injectEvery(4, 2, 3),
-		DisableSnapshots: true, DisableDPOR: true,
+		InjectFault: injectEvery(4, 2, 3),
+		noSnapshots: true, noDPOR: true,
 	})
 	if got, want := res.ViolationKeys(), off.ViolationKeys(); !equalKeys(got, want) {
 		t.Fatalf("reductions changed the violation set\n  on:  %v\n  off: %v", got, want)

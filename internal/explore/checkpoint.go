@@ -63,14 +63,16 @@ type Checkpoint struct {
 	// a different backend would merge incomparable results.
 	Model string `json:"model,omitempty"`
 	// Window records the retirement-window size the campaign ran under
-	// (0 = unbounded). A bounded window forces snapshots, DPOR, and the
-	// state cache off, which changes which executions the canonical
-	// stream contains, so a resume must use the same window.
+	// (0 = unbounded). The model-check reductions run only without a
+	// window, which changes which executions the canonical stream
+	// contains, so a resume must use the same window.
 	Window int `json:"window,omitempty"`
 	// DPOR records whether the campaign ran with partial-order
-	// reduction. The reduction changes which executions the canonical
-	// stream contains, so a resume must run the same way; snapshots, by
-	// contrast, never change the stream and need no validation.
+	// reduction (on iff Window is 0). The reduction changes which
+	// executions the canonical stream contains, so a resume must run
+	// the same way — a checkpoint written with the reduction switched
+	// off by hand is refused; snapshots, by contrast, never change the
+	// stream and need no validation.
 	DPOR bool `json:"dpor,omitempty"`
 	// Collected is the canonical execution cursor: how many executions
 	// of the uninterrupted stream were collected before the cut. Random
@@ -245,8 +247,8 @@ func (c *Checkpoint) Validate(program string, opt Options) error {
 	if c.Mode == ModelCheck.String() && c.MC == nil {
 		return &MismatchError{Field: "mc-state", Have: "absent", Want: "present"}
 	}
-	if c.Mode == ModelCheck.String() && c.DPOR == opt.DisableDPOR {
-		return &MismatchError{Field: "dpor", Have: onOff(c.DPOR), Want: onOff(!opt.DisableDPOR)}
+	if c.Mode == ModelCheck.String() && c.DPOR != opt.useDPOR() {
+		return &MismatchError{Field: "dpor", Have: onOff(c.DPOR), Want: onOff(opt.useDPOR())}
 	}
 	return nil
 }

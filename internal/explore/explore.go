@@ -109,29 +109,6 @@ type Options struct {
 	// subtree unit is folded in canonical order, so scheduling cannot
 	// leak into Violations, ExecutionsToAllBugs, or Aborted.
 	Workers int
-	// NoStateCache disables the post-crash state cache (ModelCheck
-	// mode): crash points whose surviving persistent image is identical
-	// to one already explored are normally pruned, since they present
-	// identical read candidates to every post-crash load. See
-	// statecache.go for the key definition and the soundness argument.
-	NoStateCache bool
-	// DisableSnapshots makes the model-check engine replay every
-	// execution from the program start instead of restoring a world
-	// snapshot taken at its deepest still-valid crash boundary.
-	// Results are bit-identical either way (the snapshot property test
-	// asserts it); the option exists for A/B timing and for debugging
-	// suspected restore bugs.
-	DisableSnapshots bool
-	// DisableDPOR turns off crash-state partial-order reduction
-	// (ModelCheck mode): a deeper crash (phase >= 1) whose complete
-	// post-crash state — persistent image, allocator mark, op count,
-	// checker constraint state, committed trace — matches one already
-	// explored within the same subtree is normally pruned, because its
-	// continuation tree is identical to the one already enumerated.
-	// Unlike DisableSnapshots this changes Result.Executions (fewer
-	// executions run); the violation key set is unaffected. See
-	// DESIGN.md, "Prefix snapshots and partial-order reduction".
-	DisableDPOR bool
 	// Model selects and configures the persistency-model backend
 	// (persist.Config zero value: px86, immediate commit). It is the
 	// single model-config path — pmem.Config receives exactly this
@@ -231,6 +208,10 @@ type Options struct {
 	// path the world-reuse tests compare against, set through the
 	// package's test seam.
 	freshWorlds bool
+	// noSnapshots, noDPOR and noStateCache switch one model-check
+	// reduction off, giving the equivalence tests their unreduced
+	// reference; only the package's test seam sets them.
+	noSnapshots, noDPOR, noStateCache bool
 	// known is the in-process Assembler's collected-key predicate, which
 	// every world's checker consults after its unit's own reported keys
 	// (workerState.isKnown); nil in RunUnit, whose stream is folded
@@ -247,46 +228,33 @@ type Options struct {
 	Resume *Checkpoint
 }
 
-// applyWindowConstraints forces off every feature a bounded window is
-// incompatible with. Bounded-window mode releases trace history behind
-// the retirement frontier, so every feature whose keys or replays reach
-// into retired state must go: crash-boundary snapshots (Trace.Mark is
-// unavailable once stores retire), DPOR and the post-crash state cache
-// (their keys hash committed history and persistent images whose
-// retired entries are gone). Verdicts are unaffected — the windowed-
-// equivalence suite proves the violation sets and final heaps
-// identical. Every engine entry point (Run, RunUnit, NewAssembler)
-// calls this, so window semantics are uniform across in-process,
-// worker, and supervisor paths.
-func (o *Options) applyWindowConstraints() {
-	if o.Model.Window > 0 {
-		o.DisableSnapshots = true
-		o.DisableDPOR = true
-		o.NoStateCache = true
-	}
+// The model-check reductions — crash-boundary snapshots, crash-state
+// partial-order reduction (DPOR) and the post-crash state cache — run
+// iff the trace window is unbounded. A bounded window releases the
+// history their keys hash and their restores replay: Trace.Mark is
+// unavailable once stores retire, and the persistent images and
+// committed trace the DPOR and cache keys cover lose their retired
+// entries. No reduction changes a verdict (the snapshot, DPOR, state-
+// cache and windowed-equivalence suites prove it), so none is a user
+// setting; the test seam switches each off for those suites. The
+// engine, checkpoints and their validation read only these predicates.
+
+// useSnapshots reports whether a unit restores a world snapshot taken
+// at its deepest still-valid crash boundary instead of replaying every
+// execution from the program start.
+func (o *Options) useSnapshots() bool {
+	return o.Model.Window == 0 && !o.noSnapshots && !o.freshWorlds
 }
 
-// ParseReduction maps a -reduction flag value onto the two disable
-// options, the one vocabulary both CLIs share:
-//
-//	all        snapshots and DPOR on (the default)
-//	snapshots  snapshots only (DPOR off)
-//	dpor       DPOR only (snapshots off)
-//	none       both off — the pre-reduction engine, for A/B timing
-func ParseReduction(name string) (disableSnapshots, disableDPOR bool, err error) {
-	switch name {
-	case "", "all":
-		return false, false, nil
-	case "snapshots":
-		return false, true, nil
-	case "dpor":
-		return true, false, nil
-	case "none":
-		return true, true, nil
-	default:
-		return false, false, fmt.Errorf("unknown reduction %q (want all, snapshots, dpor, or none)", name)
-	}
-}
+// useDPOR reports whether a deeper crash (phase >= 1) whose complete
+// post-crash state matches one already explored in the same subtree is
+// pruned. Unlike the other two reductions it changes Result.Executions
+// (fewer executions run), so checkpoints record it.
+func (o *Options) useDPOR() bool { return o.Model.Window == 0 && !o.noDPOR }
+
+// useStateCache reports whether crash points whose surviving persistent
+// image matches one already explored are pruned (statecache.go).
+func (o *Options) useStateCache() bool { return o.Model.Window == 0 && !o.noStateCache }
 
 // Fault is one execution's chaos-injection plan (Options.InjectFault).
 // The zero Fault injects nothing.
@@ -566,7 +534,6 @@ func Run(p Program, opt Options) *Result {
 	if opt.Model.Obs == nil {
 		opt.Model.Obs = opt.Obs
 	}
-	opt.applyWindowConstraints()
 	st := newStopper(&opt)
 	if opt.Mode == ModelCheck {
 		return runMC(p, &opt, st)

@@ -7,3 +7,22 @@ func WithFreshWorlds(opt Options) Options {
 	opt.freshWorlds = true
 	return opt
 }
+
+// WithoutSnapshots returns opt with crash-boundary snapshots off: every
+// execution replays from the program start.
+func WithoutSnapshots(opt Options) Options {
+	opt.noSnapshots = true
+	return opt
+}
+
+// WithoutDPOR returns opt with crash-state partial-order reduction off.
+func WithoutDPOR(opt Options) Options {
+	opt.noDPOR = true
+	return opt
+}
+
+// WithoutStateCache returns opt with the post-crash state cache off.
+func WithoutStateCache(opt Options) Options {
+	opt.noStateCache = true
+	return opt
+}

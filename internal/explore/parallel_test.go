@@ -177,7 +177,7 @@ func TestStateCachePrunesIdenticalImages(t *testing.T) {
 	if cached.CacheHits != 1 || cached.CacheMisses != 2 {
 		t.Fatalf("cache hits/misses = %d/%d, want 1/2", cached.CacheHits, cached.CacheMisses)
 	}
-	uncached := Run(prog, Options{Mode: ModelCheck, Executions: 10000, Workers: 1, NoStateCache: true})
+	uncached := Run(prog, Options{Mode: ModelCheck, Executions: 10000, Workers: 1, noStateCache: true})
 	if uncached.Executions != 4 {
 		t.Fatalf("uncached run: %d executions, want 4", uncached.Executions)
 	}

@@ -309,7 +309,7 @@ func newMCEngine(p Program, opt *Options, st *stopper, limit int) *mcEngine {
 		limit:  limit,
 	}
 	e.cond = sync.NewCond(&e.mu)
-	if !opt.NoStateCache && e.numPre > 0 {
+	if opt.useStateCache() && e.numPre > 0 {
 		e.cache = newStateCache(obs.CacheInstruments(e.reg))
 	}
 	return e
@@ -501,9 +501,9 @@ func (e *mcEngine) runSubtree(u *mcUnit, ws *workerState) {
 	if !first {
 		pChanged = len(ctl.trail) - 1
 	}
-	useSnaps := !e.opt.DisableSnapshots && !e.opt.freshWorlds
+	useSnaps := e.opt.useSnapshots()
 	var dporSeen map[dporKey]struct{}
-	if !e.opt.DisableDPOR && e.numPre > 1 {
+	if e.opt.useDPOR() && e.numPre > 1 {
 		dporSeen = make(map[dporKey]struct{})
 		for _, k := range u.dporSnap {
 			dporSeen[dporKey{phase: k.Phase, image: k.Image, heap: k.Heap, ops: k.Ops, checker: k.Checker, trace: k.Trace}] = struct{}{}

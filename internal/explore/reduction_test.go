@@ -1,4 +1,4 @@
-package repro
+package explore_test
 
 // Equivalence tests for the model-check reductions (prefix snapshots
 // and crash-state DPOR):
@@ -11,8 +11,10 @@ package repro
 //     every shipped litmus program, with DPOR never running more
 //     executions than the unreduced search.
 //
-// Together with determinism_test.go (which now exercises both settings)
-// these are the safety net that lets the reductions default to on.
+// Together with determinism_test.go (which exercises both settings)
+// these are the safety net that lets the reductions run whenever the
+// trace window is unbounded. The unreduced side of every comparison is
+// built through the package's test seam (export_test.go).
 
 import (
 	"fmt"
@@ -32,6 +34,9 @@ import (
 	"repro/internal/persist"
 	"repro/internal/pmem"
 )
+
+// testdataDir holds the shipped .pm litmus corpus.
+const testdataDir = "../../testdata"
 
 // assertSameReducedOutcome compares everything a reduction is not
 // allowed to change.
@@ -88,10 +93,10 @@ func digestProgram(digests *[]uint64, mu *sync.Mutex) explore.Program {
 	}
 }
 
-// TestSnapshotEquivalenceAcrossModels: DisableSnapshots must not change
-// any observable part of a model-check campaign on any backend — and in
-// particular every execution must read the same heap whether it was
-// replayed from the program start or resumed from a restored crash
+// TestSnapshotEquivalenceAcrossModels: switching snapshots off must not
+// change any observable part of a model-check campaign on any backend —
+// and in particular every execution must read the same heap whether it
+// was replayed from the program start or resumed from a restored crash
 // snapshot.
 func TestSnapshotEquivalenceAcrossModels(t *testing.T) {
 	for _, model := range persist.Names() {
@@ -100,11 +105,14 @@ func TestSnapshotEquivalenceAcrossModels(t *testing.T) {
 			run := func(disable bool) (*explore.Result, []uint64) {
 				var digests []uint64
 				var mu sync.Mutex
-				res := explore.Run(digestProgram(&digests, &mu), explore.Options{
+				opt := explore.Options{
 					Mode: explore.ModelCheck, Executions: 5000, Workers: 1,
-					Model:            persist.Config{Name: model},
-					DisableSnapshots: disable,
-				})
+					Model: persist.Config{Name: model},
+				}
+				if disable {
+					opt = explore.WithoutSnapshots(opt)
+				}
+				res := explore.Run(digestProgram(&digests, &mu), opt)
 				return res, digests
 			}
 			on, onDigests := run(false)
@@ -135,8 +143,7 @@ func TestSnapshotEquivalenceOnBenchmarks(t *testing.T) {
 			for _, workers := range []int{1, 8} {
 				opt := explore.Options{Mode: explore.ModelCheck, Executions: execs, Workers: workers}
 				on := explore.Run(b.Build(bench.Buggy), opt)
-				opt.DisableSnapshots = true
-				off := explore.Run(b.Build(bench.Buggy), opt)
+				off := explore.Run(b.Build(bench.Buggy), explore.WithoutSnapshots(opt))
 				assertSameReducedOutcome(t, b.Name, on, off)
 				if on.SnapshotRestores == 0 {
 					t.Fatalf("%s at %d workers: no snapshot restores", b.Name, workers)
@@ -194,10 +201,14 @@ func TestSnapshotRestoreNonFinalPhaseBug(t *testing.T) {
 		workers     int
 	}
 	run := func(c config) *explore.Result {
-		return explore.Run(relayProgram(), explore.Options{
-			Mode: explore.ModelCheck, Executions: 10000, Workers: c.workers,
-			DisableSnapshots: !c.snaps, DisableDPOR: !c.dpor,
-		})
+		opt := explore.Options{Mode: explore.ModelCheck, Executions: 10000, Workers: c.workers}
+		if !c.snaps {
+			opt = explore.WithoutSnapshots(opt)
+		}
+		if !c.dpor {
+			opt = explore.WithoutDPOR(opt)
+		}
+		return explore.Run(relayProgram(), opt)
 	}
 	ref := run(config{workers: 1})
 	if ref.Partial || len(ref.Violations) < 2 {
@@ -223,7 +234,7 @@ func TestSnapshotRestoreNonFinalPhaseBug(t *testing.T) {
 // the DPOR-reduced search must report exactly the violation key set the
 // unreduced search reports, while never running more executions.
 func TestDPORSoundOnLitmusPrograms(t *testing.T) {
-	entries, err := os.ReadDir("testdata")
+	entries, err := os.ReadDir(testdataDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +244,7 @@ func TestDPORSoundOnLitmusPrograms(t *testing.T) {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			src, err := os.ReadFile(filepath.Join("testdata", name))
+			src, err := os.ReadFile(filepath.Join(testdataDir, name))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,8 +254,7 @@ func TestDPORSoundOnLitmusPrograms(t *testing.T) {
 			}
 			opt := explore.Options{Mode: explore.ModelCheck, Executions: 20000}
 			on := explore.Run(interp.New(name, prog), opt)
-			opt.DisableDPOR = true
-			off := explore.Run(interp.New(name, prog), opt)
+			off := explore.Run(interp.New(name, prog), explore.WithoutDPOR(opt))
 			if !reflect.DeepEqual(on.ViolationKeys(), off.ViolationKeys()) {
 				t.Fatalf("DPOR changed the violation set\n  on:  %v\n  off: %v",
 					on.ViolationKeys(), off.ViolationKeys())
@@ -273,9 +283,9 @@ func TestDPORSoundOnBenchmarks(t *testing.T) {
 			on := explore.Run(b.Build(bench.Buggy), explore.Options{
 				Mode: explore.ModelCheck, Executions: execs, Workers: 1,
 			})
-			off := explore.Run(b.Build(bench.Buggy), explore.Options{
-				Mode: explore.ModelCheck, Executions: execs, Workers: 1, DisableDPOR: true,
-			})
+			off := explore.Run(b.Build(bench.Buggy), explore.WithoutDPOR(explore.Options{
+				Mode: explore.ModelCheck, Executions: execs, Workers: 1,
+			}))
 			have := make(map[string]bool)
 			for _, k := range on.ViolationKeys() {
 				have[k] = true

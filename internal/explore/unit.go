@@ -170,7 +170,6 @@ func RunUnit(p Program, opt Options, spec UnitSpec, hooks UnitHooks) (*UnitResul
 		return nil, fmt.Errorf("unit spec must set exactly one of random and mc")
 	}
 	opt.Workers = 1
-	opt.applyWindowConstraints()
 	opt.em = obs.ExploreInstruments(opt.Obs.Reg())
 	opt.tr = opt.Obs.Trace()
 	opt.fr = opt.Obs.Recorder()

@@ -65,6 +65,16 @@ func TestValidateMismatches(t *testing.T) {
 			c.DPOR = false
 			return c
 		}, "figure2", mcOpts, "dpor"},
+		{"windowed", func() *Checkpoint {
+			c := base()
+			c.Window, c.DPOR = 4, false
+			return c
+		}, "figure2", Options{Mode: ModelCheck, Model: persist.Config{Window: 4}}, ""},
+		{"windowed-dpor", func() *Checkpoint {
+			c := base()
+			c.Window = 4
+			return c
+		}, "figure2", Options{Mode: ModelCheck, Model: persist.Config{Window: 4}}, "dpor"},
 		{"dpor-ignored-in-random", func() *Checkpoint {
 			c := base()
 			c.Mode = Random.String()

@@ -165,8 +165,8 @@ type Config struct {
 	// trace's free lists for reuse. 0 (the default) keeps every record
 	// until Reset, byte-identical to previous releases. Window changes
 	// which exploration features are available (snapshots, DPOR, and the
-	// post-crash state cache are forced off) and is validated by
-	// checkpoints.
+	// post-crash state cache run only without a window) and is validated
+	// by checkpoints.
 	Window int
 	// Obs, when it carries a metrics registry, makes backends built from
 	// this config emit per-model instruction counters

@@ -83,11 +83,6 @@ type Options struct {
 	// Context cancels table builds early with partial coverage, same
 	// semantics as explore.Options.Context.
 	Context context.Context
-	// DisableSnapshots and DisableDPOR switch off the model-check
-	// reductions (explore.Options fields of the same names) in every
-	// exploration the tables run — the psan-bench -reduction flag.
-	DisableSnapshots bool
-	DisableDPOR      bool
 }
 
 // modelConfig is the explore/pmem model configuration the options select.
@@ -227,7 +222,6 @@ func Table2(opt Options) *Table2Result {
 		buggy := explore.Run(b.Build(bench.Buggy), explore.Options{
 			Mode: b.PreferredMode, Executions: execs, Seed: opt.Seed + 1, Workers: opt.Workers, Deadline: opt.Deadline,
 			Model: opt.modelConfig(), Obs: opt.Obs, Context: opt.Context,
-			DisableSnapshots: opt.DisableSnapshots, DisableDPOR: opt.DisableDPOR,
 		})
 		covered, missed := bench.MatchExpected(b.Expected, buggy.Violations)
 		for _, c := range covered {
@@ -257,7 +251,6 @@ func Table2(opt Options) *Table2Result {
 		fixed := explore.Run(b.Build(bench.Fixed), explore.Options{
 			Mode: b.PreferredMode, Executions: execs, Seed: opt.Seed + 1, Workers: opt.Workers, Deadline: opt.Deadline,
 			Model: opt.modelConfig(), Obs: opt.Obs, Context: opt.Context,
-			DisableSnapshots: opt.DisableSnapshots, DisableDPOR: opt.DisableDPOR,
 		})
 		res.FixedClean[b.Name] = len(fixed.Violations) == 0
 	}
@@ -337,7 +330,6 @@ func Table3(opt Options) []Table3Row {
 				Mode: explore.Random, Executions: timingExecs, Seed: opt.Seed + 2,
 				Workers: opt.Workers, Deadline: opt.Deadline, DisableChecker: !checker, NoSteering: true,
 				Model: opt.modelConfig(), Obs: opt.Obs, Context: opt.Context,
-				DisableSnapshots: opt.DisableSnapshots, DisableDPOR: opt.DisableDPOR,
 			}).PerExecution()
 		}
 		var jaaru, psan time.Duration
@@ -356,7 +348,6 @@ func Table3(opt Options) []Table3Row {
 		discovery := explore.Run(b.Build(bench.Buggy), explore.Options{
 			Mode: explore.Random, Executions: execs, Seed: opt.Seed + 2, Workers: opt.Workers, Deadline: opt.Deadline,
 			Model: opt.modelConfig(), Obs: opt.Obs, Context: opt.Context,
-			DisableSnapshots: opt.DisableSnapshots, DisableDPOR: opt.DisableDPOR,
 		})
 		rows = append(rows, Table3Row{
 			Benchmark:  b.Name,
@@ -402,7 +393,6 @@ func Violations(name string, opt Options) (string, error) {
 	res := explore.Run(b.Build(bench.Buggy), explore.Options{
 		Mode: b.PreferredMode, Executions: execs, Seed: opt.Seed + 1, Workers: opt.Workers,
 		Model: opt.modelConfig(), Obs: opt.Obs, Context: opt.Context,
-		DisableSnapshots: opt.DisableSnapshots, DisableDPOR: opt.DisableDPOR,
 		Provenance: true,
 	})
 	var sb strings.Builder

@@ -535,7 +535,7 @@ type TraceMark struct {
 // immediately after Crash (see TraceMark). Marks are an arena-position
 // mechanism and are incompatible with bounded-window mode, whose
 // retirement sweep invalidates positions behind the frontier; the
-// explorer forces snapshots off under a window, so reaching this panic
+// explorer takes no snapshots under a window, so reaching this panic
 // indicates a harness bug, not a user error.
 func (tr *Trace) Mark() TraceMark {
 	if tr.window > 0 {

@@ -54,9 +54,9 @@
 // Retirement is O(live entries) per sweep and runs every `window` ops,
 // so the amortized cost is a constant per operation; the verdict stream
 // is proven identical to unbounded mode by the windowed-equivalence
-// property suite (window_test.go) and guarded by the explorer, which
-// forces snapshots, DPOR, and the post-crash state cache off (their
-// keys hash retired history).
+// property suite (internal/explore/window_test.go) and guarded by the
+// explorer, which runs snapshots, DPOR, and the post-crash state cache
+// only without a window (their keys hash retired history).
 package trace
 
 import (
