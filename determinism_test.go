@@ -196,7 +196,8 @@ func TestCancelResumeDeterminismRandom(t *testing.T) {
 			popt := opt
 			popt.Context = ctx
 			// Cancel early enough that the in-flight window (Workers ×
-			// collector slack) cannot carry the run to completion.
+			// the scheduler's lookahead units) cannot carry the run to
+			// completion.
 			cancelAt := execs / 8
 			if cancelAt < 1 {
 				cancelAt = 1

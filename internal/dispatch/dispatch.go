@@ -1,5 +1,6 @@
-// The supervisor: unit scheduling, leases, redelivery, degradation,
-// and the ordered merge.
+// The supervisor: leases, redelivery, degradation and fleet telemetry
+// over worker processes. The units themselves — their canonical order,
+// budgets, classification and ordered fold — are explore.Scheduler's.
 package dispatch
 
 import (
@@ -21,8 +22,9 @@ const WorkerBinEnv = "PSAN_WORKER_BIN"
 // Options configures a supervised campaign.
 type Options struct {
 	// Explore carries the campaign knobs, interpreted as in explore.Run:
-	// Workers is the worker-process count, Executions/Seed/Model
-	// define the canonical stream, Resume continues a v3
+	// Workers is the worker-process count, resolved as explore.Run
+	// resolves its goroutine count (Options.Width: 0 means one per
+	// CPU), Executions/Seed/Model define the canonical stream, Resume continues a v3
 	// checkpoint, Deadline/Context stop the campaign. Obs instruments
 	// the supervisor (dispatch.* bundle) and receives the fleet
 	// telemetry: worker processes run matching sinks and ship metric
@@ -73,50 +75,17 @@ type Options struct {
 	haltAfterUnits int
 }
 
-// unitState is the lease state machine:
-//
-//	pending --deliver--> leased --result--> done
-//	   ^                    |
-//	   +----backoff---------+--retries exhausted--> poisoned
-type unitState int
-
-const (
-	unitPending unitState = iota
-	unitLeased
-	unitDone
-	unitPoisoned
-)
-
-// unit is one schedulable work unit and its delivery history.
-type unit struct {
-	id        int
-	spec      explore.UnitSpec
-	state     unitState
-	attempts  int       // deliveries so far
-	notBefore time.Time // backoff release (pending units)
-	result    *explore.UnitResult
-
-	classified bool // mc: subtree classification already applied
-
-	// failure provenance (latest attempt)
-	lastErr    string
-	exitStatus string
-	stderrTail string
-}
-
-// key identifies the unit for backoff jitter derivation.
-func (u *unit) key() string {
-	if u.spec.Random != nil {
-		return fmt.Sprintf("random:%d-%d", u.spec.Random.Lo, u.spec.Random.Hi)
-	}
-	return fmt.Sprintf("mc:%d", u.spec.MC.Subtree)
-}
-
+// supervisor drives an explore.Scheduler from worker slots, one
+// goroutine (and worker process) each. Its lease machine layers on the
+// scheduler's unit states: a claimed unit is leased to a slot's process;
+// a failed delivery backs off on that slot and releases the unit for
+// redelivery, or quarantines it as poison.
 type supervisor struct {
 	opt   Options
 	hello helloMsg
 	bin   string // "" => degraded from the start
 	dm    obs.DispatchMetrics
+	sched *explore.Scheduler
 
 	// Fleet-telemetry sinks (all nil-safe): the supervisor's own
 	// registry/tracer/flight recorder, which worker shipments merge
@@ -125,24 +94,22 @@ type supervisor struct {
 	tr  *obs.Tracer
 	fr  *obs.FlightRecorder
 
-	mu   sync.Mutex
-	cond *sync.Cond
+	// halt is closed once delivery stops (stop, poison, or halt); slots
+	// backing off wake on it.
+	halt     chan struct{}
+	haltOnce sync.Once
 
-	units  []*unit
-	mcDone bool // mc: the subtree chain is closed
-	mcKeys []explore.CacheEntry
-
-	draining   bool // stop delivering (stop, poison, or completion)
+	mu         sync.Mutex
+	attempts   map[int]int // deliveries so far, by unit ID
 	stopReason string
 	degraded   bool
-	poisoned   []*unit
+	poisoned   []*explore.PoisonUnit
 
 	redeliveries int
 	restarts     int
 	mergedUnits  int
 
 	procs map[int]*proc // live proc per slot, for kill-on-stop
-	start time.Time     // campaign start, for Result.Elapsed
 }
 
 // Run executes the campaign under process isolation and returns the
@@ -151,15 +118,13 @@ func Run(opt Options) *explore.Result {
 	return newSupervisor(opt).run()
 }
 
-// newSupervisor applies defaults, resolves the worker binary, and seeds
-// the unit set.
+// newSupervisor applies defaults, resolves the worker binary, and
+// starts the unit chain.
 func newSupervisor(opt Options) *supervisor {
 	if opt.Explore.Executions == 0 {
 		opt.Explore.Executions = 1000
 	}
-	if opt.Explore.Workers <= 0 {
-		opt.Explore.Workers = 1
-	}
+	opt.Explore.Workers = opt.Explore.Width()
 	if opt.Lease <= 0 {
 		opt.Lease = 10 * time.Second
 	}
@@ -178,15 +143,16 @@ func newSupervisor(opt Options) *supervisor {
 			ProgramPath: opt.ProgramPath,
 			Opts:        optionsToWire(opt.Explore),
 		},
-		procs: make(map[int]*proc),
+		sched:    explore.NewScheduler(opt.Program.Name(), opt.Explore, rangeSize(opt)),
+		halt:     make(chan struct{}),
+		attempts: make(map[int]int),
+		procs:    make(map[int]*proc),
 	}
 	s.hello.Telemetry = telemetrySpec{
 		Metrics: s.reg != nil,
 		Trace:   s.tr != nil,
 		Flight:  s.fr != nil,
 	}
-	s.cond = sync.NewCond(&s.mu)
-	s.start = time.Now()
 	if !opt.inProcess {
 		s.bin = resolveWorkerBin(opt.WorkerBin)
 	}
@@ -197,12 +163,24 @@ func newSupervisor(opt Options) *supervisor {
 			s.fr.Record("dispatch", "degraded", -1, "no worker binary found")
 		}
 	}
-	s.seedUnits()
 	return s
 }
 
+// rangeSize sizes random-mode units: an eighth of each worker's share
+// of the stream left to run, at least 16 executions.
+func rangeSize(opt Options) int {
+	if opt.unitExecs > 0 {
+		return opt.unitExecs
+	}
+	rem := opt.Explore.Executions
+	if ck := opt.Explore.Resume; ck != nil {
+		rem -= ck.Collected
+	}
+	return max(rem/(opt.Explore.Workers*8), 16)
+}
+
 // run drives the campaign: stop watcher, one goroutine per worker slot,
-// ordered merge.
+// and the supervision record on the folded Result.
 func (s *supervisor) run() *explore.Result {
 	opt := s.opt
 
@@ -237,292 +215,148 @@ func (s *supervisor) run() *explore.Result {
 	wg.Wait()
 	close(stopWatch)
 
-	return s.merge()
+	return s.finish()
 }
 
-// seedUnits creates the initial unit set: the whole range partition in
-// random mode, the first (or resumed-cut) subtree in model-check mode.
-func (s *supervisor) seedUnits() {
-	opt := &s.opt.Explore
-	if opt.Mode == explore.Random {
-		lo := 0
-		if ck := opt.Resume; ck != nil {
-			lo = ck.Collected
-		}
-		chunk := s.opt.unitExecs
-		if chunk <= 0 {
-			chunk = (opt.Executions - lo) / (opt.Workers * 8)
-			if chunk < 16 {
-				chunk = 16
-			}
-		}
-		for ; lo < opt.Executions; lo += chunk {
-			hi := lo + chunk
-			if hi > opt.Executions {
-				hi = opt.Executions
-			}
-			s.addUnit(explore.UnitSpec{Random: &explore.RandomRange{Lo: lo, Hi: hi}})
-		}
-		return
-	}
-	mc := &explore.MCCheckpoint{}
-	if ck := opt.Resume; ck != nil && ck.MC != nil {
-		mc = &explore.MCCheckpoint{
-			Subtree:   ck.MC.Subtree,
-			Started:   ck.MC.Started,
-			Trail:     ck.MC.Trail,
-			SpawnNext: ck.MC.SpawnNext,
-			DPORKeys:  ck.MC.DPORKeys,
-			CacheKeys: append([]explore.CacheEntry(nil), ck.MC.CacheKeys...),
-		}
-		s.mcKeys = append(s.mcKeys, ck.MC.CacheKeys...)
-	}
-	u := s.addUnit(explore.UnitSpec{MC: mc})
-	if mc.Started {
-		// A resumed mid-subtree cut classified before the checkpoint;
-		// its successor (if any) is spawned here, like the engine's
-		// resume path.
-		u.classified = true
-		if mc.SpawnNext {
-			s.addUnit(explore.UnitSpec{MC: &explore.MCCheckpoint{
-				Subtree:   mc.Subtree + 1,
-				CacheKeys: append([]explore.CacheEntry(nil), s.mcKeys...),
-			}})
-		} else {
-			s.mcDone = true
-		}
-	}
-}
-
-// addUnit appends a unit in canonical position. Callers hold s.mu or
-// run before the slots start.
-func (s *supervisor) addUnit(spec explore.UnitSpec) *unit {
-	u := &unit{id: len(s.units), spec: spec}
-	s.units = append(s.units, u)
-	return u
-}
-
-// budgetLocked computes a model-check unit's execution budget: the cap
-// minus every earlier unit's known executions. Like the engine's
-// allowance it is a conservative overestimate (in-flight earlier units
-// count 0), so a unit may overshoot — the merge truncates, exactly like
-// the engine's assembly — but can never stop short of the canonical
-// need. Returns false when the budget is provably empty.
-func (s *supervisor) budgetLocked(u *unit) (int, bool) {
-	sum := 0
-	if ck := s.opt.Explore.Resume; ck != nil {
-		sum = ck.Collected
-	}
-	for _, v := range s.units {
-		if v.id >= u.id {
-			break
-		}
-		if v.state == unitDone {
-			sum += len(v.result.Execs)
-		}
-	}
-	rem := s.opt.Explore.Executions - sum
-	if rem <= 0 {
-		return 0, false
-	}
-	return rem, true
-}
-
-// next blocks until a unit is deliverable (lowest id first, honoring
-// backoff release times) and leases it; nil means the campaign is over
-// for this slot (drained, stopped, or every unit is terminal).
-func (s *supervisor) next() *unit {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.draining {
-			return nil
-		}
-		live := false
-		var ready *unit
-		var soonest time.Time
-		now := time.Now()
-		for _, u := range s.units {
-			switch u.state {
-			case unitLeased:
-				live = true
-			case unitPending:
-				live = true
-				if !u.notBefore.After(now) {
-					ready = u
-				} else if soonest.IsZero() || u.notBefore.Before(soonest) {
-					soonest = u.notBefore
-				}
-			}
-			if ready != nil {
-				break
-			}
-		}
-		if ready != nil {
-			if s.opt.Explore.Mode == explore.ModelCheck {
-				b, ok := s.budgetLocked(ready)
-				if !ok {
-					// The cap is exhausted before this unit: it can never
-					// contribute collected executions. Leave it pending —
-					// the merge records it as the cut, exactly like an
-					// engine unit that bowed out on its allowance.
-					s.drainLocked()
-					return nil
-				}
-				ready.spec.Budget = b
-			}
-			ready.state = unitLeased
-			ready.attempts++
-			s.dm.LeasesGranted.Inc()
-			s.dm.UnitsDispatched.Inc()
-			return ready
-		}
-		if !live && (s.opt.Explore.Mode == explore.Random || s.mcDone) {
-			// Frontier drained.
-			s.drainLocked()
-			return nil
-		}
-		if !soonest.IsZero() {
-			// Wake ourselves when the earliest backoff releases.
-			d := time.Until(soonest)
-			time.AfterFunc(d, func() {
-				s.mu.Lock()
-				s.cond.Broadcast()
-				s.mu.Unlock()
-			})
-		}
-		s.cond.Wait()
-	}
-}
-
-// drainLocked latches the campaign-over state and wakes every slot.
-func (s *supervisor) drainLocked() {
-	s.draining = true
-	s.cond.Broadcast()
+// drain stops delivery: no unit is claimed from now on, and slots
+// backing off wake. Units still leased finish or are lost.
+func (s *supervisor) drain() {
+	s.haltOnce.Do(func() {
+		close(s.halt)
+		s.sched.Stop()
+	})
 }
 
 // stop is the external-stop path (deadline, cancellation): stop
-// delivering, kill every live worker (their units return to pending
-// and become the merge cut).
+// delivering, kill every live worker (their units are lost and become
+// the cut).
 func (s *supervisor) stop(reason string) {
 	s.mu.Lock()
 	if s.stopReason == "" {
 		s.stopReason = reason
 		s.fr.Record("dispatch", "stop", -1, reason)
 	}
-	s.drainLocked()
 	procs := make([]*proc, 0, len(s.procs))
 	for _, p := range s.procs {
 		procs = append(procs, p)
 	}
 	s.mu.Unlock()
+	s.drain()
 	for _, p := range procs {
 		p.kill()
 	}
 }
 
-// classify applies a subtree classification: record the cache
-// registration and extend the unit chain. Idempotent per unit — a
-// redelivered unit re-classifies identically and must not double-
-// register or spawn a duplicate successor.
-func (s *supervisor) classify(u *unit, c explore.UnitClassification) {
+// lease grants unit u to a slot: one more delivery attempt. It reports
+// the attempt's 0-based number and whether the campaign runs degraded.
+func (s *supervisor) lease(u *explore.Unit) (attempt int, degraded bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.classifyLocked(u, c)
+	s.attempts[u.ID]++
+	s.dm.LeasesGranted.Inc()
+	s.dm.UnitsDispatched.Inc()
+	return s.attempts[u.ID] - 1, s.degraded
 }
 
-func (s *supervisor) classifyLocked(u *unit, c explore.UnitClassification) {
-	if u.classified || s.opt.Explore.Mode != explore.ModelCheck {
-		return
-	}
-	u.classified = true
-	if c.Keyed {
-		s.mcKeys = append(s.mcKeys, c.Key)
-	}
-	if u.id == len(s.units)-1 {
-		if c.InjectionFired {
-			s.addUnit(explore.UnitSpec{MC: &explore.MCCheckpoint{
-				Subtree:   u.spec.MC.Subtree + 1,
-				CacheKeys: append([]explore.CacheEntry(nil), s.mcKeys...),
-			}})
-			s.cond.Broadcast()
-		} else {
-			s.mcDone = true
-			s.cond.Broadcast()
-		}
-	}
-}
-
-// complete merges bookkeeping for a finished unit.
-func (s *supervisor) complete(u *unit, ur *explore.UnitResult) {
+// complete hands a delivered unit's stream to the scheduler, which
+// folds it in canonical order.
+func (s *supervisor) complete(u *explore.Unit, ur *explore.UnitResult) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if u.state != unitLeased {
-		return
-	}
-	u.state = unitDone
-	u.result = ur
+	delete(s.attempts, u.ID)
 	s.mergedUnits++
 	s.dm.UnitsMerged.Inc()
-	if ur.Classified {
-		// Fallback for a lost early-classification message; no-op if the
-		// classify callback already ran.
-		s.classifyLocked(u, ur.Class)
-	}
-	if s.opt.haltAfterUnits > 0 && s.mergedUnits >= s.opt.haltAfterUnits && s.stopReason == "" {
+	halt := s.opt.haltAfterUnits > 0 && s.mergedUnits >= s.opt.haltAfterUnits && s.stopReason == ""
+	if halt {
 		s.stopReason = "halted"
-		s.drainLocked()
 	}
-	s.cond.Broadcast()
+	s.mu.Unlock()
+	s.sched.Finish(u, ur)
+	if halt {
+		s.drain()
+	}
 }
 
-// fail records a failed delivery and schedules redelivery or poison.
-func (s *supervisor) fail(u *unit, pe *procError) {
+// fail records a failed delivery of unit u and, unless delivery has
+// stopped, quarantines it as poison or backs off on this slot until its
+// release time and returns it to the scheduler for redelivery.
+func (s *supervisor) fail(u *explore.Unit, pe *procError) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if u.state != unitLeased {
-		return // the stop path already reclaimed it
-	}
-	u.lastErr = pe.Error()
-	u.exitStatus = pe.exitStatus
-	u.stderrTail = pe.stderrTail
 	if pe.reason == "lease-expired" {
 		s.dm.LeasesExpired.Inc()
-		s.fr.Record("dispatch", "lease-expired", u.id, pe.detail)
+		s.fr.Record("dispatch", "lease-expired", u.ID, pe.detail)
 	}
-	if s.draining {
-		// Killed by the stop path: back to pending so the merge cuts
-		// here; no redelivery, no retry-budget charge.
-		u.state = unitPending
+	select {
+	case <-s.halt:
+		// Killed by the stop path, or failed while draining: no
+		// redelivery, no retry-budget charge; the unit is lost and cuts
+		// the stream.
+		s.mu.Unlock()
 		return
+	default:
 	}
-	at, poison := s.opt.Retry.Next(u.key(), u.attempts, time.Now())
+	attempts := s.attempts[u.ID]
+	at, poison := s.opt.Retry.Next(unitKey(u.Spec), attempts, time.Now())
 	if poison || pe.permanent {
-		u.state = unitPoisoned
-		s.poisoned = append(s.poisoned, u)
+		s.poisoned = append(s.poisoned, poisonUnit(u, attempts, pe))
 		s.dm.PoisonUnits.Inc()
-		s.fr.Record("dispatch", "poison", u.id,
-			fmt.Sprintf("after %d attempts: %s", u.attempts, pe.Error()))
+		s.fr.Record("dispatch", "poison", u.ID,
+			fmt.Sprintf("after %d attempts: %s", attempts, pe.Error()))
+		s.mu.Unlock()
 		// Coverage is lost at this unit: everything canonically after it
 		// can never be collected, so stop dispatching and drain.
-		s.drainLocked()
+		s.drain()
 		return
 	}
-	u.state = unitPending
-	u.notBefore = at
 	s.redeliveries++
 	s.dm.Redeliveries.Inc()
 	s.dm.BackoffNanos.Add(int64(time.Until(at)))
-	s.fr.Record("dispatch", "redeliver", u.id,
-		fmt.Sprintf("attempt %d failed: %s", u.attempts, pe.Error()))
-	s.cond.Broadcast()
+	s.fr.Record("dispatch", "redeliver", u.ID,
+		fmt.Sprintf("attempt %d failed: %s", attempts, pe.Error()))
+	s.mu.Unlock()
+	wait := time.NewTimer(time.Until(at))
+	select {
+	case <-wait.C:
+	case <-s.halt:
+		wait.Stop()
+	}
+	s.sched.Release(u)
+}
+
+// unitKey identifies a unit for backoff jitter derivation.
+func unitKey(spec explore.UnitSpec) string {
+	if spec.Random != nil {
+		return fmt.Sprintf("random:%d-%d", spec.Random.Lo, spec.Random.Hi)
+	}
+	return fmt.Sprintf("mc:%d", spec.MC.Subtree)
+}
+
+// poisonUnit is the quarantine record of unit u after its last failed
+// attempt pe.
+func poisonUnit(u *explore.Unit, attempts int, pe *procError) *explore.PoisonUnit {
+	p := &explore.PoisonUnit{
+		ID:         u.ID,
+		Kind:       u.Spec.Kind(),
+		Attempts:   attempts,
+		LastError:  pe.Error(),
+		ExitStatus: pe.exitStatus,
+		StderrTail: pe.stderrTail,
+	}
+	if u.Spec.Random != nil {
+		p.Lo, p.Hi = u.Spec.Random.Lo, u.Spec.Random.Hi
+	} else {
+		p.Subtree = u.Spec.MC.Subtree
+		for _, te := range u.Spec.MC.Trail {
+			p.TrailPrefix = append(p.TrailPrefix, te.Val)
+		}
+	}
+	return p
 }
 
 // runInProcess is degraded mode's delivery: the same RunUnit the worker
 // binary runs, same spec, same hooks — same bytes.
-func (s *supervisor) runInProcess(u *unit) {
-	ur, err := explore.RunUnit(s.opt.Program, s.opt.Explore, u.spec, explore.UnitHooks{
-		OnClassify: func(c explore.UnitClassification) { s.classify(u, c) },
+func (s *supervisor) runInProcess(u *explore.Unit) {
+	ur, err := explore.RunUnit(s.opt.Program, s.opt.Explore, u.Spec, explore.UnitHooks{
+		OnClassify: func(c explore.UnitClassification) { s.sched.Classify(u, c) },
 	})
 	if err != nil {
 		s.fail(u, &procError{reason: "fatal", detail: err.Error(), permanent: true})
@@ -531,8 +365,8 @@ func (s *supervisor) runInProcess(u *unit) {
 	s.complete(u, ur)
 }
 
-// slot is one worker slot's loop: lease units, deliver them to this
-// slot's worker process (spawning or respawning as needed), and fold
+// slot is one worker slot's loop: claim units, deliver them to this
+// slot's worker process (spawning or respawning as needed), and hand
 // outcomes back. Repeated spawn failure latches campaign-wide degraded
 // mode instead of failing the run.
 func (s *supervisor) slot(i int, wg *sync.WaitGroup) {
@@ -549,13 +383,11 @@ func (s *supervisor) slot(i int, wg *sync.WaitGroup) {
 		}
 	}()
 	for {
-		u := s.next()
+		u := s.sched.Claim()
 		if u == nil {
 			return
 		}
-		s.mu.Lock()
-		degraded := s.degraded
-		s.mu.Unlock()
+		attempt, degraded := s.lease(u)
 		if degraded {
 			s.runInProcess(u)
 			continue
@@ -565,18 +397,17 @@ func (s *supervisor) slot(i int, wg *sync.WaitGroup) {
 			if err != nil {
 				spawnFails++
 				s.mu.Lock()
-				// Spawn trouble is not the unit's fault: back to pending
-				// with its attempt uncharged.
-				u.state = unitPending
-				u.attempts--
+				// Spawn trouble is not the unit's fault: its attempt is
+				// uncharged and it goes straight back.
+				s.attempts[u.ID]--
 				if spawnFails >= s.opt.spawnFailLimit {
 					s.degraded = true
 					s.dm.Degraded.Inc()
 					s.fr.Record("dispatch", "degraded", -1,
 						fmt.Sprintf("slot %d: %d consecutive spawn failures", i, spawnFails))
 				}
-				s.cond.Broadcast()
 				s.mu.Unlock()
+				s.sched.Release(u)
 				continue
 			}
 			spawnFails = 0
@@ -601,11 +432,11 @@ func (s *supervisor) slot(i int, wg *sync.WaitGroup) {
 		}
 		um := unitMsg{
 			Type:    "unit",
-			ID:      u.id,
-			Attempt: u.attempts - 1,
+			ID:      u.ID,
+			Attempt: attempt,
 			LeaseMS: int64(s.opt.Lease / time.Millisecond),
-			Spec:    u.spec,
-			Cut:     s.cutFor(u),
+			Spec:    u.Spec,
+			Cut:     s.sched.Cut(u),
 		}
 		// Telemetry shipped during this delivery attempt is applied to
 		// the supervisor sinks as it arrives and accumulated; a failed
@@ -627,8 +458,8 @@ func (s *supervisor) slot(i int, wg *sync.WaitGroup) {
 			s.fr.Ingest(m.Flight)
 		}
 		start := time.Now()
-		ur, err := pr.deliver(um, s.opt.Lease, func(c explore.UnitClassification) { s.classify(u, c) }, onTel)
-		s.tr.Complete(i+1, "dispatch", fmt.Sprintf("unit %d attempt %d", u.id, um.Attempt),
+		ur, err := pr.deliver(um, s.opt.Lease, func(c explore.UnitClassification) { s.sched.Classify(u, c) }, onTel)
+		s.tr.Complete(i+1, "dispatch", fmt.Sprintf("unit %d attempt %d", u.ID, um.Attempt),
 			start, time.Since(start), -1)
 		if err != nil {
 			// deliver killed the proc (or found it dead) on every error.
@@ -648,42 +479,17 @@ func (s *supervisor) slot(i int, wg *sync.WaitGroup) {
 	}
 }
 
-// cutFor shapes the unit as a checkpoint for worker-side validation.
-// DPOR is explore's reduction predicate as every caller outside the
-// explore package sees it: on iff the window is unbounded.
-func (s *supervisor) cutFor(u *unit) explore.Checkpoint {
-	ck := explore.Checkpoint{
-		Version: explore.CheckpointVersion,
-		Program: s.opt.Program.Name(),
-		Mode:    s.opt.Explore.Mode.String(),
-		Seed:    s.opt.Explore.Seed,
-		Model:   s.opt.Explore.Model.Name,
-		Window:  s.opt.Explore.Model.Window,
-		DPOR:    s.opt.Explore.Model.Window == 0,
-		MC:      u.spec.MC,
-	}
-	return ck
-}
-
-// merge assembles every unit stream in canonical order and decorates
-// the Result with the supervision record.
-func (s *supervisor) merge() *explore.Result {
+// finish closes the chain — units a stop or a quarantine left
+// unfinished become the cut — and decorates the Result with the
+// supervision record.
+func (s *supervisor) finish() *explore.Result {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	asm := explore.NewAssembler(s.opt.Program.Name(), s.opt.Explore)
-	for _, u := range s.units {
-		if u.state == unitDone {
-			asm.Add(u.spec, u.result)
-		} else {
-			asm.AddLost(u.spec)
-		}
-	}
 	reason := s.stopReason
 	if reason == "" && len(s.poisoned) > 0 {
 		reason = "poison"
 	}
-	res := asm.Finish(reason)
-	res.Elapsed = time.Since(s.start) // the assembler only saw the merge
+	res := s.sched.Close(reason)
 	res.Workers = s.opt.Explore.Workers
 	res.Isolated = !s.degraded
 	res.Degraded = s.degraded && !s.opt.inProcess
@@ -696,25 +502,7 @@ func (s *supervisor) merge() *explore.Result {
 	}
 	res.Redeliveries = baseRedeliveries + s.redeliveries
 	res.WorkerRestarts = baseRestarts + s.restarts
-	for _, u := range s.poisoned {
-		p := &explore.PoisonUnit{
-			ID:         u.id,
-			Kind:       u.spec.Kind(),
-			Attempts:   u.attempts,
-			LastError:  u.lastErr,
-			ExitStatus: u.exitStatus,
-			StderrTail: u.stderrTail,
-		}
-		if u.spec.Random != nil {
-			p.Lo, p.Hi = u.spec.Random.Lo, u.spec.Random.Hi
-		} else {
-			p.Subtree = u.spec.MC.Subtree
-			for _, te := range u.spec.MC.Trail {
-				p.TrailPrefix = append(p.TrailPrefix, te.Val)
-			}
-		}
-		res.PoisonUnits = append(res.PoisonUnits, p)
-	}
+	res.PoisonUnits = s.poisoned
 	if res.Checkpoint != nil {
 		d := &explore.DispatchCheckpoint{
 			Redeliveries:   res.Redeliveries,

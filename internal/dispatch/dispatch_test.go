@@ -3,6 +3,7 @@ package dispatch
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -381,6 +382,20 @@ func TestInProcessForced(t *testing.T) {
 	}
 	if res.Isolated {
 		t.Error("Isolated = true, want false")
+	}
+}
+
+// TestDefaultWidth: Workers 0 resolves as explore.Run resolves it, to
+// one worker process per CPU, and the result matches the in-process run.
+func TestDefaultWidth(t *testing.T) {
+	eopt := explore.Options{Mode: explore.Random, Executions: 80, Seed: 5}
+	base := explore.Run(figure2(), withWorkers(eopt, 1))
+	opt := supOptions(t, "figure2", eopt, 0, "")
+	opt.unitExecs = 20
+	res := Run(opt)
+	sameResult(t, res, base)
+	if res.Workers != runtime.NumCPU() {
+		t.Errorf("Workers = %d, want runtime.NumCPU() = %d", res.Workers, runtime.NumCPU())
 	}
 }
 

@@ -1,17 +1,17 @@
 // Ordered assembly of execution streams: the one fold behind every
 // exploration path.
 //
-// Assembler is the only place that assigns canonical indices, merges
-// violations, truncates at the Executions cap, finds the cut (the first
-// unit with uncollected work), counts the frontier, and writes the v3
-// checkpoint at the cut. Units are fed in canonical order — index order
-// for random mode (the in-process loop and pool batches, or the
-// dispatch supervisor's ranges), subtree order for model checking (the
-// in-process unit chain, or the supervisor's subtree units).
-// Because the fold is a pure function of the unit streams, and each
-// unit's stream is deterministic in its spec, the assembled Result is
-// bit-identical at any worker count, under any kill schedule, and
-// across supervisor restarts.
+// The assembler is the only place that assigns canonical indices,
+// merges violations, truncates at the Executions cap, finds the cut
+// (the first unit with uncollected work), counts the frontier, and
+// writes the v3 checkpoint at the cut. Its one feeder is the unit
+// Scheduler (scheduler.go), which hands it units in canonical order —
+// index order in random mode, subtree order in model checking —
+// whether Run's goroutines or the dispatch supervisor's worker
+// processes ran them. Because the fold is a pure function of the unit
+// streams, and each unit's stream is deterministic in its spec, the
+// assembled Result is bit-identical at any worker count, under any kill
+// schedule, and across supervisor restarts.
 package explore
 
 import (
@@ -19,12 +19,10 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/obs"
 )
 
-// Assembler folds unit results, fed in canonical order, into a Result.
-type Assembler struct {
+// assembler folds unit results, fed in canonical order, into a Result.
+type assembler struct {
 	opt  Options
 	res  *Result
 	seen map[string]bool
@@ -48,18 +46,10 @@ type Assembler struct {
 	ckHits, ckMisses int
 }
 
-// NewAssembler starts an assembly for program under opt (interpreted as
-// in Run; opt.Resume primes the cursor, counters, and dedup set exactly
-// like a resumed in-process run).
-func NewAssembler(program string, opt Options) *Assembler {
-	opt.em = obs.ExploreInstruments(opt.Obs.Reg())
-	opt.tr = opt.Obs.Trace()
-	return newAssembler(program, &opt)
-}
-
-// newAssembler starts an assembly under already-resolved options.
-func newAssembler(program string, opt *Options) *Assembler {
-	a := &Assembler{
+// newAssembler starts an assembly for program under opt (opt.Resume
+// primes the cursor, counters, and dedup set).
+func newAssembler(program string, opt *Options) *assembler {
+	a := &assembler{
 		opt:   *opt,
 		res:   &Result{Program: program, Mode: opt.Mode, Workers: opt.Workers, Window: opt.Model.Window},
 		seen:  make(map[string]bool),
@@ -81,7 +71,7 @@ func newAssembler(program string, opt *Options) *Assembler {
 }
 
 // publish makes the current dedup set visible to isKnown.
-func (a *Assembler) publish() {
+func (a *assembler) publish() {
 	m := maps.Clone(a.seen)
 	a.known.Store(&m)
 }
@@ -90,38 +80,37 @@ func (a *Assembler) publish() {
 // Workers consult it after their unit's own keys (workerState.isKnown).
 // Both in-process modes fold as units finish, so a unit sees the keys
 // of every unit folded before it ran.
-func (a *Assembler) isKnown(k string) bool { return (*a.known.Load())[k] }
+func (a *assembler) isKnown(k string) bool { return (*a.known.Load())[k] }
 
-// Collected returns the canonical cursor: how many executions have been
-// assembled (including a resumed checkpoint's).
-func (a *Assembler) Collected() int { return a.idx }
-
-// Truncated reports whether the Executions cap cut collection short.
-func (a *Assembler) Truncated() bool { return a.truncated }
-
-// Add folds one unit's completed stream. Units must arrive in canonical
-// order; a unit whose result was lost (poisoned, undelivered at a stop)
-// is fed to AddLost in its place.
-func (a *Assembler) Add(spec UnitSpec, ur *UnitResult) {
+// add folds one unit's stream, in canonical order: its classification,
+// then its executions, cut at its resume point if it did not finish.
+func (a *assembler) add(ur *UnitResult) {
 	if ur.Classified {
 		a.classify(ur.Class)
 	}
-	a.addUnit(ur, spec.MC)
+	a.addStats(ur)
+	collected := true
+	for i := range ur.Execs {
+		if !a.collect(&ur.Execs[i]) {
+			collected = false
+		}
+	}
+	a.endUnit(ur.cut, ur.Done, collected)
 }
 
-// AddLost records a unit in canonical position whose stream never
-// arrived — poisoned, or undelivered when the campaign stopped. It cuts
-// the canonical stream (nothing after it may be collected) and counts
-// toward the frontier.
-func (a *Assembler) AddLost(spec UnitSpec) { a.endUnit(spec.MC, false, false) }
+// addLost records a unit in canonical position whose stream never
+// arrived — parked or lost to a dead worker at a stop, or quarantined.
+// It cuts the canonical stream at the unit's starting point mc (nothing
+// after it may be collected) and counts toward the frontier.
+func (a *assembler) addLost(mc *MCCheckpoint) { a.endUnit(mc, false, false) }
 
 // classify logs a model-check subtree's first-crash classification: the
 // state-cache registration (a miss) or hit it made. Only a subtree that
 // starts inside the collected prefix counts. Past a cut or the
 // Executions cap, whether a subtree classified at all depends on
 // scheduling: with several workers its first execution may have run
-// under the conservative allowance, and with one it never does.
-func (a *Assembler) classify(c UnitClassification) {
+// under the conservative budget, and with one it never does.
+func (a *assembler) classify(c UnitClassification) {
 	if a.cut || a.idx >= a.opt.Executions {
 		return
 	}
@@ -134,22 +123,9 @@ func (a *Assembler) classify(c UnitClassification) {
 	}
 }
 
-// addUnit folds one unit's whole stream; cut is its resume point should
-// it not have finished.
-func (a *Assembler) addUnit(ur *UnitResult, cut *MCCheckpoint) {
-	a.addStats(ur)
-	collected := true
-	for i := range ur.Execs {
-		if !a.collect(&ur.Execs[i]) {
-			collected = false
-		}
-	}
-	a.endUnit(cut, ur.Done, collected)
-}
-
 // addStats sums a unit's diagnostics, which cover every execution it
 // ran, collected or not.
-func (a *Assembler) addStats(ur *UnitResult) {
+func (a *assembler) addStats(ur *UnitResult) {
 	a.res.WorkerTime += time.Duration(ur.WorkNanos)
 	a.res.SnapshotRestores += ur.SnapshotRestores
 	a.res.DPORPruned += ur.DPORPruned
@@ -159,7 +135,7 @@ func (a *Assembler) addStats(ur *UnitResult) {
 // Result — unless the stream is already cut, or the Executions cap cuts
 // it here. It reports whether ex was collected; past the cut nothing
 // is (a resume re-derives it).
-func (a *Assembler) collect(ex *UnitExec) bool {
+func (a *assembler) collect(ex *UnitExec) bool {
 	if !a.cut && a.idx >= a.opt.Executions {
 		a.truncated = true
 		a.setCut(nil)
@@ -182,7 +158,7 @@ func (a *Assembler) collect(ex *UnitExec) bool {
 // endUnit closes a unit's stream: a unit that did not finish cuts the
 // canonical stream at cut, and one with uncollected work counts toward
 // the frontier.
-func (a *Assembler) endUnit(cut *MCCheckpoint, done, collected bool) {
+func (a *assembler) endUnit(cut *MCCheckpoint, done, collected bool) {
 	if !done {
 		a.setCut(cut)
 	}
@@ -193,7 +169,7 @@ func (a *Assembler) endUnit(cut *MCCheckpoint, done, collected bool) {
 
 // setCut freezes the checkpoint cut at a unit's resume point
 // (first-setter wins).
-func (a *Assembler) setCut(mc *MCCheckpoint) {
+func (a *assembler) setCut(mc *MCCheckpoint) {
 	if a.cut {
 		return
 	}
@@ -203,17 +179,7 @@ func (a *Assembler) setCut(mc *MCCheckpoint) {
 	a.ckHits, a.ckMisses = a.hits, a.misses
 }
 
-// finish closes an in-process assembly with the stopper's latched
-// reason, if any.
-func (a *Assembler) finish(st *stopper) *Result {
-	reason := ""
-	if st.stopped() {
-		reason = st.why()
-	}
-	return a.Finish(reason)
-}
-
-// Finish closes the assembly. stopReason is the stop cause ("" for a
+// finish closes the assembly. stopReason is the stop cause ("" for a
 // run whose frontier drained); a cut with no external stop is an
 // "exec-budget" truncation. Only a non-truncated stop whose cut has a
 // resume point yields a checkpoint; budget truncation (cap reached, or
@@ -221,7 +187,7 @@ func (a *Assembler) finish(st *stopper) *Result {
 // instead. A stop reason is reported even when the run completed (a
 // stop landing in the same tick the frontier drained), so it is never
 // silently swallowed.
-func (a *Assembler) Finish(stopReason string) *Result {
+func (a *assembler) finish(stopReason string) *Result {
 	res := a.res
 	res.CacheHits, res.CacheMisses = a.hits, a.misses
 	if a.cut {
@@ -253,26 +219,17 @@ func (a *Assembler) Finish(stopReason string) *Result {
 // resume (its registration is deliberately not in the log;
 // re-registering is idempotent for the hit/miss pattern of later
 // subtrees).
-func (a *Assembler) checkpoint() *Checkpoint {
-	ck := &Checkpoint{
-		Version:       checkpointVersion,
-		Program:       a.res.Program,
-		Mode:          a.opt.Mode.String(),
-		Seed:          a.opt.Seed,
-		Model:         resolveModel(a.opt.Model.Name),
-		Window:        a.opt.Model.Window,
-		Collected:     a.idx,
-		Aborted:       a.res.Aborted,
-		Quarantined:   a.res.Quarantined,
-		ViolationKeys: keysOf(a.seen),
-	}
+func (a *assembler) checkpoint() *Checkpoint {
+	ck := a.opt.checkpointHeader(a.res.Program)
+	ck.Collected = a.idx
+	ck.Aborted, ck.Quarantined = a.res.Aborted, a.res.Quarantined
+	ck.ViolationKeys = keysOf(a.seen)
 	if a.opt.Mode == ModelCheck {
-		ck.DPOR = a.opt.useDPOR()
 		mc := *a.cutMC
 		mc.CacheKeys, mc.CacheHits, mc.CacheMisses = a.ckKeys, a.ckHits, a.ckMisses
 		ck.MC = &mc
 	}
-	return ck
+	return &ck
 }
 
 // keysOf returns the sorted contents of a dedup set — the cumulative

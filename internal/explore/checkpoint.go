@@ -47,10 +47,6 @@ func resolveModel(name string) string {
 // Validates before running.
 const checkpointVersion = 3
 
-// CheckpointVersion is the current format version, exported for the
-// dispatch supervisor, which shapes work units as checkpoints.
-const CheckpointVersion = checkpointVersion
-
 // Checkpoint is the resume state of a partial exploration run.
 type Checkpoint struct {
 	Version int    `json:"version"`
@@ -167,6 +163,21 @@ type TrailEntry struct {
 type CacheEntry struct {
 	Image uint64 `json:"image"`
 	Heap  int    `json:"heap"`
+}
+
+// checkpointHeader is the campaign identity every checkpoint carries —
+// a resume point's, and a work unit's cut (Scheduler.Cut) — which
+// Validate checks a resuming run or a worker process against.
+func (o *Options) checkpointHeader(program string) Checkpoint {
+	return Checkpoint{
+		Version: checkpointVersion,
+		Program: program,
+		Mode:    o.Mode.String(),
+		Seed:    o.Seed,
+		Model:   resolveModel(o.Model.Name),
+		Window:  o.Model.Window,
+		DPOR:    o.Mode == ModelCheck && o.useDPOR(),
+	}
 }
 
 // Save writes the checkpoint to path as JSON, atomically (write to a

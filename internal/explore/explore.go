@@ -101,13 +101,13 @@ type Options struct {
 	Executions int
 	// Seed seeds Random mode; ModelCheck is deterministic.
 	Seed int64
-	// Workers is the number of parallel exploration workers: 0 uses
-	// runtime.NumCPU(), 1 runs every execution on the calling goroutine
-	// in canonical order. Any worker count produces bit-identical
-	// results: in Random mode each execution's seed is derived from its
-	// index alone (never a shared RNG), and in ModelCheck mode each
-	// subtree unit is folded in canonical order, so scheduling cannot
-	// leak into Violations, ExecutionsToAllBugs, or Aborted.
+	// Workers is the number of parallel exploration workers, resolved
+	// by Width: 0 uses runtime.NumCPU(), 1 runs every execution on the
+	// calling goroutine in canonical order. Any worker count produces
+	// bit-identical results: in Random mode each execution's seed is
+	// derived from its index alone (never a shared RNG), and in both
+	// modes work units are folded in canonical order, so scheduling
+	// cannot leak into Violations, ExecutionsToAllBugs, or Aborted.
 	Workers int
 	// Model selects and configures the persistency-model backend
 	// (persist.Config zero value: px86, immediate commit). It is the
@@ -131,7 +131,7 @@ type Options struct {
 	StoreBuffers bool
 	// Progress, when non-nil, receives one call per completed execution
 	// with its 1-based execution index. Even with Workers > 1 the calls
-	// are serialized through the result collector: they never run
+	// are serialized through the ordered fold: they never run
 	// concurrently and the indices are strictly increasing (1, 2, …),
 	// regardless of the order worker goroutines finish in.
 	Progress func(exec int)
@@ -212,7 +212,7 @@ type Options struct {
 	// reduction off, giving the equivalence tests their unreduced
 	// reference; only the package's test seam sets them.
 	noSnapshots, noDPOR, noStateCache bool
-	// known is the in-process Assembler's collected-key predicate, which
+	// known is Run's collected-key predicate (the assembler's), which
 	// every world's checker consults after its unit's own reported keys
 	// (workerState.isKnown); nil in RunUnit, whose stream is folded
 	// elsewhere.
@@ -495,36 +495,21 @@ func (s *stopper) latch(code int32) {
 	}
 }
 
-// why names the latched stop reason for Result.StopReason. A stop can
-// be observed without a stopped() call — workers select on done() and
-// bail — so an unlatched reason is resolved from the live sources here.
+// why names the stop reason latched by a stopped() call that reported
+// true, for Result.StopReason.
 func (s *stopper) why() string {
-	if s.reason.Load() == stopNone {
-		s.stopped()
-	}
 	if s.reason.Load() == stopCanceled {
 		return "canceled"
 	}
 	return "deadline"
 }
 
-// done is a channel view of the context for blocked workers; the
-// wall-clock deadline is only checked at the polling sites, which every
-// worker reaches between executions.
-func (s *stopper) done() <-chan struct{} { return s.ctx.Done() }
-
 // Run explores the program under the given options.
 func Run(p Program, opt Options) *Result {
 	if opt.Executions == 0 {
 		opt.Executions = 1000
 	}
-	if opt.AfterExecution != nil {
-		// The hook runs at the execution site, so executions must run one
-		// at a time in canonical order, on the calling goroutine.
-		opt.Workers = 1
-	} else if opt.Workers <= 0 {
-		opt.Workers = runtime.NumCPU()
-	}
+	opt.Workers = opt.Width()
 	// Resolve the instrument bundle and tracer once; with observability
 	// off both are no-op zeros. The observer rides into the backend via
 	// the model config so persist counters share the campaign registry.
@@ -534,11 +519,23 @@ func Run(p Program, opt Options) *Result {
 	if opt.Model.Obs == nil {
 		opt.Model.Obs = opt.Obs
 	}
-	st := newStopper(&opt)
-	if opt.Mode == ModelCheck {
-		return runMC(p, &opt, st)
+	return runUnits(p, &opt, newStopper(&opt))
+}
+
+// Width is the worker count a campaign under these options runs at —
+// goroutines in Run, worker processes under the dispatch supervisor:
+// Workers, or runtime.NumCPU() when it is 0 or less, and 1 whenever
+// AfterExecution is set (the hook runs at the execution site, so
+// executions run one at a time in canonical order, on the calling
+// goroutine).
+func (o *Options) Width() int {
+	switch {
+	case o.AfterExecution != nil:
+		return 1
+	case o.Workers <= 0:
+		return runtime.NumCPU()
 	}
-	return runRandom(p, &opt, st)
+	return o.Workers
 }
 
 // noteStop records a stop reason first-writer-wins: the cause that
@@ -721,7 +718,7 @@ func (o *Options) countExec(pruned bool, ex *UnitExec, d time.Duration) {
 }
 
 // collect folds the record of execution index into the result. Its one
-// caller is the Assembler, in strictly increasing index order (the
+// caller is the assembler, in strictly increasing index order (the
 // collector contract behind Progress). Metric counters are emitted at
 // the execution sites (countExec); only the random-mode frontier gauge
 // lives here, because "remaining executions" is a collector-order
@@ -904,13 +901,12 @@ func (pl *randomPlan) execute(ws *workerState, exec int) (UnitExec, time.Duratio
 
 // runRange runs executions [lo, hi) of the canonical random stream on
 // ws, appending their records to ur — the one random-mode loop behind
-// the Workers=1 run, every pool worker, and RunUnit. With st non-nil a
-// stop is checked before each execution and leaves ur.Done false; the
-// pool passes nil because a claimed batch always runs to completion.
-func (pl *randomPlan) runRange(ws *workerState, lo, hi int, st *stopper, ur *UnitResult, onExec func(int)) {
+// Run's units and RunUnit's. A stop is checked before each execution
+// and leaves ur.Done false.
+func (pl *randomPlan) runRange(ws *workerState, lo, hi int, st *stopper, ur *UnitResult, sink unitSink) {
 	clear(ws.reported)
 	for exec := lo; exec < hi; exec++ {
-		if st != nil && st.stopped() {
+		if st.stopped() {
 			return
 		}
 		ws.wm.Dispatches.Inc()
@@ -918,39 +914,9 @@ func (pl *randomPlan) runRange(ws *workerState, lo, hi int, st *stopper, ur *Uni
 		ws.wm.BusyNanos.Add(int64(d))
 		ur.WorkNanos += int64(d)
 		ws.record(ur, ex)
-		if onExec != nil {
-			onExec(len(ur.Execs))
-		}
+		sink.executed(len(ur.Execs))
 	}
 	ur.Done = true
-}
-
-// runRandom implements random search mode: one execution at a time on
-// the calling goroutine below two workers, through the pool otherwise
-// (pool.go), folded into the Assembler in index order either way. The
-// assembler's cursor is the canonical stream position: every execution
-// below it has been collected (in this run or, via Resume, a previous
-// one).
-func runRandom(p Program, opt *Options, st *stopper) *Result {
-	a := newAssembler(p.Name(), opt)
-	opt.known = a.isKnown
-	plan := planRandom(p, opt)
-	if opt.Workers > 1 {
-		runRandomParallel(plan, a, st)
-	} else {
-		ws := newWorkerState(p, opt, 1)
-		ur := &UnitResult{}
-		for !a.cut && a.idx < opt.Executions {
-			*ur = UnitResult{Execs: ur.Execs[:0]}
-			plan.runRange(ws, a.idx, a.idx+1, st, ur, nil)
-			a.addUnit(ur, nil)
-		}
-	}
-	if a.idx < opt.Executions {
-		// A stop left the rest of the stream unrun: cut it there.
-		a.endUnit(nil, false, false)
-	}
-	return a.finish(st)
 }
 
 // countingPilot runs the non-final phases crash-free, crashing the

@@ -1,18 +1,18 @@
-// Work-unit export for the process-isolation supervisor
-// (internal/dispatch): one model-check subtree or one random-mode index
-// range, run to completion in this process and returned as a raw,
-// unassembled execution stream.
+// Work units: one model-check subtree or one random-mode index range,
+// the grain of every exploration path. RunUnit runs one to completion
+// in this process and returns its raw, unassembled execution stream —
+// the body of a psan-worker process and of the dispatch supervisor's
+// degraded in-process fallback.
 //
 // A unit is described in the checkpoint vocabulary (UnitSpec embeds
 // MCCheckpoint for model-check units; a random unit is just an index
 // range), so the supervisor↔worker wire protocol and the on-disk resume
-// format are one format. Determinism is inherited wholesale: a
-// model-check unit runs through the same subtree runner as an
-// in-process run (same trail replay, same primed state cache, same DPOR
-// registrations), and a random unit's executions depend only on their
-// indices. The supervisor folds unit streams through the same Assembler
-// as an in-process run, so the result is bit-identical at any worker
-// count and under any kill schedule.
+// format are one format. Determinism is inherited wholesale: RunUnit
+// runs a unit through the same unit runner as Run's workers (same trail
+// replay, same primed state cache, same DPOR registrations; a random
+// unit's executions depend only on their indices), and the supervisor
+// folds the streams through the same Scheduler as Run, so the result is
+// bit-identical at any worker count and under any kill schedule.
 package explore
 
 import (
@@ -68,7 +68,7 @@ type UnitClassification struct {
 
 // UnitExec is the record of one execution, in canonical sub-DFS (or
 // index) order — the one record every exploration path produces and the
-// Assembler folds. Every unit stream is deduplicated within its unit as
+// assembler folds. Every unit stream is deduplicated within its unit as
 // it is recorded (workerState.record): each violation is carried by the
 // first execution that found it, which is all the in-order cross-unit
 // merge needs to reproduce first-found ordering and ExecutionsToAllBugs.
@@ -108,6 +108,11 @@ type UnitResult struct {
 	SnapshotRestores int
 	DPORPruned       int
 	WorkNanos        int64
+
+	// cut is the resume point of a model-check unit a stop parked
+	// mid-DFS (nil otherwise). It never crosses the wire: worker
+	// processes are never stopped, they are killed.
+	cut *MCCheckpoint
 }
 
 // UnitHooks are RunUnit's progress callbacks, all optional. They run on
@@ -162,9 +167,9 @@ func (p *PoisonUnit) String() string {
 // what makes the two modes bit-identical.
 //
 // Options are interpreted as in Run, except: the unit runs on the
-// calling goroutine, and Executions is superseded by spec.Budget for
-// model-check units and by the range for random ones. A
-// Context/Deadline stop parks the unit with Done false.
+// calling goroutine, the spec's kind sets the mode, and Executions is
+// superseded by spec.Budget for model-check units and by the range for
+// random ones. A Context/Deadline stop parks the unit with Done false.
 func RunUnit(p Program, opt Options, spec UnitSpec, hooks UnitHooks) (*UnitResult, error) {
 	if (spec.Random == nil) == (spec.MC == nil) {
 		return nil, fmt.Errorf("unit spec must set exactly one of random and mc")
@@ -176,28 +181,15 @@ func RunUnit(p Program, opt Options, spec UnitSpec, hooks UnitHooks) (*UnitResul
 	if opt.Model.Obs == nil {
 		opt.Model.Obs = opt.Obs
 	}
-	st := newStopper(&opt)
-	if spec.MC == nil {
-		ur := &UnitResult{}
-		planRandom(p, &opt).runRange(newWorkerState(p, &opt, 1), spec.Random.Lo, spec.Random.Hi, st, ur, hooks.OnExec)
-		return ur, nil
-	}
-	// A one-unit chain on the calling goroutine: the supervisor, not
-	// this engine, spawns the successor subtree from the classification
-	// hook, and folds the stream.
-	limit := spec.Budget
-	if limit <= 0 {
-		limit = math.MaxInt
-	}
-	e := newMCEngine(p, &opt, st, limit)
-	e.onExec = hooks.OnExec
-	e.classified = func(u *mcUnit) {
-		if hooks.OnClassify != nil {
-			hooks.OnClassify(u.res.Class)
+	opt.Mode = Random
+	limit, keys := math.MaxInt, []CacheEntry(nil)
+	if spec.MC != nil {
+		opt.Mode, keys = ModelCheck, spec.MC.CacheKeys
+		if spec.Budget > 0 {
+			limit = spec.Budget
 		}
 	}
-	u := e.seed(spec.MC)
-	e.worker(0)
-	u.res.Classified = !u.resumed
-	return &u.res, nil
+	ur := &UnitResult{}
+	newUnitRunner(p, &opt, newStopper(&opt), keys).run(newWorkerState(p, &opt, 1), spec, hookSink{hooks, limit}, ur)
+	return ur, nil
 }

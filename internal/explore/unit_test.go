@@ -1,6 +1,8 @@
 package explore
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -8,56 +10,211 @@ import (
 	"repro/internal/pmem"
 )
 
-// driveMC is a minimal in-test supervisor: dispatch subtree units one
-// at a time in canonical order, feeding each classification into the
-// next unit's spec, and assemble the streams. budgeted mirrors the
-// dispatch supervisor's per-unit budgets (Executions minus collected).
+// driveMC is a minimal in-test supervisor: it claims subtree units from
+// a scheduler one at a time, runs each through RunUnit and finishes it,
+// the classification riding on the result. budgeted ships the
+// scheduler's per-unit budgets, as the dispatch supervisor does;
+// without it every unit runs its whole subtree and the fold truncates.
 func driveMC(t *testing.T, p Program, opt Options, budgeted bool) *Result {
 	t.Helper()
-	asm := NewAssembler(p.Name(), opt)
-	var keys []CacheEntry
-	for v, more := 0, true; more; v++ {
-		spec := UnitSpec{MC: &MCCheckpoint{Subtree: v, CacheKeys: append([]CacheEntry(nil), keys...)}}
-		if budgeted {
-			rem := opt.Executions - asm.Collected()
-			if asm.Truncated() || rem <= 0 {
-				asm.AddLost(spec)
-				break
-			}
-			spec.Budget = rem
+	s := NewScheduler(p.Name(), opt, 0)
+	for u := s.Claim(); u != nil; u = s.Claim() {
+		spec := u.Spec
+		if !budgeted {
+			spec.Budget = 0
 		}
 		ur, err := RunUnit(p, opt, spec, UnitHooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ur.Classified {
-			t.Fatalf("fresh subtree %d did not classify", v)
+			t.Fatalf("fresh subtree %d did not classify", spec.MC.Subtree)
 		}
-		if ur.Class.Keyed {
-			keys = append(keys, ur.Class.Key)
-		}
-		more = ur.Class.InjectionFired
-		asm.Add(spec, ur)
+		s.Finish(u, ur)
 	}
-	return asm.Finish("")
+	return s.Close("")
 }
 
+// driveRandom drives a random campaign's chunk-sized range units
+// through RunUnit one at a time.
 func driveRandom(t *testing.T, p Program, opt Options, chunk int) *Result {
 	t.Helper()
-	asm := NewAssembler(p.Name(), opt)
-	for lo := 0; lo < opt.Executions; lo += chunk {
-		hi := lo + chunk
-		if hi > opt.Executions {
-			hi = opt.Executions
-		}
-		spec := UnitSpec{Random: &RandomRange{Lo: lo, Hi: hi}}
-		ur, err := RunUnit(p, opt, spec, UnitHooks{})
+	s := NewScheduler(p.Name(), opt, chunk)
+	for u := s.Claim(); u != nil; u = s.Claim() {
+		ur, err := RunUnit(p, opt, u.Spec, UnitHooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		asm.Add(spec, ur)
+		s.Finish(u, ur)
 	}
-	return asm.Finish("")
+	return s.Close("")
+}
+
+// interleave drives a scheduler of p's campaign single-handed, one
+// seeded random move per step: claim a unit (running RunUnit on its
+// spec at once), or take a held unit and report its classification
+// early (sometimes twice, as a redelivery does), release it (its worker
+// died) or finish it. At step stopAt (if >= 0) it stops the scheduler;
+// from then on a held unit is either finished or lost with its worker.
+func interleave(t *testing.T, p Program, opt Options, unitExecs int, rng *rand.Rand, stopAt int) *Result {
+	t.Helper()
+	s := NewScheduler(p.Name(), opt, unitExecs)
+	type held struct {
+		u  *Unit
+		ur *UnitResult
+	}
+	var hs []held
+	releases, stopped := 0, false
+	for step := 0; ; step++ {
+		if step == stopAt {
+			s.Stop()
+			stopped = true
+		}
+		if len(hs) == 0 || rng.Intn(3) == 0 {
+			s.mu.Lock()
+			u, over := s.claimLocked()
+			s.mu.Unlock()
+			if u != nil {
+				ur, err := RunUnit(p, opt, u.Spec, UnitHooks{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				hs = append(hs, held{u, ur})
+				continue
+			}
+			if len(hs) == 0 {
+				if !over {
+					t.Fatal("nothing claimable and nothing claimed, yet the chain is not over")
+				}
+				break
+			}
+		}
+		i := rng.Intn(len(hs))
+		h := hs[i]
+		switch move := rng.Intn(4); {
+		case move == 0 && !stopped:
+			if h.ur.Classified {
+				s.Classify(h.u, h.ur.Class)
+				if rng.Intn(2) == 0 {
+					s.Classify(h.u, h.ur.Class)
+				}
+			}
+			continue
+		case move == 1 && !stopped && releases < 8:
+			releases++
+			s.Release(h.u)
+		case move == 1 && stopped:
+			// Lost with its worker: Close folds it as the cut.
+		default:
+			s.Finish(h.u, h.ur)
+		}
+		hs = append(hs[:i], hs[i+1:]...)
+	}
+	if stopped {
+		return s.Close("halted")
+	}
+	return s.Close("")
+}
+
+// fencedStores stores four variables twice each between fences, only
+// some flushed, and reads them all after the crash: model checking
+// splits it into seven subtrees, one a state-cache hit, with eight
+// violations among their 28 executions.
+func fencedStores() Program {
+	vars := []memmodel.Addr{0x1000, 0x2000, 0x3000, 0x4000}
+	return &FuncProgram{
+		ProgName: "fenced-stores",
+		PhaseFns: []func(*pmem.World){
+			func(w *pmem.World) {
+				th := w.Thread(0)
+				for i, a := range vars {
+					th.Store(a, 1, fmt.Sprintf("v%d=1", i))
+					th.Store(a, 2, fmt.Sprintf("v%d=2", i))
+					if i%2 == 0 {
+						th.Flush(a, fmt.Sprintf("flush v%d", i))
+					}
+					th.SFence(fmt.Sprintf("fence %d", i))
+				}
+			},
+			func(w *pmem.World) {
+				for i, a := range vars {
+					w.Thread(0).Load(a, fmt.Sprintf("r%d=v%d", i, i))
+				}
+			},
+		},
+	}
+}
+
+// TestSchedulerInterleavings: however claims, out-of-order finishes,
+// early and duplicate classifications and releases are interleaved, the folded Result equals the Workers=1 Run in both modes,
+// with and without a binding cap. A stopped drive checkpoints at its
+// cut: the resume, driven the same way, equals the Workers=1 resumed
+// Run, and the two legs' violation keys together are the uninterrupted
+// run's.
+func TestSchedulerInterleavings(t *testing.T) {
+	cases := []struct {
+		name      string
+		p         func() Program
+		opt       Options
+		unitExecs int
+	}{
+		{"random", fencedStores, Options{Mode: Random, Executions: 60, Seed: 7, Workers: 2}, 7},
+		{"mc", fencedStores, Options{Mode: ModelCheck, Executions: 10000, Workers: 2}, 0},
+		{"mc-capped", fencedStores, Options{Mode: ModelCheck, Executions: 15, Workers: 2}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			serial := tc.opt
+			serial.Workers = 1
+			want := Run(tc.p(), serial)
+			// Past a binding cap, FrontierRemaining counts the units the
+			// schedule happened to spawn beyond it, as at any width above
+			// one: it is outside the determinism contract there.
+			same := func(label string, got, want *Result) {
+				t.Helper()
+				if want.StopReason == "exec-budget" {
+					g := *got
+					g.FrontierRemaining = want.FrontierRemaining
+					got = &g
+				}
+				sameResult(t, label, got, want)
+			}
+			resumed := 0
+			for seed := int64(0); seed < 24; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				stopAt := -1
+				if seed%2 == 1 {
+					stopAt = rng.Intn(16)
+				}
+				got := interleave(t, tc.p(), tc.opt, tc.unitExecs, rng, stopAt)
+				if stopAt < 0 {
+					same(tc.name, got, want)
+					continue
+				}
+				if got.Checkpoint == nil {
+					continue // the stop landed after the cap or the last unit
+				}
+				resumed++
+				opt := tc.opt
+				opt.Resume = got.Checkpoint
+				serial.Resume = got.Checkpoint
+				rgot := interleave(t, tc.p(), opt, tc.unitExecs, rng, -1)
+				same(tc.name+"/resumed", rgot, Run(tc.p(), serial))
+				union := map[string]bool{}
+				for _, k := range append(got.ViolationKeys(), rgot.ViolationKeys()...) {
+					union[k] = true
+				}
+				for _, k := range want.ViolationKeys() {
+					if !union[k] {
+						t.Fatalf("seed %d: violation %s missing from the two legs", seed, k)
+					}
+				}
+			}
+			if resumed == 0 {
+				t.Fatal("no stop landed before the cut; the resume leg went untested")
+			}
+		})
+	}
 }
 
 // sameResult asserts the fields the bit-identical-merge guarantee
@@ -101,8 +258,9 @@ func TestUnitDriveMCEquivalence(t *testing.T) {
 	}
 }
 
-// TestUnitDriveMCBudget: dispatch-style per-unit budgets truncate at
-// the cap exactly like the engine's allowance and in-order fold.
+// TestUnitDriveMCBudget: per-unit budgets fixed at claim, as the
+// dispatch supervisor ships them, truncate at the cap exactly like the
+// live budget of Run's units and the in-order fold.
 func TestUnitDriveMCBudget(t *testing.T) {
 	full := Run(figure2(), Options{Mode: ModelCheck, Executions: 10000, Workers: 1})
 	cap := full.Executions / 2
@@ -263,7 +421,7 @@ func TestAssemblerCountsCacheStatsInPrefix(t *testing.T) {
 	cases := []struct {
 		name                 string
 		units                []*UnitResult
-		lostAt               int // index of a unit fed to AddLost, -1: none
+		lostAt               int // index of a unit fed to addLost, -1: none
 		wantHits, wantMisses int
 	}{
 		{"under the cap", []*UnitResult{unit(miss, 1), unit(hit, 0), unit(miss, 1)}, -1, 1, 2},
@@ -275,16 +433,15 @@ func TestAssemblerCountsCacheStatsInPrefix(t *testing.T) {
 		{"lost unit", []*UnitResult{unit(miss, 1), nil, unit(hit, 0), unit(miss, 1)}, 1, 0, 1},
 	}
 	for _, c := range cases {
-		asm := NewAssembler("p", Options{Mode: ModelCheck, Executions: 3})
+		asm := newAssembler("p", &Options{Mode: ModelCheck, Executions: 3})
 		for v, ur := range c.units {
-			spec := UnitSpec{MC: &MCCheckpoint{Subtree: v}}
 			if v == c.lostAt {
-				asm.AddLost(spec)
+				asm.addLost(&MCCheckpoint{Subtree: v})
 				continue
 			}
-			asm.Add(spec, ur)
+			asm.add(ur)
 		}
-		res := asm.Finish("")
+		res := asm.finish("")
 		if res.CacheHits != c.wantHits || res.CacheMisses != c.wantMisses {
 			t.Errorf("%s: cache %d/%d, want %d/%d", c.name, res.CacheHits, res.CacheMisses, c.wantHits, c.wantMisses)
 		}
