@@ -104,7 +104,7 @@ type modelCheckVariant struct {
 	apply func(explore.Options) explore.Options
 }
 
-// reduced is the default engine: snapshots, DPOR and the state cache on.
+// reduced is the default engine: snapshots and the state cache on.
 var reduced = modelCheckVariant{"reduced", func(o explore.Options) explore.Options { return o }}
 
 // TestParallelDeterminismModelCheck: subtree units claimed by 8

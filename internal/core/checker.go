@@ -462,9 +462,9 @@ func (c *Checker) Violations() []*Violation { return c.violations }
 // SetKnown installs (or, with nil, removes) the campaign's known-key
 // predicate: known(k) reports whether a violation with Key k has already
 // been collected by the exploration campaign driving this checker. An
-// emptying read whose key is known is marked seen — so StateFingerprint,
-// snapshots, and every later dedup behave exactly as if it had been
-// diagnosed — but is neither diagnosed nor committed: the campaign
+// emptying read whose key is known is marked seen — so its constraint
+// rows, snapshots, and every later dedup behave exactly as if it had
+// been diagnosed — but is neither diagnosed nor committed: the campaign
 // would discard the copy, so its fixes and provenance are not
 // synthesized at all. The predicate is consulted at most once per
 // distinct key per execution (only for keys not yet seen) and survives

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 
@@ -17,11 +16,10 @@ import (
 // its dense rows, kept as the reference the dense checker must match
 // call for call: crash intervals live in a map keyed by (sub-execution,
 // thread), applyUpdates stages speculative intervals in a second map it
-// clears per load, the known-key lookup formats the key string every
-// time, and StateFingerprint collects and sorts the keys before hashing.
-// The stateless parts of the algorithm — updatesFor, diagnose, fix
-// synthesis and provenance — are the checker's own, through aux, which
-// holds no constraint state of its own.
+// clears per load, and the known-key lookup formats the key string
+// every time. The stateless parts of the algorithm — updatesFor,
+// diagnose, fix synthesis and provenance — are the checker's own,
+// through aux, which holds no constraint state of its own.
 type refChecker struct {
 	aux        *Checker
 	cons       map[consKey]intervals.Interval
@@ -235,100 +233,6 @@ func (c *refChecker) Restore(s *refSnapshot) {
 	c.violations = s.violations
 }
 
-func (c *refChecker) StateFingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		h ^= v
-		h *= prime64
-	}
-	in := c.aux.tr.Interner()
-	mixLoc := func(id trace.LocID) {
-		s := in.Str(id)
-		mix(uint64(len(s)))
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime64
-		}
-	}
-	endpoint := func(e intervals.Endpoint) {
-		mix(uint64(e.Clock))
-		if s, ok := e.Store.(*trace.Store); ok && s != nil {
-			mix(uint64(s.ID))
-			mixLoc(s.Loc)
-		} else {
-			mix(^uint64(0))
-		}
-	}
-
-	consKeys := make([]consKey, 0, len(c.cons))
-	for k := range c.cons {
-		consKeys = append(consKeys, k)
-	}
-	sort.Slice(consKeys, func(i, j int) bool {
-		a, b := consKeys[i], consKeys[j]
-		if a.subExec != b.subExec {
-			return a.subExec < b.subExec
-		}
-		return a.thread < b.thread
-	})
-	mix(uint64(len(consKeys)))
-	for _, k := range consKeys {
-		iv := c.cons[k]
-		mix(uint64(k.subExec))
-		mix(uint64(int64(k.thread)))
-		endpoint(iv.Lo)
-		endpoint(iv.Hi)
-	}
-
-	seenKeys := make([]violationKey, 0, len(c.seen))
-	for k := range c.seen {
-		seenKeys = append(seenKeys, k)
-	}
-	sort.Slice(seenKeys, func(i, j int) bool {
-		a, b := seenKeys[i], seenKeys[j]
-		if a.kind != b.kind {
-			return a.kind < b.kind
-		}
-		if as, bs := in.Str(a.mfLoc), in.Str(b.mfLoc); as != bs {
-			return as < bs
-		}
-		return in.Str(a.perLoc) < in.Str(b.perLoc)
-	})
-	mix(uint64(len(seenKeys)))
-	for _, k := range seenKeys {
-		mix(uint64(k.kind))
-		mixLoc(k.mfLoc)
-		mixLoc(k.perLoc)
-	}
-
-	threads := make([]memmodel.ThreadID, 0, len(c.deferred))
-	for t := range c.deferred {
-		threads = append(threads, t)
-	}
-	sort.Slice(threads, func(i, j int) bool { return threads[i] < threads[j] })
-	mix(uint64(len(threads)))
-	for _, t := range threads {
-		mix(uint64(int64(t)))
-		dls := c.deferred[t]
-		mix(uint64(len(dls)))
-		for _, dl := range dls {
-			mix(uint64(int64(dl.thread)))
-			mix(uint64(dl.addr))
-			if dl.rf != nil {
-				mix(uint64(dl.rf.ID))
-			} else {
-				mix(^uint64(0))
-			}
-			mixLoc(dl.loc)
-		}
-	}
-	return h
-}
-
 // checkerPair drives the dense checker and the map reference through the
 // same calls, on checkers attached to one machine's trace, and fails the
 // test at the first call or state that differs.
@@ -378,8 +282,8 @@ func (p *checkerPair) same(call string, d, r []*Violation) {
 
 // sync compares the two checkers' whole observable state: the committed
 // violations, every crash interval of every sub-execution and thread
-// (the global-interval key included), the fingerprint, and the known-key
-// predicate calls so far.
+// (the global-interval key included), and the known-key predicate calls
+// so far.
 func (p *checkerPair) sync(step string) {
 	p.t.Helper()
 	p.where = step
@@ -390,9 +294,6 @@ func (p *checkerPair) sync(step string) {
 				p.t.Fatalf("%s: Interval(%d, %d) = %v, reference %v", step, sub, th, d, r)
 			}
 		}
-	}
-	if d, r := p.d.StateFingerprint(), p.r.StateFingerprint(); d != r {
-		p.t.Fatalf("%s: StateFingerprint %#x, reference %#x", step, d, r)
 	}
 	if d, r := strings.Join(p.asked[0], ","), strings.Join(p.asked[1], ","); d != r {
 		p.t.Fatalf("%s: known-key calls %q, reference %q", step, d, r)
@@ -499,7 +400,7 @@ func driveRandomOps(p *checkerPair, rng *rand.Rand, steps int) {
 // TestDenseCheckerMatchesMapReference: the dense constraint rows, the
 // slice scratch and the memoized keys behave exactly like the map-keyed
 // checker they replaced — same returned and committed reports (rendered),
-// same crash intervals, same StateFingerprint, same known-key queries —
+// same crash intervals, same known-key queries —
 // over seeded random op streams and the oracle programs, under both
 // ablations, with provenance and a known-key predicate, and across
 // snapshot round trips.

@@ -1,12 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"repro/internal/intervals"
-	"repro/internal/memmodel"
-	"repro/internal/trace"
-)
+import "repro/internal/memmodel"
 
 // Snapshot is the checker's restorable state at a crash boundary:
 // constraint intervals, the violation dedup set, deferred checksum
@@ -73,107 +67,6 @@ func (c *Checker) Restore(s *Snapshot) {
 		c.deferred[t] = dl
 	}
 	c.violations = s.violations
-}
-
-// StateFingerprint hashes everything about the checker's state that can
-// influence the remainder of an execution: the constraint intervals with
-// their provenance, the violation dedup set, and any deferred checksum
-// loads. Two checkers with equal fingerprints (over the same trace)
-// commit the same future constraints and report the same future
-// violation keys. The explorer uses this as one component of its
-// partial-order-reduction key; see DESIGN.md.
-//
-// Intervals are hashed in (sub-execution, thread) order. Locations are
-// folded in by label *string*, not LocID, and the violation set is
-// sorted by string too: LocIDs are private to one interner, and the
-// fingerprint must agree between worlds (and between processes — DPOR
-// registrations ride in checkpoints) that reached the same state along
-// different interning histories. Store IDs are safe as numbers: a trace
-// reset rewinds them, so they depend only on the execution's decision
-// path.
-func (c *Checker) StateFingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		h ^= v
-		h *= prime64
-	}
-	in := c.tr.Interner()
-	mixLoc := func(id trace.LocID) {
-		s := in.Str(id)
-		mix(uint64(len(s)))
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime64
-		}
-	}
-	endpoint := func(e intervals.Endpoint) {
-		mix(uint64(e.Clock))
-		if s, ok := e.Store.(*trace.Store); ok && s != nil {
-			mix(uint64(s.ID))
-			mixLoc(s.Loc)
-		} else {
-			mix(^uint64(0))
-		}
-	}
-
-	// The rows are already in (sub-execution, thread) order.
-	mix(uint64(c.numCons()))
-	for sub, row := range c.cons {
-		for _, e := range row {
-			mix(uint64(sub))
-			mix(uint64(int64(e.thread)))
-			endpoint(e.iv.Lo)
-			endpoint(e.iv.Hi)
-		}
-	}
-
-	seenKeys := make([]violationKey, 0, len(c.seen))
-	for k := range c.seen {
-		seenKeys = append(seenKeys, k)
-	}
-	sort.Slice(seenKeys, func(i, j int) bool {
-		a, b := seenKeys[i], seenKeys[j]
-		if a.kind != b.kind {
-			return a.kind < b.kind
-		}
-		if as, bs := in.Str(a.mfLoc), in.Str(b.mfLoc); as != bs {
-			return as < bs
-		}
-		return in.Str(a.perLoc) < in.Str(b.perLoc)
-	})
-	mix(uint64(len(seenKeys)))
-	for _, k := range seenKeys {
-		mix(uint64(k.kind))
-		mixLoc(k.mfLoc)
-		mixLoc(k.perLoc)
-	}
-
-	threads := make([]memmodel.ThreadID, 0, len(c.deferred))
-	for t := range c.deferred {
-		threads = append(threads, t)
-	}
-	sort.Slice(threads, func(i, j int) bool { return threads[i] < threads[j] })
-	mix(uint64(len(threads)))
-	for _, t := range threads {
-		mix(uint64(int64(t)))
-		dls := c.deferred[t]
-		mix(uint64(len(dls)))
-		for _, dl := range dls {
-			mix(uint64(int64(dl.thread)))
-			mix(uint64(dl.addr))
-			if dl.rf != nil {
-				mix(uint64(dl.rf.ID))
-			} else {
-				mix(^uint64(0))
-			}
-			mixLoc(dl.loc)
-		}
-	}
-	return h
 }
 
 // numCons returns the number of committed crash intervals.

@@ -183,9 +183,6 @@ func sameResult(t *testing.T, got, want *explore.Result) {
 	if got.CacheHits != want.CacheHits || got.CacheMisses != want.CacheMisses {
 		t.Errorf("cache = %d/%d, want %d/%d", got.CacheHits, got.CacheMisses, want.CacheHits, want.CacheMisses)
 	}
-	if got.DPORPruned != want.DPORPruned {
-		t.Errorf("DPORPruned = %d, want %d", got.DPORPruned, want.DPORPruned)
-	}
 	if got.ExecutionsToAllBugs != want.ExecutionsToAllBugs {
 		t.Errorf("ExecutionsToAllBugs = %d, want %d", got.ExecutionsToAllBugs, want.ExecutionsToAllBugs)
 	}

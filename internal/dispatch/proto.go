@@ -1,9 +1,9 @@
 // Supervisor↔worker wire protocol: JSON lines over the worker process's
 // stdin (supervisor→worker) and stdout (worker→supervisor). The
 // vocabulary is deliberately the checkpoint format (internal/explore,
-// version 3): a work unit is described to the worker as a
+// version 4): a work unit is described to the worker as a
 // checkpoint-shaped cut, which the worker Validates against its own
-// program and options before running — a version/model/reduction skew
+// program and options before running — a program/mode/model/window skew
 // between supervisor and worker binaries surfaces as a typed
 // explore.MismatchError in a fatal message, not as silently divergent
 // exploration.

@@ -4,7 +4,7 @@
 // The assembler is the only place that assigns canonical indices,
 // merges violations, truncates at the Executions cap, finds the cut
 // (the first unit with uncollected work), counts the frontier, and
-// writes the v3 checkpoint at the cut. Its one feeder is the unit
+// writes the v4 checkpoint at the cut. Its one feeder is the unit
 // Scheduler (scheduler.go), which hands it units in canonical order —
 // index order in random mode, subtree order in model checking —
 // whether Run's goroutines or the dispatch supervisor's worker
@@ -34,7 +34,7 @@ type assembler struct {
 
 	cut       bool          // a unit with uncollected work cut the stream
 	cutMC     *MCCheckpoint // the cut unit's resume point (nil: none)
-	truncated bool          // the Executions cap bound before the frontier drained
+	truncated bool          // the Executions cap made the cut
 	frontier  int
 
 	// cache-registration log for checkpoints, frozen at the cut (a
@@ -128,7 +128,6 @@ func (a *assembler) classify(c UnitClassification) {
 func (a *assembler) addStats(ur *UnitResult) {
 	a.res.WorkerTime += time.Duration(ur.WorkNanos)
 	a.res.SnapshotRestores += ur.SnapshotRestores
-	a.res.DPORPruned += ur.DPORPruned
 }
 
 // collect assigns the next canonical index to ex and folds it into the
@@ -157,9 +156,13 @@ func (a *assembler) collect(ex *UnitExec) bool {
 
 // endUnit closes a unit's stream: a unit that did not finish cuts the
 // canonical stream at cut, and one with uncollected work counts toward
-// the frontier.
+// the frontier. A model-check unit that stopped short with no resume
+// point bowed out on its execution budget, so the cap makes the cut.
 func (a *assembler) endUnit(cut *MCCheckpoint, done, collected bool) {
 	if !done {
+		if cut == nil && !a.cut && a.opt.Mode == ModelCheck {
+			a.truncated = true
+		}
 		a.setCut(cut)
 	}
 	if !done || !collected {
@@ -197,9 +200,15 @@ func (a *assembler) finish(stopReason string) *Result {
 		} else {
 			res.noteStop("exec-budget")
 		}
-		res.FrontierRemaining = a.frontier
-		if a.opt.Mode == Random {
+		switch {
+		case a.opt.Mode == Random:
 			res.FrontierRemaining = a.opt.Executions - a.idx
+		case a.truncated:
+			// Only the unit the cap cut: how many units a schedule ran
+			// or spawned past it varies with width.
+			res.FrontierRemaining = 1
+		default:
+			res.FrontierRemaining = a.frontier
 		}
 		if stopReason != "" && !a.truncated && (a.opt.Mode == Random || a.cutMC != nil) {
 			res.Checkpoint = a.checkpoint()
@@ -211,14 +220,13 @@ func (a *assembler) finish(stopReason string) *Result {
 	return res
 }
 
-// checkpoint builds the v3 resume state at the cut. A model-check cut
+// checkpoint builds the v4 resume state at the cut. A model-check cut
 // unit's resume point is already checkpoint-shaped — it names the cut
-// subtree, trail, spawn flag, and DPOR registrations — so the
-// checkpoint is that block plus the frozen cache-registration log. A
-// cut unit that classified but whose stream was lost re-classifies on
-// resume (its registration is deliberately not in the log;
-// re-registering is idempotent for the hit/miss pattern of later
-// subtrees).
+// subtree, trail and spawn flag — so the checkpoint is that block plus
+// the frozen cache-registration log. A cut unit that classified but
+// whose stream was lost re-classifies on resume (its registration is
+// deliberately not in the log; re-registering is idempotent for the
+// hit/miss pattern of later subtrees).
 func (a *assembler) checkpoint() *Checkpoint {
 	ck := a.opt.checkpointHeader(a.res.Program)
 	ck.Collected = a.idx

@@ -121,13 +121,12 @@ func TestObsCountersUnderContainmentModelCheck(t *testing.T) {
 
 // TestObsCountersReductionsUnderContainment runs the model-check chaos
 // harness with the reductions active (the default) and pins the counter
-// invariants that the prefix-snapshot and DPOR machinery must preserve
-// under fault injection:
+// invariants that the prefix-snapshot and state-cache machinery must
+// preserve under fault injection:
 //
 //   - the classification identity still balances — snapshot-resumed
-//     executions are started/completed like any other, and DPOR prunes
-//     are a subset of the pruned class;
-//   - the reduction counters agree exactly with the assembled Result;
+//     executions are started/completed like any other;
+//   - the snapshot counter agrees exactly with the assembled Result;
 //   - state-cache registrations made inside a pruned-and-restored
 //     subtree must not leak into sibling subtrees: probes still balance
 //     against hits + misses and match the Result's cumulative stats
@@ -163,12 +162,6 @@ func TestObsCountersReductionsUnderContainment(t *testing.T) {
 	if got := c["explore.snapshots_restored"]; got != int64(res.SnapshotRestores) {
 		t.Fatalf("snapshots_restored counter %d != Result.SnapshotRestores %d", got, res.SnapshotRestores)
 	}
-	if got := c["explore.dpor_pruned"]; got != int64(res.DPORPruned) {
-		t.Fatalf("dpor_pruned counter %d != Result.DPORPruned %d", got, res.DPORPruned)
-	}
-	if got := c["explore.dpor_pruned"]; got > pruned {
-		t.Fatalf("dpor_pruned %d exceeds executions_pruned %d", got, pruned)
-	}
 	probes, hits, misses := c["statecache.probes"], c["statecache.hits"], c["statecache.misses"]
 	if probes == 0 || probes != hits+misses {
 		t.Fatalf("cache imbalance after restores: probes %d != hits %d + misses %d", probes, hits, misses)
@@ -177,12 +170,12 @@ func TestObsCountersReductionsUnderContainment(t *testing.T) {
 		t.Fatalf("cache counters (%d/%d) != Result stats (%d/%d)",
 			hits, misses, res.CacheHits, res.CacheMisses)
 	}
-	// The reductions change how executions are produced, never which
+	// Snapshots change how executions are produced, never which
 	// violations the campaign reports.
 	off := Run(figure2(), Options{
 		Mode: ModelCheck, Executions: 10000, Workers: 8,
 		InjectFault: injectEvery(4, 2, 3),
-		noSnapshots: true, noDPOR: true,
+		noSnapshots: true,
 	})
 	if got, want := res.ViolationKeys(), off.ViolationKeys(); !equalKeys(got, want) {
 		t.Fatalf("reductions changed the violation set\n  on:  %v\n  off: %v", got, want)

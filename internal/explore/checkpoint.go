@@ -38,14 +38,14 @@ func resolveModel(name string) string {
 
 // checkpointVersion guards the serialized format. Version 2 switched
 // the model-check trail to lazy crash-target consumption (decision
-// order = use order) and added the cut subtree's partial-order-
-// reduction registrations; version-1 trails describe a different
-// decision ordering and cannot be resumed. Version 3 added the
-// process-isolation supervisor's campaign state (Dispatch) and made the
-// format double as the supervisor↔worker wire vocabulary — a work unit
-// is described to a worker as a checkpoint-shaped cut, which the worker
-// Validates before running.
-const checkpointVersion = 3
+// order = use order); version-1 trails describe a different decision
+// ordering and cannot be resumed. Version 3 added the process-isolation
+// supervisor's campaign state (Dispatch) and made the format double as
+// the supervisor↔worker wire vocabulary — a work unit is described to a
+// worker as a checkpoint-shaped cut, which the worker Validates before
+// running. Version 4 dropped the crash-state partial-order reduction:
+// its on/off flag and the cut subtree's registrations.
+const checkpointVersion = 4
 
 // Checkpoint is the resume state of a partial exploration run.
 type Checkpoint struct {
@@ -60,16 +60,9 @@ type Checkpoint struct {
 	Model string `json:"model,omitempty"`
 	// Window records the retirement-window size the campaign ran under
 	// (0 = unbounded). The model-check reductions run only without a
-	// window, which changes which executions the canonical stream
-	// contains, so a resume must use the same window.
+	// window, and the state cache changes which executions the canonical
+	// stream contains, so a resume must use the same window.
 	Window int `json:"window,omitempty"`
-	// DPOR records whether the campaign ran with partial-order
-	// reduction (on iff Window is 0). The reduction changes which
-	// executions the canonical stream contains, so a resume must run
-	// the same way — a checkpoint written with the reduction switched
-	// off by hand is refused; snapshots, by contrast, never change the
-	// stream and need no validation.
-	DPOR bool `json:"dpor,omitempty"`
 	// Collected is the canonical execution cursor: how many executions
 	// of the uninterrupted stream were collected before the cut. Random
 	// mode resumes at exactly this index.
@@ -133,24 +126,6 @@ type MCCheckpoint struct {
 	// final stats are cumulative.
 	CacheHits   int `json:"cacheHits"`
 	CacheMisses int `json:"cacheMisses"`
-	// DPORKeys are the cut subtree's partial-order-reduction
-	// registrations (the set is subtree-local; completed subtrees need
-	// none and unexplored ones rebuild theirs). Priming them reproduces
-	// the uninterrupted run's deeper-crash prune pattern after resume.
-	// Every component is path-deterministic (store IDs, label strings —
-	// never interner IDs), so the keys compare across processes.
-	DPORKeys []DPORKey `json:"dporKeys,omitempty"`
-}
-
-// DPORKey is one serialized partial-order-reduction registration: a
-// fully identified deeper crash state (see pool.go's dporKey).
-type DPORKey struct {
-	Phase   int    `json:"phase"`
-	Image   uint64 `json:"image"`
-	Heap    int    `json:"heap"`
-	Ops     int    `json:"ops"`
-	Checker uint64 `json:"checker"`
-	Trace   uint64 `json:"trace"`
 }
 
 // TrailEntry is one serialized DFS decision.
@@ -176,7 +151,6 @@ func (o *Options) checkpointHeader(program string) Checkpoint {
 		Seed:    o.Seed,
 		Model:   resolveModel(o.Model.Name),
 		Window:  o.Model.Window,
-		DPOR:    o.Mode == ModelCheck && o.useDPOR(),
 	}
 }
 
@@ -226,7 +200,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // say exactly which field disagreed for the supervisor's poison record
 // to be actionable.
 type MismatchError struct {
-	Field string // "version", "program", "mode", "seed", "model", "window", "dpor", "mc-state"
+	Field string // "version", "program", "mode", "seed", "model", "window", "mc-state"
 	Have  string // the checkpoint's side
 	Want  string // the resuming run's side
 }
@@ -258,17 +232,7 @@ func (c *Checkpoint) Validate(program string, opt Options) error {
 	if c.Mode == ModelCheck.String() && c.MC == nil {
 		return &MismatchError{Field: "mc-state", Have: "absent", Want: "present"}
 	}
-	if c.Mode == ModelCheck.String() && c.DPOR != opt.useDPOR() {
-		return &MismatchError{Field: "dpor", Have: onOff(c.DPOR), Want: onOff(opt.useDPOR())}
-	}
 	return nil
-}
-
-func onOff(v bool) string {
-	if v {
-		return "on"
-	}
-	return "off"
 }
 
 // trailFromCheckpoint rebuilds a controller trail.

@@ -60,13 +60,11 @@ type reductionVariant struct {
 	apply func(explore.Options) explore.Options
 }
 
-// reductionVariants is the default engine with snapshots and DPOR
-// switched off through the test seam. The default ("reduced") variants
-// of the tests below run in the root package under the same test names.
+// reductionVariants is the default engine with snapshots switched off
+// through the test seam. The default ("reduced") variants of the tests
+// below run in the root package under the same test names.
 var reductionVariants = []reductionVariant{
-	{"unreduced", func(o explore.Options) explore.Options {
-		return explore.WithoutDPOR(explore.WithoutSnapshots(o))
-	}},
+	{"unreduced", explore.WithoutSnapshots},
 }
 
 // TestParallelDeterminismModelCheck: subtree units claimed by 8
@@ -186,6 +184,8 @@ func TestStealDeterminismModelCheck(t *testing.T) {
 // cap the cached run advances further through the decision tree and may
 // legitimately find additional bugs, so the invariant is one-sided:
 // every violation the uncached run reports, the cached run reports too.
+// The cache must have pruned something on every port, at the full and
+// the quick budget alike, or the comparison shows nothing.
 func TestStateCacheSoundOnBenchmarks(t *testing.T) {
 	execs := scaled(400)
 	for _, b := range benchmarks.All() {
@@ -207,8 +207,8 @@ func TestStateCacheSoundOnBenchmarks(t *testing.T) {
 						k, cached.ViolationKeys(), uncached.ViolationKeys())
 				}
 			}
-			if cached.CacheHits+cached.CacheMisses == 0 {
-				t.Fatal("cache saw no lookups")
+			if cached.CacheHits == 0 {
+				t.Fatalf("the state cache never hit (%d misses)", cached.CacheMisses)
 			}
 		})
 	}

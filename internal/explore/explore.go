@@ -67,7 +67,7 @@ func (p *FuncProgram) Name() string { return p.ProgName }
 func (p *FuncProgram) Phases() []func(*pmem.World) { return p.PhaseFns }
 
 // ReentrantPhases was an optional Program capability that opted a
-// program into crash snapshots and DPOR.
+// program into crash snapshots.
 //
 // Deprecated: ignored. Every Program is reentrant (see Program).
 type ReentrantPhases interface {
@@ -208,10 +208,10 @@ type Options struct {
 	// path the world-reuse tests compare against, set through the
 	// package's test seam.
 	freshWorlds bool
-	// noSnapshots, noDPOR and noStateCache switch one model-check
-	// reduction off, giving the equivalence tests their unreduced
-	// reference; only the package's test seam sets them.
-	noSnapshots, noDPOR, noStateCache bool
+	// noSnapshots and noStateCache switch one model-check reduction
+	// off, giving the equivalence tests their unreduced reference; only
+	// the package's test seam sets them.
+	noSnapshots, noStateCache bool
 	// known is Run's collected-key predicate (the assembler's), which
 	// every world's checker consults after its unit's own reported keys
 	// (workerState.isKnown); nil in RunUnit, whose stream is folded
@@ -228,16 +228,15 @@ type Options struct {
 	Resume *Checkpoint
 }
 
-// The model-check reductions — crash-boundary snapshots, crash-state
-// partial-order reduction (DPOR) and the post-crash state cache — run
-// iff the trace window is unbounded. A bounded window releases the
-// history their keys hash and their restores replay: Trace.Mark is
-// unavailable once stores retire, and the persistent images and
-// committed trace the DPOR and cache keys cover lose their retired
-// entries. No reduction changes a verdict (the snapshot, DPOR, state-
-// cache and windowed-equivalence suites prove it), so none is a user
-// setting; the test seam switches each off for those suites. The
-// engine, checkpoints and their validation read only these predicates.
+// The model-check reductions — crash-boundary snapshots and the
+// post-crash state cache — run iff the trace window is unbounded. A
+// bounded window releases the history their keys hash and their
+// restores replay: Trace.Mark is unavailable once stores retire, and
+// the persistent image the cache key covers loses its retired entries.
+// No reduction changes a verdict (the snapshot, state-cache and
+// windowed-equivalence suites prove it), so neither is a user setting;
+// the test seam switches each off for those suites. The engine reads
+// only these predicates.
 
 // useSnapshots reports whether a unit restores a world snapshot taken
 // at its deepest still-valid crash boundary instead of replaying every
@@ -245,12 +244,6 @@ type Options struct {
 func (o *Options) useSnapshots() bool {
 	return o.Model.Window == 0 && !o.noSnapshots && !o.freshWorlds
 }
-
-// useDPOR reports whether a deeper crash (phase >= 1) whose complete
-// post-crash state matches one already explored in the same subtree is
-// pruned. Unlike the other two reductions it changes Result.Executions
-// (fewer executions run), so checkpoints record it.
-func (o *Options) useDPOR() bool { return o.Model.Window == 0 && !o.noDPOR }
 
 // useStateCache reports whether crash points whose surviving persistent
 // image matches one already explored are pruned (statecache.go).
@@ -305,12 +298,6 @@ type Result struct {
 	// Deprecated: always 0. Model checking runs one unit per subtree,
 	// and a unit never moves once claimed.
 	Steals int
-	// DPORPruned counts deeper (phase >= 1) crash states the ModelCheck
-	// engine pruned by partial-order reduction: their complete post-crash
-	// state matched one already enumerated in the same subtree. Unlike
-	// SnapshotRestores this reduces Executions; the violation key set is
-	// unaffected. Both are 0 in Random mode.
-	DPORPruned int
 	// Window is the bounded-window size the run used
 	// (persist.Config.Window); 0 = classic unbounded traces.
 	Window int
@@ -354,7 +341,10 @@ type Result struct {
 	// executions not run in Random mode; in ModelCheck mode, subtree
 	// units with uncollected work — in-flight units the stop interrupted,
 	// spawned units no worker claimed, and units whose finished work fell
-	// canonically after the cut (a resume re-derives it).
+	// canonically after the cut (a resume re-derives it). After an
+	// "exec-budget" truncation it is 1 in ModelCheck mode: only the unit
+	// the Executions cap cut counts, because which units exist past the
+	// cap depends on scheduling.
 	FrontierRemaining int
 	// Quarantined counts executions whose engine panic was contained
 	// (see ExecErrors); they contribute no violations.

@@ -15,12 +15,6 @@ func WithoutSnapshots(opt Options) Options {
 	return opt
 }
 
-// WithoutDPOR returns opt with crash-state partial-order reduction off.
-func WithoutDPOR(opt Options) Options {
-	opt.noDPOR = true
-	return opt
-}
-
 // WithoutStateCache returns opt with the post-crash state cache off.
 func WithoutStateCache(opt Options) Options {
 	opt.noStateCache = true

@@ -21,7 +21,6 @@
 package explore
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -198,72 +197,6 @@ func pruneSnaps(snaps []phaseSnap, changed int) []phaseSnap {
 	return snaps
 }
 
-// dporKey identifies a deeper (phase >= 1) crash state completely: the
-// surviving persistent image, the allocator mark, the op-budget
-// position, the checker's constraint state, and the committed trace.
-// Two executions of one subtree that reach equal keys along different
-// decision prefixes have identical continuation trees — every future
-// load sees the same candidates, the checker commits the same future
-// constraints, and the op budget trips at the same point — so the
-// second continuation is pruned (dynamic partial-order reduction).
-// Every component is derived from path-deterministic identities (store
-// IDs, label strings), never raw interner IDs, so keys computed in
-// different worlds — or different processes, via checkpoints — compare
-// correctly. See DESIGN.md, "Prefix snapshots and partial-order
-// reduction", for why read-choice decisions need no such check.
-type dporKey struct {
-	phase   int
-	image   uint64
-	heap    int
-	ops     int
-	checker uint64
-	trace   uint64
-}
-
-// dporKeyOf computes the key of a just-crashed world.
-func dporKeyOf(phase int, w *pmem.World) dporKey {
-	return dporKey{
-		phase:   phase,
-		image:   w.M.PersistFingerprint(),
-		heap:    w.Heap.Used(),
-		ops:     w.Ops(),
-		checker: w.Checker.StateFingerprint(),
-		trace:   w.M.Trace().CommittedFingerprint(),
-	}
-}
-
-// dporKeysOf serializes a registration set in a stable order for
-// checkpoints.
-func dporKeysOf(seen map[dporKey]struct{}) []DPORKey {
-	if len(seen) == 0 {
-		return nil
-	}
-	ks := make([]DPORKey, 0, len(seen))
-	for k := range seen {
-		ks = append(ks, DPORKey{Phase: k.phase, Image: k.image, Heap: k.heap, Ops: k.ops, Checker: k.checker, Trace: k.trace})
-	}
-	sort.Slice(ks, func(i, j int) bool {
-		a, b := ks[i], ks[j]
-		if a.Phase != b.Phase {
-			return a.Phase < b.Phase
-		}
-		if a.Image != b.Image {
-			return a.Image < b.Image
-		}
-		if a.Heap != b.Heap {
-			return a.Heap < b.Heap
-		}
-		if a.Ops != b.Ops {
-			return a.Ops < b.Ops
-		}
-		if a.Checker != b.Checker {
-			return a.Checker < b.Checker
-		}
-		return a.Trace < b.Trace
-	})
-	return ks
-}
-
 // backtrack advances the trail to the next unexplored branch, reporting
 // false once the subtree is exhausted. A subtree's primed phase-0
 // decision is closed at its own value, so backtracking never leaves it.
@@ -285,25 +218,14 @@ func (c *controller) backtrack() bool {
 // resumed checkpoint's trail inside it — in depth-first order, while
 // sink allows. A stop parks the unit with ur.cut, its resume point.
 //
-// Two reductions ride on the sub-DFS, both unit-local so any worker
-// count, and any checkpoint cut, produces the same canonical stream:
-//
-//   - Prefix snapshots (useSnaps): after every crash the world is
-//     snapshotted; after a backtrack the deepest snapshot whose decision
-//     prefix is still unchanged is restored and only the suffix phases
-//     re-run. Bit-identical results, integer-factor fewer phase
-//     executions.
-//   - DPOR (dporSeen != nil): a deeper crash state equal to one already
-//     enumerated in this subtree is pruned, counted like a state-cache
-//     prune and contributing no execution. The check is skipped while
-//     the trail is still replaying the previous execution's prefix
-//     (ctl.pos <= pChanged): an unchanged prefix trivially reproduces
-//     its own registered states and must not prune its own siblings.
-//
-// Both rest on the Program contract: a snapshot resume re-enters a
-// later phase without re-running earlier ones, and DPOR's
-// equal-state-equal-continuation argument needs all cross-phase state
-// inside the World (or identical in every execution).
+// Prefix snapshots (useSnaps) ride on the sub-DFS: after every crash
+// the world is snapshotted; after a backtrack the deepest snapshot whose
+// decision prefix is still unchanged is restored and only the suffix
+// phases re-run. Results are bit-identical, with integer-factor fewer
+// phase executions. Snapshots are unit-local, so any worker count, and
+// any checkpoint cut, produces the same canonical stream. They rest on
+// the Program contract: a snapshot resume re-enters a later phase
+// without re-running earlier ones.
 func (r *unitRunner) runSubtree(ws *workerState, mc *MCCheckpoint, sink unitSink, ur *UnitResult) {
 	ws.wm.Dispatches.Inc()
 	unitStart := time.Now()
@@ -320,30 +242,13 @@ func (r *unitRunner) runSubtree(ws *workerState, mc *MCCheckpoint, sink unitSink
 	}
 	// spawnNext: the phase-0 injection fired, so subtree Subtree+1 exists.
 	spawnNext := mc.SpawnNext
-	// pChanged is the trail index of the decision the last backtrack
-	// changed: decisions at indices <= pChanged replay the previous
-	// execution's prefix unchanged. -1 before a fresh subtree's first
-	// execution (everything is new); a resumed trail sits just after a
-	// backtrack, so its whole prefix counts.
-	pChanged := -1
-	if !first {
-		pChanged = len(ctl.trail) - 1
-	}
 	useSnaps := r.opt.useSnapshots()
-	var dporSeen map[dporKey]struct{}
-	if r.opt.useDPOR() && r.numPre > 1 {
-		dporSeen = make(map[dporKey]struct{})
-		for _, k := range mc.DPORKeys {
-			dporSeen[dporKey{phase: k.Phase, image: k.Image, heap: k.Heap, ops: k.Ops, checker: k.Checker, trace: k.Trace}] = struct{}{}
-		}
-	}
 	// snaps is unit-local: a unit's first execution always replays from
 	// the program start (or a fresh world), never from another unit's
 	// snapshot.
 	var snaps []phaseSnap
-	dporHit := false
 	// onCrash runs after every crash of every execution: first-execution
-	// subtree classification, then the DPOR probe, then the snapshot.
+	// subtree classification, then the snapshot.
 	onCrash := func(phase int, fired bool) bool {
 		if first && phase == 0 {
 			// The subtree's first execution classifies the subtree at
@@ -375,14 +280,6 @@ func (r *unitRunner) runSubtree(ws *workerState, mc *MCCheckpoint, sink unitSink
 				return false
 			}
 		}
-		if dporSeen != nil && phase >= 1 && ctl.pos > pChanged {
-			k := dporKeyOf(phase, ws.w)
-			if _, ok := dporSeen[k]; ok {
-				dporHit = true
-				return false
-			}
-			dporSeen[k] = struct{}{}
-		}
 		if useSnaps {
 			snaps = append(snaps, phaseSnap{ws: ws.w.Snapshot(), phase: phase, pos: ctl.pos})
 			r.opt.em.SnapshotsTaken.Inc()
@@ -396,10 +293,6 @@ func (r *unitRunner) runSubtree(ws *workerState, mc *MCCheckpoint, sink unitSink
 			ur.cut = &MCCheckpoint{Subtree: mc.Subtree, Started: !first, SpawnNext: spawnNext}
 			if ur.cut.Started {
 				ur.cut.Trail = trailToCheckpoint(ctl.trail)
-				ur.cut.DPORKeys = mc.DPORKeys
-				if dporSeen != nil {
-					ur.cut.DPORKeys = dporKeysOf(dporSeen)
-				}
 			}
 			break
 		}
@@ -437,7 +330,7 @@ func (r *unitRunner) runSubtree(ws *workerState, mc *MCCheckpoint, sink unitSink
 		}
 		installProbe(ws.w, r.opt, len(ur.Execs))
 		oc := onCrash
-		if !first && dporSeen == nil && !useSnaps {
+		if !first && !useSnaps {
 			oc = nil // no per-crash work left; keep the hot path bare
 		}
 		aborted, pruned, execErr := runPhasesMC(ws.phases, ws.w, ctl, startPhase, oc, r.opt.tr, ws.tid)
@@ -452,42 +345,34 @@ func (r *unitRunner) runSubtree(ws *workerState, mc *MCCheckpoint, sink unitSink
 		}
 		r.opt.countExec(pruned, &ex, d)
 		first = false
-		if pruned && !dporHit {
+		if pruned {
 			// The whole subtree is a duplicate of one already explored;
 			// it contributes no executions.
 			ur.Done = true
 			break
 		}
-		if dporHit {
-			// A deeper crash state already enumerated in this subtree:
-			// the continuation is skipped (counted in Pruned, no
-			// execution recorded), the sub-DFS walks on.
-			dporHit = false
-			ur.DPORPruned++
-			r.opt.em.DPORPruned.Inc()
-		} else {
-			if execErr != nil {
-				// The panic left the world in an undefined state: discard
-				// it (next iteration builds fresh) along with every
-				// snapshot taken in it; its canonical index is assigned
-				// at assembly. DPOR registrations survive — the keys are
-				// path-deterministic, not world-relative.
-				execErr.Program = r.p.Name()
-				execErr.Mode = ModelCheck
-				execErr.Prefix = trailValues(ctl.trail)
-				ws.w = nil
-				snaps = pruneSnaps(snaps, -1)
-			} else if r.opt.AfterExecution != nil {
-				r.opt.AfterExecution(ws.w)
-			}
-			ws.record(ur, ex)
-			sink.executed(len(ur.Execs))
+		if execErr != nil {
+			// The panic left the world in an undefined state: discard it
+			// (next iteration builds fresh) along with every snapshot
+			// taken in it; its canonical index is assigned at assembly.
+			execErr.Program = r.p.Name()
+			execErr.Mode = ModelCheck
+			execErr.Prefix = trailValues(ctl.trail)
+			ws.w = nil
+			snaps = pruneSnaps(snaps, -1)
+		} else if r.opt.AfterExecution != nil {
+			r.opt.AfterExecution(ws.w)
 		}
+		ws.record(ur, ex)
+		sink.executed(len(ur.Execs))
 		if !ctl.backtrack() {
 			ur.Done = true
 			break
 		}
-		pChanged = len(ctl.trail) - 1
+		// pChanged is the trail index of the decision the backtrack
+		// changed: decisions before it replay the previous execution's
+		// prefix unchanged, and snapshots taken past it are stale.
+		pChanged := len(ctl.trail) - 1
 		snaps = pruneSnaps(snaps, pChanged)
 	}
 	// Snapshots never outlive the unit (the world is reused by the next

@@ -1,15 +1,15 @@
 package explore_test
 
 // Equivalence tests for the model-check reductions (prefix snapshots
-// and crash-state DPOR):
+// and the post-crash state cache):
 //
 //   - snapshots on vs off must be bit-identical — same violation keys,
 //     same execution/abort/quarantine counts, and the same observable
 //     heap in every execution (pinned by digesting every recovery-phase
 //     read) — on every persistency-model backend;
-//   - DPOR on vs off must report exactly the same violation key set on
-//     every shipped litmus program, with DPOR never running more
-//     executions than the unreduced search.
+//   - the state cache on vs off must report exactly the same violation
+//     key set on every shipped litmus program, with the cache never
+//     running more executions than the uncached search.
 //
 // Together with determinism_test.go (which exercises both settings)
 // these are the safety net that lets the reductions run whenever the
@@ -25,7 +25,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/benchmarks"
 	"repro/internal/benchmarks/bench"
 	"repro/internal/explore"
 	"repro/internal/interp"
@@ -192,21 +191,17 @@ func relayProgram() explore.Program {
 // TestSnapshotRestoreNonFinalPhaseBug: a bug found before a crash
 // snapshot is part of every restored execution's checker state, yet the
 // unit reports it once. The rendered reports must be identical with
-// snapshots on and off, at one worker and at two. DPOR prunes nothing
-// here, which the last case checks.
+// snapshots on and off, at one worker and at two.
 func TestSnapshotRestoreNonFinalPhaseBug(t *testing.T) {
 	forceProcs(t, 2)
 	type config struct {
-		snaps, dpor bool
-		workers     int
+		snaps   bool
+		workers int
 	}
 	run := func(c config) *explore.Result {
 		opt := explore.Options{Mode: explore.ModelCheck, Executions: 10000, Workers: c.workers}
 		if !c.snaps {
 			opt = explore.WithoutSnapshots(opt)
-		}
-		if !c.dpor {
-			opt = explore.WithoutDPOR(opt)
 		}
 		return explore.Run(relayProgram(), opt)
 	}
@@ -221,7 +216,7 @@ func TestSnapshotRestoreNonFinalPhaseBug(t *testing.T) {
 	if !midPhase {
 		t.Fatalf("no violation found in the middle phase: %v", ref.ViolationKeys())
 	}
-	for _, c := range []config{{true, false, 1}, {false, false, 2}, {true, false, 2}, {true, true, 1}} {
+	for _, c := range []config{{true, 1}, {false, 2}, {true, 2}} {
 		got := run(c)
 		assertSameOutcome(t, fmt.Sprintf("%+v", c), ref, got)
 		if c.snaps && got.SnapshotRestores == 0 {
@@ -230,14 +225,17 @@ func TestSnapshotRestoreNonFinalPhaseBug(t *testing.T) {
 	}
 }
 
-// TestDPORSoundOnLitmusPrograms: on every shipped .pm litmus program,
-// the DPOR-reduced search must report exactly the violation key set the
-// unreduced search reports, while never running more executions.
-func TestDPORSoundOnLitmusPrograms(t *testing.T) {
+// TestStateCacheSoundOnLitmusPrograms: on every shipped .pm litmus
+// program, the cached search must report exactly the violation key set
+// the uncached search reports, while never running more executions.
+// The cache must fire where crash targets share an image: on
+// counter.pm and figure2_fixed.pm.
+func TestStateCacheSoundOnLitmusPrograms(t *testing.T) {
 	entries, err := os.ReadDir(testdataDir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	hits := map[string]bool{"counter.pm": true, "figure2_fixed.pm": true}
 	for _, e := range entries {
 		name := e.Name()
 		if !strings.HasSuffix(name, ".pm") {
@@ -254,47 +252,20 @@ func TestDPORSoundOnLitmusPrograms(t *testing.T) {
 			}
 			opt := explore.Options{Mode: explore.ModelCheck, Executions: 20000}
 			on := explore.Run(interp.New(name, prog), opt)
-			off := explore.Run(interp.New(name, prog), explore.WithoutDPOR(opt))
+			off := explore.Run(interp.New(name, prog), explore.WithoutStateCache(opt))
 			if !reflect.DeepEqual(on.ViolationKeys(), off.ViolationKeys()) {
-				t.Fatalf("DPOR changed the violation set\n  on:  %v\n  off: %v",
+				t.Fatalf("the state cache changed the violation set\n  on:  %v\n  off: %v",
 					on.ViolationKeys(), off.ViolationKeys())
 			}
 			if on.Executions > off.Executions {
-				t.Fatalf("DPOR ran more executions than the unreduced search: %d > %d",
+				t.Fatalf("the state cache ran more executions than the uncached search: %d > %d",
 					on.Executions, off.Executions)
 			}
-			if off.DPORPruned != 0 {
-				t.Fatalf("disabled run reports %d DPOR prunes", off.DPORPruned)
+			if hits[name] && on.CacheHits == 0 {
+				t.Fatalf("the state cache never hit (%d misses)", on.CacheMisses)
 			}
-		})
-	}
-}
-
-// TestDPORSoundOnBenchmarks: same exact-set property on the benchmark
-// ports, where the searches are budget-capped. Under a binding cap the
-// reduced search advances further through the decision tree, so — like
-// the state-cache soundness test — the invariant is one-sided: nothing
-// the unreduced run found may be lost.
-func TestDPORSoundOnBenchmarks(t *testing.T) {
-	execs := scaled(400)
-	for _, b := range benchmarks.All() {
-		b := b
-		t.Run(b.Name, func(t *testing.T) {
-			on := explore.Run(b.Build(bench.Buggy), explore.Options{
-				Mode: explore.ModelCheck, Executions: execs, Workers: 1,
-			})
-			off := explore.Run(b.Build(bench.Buggy), explore.WithoutDPOR(explore.Options{
-				Mode: explore.ModelCheck, Executions: execs, Workers: 1,
-			}))
-			have := make(map[string]bool)
-			for _, k := range on.ViolationKeys() {
-				have[k] = true
-			}
-			for _, k := range off.ViolationKeys() {
-				if !have[k] {
-					t.Fatalf("DPOR lost violation %s\n  on:  %v\n  off: %v",
-						k, on.ViolationKeys(), off.ViolationKeys())
-				}
+			if off.CacheHits+off.CacheMisses != 0 {
+				t.Fatalf("disabled run reports %d/%d cache lookups", off.CacheHits, off.CacheMisses)
 			}
 		})
 	}

@@ -33,10 +33,14 @@
 // share one phase-0 prefix, hence one image), and the Scheduler's spawn
 // chain registers images in subtree order, so the hit/miss pattern —
 // and with it every count in Result — is identical for any worker
-// count. Deeper crashes (programs with three or more phases) are not
-// cached: their keys would also need the checker's constraint state and
-// the pending crash-target choices of unreached phases. Hit/miss totals
-// are tallied from the subtrees' classifications (assembler.classify).
+// count. Hit/miss totals are tallied from the subtrees' classifications
+// (assembler.classify).
+//
+// This is the engine's one pruning key. Deeper crashes (programs with
+// three or more phases) are not cached: their keys would also need the
+// checker's constraint state and the pending crash-target choices of
+// unreached phases, and no shipped program has a third phase (DESIGN.md,
+// "Prefix snapshots and the state cache").
 //
 // Known approximation: the op-budget counter is not part of the key, so
 // a continuation that aborts on its budget could be deduplicated

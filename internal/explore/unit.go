@@ -9,10 +9,10 @@
 // range), so the supervisor↔worker wire protocol and the on-disk resume
 // format are one format. Determinism is inherited wholesale: RunUnit
 // runs a unit through the same unit runner as Run's workers (same trail
-// replay, same primed state cache, same DPOR registrations; a random
-// unit's executions depend only on their indices), and the supervisor
-// folds the streams through the same Scheduler as Run, so the result is
-// bit-identical at any worker count and under any kill schedule.
+// replay, same primed state cache; a random unit's executions depend
+// only on their indices), and the supervisor folds the streams through
+// the same Scheduler as Run, so the result is bit-identical at any
+// worker count and under any kill schedule.
 package explore
 
 import (
@@ -31,7 +31,7 @@ type UnitSpec struct {
 	// MC is a model-check subtree in checkpoint vocabulary: the subtree
 	// ordinal, the state-cache keys registered by earlier subtrees (in
 	// registration order), and — when resuming a mid-subtree checkpoint
-	// cut — the started trail, spawn flag, and DPOR registrations.
+	// cut — the started trail and spawn flag.
 	MC *MCCheckpoint `json:"mc,omitempty"`
 	// Budget caps the executions a model-check unit records (0: none).
 	// It is a conservative overestimate of the canonical remainder; an
@@ -103,10 +103,9 @@ type UnitResult struct {
 	// Done reports the unit ran to exhaustion (model check) or completed
 	// its range (random); false after a stop or a budget bound.
 	Done bool
-	// SnapshotRestores/DPORPruned/WorkNanos feed the supervisor's
-	// Result diagnostics, exactly like per-unit sums in the pool.
+	// SnapshotRestores/WorkNanos feed the supervisor's Result
+	// diagnostics, exactly like per-unit sums in the pool.
 	SnapshotRestores int
-	DPORPruned       int
 	WorkNanos        int64
 
 	// cut is the resume point of a model-check unit a stop parked

@@ -146,11 +146,12 @@ func fencedStores() Program {
 }
 
 // TestSchedulerInterleavings: however claims, out-of-order finishes,
-// early and duplicate classifications and releases are interleaved, the folded Result equals the Workers=1 Run in both modes,
-// with and without a binding cap. A stopped drive checkpoints at its
-// cut: the resume, driven the same way, equals the Workers=1 resumed
-// Run, and the two legs' violation keys together are the uninterrupted
-// run's.
+// early and duplicate classifications and releases are interleaved, the
+// folded Result equals the Workers=1 Run in both modes, with and without
+// a binding cap (FrontierRemaining included). A stopped drive
+// checkpoints at its cut: the resume, driven the same way, equals the
+// Workers=1 resumed Run, and the two legs' violation keys together are
+// the uninterrupted run's.
 func TestSchedulerInterleavings(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -167,18 +168,6 @@ func TestSchedulerInterleavings(t *testing.T) {
 			serial := tc.opt
 			serial.Workers = 1
 			want := Run(tc.p(), serial)
-			// Past a binding cap, FrontierRemaining counts the units the
-			// schedule happened to spawn beyond it, as at any width above
-			// one: it is outside the determinism contract there.
-			same := func(label string, got, want *Result) {
-				t.Helper()
-				if want.StopReason == "exec-budget" {
-					g := *got
-					g.FrontierRemaining = want.FrontierRemaining
-					got = &g
-				}
-				sameResult(t, label, got, want)
-			}
 			resumed := 0
 			for seed := int64(0); seed < 24; seed++ {
 				rng := rand.New(rand.NewSource(seed))
@@ -188,7 +177,7 @@ func TestSchedulerInterleavings(t *testing.T) {
 				}
 				got := interleave(t, tc.p(), tc.opt, tc.unitExecs, rng, stopAt)
 				if stopAt < 0 {
-					same(tc.name, got, want)
+					sameResult(t, tc.name, got, want)
 					continue
 				}
 				if got.Checkpoint == nil {
@@ -199,7 +188,7 @@ func TestSchedulerInterleavings(t *testing.T) {
 				opt.Resume = got.Checkpoint
 				serial.Resume = got.Checkpoint
 				rgot := interleave(t, tc.p(), opt, tc.unitExecs, rng, -1)
-				same(tc.name+"/resumed", rgot, Run(tc.p(), serial))
+				sameResult(t, tc.name+"/resumed", rgot, Run(tc.p(), serial))
 				union := map[string]bool{}
 				for _, k := range append(got.ViolationKeys(), rgot.ViolationKeys()...) {
 					union[k] = true
@@ -251,9 +240,8 @@ func TestUnitDriveMCEquivalence(t *testing.T) {
 		}
 		got := driveMC(t, p, opt, false)
 		sameResult(t, p.Name(), got, want)
-		if got.SnapshotRestores != want.SnapshotRestores || got.DPORPruned != want.DPORPruned {
-			t.Fatalf("%s: reduction diagnostics diverge: snap %d/%d dpor %d/%d", p.Name(),
-				got.SnapshotRestores, want.SnapshotRestores, got.DPORPruned, want.DPORPruned)
+		if got.SnapshotRestores != want.SnapshotRestores {
+			t.Fatalf("%s: snapshot restores diverge: %d/%d", p.Name(), got.SnapshotRestores, want.SnapshotRestores)
 		}
 	}
 }

@@ -19,7 +19,6 @@ func TestValidateMismatches(t *testing.T) {
 			Program: "figure2",
 			Mode:    ModelCheck.String(),
 			Model:   persist.DefaultModel,
-			DPOR:    true,
 			MC:      &MCCheckpoint{},
 		}
 	}
@@ -60,27 +59,16 @@ func TestValidateMismatches(t *testing.T) {
 			c.MC = nil
 			return c
 		}, "figure2", mcOpts, "mc-state"},
-		{"dpor", func() *Checkpoint {
-			c := base()
-			c.DPOR = false
-			return c
-		}, "figure2", mcOpts, "dpor"},
 		{"windowed", func() *Checkpoint {
-			c := base()
-			c.Window, c.DPOR = 4, false
-			return c
-		}, "figure2", Options{Mode: ModelCheck, Model: persist.Config{Window: 4}}, ""},
-		{"windowed-dpor", func() *Checkpoint {
 			c := base()
 			c.Window = 4
 			return c
-		}, "figure2", Options{Mode: ModelCheck, Model: persist.Config{Window: 4}}, "dpor"},
-		{"dpor-ignored-in-random", func() *Checkpoint {
+		}, "figure2", Options{Mode: ModelCheck, Model: persist.Config{Window: 4}}, ""},
+		{"window", func() *Checkpoint {
 			c := base()
-			c.Mode = Random.String()
-			c.DPOR = false
+			c.Window = 4
 			return c
-		}, "figure2", Options{Mode: Random}, ""},
+		}, "figure2", mcOpts, "window"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,8 +2,8 @@ package explore_test
 
 // Windowed-equivalence property suite: bounded-window (streaming)
 // checking must be a pure memory optimization. The history-hashing
-// reductions (snapshots, DPOR, the post-crash state cache — their keys
-// cover retired records) run only without a window, so every
+// reductions (snapshots and the post-crash state cache — they restore
+// and hash retired records) run only without a window, so every
 // comparison here switches them off on the unbounded baseline through
 // the test seam and then demands the windowed run be observationally
 // identical: same violation key set, same execution counts, and the
@@ -40,7 +40,7 @@ func unreducedOpts(model string, window, execs int) explore.Options {
 		Workers:    1,
 		Model:      persist.Config{Name: model, Window: window},
 	}
-	return explore.WithoutStateCache(explore.WithoutDPOR(explore.WithoutSnapshots(opt)))
+	return explore.WithoutStateCache(explore.WithoutSnapshots(opt))
 }
 
 // TestWindowEquivalenceAcrossModels: on every backend, a windowed

@@ -85,10 +85,9 @@ var catalog = []MetricDef{
 	{"psan_explore_executions_completed", "counter", nil, "Executions that ran to completion."},
 	{"psan_explore_executions_aborted", "counter", nil, "Executions aborted on a deadline, cancellation, or op budget."},
 	{"psan_explore_executions_quarantined", "counter", nil, "Executions quarantined after a contained panic."},
-	{"psan_explore_executions_pruned", "counter", nil, "Model-check executions pruned by the state cache or DPOR."},
+	{"psan_explore_executions_pruned", "counter", nil, "Model-check executions pruned by the state cache."},
 	{"psan_explore_snapshots_taken", "counter", nil, "Crash-boundary world snapshots taken."},
 	{"psan_explore_snapshots_restored", "counter", nil, "Executions resumed from a world snapshot."},
-	{"psan_explore_dpor_pruned", "counter", nil, "Deeper-crash states pruned by partial-order reduction."},
 	{"psan_explore_worker_idle_ns", "counter", nil, "Aggregate worker idle time in nanoseconds."},
 	{"psan_explore_stops_deadline", "counter", nil, "Campaign stops latched by the wall-clock deadline."},
 	{"psan_explore_stops_canceled", "counter", nil, "Campaign stops latched by context cancellation."},
@@ -100,7 +99,6 @@ var catalog = []MetricDef{
 	{"psan_statecache_misses", "counter", nil, "State-cache misses."},
 	{"psan_statecache_misses_new_image", "counter", nil, "Misses whose persistence fingerprint was never seen."},
 	{"psan_statecache_misses_new_heap", "counter", nil, "Misses whose image was seen with a different heap size."},
-	{"psan_statecache_evictions", "counter", nil, "State-cache evictions (always 0: no eviction policy)."},
 	{"psan_statecache_entries", "gauge", nil, "Live state-cache entries."},
 
 	{"psan_persist_stores", "counter", []string{"model"}, "Persistent stores issued, per persistency-model backend."},

@@ -12,8 +12,8 @@ import (
 
 // The campaign flight recorder: a bounded in-memory ring of structured
 // events covering the moments a post-mortem needs — lease
-// redeliveries, poison quarantines, retirement sweeps, state-cache
-// evictions, stop-reason transitions. Recording is cheap (one
+// redeliveries, poison quarantines, execution quarantines, stop-reason
+// transitions. Recording is cheap (one
 // mutex + ring slot write, no allocation after warm-up) and the ring is
 // bounded, so the recorder can run for the whole campaign and be
 // dumped only when something goes wrong (poison, ExecError, SIGQUIT)

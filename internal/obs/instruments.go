@@ -13,11 +13,10 @@ type ExploreMetrics struct {
 	Completed   *Counter // explore.executions_completed
 	Aborted     *Counter // explore.executions_aborted (deadline/cancel/op-budget)
 	Quarantined *Counter // explore.executions_quarantined (panic containment)
-	Pruned      *Counter // explore.executions_pruned (state-cache or DPOR prune, mc mode)
+	Pruned      *Counter // explore.executions_pruned (state-cache prune, mc mode)
 
 	SnapshotsTaken    *Counter // explore.snapshots_taken (crash-boundary world snapshots)
 	SnapshotsRestored *Counter // explore.snapshots_restored (executions resumed from one)
-	DPORPruned        *Counter // explore.dpor_pruned (deeper-crash prunes; subset of Pruned)
 
 	WorkerIdle *Counter // explore.worker_idle_ns (aggregate idle time across all workers)
 
@@ -41,7 +40,6 @@ func ExploreInstruments(r *Registry) ExploreMetrics {
 		Pruned:            r.Counter("explore.executions_pruned"),
 		SnapshotsTaken:    r.Counter("explore.snapshots_taken"),
 		SnapshotsRestored: r.Counter("explore.snapshots_restored"),
-		DPORPruned:        r.Counter("explore.dpor_pruned"),
 		WorkerIdle:        r.Counter("explore.worker_idle_ns"),
 		StopDeadline:      r.Counter("explore.stops_deadline"),
 		StopCanceled:      r.Counter("explore.stops_canceled"),
@@ -53,16 +51,14 @@ func ExploreInstruments(r *Registry) ExploreMetrics {
 // CacheMetrics covers the post-crash state cache. Misses are split by
 // fingerprint class: a miss whose persistence fingerprint was never seen
 // before (new image) versus one whose image was seen but paired with a new
-// heap size (new heap). Evictions is always 0 today — the cache has no
-// eviction policy — but is part of the catalog so dashboards don't special-
-// case its absence.
+// heap size (new heap). The cache has no eviction policy, so it has no
+// eviction counter.
 type CacheMetrics struct {
 	Probes       *Counter // statecache.probes
 	Hits         *Counter // statecache.hits
 	Misses       *Counter // statecache.misses
 	MissNewImage *Counter // statecache.misses_new_image
 	MissNewHeap  *Counter // statecache.misses_new_heap
-	Evictions    *Counter // statecache.evictions
 	Entries      *Gauge   // statecache.entries
 }
 
@@ -77,7 +73,6 @@ func CacheInstruments(r *Registry) CacheMetrics {
 		Misses:       r.Counter("statecache.misses"),
 		MissNewImage: r.Counter("statecache.misses_new_image"),
 		MissNewHeap:  r.Counter("statecache.misses_new_heap"),
-		Evictions:    r.Counter("statecache.evictions"),
 		Entries:      r.Gauge("statecache.entries"),
 	}
 }

@@ -512,8 +512,8 @@ func (im *Image) Fingerprint() uint64 {
 			for _, s := range ep.stores {
 				if s == nil {
 					// Retired entry: fingerprints are only consumed by the
-					// state cache / DPOR, which bounded-window mode forces
-					// off, but stay well-defined regardless.
+					// state cache, which bounded-window mode forces off,
+					// but stay well-defined regardless.
 					mix(0)
 					continue
 				}

@@ -164,7 +164,7 @@ type Config struct {
 	// resolution) are unlinked, and their arena slots go back on the
 	// trace's free lists for reuse. 0 (the default) keeps every record
 	// until Reset, byte-identical to previous releases. Window changes
-	// which exploration features are available (snapshots, DPOR, and the
+	// which exploration features are available (snapshots and the
 	// post-crash state cache run only without a window) and is validated
 	// by checkpoints.
 	Window int

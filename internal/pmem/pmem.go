@@ -267,9 +267,8 @@ func (w *World) Rand() *rand.Rand { return w.rng }
 func (w *World) FenceOps() int { return w.fenceOps }
 
 // Ops returns the number of operations the current execution has
-// performed so far — the op-budget position. The explorer folds it into
-// its partial-order-reduction key so two crash states are only merged
-// when their continuations also abort at the same point.
+// performed so far — the op-budget position. The explorer sums it into
+// Result.Ops.
 func (w *World) Ops() int { return w.ops }
 
 // SetCrashTarget re-arms crash injection for the next phase.

@@ -582,38 +582,6 @@ func (tr *Trace) Rewind(m TraceMark) {
 	tr.evs.rewind(m.evs)
 }
 
-// CommittedFingerprint hashes everything about the trace's committed
-// stores that downstream consumers (Next, StoreByClock, the checker's
-// LOAD-PREV scan) can observe: per sub-execution, the committed stores
-// in TSO order with their identity, location, value, issuing thread,
-// clock, and sequence number. Two traces with equal fingerprints drive
-// those consumers identically. The explorer uses this as one component
-// of its partial-order-reduction key.
-func (tr *Trace) CommittedFingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		h ^= v
-		h *= prime64
-	}
-	mix(uint64(len(tr.subs)))
-	for _, sub := range tr.subs {
-		mix(uint64(len(sub.Stores)))
-		for _, s := range sub.Stores {
-			mix(uint64(s.ID))
-			mix(uint64(s.Addr))
-			mix(uint64(s.Value))
-			mix(uint64(int64(s.Thread)))
-			mix(uint64(s.Clock))
-			mix(uint64(s.Seq))
-		}
-	}
-	return h
-}
-
 // GetExec returns the sub-execution containing the store (getexec in the
 // paper's Figure 10).
 func (tr *Trace) GetExec(st *Store) *SubExec { return tr.subs[st.SubExec] }

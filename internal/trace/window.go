@@ -55,8 +55,8 @@
 // so the amortized cost is a constant per operation; the verdict stream
 // is proven identical to unbounded mode by the windowed-equivalence
 // property suite (internal/explore/window_test.go) and guarded by the
-// explorer, which runs snapshots, DPOR, and the post-crash state cache
-// only without a window (their keys hash retired history).
+// explorer, which runs snapshots and the post-crash state cache only
+// without a window (they restore and hash retired history).
 package trace
 
 import (
