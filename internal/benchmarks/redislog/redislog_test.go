@@ -6,7 +6,10 @@ import (
 	"repro/internal/benchmarks/bench"
 	"repro/internal/explore"
 	"repro/internal/memmodel"
+	"repro/internal/persist"
 	"repro/internal/pmem"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func TestSetGet(t *testing.T) {
@@ -77,5 +80,52 @@ func TestWindowedRunMatches(t *testing.T) {
 	}
 	if bounded.Retirements == 0 {
 		t.Fatal("bounded run never retired")
+	}
+}
+
+// TestWindowRetireCountersPinned: a fixed-seed windowed execution —
+// init and 1500 requests, a crash at the 300th fence-like operation,
+// recovery and 1500 more requests, under a 64-op window — retires
+// exactly as it did with full mark-and-sweep retirement, on px86 and
+// ptsosyn, with and without store buffers. The pinned values were
+// recorded from the full mark-and-sweep implementation; incremental
+// retirement changes what a sweep costs, never what it pins, unlinks
+// or releases, nor when it runs.
+func TestWindowRetireCountersPinned(t *testing.T) {
+	want := map[bool]trace.RetireStats{
+		false: {Retirements: 11, RetiredEvents: 15149, RetiredStores: 847, ReleasedBytes: 1728608, MaxPinnedRoots: 6497},
+		true:  {Retirements: 11, RetiredEvents: 15054, RetiredStores: 844, ReleasedBytes: 1719168, MaxPinnedRoots: 6441},
+	}
+	for _, model := range []string{"px86", "ptsosyn"} {
+		for _, delayed := range []bool{false, true} {
+			w := pmem.NewWorld(pmem.Config{
+				Model:              persist.Config{Name: model, Window: 64, DelayedCommit: delayed},
+				Seed:               7,
+				Chooser:            pmem.ChooseRandom,
+				CrashTarget:        300,
+				RandomDrainPercent: 20,
+			})
+			r := New(bench.Buggy)
+			cfg := workload.Config{Seed: 7, Ops: 1500, Keys: 256, ZipfS: 1.2, ReadPct: 40, Threads: 2,
+				Classes: []workload.SizeClass{{Words: 1, Weight: 3}, {Words: 8, Weight: 1}}}
+			if !w.RunPhase(func(w *pmem.World) {
+				r.Init(w.Thread(0), cfg.Keys)
+				workload.Drive(w, cfg, r)
+			}) {
+				t.Fatalf("%s delayed=%v: the first phase did not crash", model, delayed)
+			}
+			w.Crash()
+			w.SetCrashTarget(-1)
+			cfg.Seed = 8
+			w.RunPhase(func(w *pmem.World) {
+				r.Recover(w.Thread(0))
+				workload.Drive(w, cfg, r)
+			})
+			got := w.M.Trace().Retired()
+			got.RetainedEvents, got.PinnedRoots = 0, 0
+			if got != want[delayed] {
+				t.Errorf("%s delayed=%v: %+v, want %+v", model, delayed, got, want[delayed])
+			}
+		}
 	}
 }

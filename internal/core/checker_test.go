@@ -627,11 +627,11 @@ func TestMarkRetireRootsHoldsEndpoints(t *testing.T) {
 		// Reading x=2 bounds thread 0's crash point to [2, 3): the
 		// endpoints are s2 and s3, neither pinned nor kept by byLoc.
 		c.ObserveRead(1, addrX, s2, tr.Intern("r"))
-		tr.BeginRetire()
 		if hook {
-			c.MarkRetireRoots(tr.MarkRetireRoot)
+			tr.Retire(c.MarkRetireRoots)
+		} else {
+			tr.Retire()
 		}
-		tr.FinishRetire()
 		intact := s2.ID == 2 && s2.Value == 2 && s3.ID == 3 && s3.Value == 3
 		if intact != hook {
 			t.Errorf("hook %v: endpoints intact = %v (s2 %v, s3 %v)", hook, intact, s2, s3)

@@ -87,15 +87,15 @@ func strictEquivalentExists2(tr *trace.Trace, rfs []*trace.Store) bool {
 	readOrder := []memmodel.Addr{0x1000, 0x1008, 0x2000}
 	e1, e2 := tr.Sub(0), tr.Sub(1)
 	per1 := map[memmodel.ThreadID][]*trace.Store{}
-	for _, st := range e1.Stores {
+	for _, st := range e1.Stores() {
 		per1[st.Thread] = append(per1[st.Thread], st)
 	}
 	t0, t1 := per1[0], per1[1]
-	e2s := e2.Stores // single thread: prefixes in commit order
+	e2s := e2.Stores() // single thread: prefixes in commit order
 	for k0 := 0; k0 <= len(t0); k0++ {
 		for k1 := 0; k1 <= len(t1); k1++ {
 			cut1 := append(append([]*trace.Store{}, t0[:k0]...), t1[:k1]...)
-			if !hbClosed(cut1, e1.Stores) {
+			if !hbClosed(cut1, e1.Stores()) {
 				continue
 			}
 			for k2 := 0; k2 <= len(e2s); k2++ {

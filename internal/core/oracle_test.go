@@ -98,7 +98,7 @@ func runOnce(ops []oracleOp, picks []int) (rfs []*trace.Store, counts []int, tr 
 func strictEquivalentExists(tr *trace.Trace, rfs []*trace.Store) bool {
 	pre := tr.Sub(0)
 	perThread := map[memmodel.ThreadID][]*trace.Store{}
-	for _, st := range pre.Stores {
+	for _, st := range pre.Stores() {
 		perThread[st.Thread] = append(perThread[st.Thread], st)
 	}
 	t0, t1 := perThread[0], perThread[1]
@@ -106,7 +106,7 @@ func strictEquivalentExists(tr *trace.Trace, rfs []*trace.Store) bool {
 	for k0 := 0; k0 <= len(t0); k0++ {
 		for k1 := 0; k1 <= len(t1); k1++ {
 			cut := append(append([]*trace.Store{}, t0[:k0]...), t1[:k1]...)
-			if !hbClosed(cut, pre.Stores) {
+			if !hbClosed(cut, pre.Stores()) {
 				continue
 			}
 			if imageMatches(cut, readOrder, rfs) {

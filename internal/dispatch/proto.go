@@ -3,10 +3,10 @@
 // vocabulary is deliberately the checkpoint format (internal/explore,
 // version 4): a work unit is described to the worker as a
 // checkpoint-shaped cut, which the worker Validates against its own
-// program and options before running — a program/mode/model/window skew
-// between supervisor and worker binaries surfaces as a typed
-// explore.MismatchError in a fatal message, not as silently divergent
-// exploration.
+// program and options before running — a checkpoint-version, program,
+// mode, model or window skew between supervisor and worker binaries
+// surfaces as a typed explore.MismatchError in a fatal message, not as
+// silently divergent exploration.
 package dispatch
 
 import (

@@ -184,7 +184,8 @@ func WorkerMain(stdin io.Reader, stdout, stderr io.Writer, resolve ProgramResolv
 			return 1
 		}
 		// The cut is checkpoint-shaped on purpose: Validate catches a
-		// supervisor/worker skew (program, mode, seed, model, window)
+		// supervisor/worker skew (checkpoint version, program, mode,
+		// seed, model, window)
 		// before any divergent exploration happens.
 		if err := um.Cut.Validate(prog.Name(), opt); err != nil {
 			enc.Encode(workerMsg{Type: "fatal", ID: um.ID, Error: err.Error(), Permanent: true})

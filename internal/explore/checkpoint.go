@@ -172,7 +172,8 @@ func (c *Checkpoint) Save(path string) error {
 	return nil
 }
 
-// LoadCheckpoint reads a checkpoint written by Save.
+// LoadCheckpoint reads a checkpoint written by Save. Whether the run
+// can resume it, its format version included, is Validate's call.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -181,13 +182,6 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	var c Checkpoint
 	if err := json.Unmarshal(data, &c); err != nil {
 		return nil, fmt.Errorf("checkpoint %s: %w", path, err)
-	}
-	if c.Version != checkpointVersion {
-		return nil, fmt.Errorf("checkpoint %s: %w", path, &MismatchError{
-			Field: "version",
-			Have:  fmt.Sprintf("%d", c.Version),
-			Want:  fmt.Sprintf("%d", checkpointVersion),
-		})
 	}
 	return &c, nil
 }
@@ -211,9 +205,13 @@ func (e *MismatchError) Error() string {
 
 // Validate checks that the checkpoint belongs to the same campaign the
 // options describe; resuming a mismatched checkpoint would silently
-// explore garbage. Every failure is a *MismatchError naming the field
-// and both sides.
+// explore garbage, and so would a checkpoint or a work unit's cut
+// written by a build with another checkpoint format. Every failure is a
+// *MismatchError naming the field and both sides.
 func (c *Checkpoint) Validate(program string, opt Options) error {
+	if c.Version != checkpointVersion {
+		return &MismatchError{Field: "version", Have: fmt.Sprintf("%d", c.Version), Want: fmt.Sprintf("%d", checkpointVersion)}
+	}
 	if c.Program != program {
 		return &MismatchError{Field: "program", Have: fmt.Sprintf("%q", c.Program), Want: fmt.Sprintf("%q", program)}
 	}

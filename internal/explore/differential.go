@@ -165,7 +165,7 @@ func finalHeap(p Program, seed int64, model persist.Config) map[memmodel.Addr]me
 	heap := make(map[memmodel.Addr]memmodel.Value)
 	tr := w.M.Trace()
 	for _, sub := range tr.SubExecs() {
-		for _, st := range sub.Stores {
+		for _, st := range sub.Stores() {
 			heap[st.Addr] = 0
 		}
 	}

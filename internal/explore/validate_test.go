@@ -31,6 +31,11 @@ func TestValidateMismatches(t *testing.T) {
 		field string
 	}{
 		{"ok", base, "figure2", mcOpts, ""},
+		{"version", func() *Checkpoint {
+			c := base()
+			c.Version = checkpointVersion - 1
+			return c
+		}, "figure2", mcOpts, "version"},
 		{"program", base, "other", mcOpts, "program"},
 		{"mode", base, "figure2", Options{Mode: Random}, "mode"},
 		{"seed", func() *Checkpoint {
@@ -93,15 +98,19 @@ func TestValidateMismatches(t *testing.T) {
 	}
 }
 
-// TestLoadCheckpointVersionMismatch: a stale on-disk version is the same
-// typed error, wrapped with the path.
+// TestLoadCheckpointVersionMismatch: a stale on-disk version loads, and
+// validating it for the campaign it was cut from is the typed error.
 func TestLoadCheckpointVersionMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.json")
 	c := &Checkpoint{Version: checkpointVersion - 1, Program: "p", Mode: "random"}
 	if err := c.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	_, err := LoadCheckpoint(path)
+	loaded, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = loaded.Validate("p", Options{Mode: Random})
 	var me *MismatchError
 	if !errors.As(err, &me) {
 		t.Fatalf("want *MismatchError, got %T: %v", err, err)

@@ -20,7 +20,7 @@ func checkDenseIndexes(t *testing.T, name string, m persist.Model) {
 	for _, sub := range tr.SubExecs() {
 		for _, w := range append(streamWords, 0x2000) {
 			var want []*trace.Store
-			for _, s := range sub.Stores {
+			for _, s := range sub.Stores() {
 				if s.Addr == w {
 					want = append(want, s)
 				}

@@ -79,6 +79,25 @@ type lineState struct {
 	line   memmodel.Addr
 	sealed []*epoch
 	live   *epoch
+	// cursor is the live epoch's retirement cursor.
+	cursor
+}
+
+// cursor is how far retirement has walked an epoch that was live when
+// it started (see Retire): positions below done have been pinned or
+// killed, and the kill rule has been applied up to lo = cur, where
+// last[w] is 1 + the position of word w's last store below cur (0:
+// none).
+type cursor struct {
+	done, cur int32
+	last      [memmodel.WordsPerLine]int32
+}
+
+// sealedCursor is an epoch sealed since the last Retire with its
+// cursor, which that Retire still has to advance.
+type sealedCursor struct {
+	ep *epoch
+	cursor
 }
 
 // Image is the persistent-memory state shared by every backend: the
@@ -106,6 +125,24 @@ type Image struct {
 	epochFree []*epoch
 	// fpLines is Fingerprint's line-sorting scratch.
 	fpLines []*lineState
+
+	// pins holds the sticky pins of the image's retirement candidates
+	// (the trace); nil until the first Retire after Reset, and while it
+	// is nil nothing below is tracked. dirty and dirtySealed list the
+	// lines and sealed epochs whose lo moved since the last Retire (an
+	// entry may repeat; a second visit finds nothing to do), and sealing
+	// the epochs Seal sealed before their cursor caught up.
+	pins        pinner
+	dirty       []*lineState
+	dirtySealed []*epoch
+	sealing     []sealedCursor
+}
+
+// pinner takes and drops the sticky pins of crash-image entries;
+// *trace.Trace is the one the machines use.
+type pinner interface {
+	Pin(*trace.Store)
+	Unpin(*trace.Store)
 }
 
 // NewImage returns an empty image owned by the named backend.
@@ -133,6 +170,8 @@ func (im *Image) Reset() {
 	}
 	im.all = im.all[:0]
 	im.lines.Reset()
+	im.pins = nil
+	im.dirty, im.dirtySealed, im.sealing = im.dirty[:0], im.dirtySealed[:0], im.sealing[:0]
 }
 
 // clean recycles a line's sealed epochs and empties its live epoch.
@@ -142,6 +181,7 @@ func (im *Image) clean(ls *lineState) {
 	ls.sealed = ls.sealed[:0]
 	ls.live.stores = ls.live.stores[:0]
 	ls.live.lo, ls.live.hi = 0, 0
+	ls.cursor = cursor{}
 }
 
 // newEpoch returns a zeroed epoch, recycled when possible.
@@ -199,6 +239,7 @@ func (im *Image) Guarantee(a memmodel.Addr) {
 	ls := im.line(a)
 	if n := len(ls.live.stores); n > ls.live.lo {
 		ls.live.lo = n
+		im.touch(ls)
 	}
 }
 
@@ -209,6 +250,14 @@ func (im *Image) GuaranteeUpTo(a memmodel.Addr, n int) {
 	ls := im.line(a)
 	if n > ls.live.lo {
 		ls.live.lo = n
+		im.touch(ls)
+	}
+}
+
+// touch lists a line whose live lo rose for the next Retire.
+func (im *Image) touch(ls *lineState) {
+	if n := len(im.dirty); im.pins != nil && (n == 0 || im.dirty[n-1] != ls) {
+		im.dirty = append(im.dirty, ls)
 	}
 }
 
@@ -224,10 +273,18 @@ func (im *Image) GuaranteedCount(a memmodel.Addr) int {
 // Seal is the image half of a crash: each cache line's committed
 // history is sealed into an epoch whose persisted prefix is any length
 // from the flush-guaranteed lower bound up to the full history, and a
-// fresh live epoch begins.
+// fresh live epoch begins. Under retirement, an epoch sealed with work
+// left for its cursor is listed for the next Retire with that cursor.
 func (im *Image) Seal() {
+	im.dirty = im.dirty[:0]
 	for _, ls := range im.all {
 		if len(ls.live.stores) > 0 || ls.live.lo > 0 {
+			if im.pins != nil {
+				if int(ls.done) < len(ls.live.stores) || int(ls.cur) < ls.live.lo {
+					im.sealing = append(im.sealing, sealedCursor{ls.live, ls.cursor})
+				}
+				ls.cursor = cursor{}
+			}
 			ls.live.hi = len(ls.live.stores)
 			if x := ls.live.idx; x != nil {
 				// A recycled epoch's index describes its old history.
@@ -323,16 +380,22 @@ func (im *Image) Resolve(a memmodel.Addr, c Candidate, tr *trace.Trace, loc trac
 	if c.Epoch >= 0 {
 		ep := ls.sealed[c.Epoch]
 		ep.lo, ep.hi = c.LoNew, c.HiNew
+		if n := len(im.dirtySealed); im.pins != nil && (n == 0 || im.dirtySealed[n-1] != ep) {
+			im.dirtySealed = append(im.dirtySealed, ep)
+		}
 		if ep.lo > ep.hi {
 			panic(InvariantError{Model: im.name, Check: "prefix range", Addr: a, Loc: tr.LocString(loc)})
 		}
 	}
 }
 
-// Retire is the image half of a bounded-window retirement: it pins (via
-// mark) every store some future load could still read through the crash
-// image, and unlinks the entries that provably cannot be candidates
-// ever again so the trace sweep may release them.
+// Retire runs one bounded-window retirement of tr, the trace the
+// image's stores live in. buffered and extraRoots pin the sweep's
+// transient roots (the machine's store buffers, the checker's deferred
+// reads); either may be nil. The image first brings its own sticky pins
+// up to date — every entry a future load could still read through the
+// crash image stays pinned, every entry that provably cannot be read
+// again is killed and unpinned — and the trace then sweeps.
 //
 // A store at epoch index i is visible exactly for persisted-prefix
 // lengths in [i+1, next], where next is the position of the next store
@@ -341,64 +404,106 @@ func (im *Image) Resolve(a memmodel.Addr, c Candidate, tr *trace.Trace, loc trac
 // upward when a read commits to a newer survivor — so once next < ep.lo
 // the window [max(lo,i+1), min(hi,next)] is empty forever: the entry is
 // dead and becomes a nil hole (positions carry the prefix arithmetic,
-// so the slot must stay). Everything else is marked. The newest entry
-// per word has no follower and always survives, which is what keeps
-// final-heap reconstruction's address set intact.
+// so the slot must stay). The newest entry per word has no follower and
+// always survives, which is what keeps final-heap reconstruction's
+// address set intact. This is the monotone persisted prefix: once a
+// later store to a word lies inside the guaranteed prefix, the older
+// one is never a crash candidate again, so its pin never comes back.
 //
-// Since positions per word ascend, the killed entries of a word are a
-// prefix of its unretired ones. A sealed epoch's kills therefore just
-// advance each word's begin in the word index, and only the survivors
-// are visited to be marked; the candidate walk in
+// Only what moved since the last retirement is visited. An epoch that
+// was live at the last retirement advances its cursor: each position
+// that fell below lo kills its word's previous store below lo, and each
+// new position is pinned unless already killed. That covers the live
+// epoch of a line that committed stores (the trace's recent commits) or
+// whose lo rose, and every epoch sealed since. A sealed epoch whose lo
+// Resolve moved kills through its word index, whose per-word positions
+// ascend, so the killed entries of a word are a prefix of its unretired
+// ones and just advance its begin; the candidate walk in
 // AppendSealedCandidates sees the same (lo, hi) windows and the same
-// blocked verdict it would have computed on the full history. The live
-// epoch, still growing, is swept linearly.
-func (im *Image) Retire(mark func(*trace.Store)) {
-	for _, ls := range im.all {
-		for _, ep := range ls.sealed {
-			retireSealed(ep, mark)
-		}
-		retireEpoch(ls.live, mark)
-	}
+// blocked verdict it would have computed on the full history. The
+// first Retire after Reset advances a fresh cursor over every epoch.
+func (im *Image) Retire(tr *trace.Trace, buffered, extraRoots func(pin func(*trace.Store))) {
+	im.retire(tr.RecentCommits(), tr)
+	tr.Retire(buffered, extraRoots)
 }
 
-// retireSealed applies the kill rule to a sealed epoch through its word
-// index; see Retire.
-func retireSealed(ep *epoch, mark func(*trace.Store)) {
+// retire updates the image's sticky pins through p; commits are the
+// stores committed to live epochs since the last call.
+func (im *Image) retire(commits []*trace.Store, p pinner) {
+	if im.pins == nil {
+		im.pins = p
+		for _, ls := range im.all {
+			for _, ep := range ls.sealed {
+				im.advance(ep, &cursor{})
+			}
+			im.advance(ls.live, &ls.cursor)
+		}
+		return
+	}
+	for i := range im.sealing {
+		im.advance(im.sealing[i].ep, &im.sealing[i].cursor)
+	}
+	im.sealing = im.sealing[:0]
+	var prev memmodel.Addr
+	for i, s := range commits {
+		if line := s.Addr.Line(); i == 0 || line != prev {
+			ls := im.lookup(line)
+			im.advance(ls.live, &ls.cursor)
+			prev = line
+		}
+	}
+	for _, ls := range im.dirty {
+		im.advance(ls.live, &ls.cursor)
+	}
+	im.dirty = im.dirty[:0]
+	for _, ep := range im.dirtySealed {
+		im.retireSealed(ep)
+	}
+	im.dirtySealed = im.dirtySealed[:0]
+}
+
+// retireSealed applies the kill rule to a sealed epoch whose survivors
+// are pinned, through its word index; see Retire.
+func (im *Image) retireSealed(ep *epoch) {
 	for w := range memmodel.WordsPerLine {
 		idxs := ep.positions(w)
 		k := 0
 		for k+1 < len(idxs) && int(idxs[k+1]) < ep.lo {
+			im.pins.Unpin(ep.stores[idxs[k]])
 			ep.stores[idxs[k]] = nil
 			k++
 		}
 		ep.idx.begin[w] += int32(k)
-		for _, i := range idxs[k:] {
-			mark(ep.stores[i])
-		}
 	}
 }
 
-// retireEpoch applies the kill rule to the live epoch by one backward
-// sweep; see Retire.
-func retireEpoch(ep *epoch, mark func(*trace.Store)) {
-	// next holds, per word of the line, 1 + the nearest following
-	// non-hole index (0: none yet). A previously killed follower is fine
-	// to stand in for a live one: kills only happen below ep.lo, so the
-	// comparison agrees.
-	var next [memmodel.WordsPerLine]int
-	for i := len(ep.stores) - 1; i >= 0; i-- {
-		s := ep.stores[i]
-		if s == nil {
-			continue
+// advance moves an epoch's cursor c to the epoch's current lo and
+// length; see Retire. A position at or past c.cur is never a hole when
+// the cursor reaches it: kills only hit positions below it. A killed
+// store is its word's first unretired one, so in a sealed epoch's word
+// index it sits at begin.
+func (im *Image) advance(ep *epoch, c *cursor) {
+	lo := int32(min(ep.lo, len(ep.stores)))
+	for p := c.cur; p < lo; p++ {
+		w := ep.stores[p].Addr.LineIndex()
+		if q := c.last[w] - 1; q >= 0 {
+			if q < c.done {
+				im.pins.Unpin(ep.stores[q])
+			}
+			ep.stores[q] = nil
+			if x := ep.idx; x != nil && x.built&(1<<w) != 0 {
+				x.begin[w]++
+			}
 		}
-		w := s.Addr.LineIndex()
-		if j := next[w]; j > 0 && j-1 < ep.lo {
-			ep.stores[i] = nil
-		} else {
-			mark(s)
-		}
-		next[w] = i + 1
+		c.last[w] = p + 1
 	}
+	c.cur = max(c.cur, lo)
+	for p := c.done; p < int32(len(ep.stores)); p++ {
+		if s := ep.stores[p]; s != nil {
+			im.pins.Pin(s)
+		}
+	}
+	c.done = int32(len(ep.stores))
 }
 
 // epochBounds is the restorable state of one sealed epoch: its
@@ -425,6 +530,9 @@ type ImageSnapshot struct {
 // Snapshot captures the image's state for a later Restore. The caller
 // must be at a crash boundary (immediately after Seal).
 func (im *Image) Snapshot() *ImageSnapshot {
+	if im.pins != nil {
+		panic("persist: image snapshot under bounded-window retirement")
+	}
 	n := 0
 	for _, ls := range im.all {
 		n += len(ls.sealed)
@@ -467,6 +575,7 @@ func (im *Image) Restore(snap *ImageSnapshot) {
 		}
 		ls.live.stores = ls.live.stores[:0]
 		ls.live.lo, ls.live.hi = 0, 0
+		ls.cursor = cursor{}
 	}
 	im.all = im.all[:len(snap.ends)]
 }

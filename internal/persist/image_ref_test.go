@@ -88,14 +88,62 @@ func refResolve(im *Image, a memmodel.Addr, c Candidate, tr *trace.Trace, loc tr
 	}
 }
 
-// refRetire is Retire with every epoch, sealed or live, swept linearly.
+// refRetire is the full retirement the incremental one replaced: every
+// epoch, sealed or live, is swept linearly, its dead entries killed and
+// every survivor marked, whatever the previous retirement found.
 func refRetire(im *Image, mark func(*trace.Store)) {
 	for _, ls := range im.all {
 		for _, ep := range ls.sealed {
-			retireEpoch(ep, mark)
+			refRetireEpoch(ep, mark)
 		}
-		retireEpoch(ls.live, mark)
+		refRetireEpoch(ls.live, mark)
 	}
+}
+
+// refRetireEpoch applies the kill rule to one epoch by one backward
+// sweep and marks the survivors.
+func refRetireEpoch(ep *epoch, mark func(*trace.Store)) {
+	// next holds, per word of the line, 1 + the nearest following
+	// non-hole index (0: none yet). A previously killed follower is fine
+	// to stand in for a live one: kills only happen below ep.lo, so the
+	// comparison agrees.
+	var next [memmodel.WordsPerLine]int
+	for i := len(ep.stores) - 1; i >= 0; i-- {
+		s := ep.stores[i]
+		if s == nil {
+			continue
+		}
+		w := s.Addr.LineIndex()
+		if j := next[w]; j > 0 && j-1 < ep.lo {
+			ep.stores[i] = nil
+		} else {
+			mark(s)
+		}
+		next[w] = i + 1
+	}
+}
+
+// pinSet is a pinner that records the image's sticky pins, failing the
+// test on a double pin or an unpin of a store it does not hold.
+type pinSet struct {
+	t      *testing.T
+	pins   map[*trace.Store]bool
+	unpins int
+}
+
+func (p *pinSet) Pin(s *trace.Store) {
+	if p.pins[s] {
+		p.t.Fatalf("store %d pinned twice", s.ID)
+	}
+	p.pins[s] = true
+}
+
+func (p *pinSet) Unpin(s *trace.Store) {
+	if !p.pins[s] {
+		p.t.Fatalf("store %d unpinned but not pinned", s.ID)
+	}
+	delete(p.pins, s)
+	p.unpins++
 }
 
 // recovered runs f and returns what it panicked with, or nil.
@@ -137,23 +185,30 @@ func sameImageState(got, ref *Image) string {
 
 // TestSealedIndexRetireMatchesReference drives two images through the
 // same seeded multi-crash streams of commits, guarantees, seals,
-// post-crash loads, windowed retirements, crash-boundary snapshots
-// restored (possibly repeatedly) and resets. One image answers loads,
-// resolutions and retirements through its sealed epochs' word indexes,
-// the other through the reference linear scans. Every load must see the
-// same candidate slice and blocked flag, every resolution (including
-// deliberately contradictory ones) the same bounds and the same
-// InvariantError panic, and every retirement the same marked set and
-// the same nil holes. Stores go mostly to one word of each line and are
-// read through all of them, so epochs hold long single-word runs that
-// the binary search and the retired prefix skip through.
+// post-crash loads and resets, with either windowed retirements (odd
+// seeds) or crash-boundary snapshots restored, possibly repeatedly
+// (even seeds: an image under retirement takes no snapshots). One
+// image answers loads, resolutions and retirements through its sealed
+// epochs' word indexes and its incremental sticky pins, the other
+// through the reference linear scans and a full re-mark. Every load
+// must see the same candidate slice and blocked flag, every resolution
+// (including deliberately contradictory ones) the same bounds and the
+// same InvariantError panic, and every retirement leave the image's
+// pinned set equal to the reference's marked set, with the same nil
+// holes. Stores go mostly to one word of each line and are read through
+// all of them, so epochs hold long single-word runs that the binary
+// search and the retired prefix skip through.
 func TestSealedIndexRetireMatchesReference(t *testing.T) {
 	lines := []memmodel.Addr{0x1000, 0x1040, 0x100200}
 	tr := trace.New()
 	loc := tr.Intern("ref.load")
+	unpins := 0
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		got, ref := NewImage("got"), NewImage("got")
+		windowed := seed%2 == 1
+		pins := &pinSet{t: t, pins: map[*trace.Store]bool{}}
+		var commits []*trace.Store
 		var gotSnap, refSnap *ImageSnapshot
 		var gotBuf, refBuf []Candidate
 		nextID := int64(1)
@@ -176,6 +231,7 @@ func TestSealedIndexRetireMatchesReference(t *testing.T) {
 				nextID++
 				got.Commit(st)
 				ref.Commit(st)
+				commits = append(commits, st)
 			case op < 9:
 				got.Guarantee(a)
 				ref.Guarantee(a)
@@ -190,7 +246,8 @@ func TestSealedIndexRetireMatchesReference(t *testing.T) {
 				if got.Fingerprint() != ref.Fingerprint() {
 					fail(step, "fingerprints differ after seal")
 				}
-				if rng.Intn(2) == 0 {
+				commits = commits[:0]
+				if !windowed && rng.Intn(2) == 0 {
 					gotSnap, refSnap = got.Snapshot(), ref.Snapshot()
 				}
 			case op < 15:
@@ -219,18 +276,20 @@ func TestSealedIndexRetireMatchesReference(t *testing.T) {
 				if gp != rp {
 					fail(step, "resolve %v to %+v panicked with %v, reference %v", a, c, gp, rp)
 				}
-			case op < 17:
-				gotMarked, refMarked := map[*trace.Store]bool{}, map[*trace.Store]bool{}
-				got.Retire(func(s *trace.Store) { gotMarked[s] = true })
+			case op < 17 && windowed:
+				refMarked := map[*trace.Store]bool{}
+				got.retire(commits, pins)
+				commits = commits[:0]
 				refRetire(ref, func(s *trace.Store) { refMarked[s] = true })
-				if len(gotMarked) != len(refMarked) {
-					fail(step, "retire marked %d stores, reference %d", len(gotMarked), len(refMarked))
+				if len(pins.pins) != len(refMarked) {
+					fail(step, "retire pinned %d stores, reference %d", len(pins.pins), len(refMarked))
 				}
 				for s := range refMarked {
-					if !gotMarked[s] {
-						fail(step, "retire left store %d unmarked", s.ID)
+					if !pins.pins[s] {
+						fail(step, "retire left store %d unpinned", s.ID)
 					}
 				}
+			case op < 17:
 			case op < 19:
 				if gotSnap != nil {
 					got.Restore(gotSnap)
@@ -241,11 +300,17 @@ func TestSealedIndexRetireMatchesReference(t *testing.T) {
 					got.Reset()
 					ref.Reset()
 					gotSnap, refSnap = nil, nil
+					clear(pins.pins)
+					commits = commits[:0]
 				}
 			}
 			if d := sameImageState(got, ref); d != "" {
 				fail(step, "%s", d)
 			}
 		}
+		unpins += pins.unpins
+	}
+	if unpins == 0 {
+		t.Fatal("no retirement ever unpinned a killed store")
 	}
 }

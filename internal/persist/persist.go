@@ -179,16 +179,16 @@ type Config struct {
 }
 
 // Retirable is implemented by models that support bounded-window
-// retirement. Retire runs one retirement on the machine's trace: it
-// opens a mark generation, pins every store the machine itself can
-// still surface (volatile memory, store buffers, crash-image epochs
-// that can still produce candidates), lets extraRoots pin stores owned
-// by upper layers (the checker's deferred reads), and sweeps the rest.
-// extraRoots may be nil. The pmem world invokes it every Window
-// operations when Config.Window > 0; models reached through a zero
-// Window never see a Retire call.
+// retirement. Retire runs one retirement on the machine's trace through
+// Image.Retire: the crash image updates its sticky pins (every entry
+// that can still produce a candidate, the volatile cache included), the
+// machine pins its store buffers, extraRoots pins and holds stores owned
+// by upper layers (the checker's deferred reads and constraint
+// endpoints), and the trace sweeps the rest. extraRoots may be nil. The
+// pmem world invokes it every Window operations when Config.Window > 0;
+// models reached through a zero Window never see a Retire call.
 type Retirable interface {
-	Retire(extraRoots func(mark func(*trace.Store)))
+	Retire(extraRoots func(pin func(*trace.Store)))
 }
 
 // InvariantError is the panic value raised when a model detects an

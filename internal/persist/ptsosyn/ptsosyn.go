@@ -470,21 +470,19 @@ func (m *Machine) Restore(snap *persist.ImageSnapshot) {
 // still-readable entries, which include the volatile cache (the newest
 // entry per word of the live epoch); flush markers record (thread,
 // depth) pairs and hold no store pointers.
-func (m *Machine) Retire(extraRoots func(mark func(*trace.Store))) {
-	m.tr.BeginRetire()
-	mark := m.tr.MarkRetireRoot
+func (m *Machine) Retire(extraRoots func(pin func(*trace.Store))) {
+	m.img.Retire(m.tr, m.pinBuffered, extraRoots)
+}
+
+// pinBuffered pins the stores still waiting in store buffers.
+func (m *Machine) pinBuffered(pin func(*trace.Store)) {
 	for _, tb := range m.buffers {
 		for _, e := range tb.buf {
 			if e.store != nil {
-				mark(e.store)
+				pin(e.store)
 			}
 		}
 	}
-	m.img.Retire(mark)
-	if extraRoots != nil {
-		extraRoots(mark)
-	}
-	m.tr.FinishRetire()
 }
 
 // GuaranteedPersistCount mirrors the px86 diagnostic.

@@ -221,14 +221,8 @@ func (m *Machine) Restore(snap *persist.ImageSnapshot) {
 // still-readable entries (under strict every epoch has lo = len, so the
 // image retains exactly the newest store per word — the volatile cache,
 // for the live epoch — and kills everything older).
-func (m *Machine) Retire(extraRoots func(mark func(*trace.Store))) {
-	m.tr.BeginRetire()
-	mark := m.tr.MarkRetireRoot
-	m.img.Retire(mark)
-	if extraRoots != nil {
-		extraRoots(mark)
-	}
-	m.tr.FinishRetire()
+func (m *Machine) Retire(extraRoots func(pin func(*trace.Store))) {
+	m.img.Retire(m.tr, nil, extraRoots)
 }
 
 // GuaranteedPersistCount mirrors the px86 diagnostic: under strict it

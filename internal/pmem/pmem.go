@@ -143,12 +143,12 @@ type World struct {
 	// Retirable face and retireExtra the checker's root hook, both
 	// resolved once at construction so the trigger path allocates
 	// nothing. retireEvery starts at the window and stretches with the
-	// live set (a quarter of the last sweep's walked entries) so a
-	// workload whose persistent footprint grows — every pinned store is
-	// re-walked each sweep — pays amortized O(1) retirement work per
-	// operation instead of a quadratic rescan. Both the operation count
-	// and the sweep-work measure are deterministic, so retirement
-	// happens at identical trace points across replays of one schedule.
+	// live set (a quarter of the entries a full mark-and-sweep would
+	// have walked, trace.LastSweepWork), the amortization that kept
+	// sweeps linear when each one re-walked every pinned store. Both the
+	// operation count and the sweep-work measure are deterministic, so
+	// retirement happens at identical trace points across replays of
+	// one schedule.
 	window      int
 	retireEvery int
 	sinceRetire int
@@ -353,9 +353,9 @@ func (w *World) step(kind memmodel.OpKind) {
 func (w *World) retireNow() {
 	tr := w.M.Trace()
 	before := tr.Retired()
-	// Two clock reads per sweep are noise next to the O(live set) walk
-	// they bracket, so the sweep is timed unconditionally: the total
-	// rides into Result diagnostics even without an obs registry.
+	// Two clock reads per sweep are noise next to the records a sweep
+	// releases, so the sweep is timed unconditionally: the total rides
+	// into Result diagnostics even without an obs registry.
 	sweepStart := time.Now()
 	w.retire.Retire(w.retireExtra)
 	sweepNS := time.Since(sweepStart).Nanoseconds()
@@ -367,10 +367,10 @@ func (w *World) retireNow() {
 	w.wobs.RetiredEvents.Add(int64(after.RetiredEvents - before.RetiredEvents))
 	w.wobs.WindowRetained.Set(int64(after.RetainedEvents))
 	w.wobs.PinnedRoots.Set(int64(after.PinnedRoots))
-	// Amortize: each sweep walks the whole live set, so the next sweep
-	// is deferred until the work it would redo has been "paid for" by
-	// fresh operations. LastSweepWork is deterministic, so the stretched
-	// cadence replays identically.
+	// Amortize: the next sweep is deferred until the live set a full
+	// sweep would walk has been "paid for" by fresh operations.
+	// LastSweepWork is deterministic, so the stretched cadence replays
+	// identically.
 	w.retireEvery = w.window
 	if q := tr.LastSweepWork() / 4; q > w.retireEvery {
 		w.retireEvery = q

@@ -89,7 +89,7 @@ func TestSpawnedThreadsInterleaveDeterministically(t *testing.T) {
 			th.Store(addrX, 4, "b2")
 		})
 		w.RunThreads()
-		for _, st := range w.M.Trace().Sub(0).Stores {
+		for _, st := range w.M.Trace().Sub(0).Stores() {
 			order = append(order, st.Value)
 		}
 		return order

@@ -479,27 +479,23 @@ func (m *Machine) Restore(snap *persist.ImageSnapshot) {
 // Retire implements persist.Retirable: one bounded-window retirement of
 // the machine's trace. The machine's own roots are buffered stores still
 // waiting to commit and every crash-image entry that can still become a
-// read candidate (the image kills the provably dead ones as it marks).
-// The volatile cache needs no marking of its own: its content, the
-// newest committed store per word, is the newest entry of that word in
-// the live epoch, which the image always pins. Pending clflushopt
-// records hold line coverage counts, not stores. extraRoots lets the
-// caller pin checker-owned stores before the sweep.
-func (m *Machine) Retire(extraRoots func(mark func(*trace.Store))) {
-	m.tr.BeginRetire()
-	mark := m.tr.MarkRetireRoot
+// read candidate. The volatile cache needs no pin of its own: its
+// content, the newest committed store per word, is the newest entry of
+// that word in the live epoch, which the image always pins. Pending
+// clflushopt records hold line coverage counts, not stores.
+func (m *Machine) Retire(extraRoots func(pin func(*trace.Store))) {
+	m.img.Retire(m.tr, m.pinBuffered, extraRoots)
+}
+
+// pinBuffered pins the stores still waiting in store buffers.
+func (m *Machine) pinBuffered(pin func(*trace.Store)) {
 	for _, ts := range m.threads {
 		for _, e := range ts.buf {
 			if e.store != nil {
-				mark(e.store)
+				pin(e.store)
 			}
 		}
 	}
-	m.img.Retire(mark)
-	if extraRoots != nil {
-		extraRoots(mark)
-	}
-	m.tr.FinishRetire()
 }
 
 // GuaranteedPersistCount returns how many committed stores to the line

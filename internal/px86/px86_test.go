@@ -416,7 +416,7 @@ func TestTraceRecordsSubExecutions(t *testing.T) {
 	if tr.NumCrashes() != 1 || len(tr.SubExecs()) != 2 {
 		t.Fatalf("trace shape wrong: crashes=%d subs=%d", tr.NumCrashes(), len(tr.SubExecs()))
 	}
-	if len(tr.Sub(0).Stores) != 1 || len(tr.Sub(1).Stores) != 1 {
+	if len(tr.Sub(0).Stores()) != 1 || len(tr.Sub(1).Stores()) != 1 {
 		t.Fatal("stores not attributed to sub-executions")
 	}
 }

@@ -12,14 +12,15 @@ const arenaChunk = 256
 // violation for exactly this reason.
 //
 // A bounded-window trace also hands single records back before Reset:
-// the owner zeroes a record it releases and pushes it on free, and
-// alloc reuses free slots before bumping the cursor, so a windowed
-// execution's arenas stop growing at the window's live high-water mark.
+// the owner pushes a record it releases on free (zeroing it then, or
+// when alloc hands it out again), and alloc reuses free slots before
+// bumping the cursor, so a windowed execution's arenas stop growing at
+// the window's live high-water mark.
 type arena[T any] struct {
 	chunks [][]T
 	ci     int  // index of the chunk currently being filled
 	n      int  // records used in chunk ci
-	free   []*T // released (zeroed) records, reused last-in first-out
+	free   []*T // released records, reused last-in first-out
 }
 
 func (a *arena[T]) alloc() *T {
@@ -71,7 +72,8 @@ func (a *arena[T]) rewind(m arenaMark) {
 	a.ci, a.n = m.ci, m.n
 }
 
-// release returns p, which the caller has zeroed, to the free list.
+// release returns p to the free list; the owner zeroes it, before the
+// call or when alloc returns it again.
 func (a *arena[T]) release(p *T) { a.free = append(a.free, p) }
 
 // reset zeroes the used prefix (so recycled records start out as if

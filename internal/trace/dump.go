@@ -16,10 +16,11 @@ import (
 // a banner, and sub-execution numbering accounts for crashes that were
 // retired with them.
 func (tr *Trace) Dump(w io.Writer) {
-	sub := tr.retired.Crashes
+	retired := tr.retiredStats()
+	sub := retired.Crashes
 	if tr.eventFloor > 0 {
 		fmt.Fprintf(w, "... %d events retired (window %d); listing resumes at event %d ...\n",
-			tr.retired.Events, tr.window, tr.eventFloor)
+			retired.Events, tr.window, tr.eventFloor)
 	}
 	fmt.Fprintf(w, "=== sub-execution e%d ===\n", sub+1)
 	for _, ev := range tr.events[tr.eventFloor-tr.eventBase:] {
@@ -79,7 +80,8 @@ type Stats struct {
 // released memory: retired slots are nil holes that the walk skips, and
 // their kind counts come from the totals the sweeps accumulated.
 func (tr *Trace) Stats() Stats {
-	s := tr.retired
+	s := tr.retiredStats()
+	retiredEvents := s.Events
 	s.Events = tr.eventBase + len(tr.events)
 	retainedStores := 0
 	for _, ev := range tr.events[tr.eventFloor-tr.eventBase:] {
@@ -107,7 +109,7 @@ func (tr *Trace) Stats() Stats {
 	if tr.retirements > 0 {
 		s.Retirements = tr.retirements
 		s.RetainedEvents = tr.eventBase + len(tr.events) - tr.eventFloor
-		s.RetiredEvents = tr.retired.Events
+		s.RetiredEvents = retiredEvents
 		s.RetainedStores = retainedStores + len(tr.initList)
 		s.RetiredStores = tr.retiredStores
 		s.RetainedBytes = int64(s.RetainedEvents)*eventBytes + int64(s.RetainedStores)*storeBytes

@@ -1,0 +1,205 @@
+package trace
+
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/vclock"
+)
+
+// The full mark-and-sweep below is the retirement the incremental one
+// replaced: every sweep pinned the closure of all live roots from
+// scratch and walked every index structure. It runs here as a
+// prediction — it reads the trace inside a sweep, once the sweep's
+// transient roots are in and before anything is unlinked, and computes
+// what the full sweep would leave without touching the trace — so
+// TestIncrementalRetireMatchesFullMark can compare the incremental
+// sweep's outcome with it at every sweep.
+
+// fullMark is one sweep's prediction.
+type fullMark struct {
+	pinned map[*Store]bool
+	// live are the stores the sweep starts with: initial stores and
+	// every thread-row entry.
+	live []*Store
+	// lists and rows are the predicted byLoc lists and thread rows,
+	// stores the predicted SubExec.Stores, per sub-execution.
+	lists  []map[uint64][]*Store
+	rows   []map[int64][]*Store
+	stores [][]*Store
+	held   map[*Store]bool
+	work   int
+}
+
+// fullMarkCheck predicts the running sweep's outcome and returns the
+// check that compares the sweep's actual outcome with the prediction,
+// reporting every difference through fail.
+func (tr *Trace) fullMarkCheck(fail func(string)) func() {
+	fm := &fullMark{pinned: map[*Store]bool{}, held: map[*Store]bool{}}
+	var mark func(*Store)
+	mark = func(s *Store) {
+		if s == nil || fm.pinned[s] {
+			return
+		}
+		fm.pinned[s] = true
+		if s.Initial || s.CV.IsBottom() {
+			return
+		}
+		sub := tr.subs[s.SubExec]
+		for i, n := 0, s.CV.Len(); i < n; i++ {
+			mark(sub.StoreByClock(s.CV.Comp(i)))
+		}
+	}
+	// Roots: the crash image's sticky pins, the roots callbacks', the
+	// initial stores and every sub-execution's clock-vector frontier.
+	fm.live = append(fm.live, tr.initList...)
+	for _, sub := range tr.subs {
+		for _, r := range sub.threads {
+			for _, s := range r.stores {
+				if s != nil {
+					fm.live = append(fm.live, s)
+				}
+			}
+		}
+	}
+	for _, s := range fm.live {
+		if s.Initial || s.mark&pinImage != 0 {
+			mark(s)
+		}
+	}
+	for _, s := range tr.roots {
+		mark(s)
+	}
+	for _, sub := range tr.subs {
+		for _, r := range sub.threads {
+			for i, n := 0, r.cv.Len(); i < n; i++ {
+				mark(sub.StoreByClock(r.cv.Comp(i)))
+			}
+		}
+	}
+
+	// Sweep: the event log, rows, committed stores and byLoc lists, as
+	// the full sweep rewrote them, and the work it walked.
+	cutoff := tr.eventBase + len(tr.events) - tr.window
+	floor := tr.eventFloor
+	if cutoff > floor {
+		fm.work += len(tr.events)
+		floor = cutoff
+	}
+	for _, ev := range tr.events[floor-tr.eventBase:] {
+		for _, s := range []*Store{ev.Store, ev.RF} {
+			if s != nil {
+				fm.held[s] = true
+			}
+		}
+	}
+	for _, sub := range tr.subs {
+		fm.work += len(sub.events)
+		rows := map[int64][]*Store{}
+		var committed []*Store
+		for _, r := range sub.threads {
+			fm.work += int(r.base) + len(r.stores)
+			row := make([]*Store, r.base, int(r.base)+len(r.stores))
+			for _, s := range r.stores {
+				if s != nil && s.Seq > 0 {
+					fm.work++
+				}
+				if !fm.pinned[s] {
+					s = nil
+				}
+				row = append(row, s)
+				if s != nil && s.Seq > 0 {
+					committed = append(committed, s)
+				}
+			}
+			rows[int64(r.t)] = row
+		}
+		slices.SortFunc(committed, func(a, b *Store) int { return int(a.Seq - b.Seq) })
+		lists := map[uint64][]*Store{}
+		sub.byLoc.Each(func(k uint64, lp *[]*Store) {
+			list := *lp
+			fm.work += len(list)
+			minPinned := vclock.Seq(int64(^uint64(0) >> 1))
+			for _, s := range list {
+				if fm.pinned[s] && s.Seq < minPinned {
+					minPinned = s.Seq
+				}
+			}
+			var seen []int64
+			var out []*Store
+			for _, s := range list {
+				first := !slices.Contains(seen, int64(s.Thread))
+				if first {
+					seen = append(seen, int64(s.Thread))
+				}
+				if first || s.Seq >= minPinned {
+					out = append(out, s)
+					fm.held[s] = true
+				}
+			}
+			lists[k] = out
+		})
+		fm.rows = append(fm.rows, rows)
+		fm.lists = append(fm.lists, lists)
+		fm.stores = append(fm.stores, committed)
+	}
+	// The checker's holds came in with the roots callbacks.
+	gens := map[*Store]uint16{}
+	for _, s := range append(append([]*Store(nil), tr.limbo...), fm.live...) {
+		if uint32(s.mark>>holdShift) == tr.holdGen {
+			fm.held[s] = true
+		}
+		gens[s] = s.gen
+	}
+	return func() { tr.compareFullMark(fm, gens, fail) }
+}
+
+// compareFullMark reports every difference between the sweep that just
+// ended and the prediction.
+func (tr *Trace) compareFullMark(fm *fullMark, gens map[*Store]uint16, fail func(string)) {
+	failf := func(format string, args ...any) { fail(fmt.Sprintf(format, args...)) }
+	if tr.lastPinned != len(fm.pinned) {
+		failf("sweep %d pinned %d stores, full mark %d", tr.retirements, tr.lastPinned, len(fm.pinned))
+	}
+	// Released: the unlinked stores nothing holds, this sweep's and
+	// limbo's; the rest keep their slots.
+	for s, g := range gens {
+		wantFree := !fm.pinned[s] && !fm.held[s]
+		if gotFree := s.gen != g; gotFree != wantFree {
+			failf("sweep %d: store %v released=%v, full mark %v", tr.retirements, s, gotFree, wantFree)
+			continue
+		}
+		if !wantFree && s.pinned() != fm.pinned[s] {
+			failf("sweep %d: store %v pinned=%v, full mark %v", tr.retirements, s, s.pinned(), fm.pinned[s])
+		}
+	}
+	if tr.lastSweepWork != fm.work {
+		failf("sweep %d: LastSweepWork %d, full mark %d", tr.retirements, tr.lastSweepWork, fm.work)
+	}
+	for i, sub := range tr.subs {
+		for _, r := range sub.threads {
+			want := fm.rows[i][int64(r.t)]
+			for c := 1; c <= len(want); c++ {
+				if got := sub.StoreByClock(r.t, vclock.Clock(c)); got != want[c-1] {
+					failf("sweep %d: sub %d thread %d clock %d: %v, full mark %v", tr.retirements, i, r.t, c, got, want[c-1])
+				}
+			}
+			if n := int(r.base) + len(r.stores); n != len(want) {
+				failf("sweep %d: sub %d thread %d row spans %d clocks, full mark %d", tr.retirements, i, r.t, n, len(want))
+			}
+		}
+		if got := sub.Stores(); !slices.Equal(got, fm.stores[i]) {
+			failf("sweep %d: sub %d Stores %v, full mark %v", tr.retirements, i, got, fm.stores[i])
+		}
+		n := 0
+		sub.byLoc.Each(func(k uint64, lp *[]*Store) {
+			n++
+			if want := fm.lists[i][k]; !slices.Equal(*lp, want) {
+				failf("sweep %d: sub %d word %#x byLoc %v, full mark %v", tr.retirements, i, k<<3, *lp, want)
+			}
+		})
+		if n != len(fm.lists[i]) {
+			failf("sweep %d: sub %d has %d byLoc lists, full mark %d", tr.retirements, i, n, len(fm.lists[i]))
+		}
+	}
+}

@@ -63,14 +63,10 @@ type Store struct {
 	// the free list (released by a windowed sweep), even while it holds
 	// a live store. It fits the padding after Initial.
 	gen uint16
-	// mark is the retirement mark: the store is pinned by the current
-	// retirement exactly when mark equals the trace's markGen, and held
-	// (unlinked but still referenced, so its slot must not be reused)
-	// when it equals markGen+1. Comparing a field beats any side table —
-	// the retirement sweep touches every index-structure entry once, so
-	// the per-entry test must be a load and a compare. Zero (never
-	// marked) sorts with "neither", which is correct: generation numbers
-	// start at 2.
+	// mark is the store's retirement state under a window (window.go):
+	// how many pinned stores reference it, its own pins, whether it has
+	// been unlinked and dropped from its byLoc list, and the stamp of the
+	// last sweep that found it held. Zero is a store no sweep has seen.
 	mark uint64
 }
 
@@ -136,8 +132,11 @@ type Event struct {
 type SubExec struct {
 	// Index is the sub-execution's position (0-based).
 	Index int
-	// Stores holds the committed stores in TSO (commit) order.
-	Stores []*Store
+	// stores holds the committed stores in TSO (commit) order; once a
+	// windowed sweep has run (swept), only those committed since the
+	// last sweep. Stores() is the reading side.
+	stores []*Store
+	swept  bool
 	// byLoc indexes committed stores per word (key addr>>3), in commit
 	// order. Its tail is the word's volatile cache content: the last
 	// store committed to it in this sub-execution (LastTo).
@@ -160,8 +159,13 @@ type threadRow struct {
 	// per thread). base is 0 until a windowed sweep trims the row's
 	// leading holes (stores it retired), which keeps a long execution's
 	// rows at their live span.
+	// lead counts the leading holes not yet trimmed into base, and
+	// swept is the row's logical length at the last sweep: the stores
+	// past it are new to the next one.
 	stores []*Store
 	base   vclock.Clock
+	lead   int
+	swept  vclock.Clock
 	// cv is the thread's entry in the CV map of Figure 3, reset at each
 	// crash.
 	cv vclock.CV
@@ -172,7 +176,8 @@ type threadRow struct {
 // both keep their backing arrays for the next execution.
 func (e *SubExec) reset(idx int) {
 	e.Index = idx
-	e.Stores = e.Stores[:0]
+	e.stores = e.stores[:0]
+	e.swept = false
 	e.byLoc.Reset()
 	e.threads = e.threads[:0]
 	e.seq = 0
@@ -279,8 +284,9 @@ type Trace struct {
 	// without windowing. When positive, retirement sweeps return
 	// released records to the arenas' free lists.
 	window int
-	// markGen is the current retirement mark generation (see Store.mark).
-	markGen uint64
+	// holdGen stamps the stores the running sweep finds held (see
+	// Store.mark); it starts over at Reset and never reads 0.
+	holdGen uint32
 	// eventFloor is the lowest possibly-live logical index in events:
 	// everything below it has been retired by a previous sweep.
 	eventFloor int
@@ -291,30 +297,49 @@ type Trace struct {
 	// lastSweepWork is the index-entry count the most recent sweep
 	// walked; the machine stretches its retirement cadence with it.
 	lastSweepWork int
-	// retired accumulates the per-kind counts of retired events;
-	// retiredStores and retirements feed Stats and the explorer's window
-	// diagnostics.
-	retired       Stats
+	// retiredKinds counts the retired events per kind; retiredStores and
+	// retirements feed Stats and the explorer's window diagnostics.
+	retiredKinds  [memmodel.OpCrash + 1]int
 	retiredStores int
 	retirements   int
 	// releasedStores counts stores whose slots went back to the free
 	// list; it trails retiredStores by the held stores in limbo.
 	releasedStores int
-	// limbo holds the stores sweeps unlinked from their thread rows but
-	// have not released: each sweep adds the ones it unlinks, then
-	// releases every one nothing holds (see FinishRetire).
+	// limbo holds the stores sweeps unlinked but have not released:
+	// each sweep adds the ones it unlinks, then releases every one
+	// nothing holds (see Retire).
 	limbo []*Store
-	// lastPinned counts the stores the current (or most recent) sweep's
-	// mark closure pinned; maxPinned is the execution-wide maximum.
+	// pinnedNow counts the pinned stores; lastPinned is its value at the
+	// end of the most recent sweep and maxPinned the execution's maximum.
+	pinnedNow  int
 	lastPinned int
 	maxPinned  int
-	// markScratch is FinishRetire's reusable first-per-thread scratch.
+	// roots and prevRoots are the running and the previous sweep's
+	// transient roots; pinRootFn is pinRoot as a value, for the roots
+	// callbacks. unpinned collects the stores that lost their pins
+	// since the last sweep, pinStack the reference walks' stack.
+	roots, prevRoots []*Store
+	pinRootFn        func(*Store)
+	unpinned         []*Store
+	pinStack         []*Store
+	// initSwept initial stores and the sub-executions before sweptSub
+	// have been seen by a sweep. committedLive and byLocLen count the
+	// committed stores and byLoc entries the last sweep left.
+	initSwept     int
+	sweptSub      int
+	committedLive int
+	byLocLen      int
+	// refCheck, when set by a test, runs inside every sweep once its
+	// roots are in and returns the check to run when the sweep ends.
+	refCheck func() func()
+	// markScratch is refilter's reusable first-per-thread scratch.
 	markScratch []memmodel.ThreadID
 }
 
 // New returns an empty trace with one (initial) sub-execution.
 func New() *Trace {
 	t := &Trace{interner: NewInterner()}
+	t.pinRootFn = t.pinRoot
 	t.pushSubExec()
 	return t
 }
@@ -339,14 +364,16 @@ func (tr *Trace) Reset() {
 	tr.eventFloor = 0
 	tr.eventBase = 0
 	tr.lastSweepWork = 0
-	tr.retired = Stats{}
+	tr.retiredKinds = [memmodel.OpCrash + 1]int{}
 	tr.retiredStores = 0
 	tr.releasedStores = 0
-	clear(tr.limbo)
-	tr.limbo = tr.limbo[:0]
+	tr.limbo, tr.roots, tr.prevRoots = tr.limbo[:0], tr.roots[:0], tr.prevRoots[:0]
+	tr.unpinned = tr.unpinned[:0]
 	tr.retirements = 0
-	tr.lastPinned = 0
-	tr.maxPinned = 0
+	tr.holdGen = 0
+	tr.pinnedNow, tr.lastPinned, tr.maxPinned = 0, 0, 0
+	tr.initSwept, tr.sweptSub = 0, 0
+	tr.committedLive, tr.byLocLen = 0, 0
 	tr.pushSubExec()
 }
 
@@ -461,7 +488,7 @@ func (tr *Trace) StoreCommit(st *Store) {
 	}
 	cur.seq++
 	st.Seq = cur.seq
-	cur.Stores = append(cur.Stores, st)
+	cur.stores = append(cur.stores, st)
 	list, ok := cur.byLoc.Slot(wordKey(st.Addr))
 	if !ok {
 		*list = (*list)[:0] // reuse a stale generation's backing array

@@ -42,7 +42,7 @@ func TestSeqTracksCommitOrderNotIssueOrder(t *testing.T) {
 	if b.Seq != 1 || a.Seq != 2 {
 		t.Fatalf("seq: b=%d a=%d; want b=1 a=2", b.Seq, a.Seq)
 	}
-	got := tr.Current().Stores
+	got := tr.Current().Stores()
 	if len(got) != 2 || got[0] != b || got[1] != a {
 		t.Fatalf("commit order wrong: %v", got)
 	}

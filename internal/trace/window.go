@@ -4,63 +4,82 @@
 // Every Store and Event comes from the trace's arenas, in both modes.
 // The classic pipeline records the whole trace and consumes it
 // afterwards; nothing is released before Reset. Under a window, every
-// `window` operations the machine runs a *retirement*: everything the
-// remaining computation can still observe is pinned, every unpinned
-// record is unlinked from the trace's index structures, and the sweep
-// hands the slots of records nothing references any more back to the
-// arenas' free lists, where the next allocations reuse them. A windowed
-// execution's record memory therefore stops growing at its live
-// high-water mark and never passes through the garbage collector.
+// `window` operations the machine runs a *retirement*: every record the
+// remaining computation can still observe stays pinned, every record
+// that lost its last pin since the previous sweep is unlinked from the
+// trace's index structures, and the sweep hands the slots of records
+// nothing references any more back to the arenas' free lists, where the
+// next allocations reuse them. A windowed execution's record memory
+// therefore stops growing at its live high-water mark and never passes
+// through the garbage collector.
 //
 // What must stay reachable is exactly the closure of the live roots
 // under clock-vector resolution:
 //
-//   - the persistency model's candidate sources (crash-image epochs that
-//     can still produce read candidates — among them the volatile
-//     cache, the newest store per word of the live epoch — and store
-//     buffers) — marked by the machine (persist.Retirable),
-//   - the checker's deferred checksum-region reads — marked through the
-//     extra-roots hook,
-//   - initial stores and the per-thread clock-vector frontier,
+//   - the persistency model's crash-image candidates (every entry a
+//     future load can still read through the image, among them the
+//     volatile cache, the newest store per word of the live epoch) —
+//     sticky pins the image takes with Pin and drops with Unpin when
+//     its kill rule proves an entry dead (persist.Image.Retire);
+//   - initial stores, pinned for the whole execution;
+//   - the transient roots of each sweep: store-buffer entries, the
+//     checker's deferred checksum-region reads (both through Retire's
+//     roots callbacks) and the per-thread clock-vector frontier;
 //   - and, transitively, every store a pinned store's clock vector
 //     resolves to: the checker's LOAD-PREV lower bounds call
 //     SubExec.StoreByClock on the components of a read-from store's CV,
-//     so a pinned store pins its CV closure (MarkRetireRoot).
+//     so a pinned store pins its CV closure.
+//
+// Pins are incremental. Each pinned store holds one reference on every
+// other store its clock vector resolves to; those targets happen before
+// it, so the references form a DAG, and a store is pinned exactly while
+// it has a pin of its own or a reference. A store that gains its first
+// pin takes its references; one that loses its last releases them, and
+// the release cascades. The transient roots are diffed against the
+// previous sweep's. Pins are taken eagerly but released only inside a
+// sweep, after every pin of the sweep is in, so a count never touches
+// zero on its way to a positive value. A store that loses its last pin
+// is never pinned again: nothing that can still reach it exists.
 //
 // An unlinked store is not necessarily free. Pinned means "still
 // indexed": some future query can reach the store. Held means "still
 // referenced": an event the window retains points at it (Event.Store,
-// Event.RF), an unpinned byLoc entry the first-per-thread rule keeps,
-// or the checker (a constraint-row endpoint, marked through HoldStore).
-// A held store keeps its slot, waiting in limbo, until a sweep finds
-// nothing holding it; events are referenced by the log alone, so every
-// event below the window is released at once. Released slots carry an
-// odd generation stamp, and a build with the psanpoison tag makes
-// every read path panic on one (Store.CheckLive).
+// Event.RF), its word's byLoc list keeps it under the first-per-thread
+// rule, or the checker holds it (a constraint-row endpoint, marked
+// through HoldStore). A held store keeps its slot, waiting in limbo,
+// until a sweep finds nothing holding it; events are referenced by the
+// log alone, so every event below the window is released at once.
+// Released slots carry an odd generation stamp, and a build with the
+// psanpoison tag makes every read path panic on one (Store.CheckLive).
 //
-// The sweep then rewrites the index structures so that every future
+// The sweep rewrites only what the unpins touched, so that every future
 // query — LoadCandidates epoch walks, Next/firstPerThread, StoreByClock,
 // SubEvents — returns exactly what it would have returned on the
-// unbounded trace. Structures whose *positions* are meaningful (the
-// event log, per-thread clock indexing, epoch store lists) keep their
-// positions and take nil holes; structures that are scanned in order
-// with no positional meaning (byLoc, SubExec.Stores, SubExec.events)
-// are compacted. The per-list byLoc rule — keep a store if it is its
+// unbounded trace. Thread rows are positional (per-thread clock
+// indexing): an unlinked store leaves a nil hole, and leading holes are
+// trimmed into the row's clock base. The byLoc lists of the unlinked
+// stores' words are re-filtered: a list keeps a store if it is its
 // thread's first appearance in the list or its Seq is at least the
-// oldest pinned Seq in the list — preserves firstPerThread's output for
-// every `after` value a future Next call can present (0, or the Seq of
-// a pinned store to the same word).
+// oldest pinned Seq in the list, which preserves firstPerThread's output
+// for every `after` value a future Next call can present (0, or the Seq
+// of a pinned store to the same word). SubExec.Stores is derived from
+// the byLoc lists once a sweep has run.
 //
-// Retirement is O(live entries) per sweep and runs every `window` ops,
-// so the amortized cost is a constant per operation; the verdict stream
-// is proven identical to unbounded mode by the windowed-equivalence
-// property suite (internal/explore/window_test.go) and guarded by the
-// explorer, which runs snapshots and the post-crash state cache only
-// without a window (they restore and hash retired history).
+// A sweep therefore costs O(new records + unlinked stores + window
+// events), not O(live set). The walk the full mark-and-sweep made is
+// kept only as the sweep-work measure (LastSweepWork), maintained as
+// counters, because the machine derives its retirement cadence from it.
+// The verdict stream is proven identical to unbounded mode by the
+// windowed-equivalence property suite (internal/explore/window_test.go),
+// the incremental sweep identical to a full mark-and-sweep by
+// TestIncrementalRetireMatchesFullMark, and the explorer runs snapshots
+// and the post-crash state cache only without a window (they restore
+// and hash retired history).
 package trace
 
 import (
 	"fmt"
+	"slices"
 	"unsafe"
 
 	"repro/internal/memmodel"
@@ -72,6 +91,35 @@ const (
 	storeBytes = int64(unsafe.Sizeof(Store{}))
 	eventBytes = int64(unsafe.Sizeof(Event{}))
 )
+
+// Store.mark layout. The low 24 bits count the references pinned
+// stores hold on the store; the flags above them record its pins and
+// its place in the sweep; the top 32 bits are the hold stamp.
+const (
+	refMask uint64 = 1<<24 - 1
+	// pinImage is the sticky pin of Pin/Unpin (a crash-image candidate).
+	pinImage uint64 = 1 << 24
+	// pinInitial pins an initial store for the whole execution.
+	pinInitial uint64 = 1 << 25
+	// pinRoot marks a transient root of the latest sweep; rootNext marks
+	// one of the running sweep while the two root sets are diffed.
+	pinRoot  uint64 = 1 << 26
+	rootNext uint64 = 1 << 27
+	// holdsRefs: the store holds its references, which every pinned
+	// store does from the moment it is pinned.
+	holdsRefs uint64 = 1 << 28
+	// unlinked: the store left its thread row (it is in limbo or free);
+	// offList: its byLoc list dropped it.
+	unlinked uint64 = 1 << 29
+	offList  uint64 = 1 << 30
+
+	pinMask   = refMask | pinImage | pinInitial | pinRoot
+	holdShift = 32
+	holdMask  = ^(uint64(1)<<holdShift - 1)
+)
+
+// pinned reports whether s is pinned: a pin of its own or a reference.
+func (s *Store) pinned() bool { return s.mark&pinMask != 0 }
 
 // SetWindow switches the trace into bounded-window mode (n > 0) or back
 // to the unbounded pipeline (n == 0). Call it between executions.
@@ -94,10 +142,14 @@ func (tr *Trace) newStore() *Store {
 	return s
 }
 
-// newEvent allocates one Event record; see newStore.
+// newEvent allocates one zeroed Event record: a released slot, which
+// kept its fields when it was released, is zeroed here (its generation
+// turns even again), a fresh one is zero already.
 func (tr *Trace) newEvent() *Event {
 	ev := tr.evs.alloc()
-	ev.gen += ev.gen & 1
+	if ev.gen&1 != 0 {
+		*ev = Event{gen: ev.gen + 1}
+	}
 	return ev
 }
 
@@ -110,11 +162,17 @@ func (tr *Trace) releaseStore(s *Store) {
 	tr.releasedStores++
 }
 
-// releaseEvent zeroes ev and returns its slot to the free list.
-func (tr *Trace) releaseEvent(ev *Event) {
-	g := ev.gen + 1
-	*ev = Event{gen: g}
-	tr.evs.release(ev)
+// releaseEvents counts retired events by kind and returns their slots
+// to the free list with an odd generation. A slot keeps its fields
+// until newEvent reuses it, when the write touches it anyway: a sweep
+// releases thousands of events whose memory it would otherwise clear
+// cold.
+func (tr *Trace) releaseEvents(evs []*Event) {
+	for _, ev := range evs {
+		tr.retiredKinds[ev.Kind]++
+		ev.gen++
+	}
+	tr.evs.free = append(tr.evs.free, evs...)
 }
 
 // CheckLive panics if s is a released slot, in a build with the
@@ -139,214 +197,271 @@ func panicReleased(kind string, gen uint16) {
 	panic(fmt.Sprintf("trace: read of a released %s slot (generation %d)", kind, gen))
 }
 
-// BeginRetire opens a retirement: it advances the mark generation (by
-// two: markGen pins, markGen+1 holds) so every store is initially
-// neither pinned nor held. The machine then marks its roots
-// (MarkRetireRoot) and the checker its held stores (HoldStore), and
-// FinishRetire sweeps.
-func (tr *Trace) BeginRetire() {
-	tr.markGen += 2
-	tr.lastPinned = 0
+// Pin gives st a sticky pin, which it keeps across sweeps until Unpin.
+// The crash image pins every entry a future load can still read through
+// it. A store has at most one sticky pin.
+func (tr *Trace) Pin(st *Store) {
+	st.mark |= pinImage
+	tr.take(st)
+}
+
+// Unpin drops st's sticky pin. If nothing else pins st, the next sweep
+// releases its references and unlinks it.
+func (tr *Trace) Unpin(st *Store) {
+	st.mark &^= pinImage
+	if !st.pinned() {
+		tr.unpinned = append(tr.unpinned, st)
+	}
+}
+
+// pinRoot collects one transient root of the running sweep; Retire
+// hands it to its roots callbacks.
+func (tr *Trace) pinRoot(st *Store) {
+	if st == nil || st.mark&rootNext != 0 {
+		return
+	}
+	st.CheckLive()
+	st.mark |= rootNext
+	tr.roots = append(tr.roots, st)
 }
 
 // HoldStore marks st held for the running retirement: the sweep may
-// unlink it from the index structures (unless it is also pinned), but
-// keeps its slot out of the free list, because the caller still
-// references it. Consumers that keep store pointers across operations
-// without needing them indexed — the checker's constraint-row
-// endpoints — hold them from the retirement's extra-roots hook.
+// unlink it from the index structures (unless it is pinned), but keeps
+// its slot out of the free list, because the caller still references
+// it. Consumers that keep store pointers across operations without
+// needing them indexed — the checker's constraint-row endpoints — hold
+// them from a roots callback of every Retire.
 func (tr *Trace) HoldStore(st *Store) {
 	if st == nil {
 		return
 	}
 	st.CheckLive()
-	if st.mark != tr.markGen {
-		st.mark = tr.markGen + 1
-	}
+	st.mark = st.mark&^holdMask | uint64(tr.holdGen)<<holdShift
 }
 
-// MarkRetireRoot pins st and, transitively, every store its clock
-// vector resolves to in st's sub-execution. The closure is what keeps
-// SubExec.StoreByClock answers stable: the checker resolves the CV
-// components of any read-from store back to the stores that set them
-// (the LOAD-PREV lower bounds), so those must survive as long as st can
-// still be read. Marking is memoized per generation — a store's own CV
-// component resolves back to itself, so the recursion terminates.
-func (tr *Trace) MarkRetireRoot(st *Store) {
-	if st == nil || st.mark == tr.markGen {
+// held reports whether the running sweep found s held; see HoldStore.
+func (tr *Trace) held(s *Store) bool {
+	return uint32(s.mark>>holdShift) == tr.holdGen || s.Seq > 0 && s.mark&offList == 0
+}
+
+// take makes a pinned st hold its references, and each target that
+// gains its first pin that way take its own: every store st's clock
+// vector resolves to in st's sub-execution, st itself excepted.
+func (tr *Trace) take(st *Store) {
+	if st.mark&holdsRefs != 0 {
 		return
 	}
 	st.CheckLive()
-	st.mark = tr.markGen
-	tr.lastPinned++
-	if st.Initial || st.CV.IsBottom() {
-		return
+	if poisonChecks && st.mark&unlinked != 0 {
+		panic(fmt.Sprintf("trace: pin of unlinked store %v", st))
 	}
-	sub := tr.subs[st.SubExec]
-	for i, n := 0, st.CV.Len(); i < n; i++ {
-		if p := sub.StoreByClock(st.CV.Comp(i)); p != nil {
-			tr.MarkRetireRoot(p)
+	st.mark |= holdsRefs
+	tr.pinnedNow++
+	stack := append(tr.pinStack[:0], st)
+	for len(stack) > 0 {
+		p := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if p.Initial {
+			continue
 		}
-	}
-}
-
-// FinishRetire pins the structural roots the trace itself owns (initial
-// stores and each sub-execution's thread clock-vector frontier), then
-// sweeps every index structure, unlinking records no root can reach,
-// and releases the slots of unlinked records nothing holds.
-func (tr *Trace) FinishRetire() {
-	gen := tr.markGen
-	for _, s := range tr.initList {
-		tr.MarkRetireRoot(s)
-	}
-	// The per-thread CV frontier resolves through StoreByClock exactly
-	// like a store's vector does (Trace.Load joins read-from vectors into
-	// it), so its closure is pinned for every sub-execution — older subs'
-	// frontiers are frozen and were pinned by the previous sweep, which
-	// is what keeps this walk from ever resolving to an unlinked entry.
-	for _, sub := range tr.subs {
-		for ri := range sub.threads {
-			cv := &sub.threads[ri].cv
-			for i, n := 0, cv.Len(); i < n; i++ {
-				if p := sub.StoreByClock(cv.Comp(i)); p != nil {
-					tr.MarkRetireRoot(p)
+		sub := tr.subs[p.SubExec]
+		for i, n := 0, p.CV.Len(); i < n; i++ {
+			t, c := p.CV.Comp(i)
+			if t == p.Thread {
+				continue
+			}
+			if q := sub.StoreByClock(t, c); q != nil {
+				if q.mark&refMask == refMask {
+					panic(fmt.Sprintf("trace: %v referenced by more than %d pinned stores", q, refMask))
+				}
+				q.mark++
+				if q.mark&holdsRefs == 0 {
+					q.mark |= holdsRefs
+					tr.pinnedNow++
+					stack = append(stack, q)
 				}
 			}
 		}
 	}
+	tr.pinStack = stack[:0]
+}
 
-	// Sweep-work accounting: the entries this sweep walks. The machine
-	// uses it to stretch the retirement cadence deterministically when
-	// the live set outgrows the window, keeping the amortized sweep cost
-	// per operation constant instead of quadratic (see pmem.World).
-	work := 0
+// drop releases the references of every store in tr.unpinned that is
+// no longer pinned, cascading to each target that loses its last one
+// (see take for which stores those are); every store it unpins joins
+// tr.unpinned.
+func (tr *Trace) drop() {
+	stack := tr.pinStack[:0]
+	for _, s := range tr.unpinned {
+		if !s.pinned() && s.mark&holdsRefs != 0 {
+			s.mark &^= holdsRefs
+			tr.pinnedNow--
+			stack = append(stack, s)
+		}
+	}
+	for len(stack) > 0 {
+		p := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if p.Initial {
+			continue
+		}
+		sub := tr.subs[p.SubExec]
+		for i, n := 0, p.CV.Len(); i < n; i++ {
+			t, c := p.CV.Comp(i)
+			if t == p.Thread {
+				continue
+			}
+			if q := sub.StoreByClock(t, c); q != nil {
+				q.mark--
+				if !q.pinned() {
+					q.mark &^= holdsRefs
+					tr.pinnedNow--
+					stack = append(stack, q)
+					tr.unpinned = append(tr.unpinned, q)
+				}
+			}
+		}
+	}
+	tr.pinStack = stack[:0]
+}
+
+// RecentCommits returns the stores committed in the current
+// sub-execution since the last sweep (all of them before the first).
+// The crash image finds the cache lines that grew with it.
+func (tr *Trace) RecentCommits() []*Store { return tr.Current().stores }
+
+// Retire runs one retirement sweep. Each roots callback pins this
+// sweep's transient roots through pin (store buffers, the checker's
+// deferred reads) and may hold stores with HoldStore; sticky pins
+// (Pin/Unpin) are already in. The trace adds its own roots — initial
+// stores and every sub-execution's thread clock-vector frontier —
+// releases the references of everything that lost its pins, unlinks the
+// stores that lost them (and the new stores that never had one), and
+// releases the records nothing holds.
+func (tr *Trace) Retire(roots ...func(pin func(*Store))) {
+	if tr.holdGen++; tr.holdGen == 0 {
+		tr.holdGen = 1
+	}
+	for _, s := range tr.initList[tr.initSwept:] {
+		s.mark |= pinInitial
+		tr.take(s)
+	}
+	tr.initSwept = len(tr.initList)
+
+	// Transient roots: the callbacks', then the clock-vector frontier,
+	// which resolves through StoreByClock exactly like a store's vector
+	// does (Trace.Load joins read-from vectors into it).
+	for _, f := range roots {
+		if f != nil {
+			f(tr.pinRootFn)
+		}
+	}
+	var check func()
+	if tr.refCheck != nil {
+		check = tr.refCheck() // sees the callbacks' roots, derives the rest
+	}
+	for _, sub := range tr.subs {
+		for ri := range sub.threads {
+			cv := &sub.threads[ri].cv
+			for i, n := 0, cv.Len(); i < n; i++ {
+				tr.pinRoot(sub.StoreByClock(cv.Comp(i)))
+			}
+		}
+	}
+	for _, s := range tr.roots {
+		if s.mark&pinRoot == 0 {
+			s.mark |= pinRoot
+			tr.take(s)
+		}
+	}
+	for _, s := range tr.prevRoots {
+		if s.mark&rootNext == 0 {
+			s.mark &^= pinRoot
+			if !s.pinned() {
+				tr.unpinned = append(tr.unpinned, s)
+			}
+		}
+	}
+	for _, s := range tr.roots {
+		s.mark &^= rootNext
+	}
+	tr.prevRoots, tr.roots = tr.roots, tr.prevRoots[:0]
+
+	// Sweep work, measured as the entries the full mark-and-sweep walked
+	// (see LastSweepWork). SubExec.stores holds the commits since the
+	// last sweep; every commit also grew a byLoc list.
+	commits := 0
+	for _, sub := range tr.subs {
+		commits += len(sub.stores)
+		sub.stores = sub.stores[:0]
+		sub.swept = true
+	}
+	tr.committedLive += commits
+	tr.byLocLen += commits
+	work := int(tr.nextStoreID) + tr.committedLive + tr.byLocLen
+
+	// Unlink what lost its pins: the stores dropped since the last sweep
+	// and the new stores nothing pinned. Every pin of the sweep is final
+	// from here on.
+	tr.drop()
+	for _, s := range tr.unpinned {
+		if !s.pinned() && s.mark&unlinked == 0 {
+			tr.unlink(s)
+		}
+	}
+	tr.unpinned = tr.unpinned[:0]
+	for _, sub := range tr.subs[tr.sweptSub:] {
+		for ri := range sub.threads {
+			r := &sub.threads[ri]
+			for i := int(r.swept - r.base); i < len(r.stores); i++ {
+				if s := r.stores[i]; s != nil && !s.pinned() {
+					tr.unlink(s)
+				}
+			}
+			r.swept = r.base + vclock.Clock(len(r.stores))
+		}
+	}
+	tr.sweptSub = len(tr.subs) - 1
+	for _, sub := range tr.subs {
+		for ri := range sub.threads {
+			sub.threads[ri].trim()
+		}
+	}
 
 	// Event log: keep the last window entries. Indices are logical —
 	// eventBase is the logical index of tr.events[0] — so the retired
-	// prefix is physically dropped, not just nil-holed, and the log's
-	// footprint stays at window entries. Only the log references an
-	// event, so a retired event's slot is free at once.
+	// prefix is physically dropped, not just nil-holed, and right after
+	// a sweep the log holds window entries (up to the retirement cadence
+	// between sweeps). Only the log references an event, so a retired
+	// event's slot is free at once.
 	cutoff := tr.eventBase + len(tr.events) - tr.window
 	if cutoff > tr.eventFloor {
-		for i := tr.eventFloor - tr.eventBase; i < cutoff-tr.eventBase; i++ {
-			if ev := tr.events[i]; ev != nil {
-				tr.retired.countEvent(ev)
-				tr.releaseEvent(ev)
-			}
-		}
-		tr.eventFloor = cutoff
-	}
-	if drop := tr.eventFloor - tr.eventBase; drop > 0 {
-		n := copy(tr.events, tr.events[drop:])
-		clear(tr.events[n:])
-		tr.events = tr.events[:n]
-		tr.eventBase = tr.eventFloor
-		work += n + drop
+		work += len(tr.events)
+		tr.releaseEvents(tr.events[tr.eventFloor-tr.eventBase : cutoff-tr.eventBase])
+		// The stale tail past the copy points into the event arena,
+		// which lives as long as the trace; appends overwrite it.
+		tr.events = tr.events[:copy(tr.events, tr.events[cutoff-tr.eventBase:])]
+		tr.eventBase, tr.eventFloor = cutoff, cutoff
 	}
 	for _, ev := range tr.events {
 		tr.HoldStore(ev.Store)
 		tr.HoldStore(ev.RF)
 	}
-
+	// Per-sub event index lists are ascending: drop the retired prefix,
+	// so SubEvents and EachSubEvent never meet a hole.
 	for _, sub := range tr.subs {
-		// Per-sub event index lists: drop retired indices, so SubEvents
-		// and EachSubEvent never meet a hole and stay O(live).
 		work += len(sub.events)
-		evs := sub.events[:0]
-		for _, idx := range sub.events {
-			if idx >= tr.eventFloor {
-				evs = append(evs, idx)
-			}
+		if k, _ := slices.BinarySearch(sub.events, tr.eventFloor); k > 0 {
+			sub.events = sub.events[:copy(sub.events, sub.events[k:])]
 		}
-		sub.events = evs
-
-		// Thread rows are positional (clock c lives at index c-base-1):
-		// unpinned entries become nil holes, and the leading holes are
-		// trimmed into base. The pin closure guarantees no future
-		// StoreByClock query lands on a hole. Work counts the row's
-		// logical length, trimmed prefix included, so the cadence the
-		// machine derives from it does not depend on the trimming.
-		for i := range sub.threads {
-			r := &sub.threads[i]
-			sts := r.stores
-			work += int(r.base) + len(sts)
-			for i, s := range sts {
-				if s != nil && s.mark != gen {
-					sts[i] = nil
-					tr.retiredStores++
-					tr.limbo = append(tr.limbo, s)
-				}
-			}
-			lead := 0
-			for lead < len(sts) && sts[lead] == nil {
-				lead++
-			}
-			if lead > 0 {
-				n := copy(sts, sts[lead:])
-				clear(sts[n:])
-				r.stores = sts[:n]
-				r.base += vclock.Clock(lead)
-			}
-		}
-
-		// Committed stores in TSO order: scanned, never indexed —
-		// compact to the pinned ones. The newest committed store per
-		// word is always pinned (it is its line's newest epoch entry),
-		// so final-heap reconstructions keep their full address set.
-		work += len(sub.Stores)
-		sts := sub.Stores[:0]
-		for _, s := range sub.Stores {
-			if s.mark == gen {
-				sts = append(sts, s)
-			}
-		}
-		sub.Stores = sts
-
-		// byLoc feeds firstPerThread; see the package comment for why
-		// first-of-thread ∪ Seq ≥ oldest-pinned-Seq preserves its output.
-		// A kept entry that is not pinned is held: Next still reads it.
-		sub.byLoc.Each(func(_ uint64, lp *[]*Store) {
-			list := *lp
-			work += len(list)
-			minPinned := vclock.Seq(int64(^uint64(0) >> 1))
-			pinnedAny := false
-			for _, s := range list {
-				if s.mark == gen && s.Seq > 0 && s.Seq < minPinned {
-					minPinned = s.Seq
-					pinnedAny = true
-				}
-			}
-			seen := tr.markScratch[:0]
-			out := list[:0]
-			for _, s := range list {
-				first := true
-				for _, t := range seen {
-					if t == s.Thread {
-						first = false
-						break
-					}
-				}
-				if first {
-					seen = append(seen, s.Thread)
-				}
-				if first || (pinnedAny && s.Seq >= minPinned) {
-					out = append(out, s)
-					tr.HoldStore(s)
-				}
-			}
-			tr.markScratch = seen[:0]
-			clear(list[len(out):])
-			*lp = out
-		})
 	}
 
 	// Release every unlinked store nothing holds — this sweep's and the
 	// ones earlier sweeps left in limbo; the held ones stay in limbo for
-	// the next sweep to re-check. An unlinked store is never pinned
-	// again (no root reaches it), so held is the only way to stay.
+	// the next sweep to re-check.
 	keep := tr.limbo[:0]
 	for _, s := range tr.limbo {
-		if s.mark == gen+1 {
+		if tr.held(s) {
 			keep = append(keep, s)
 		} else {
 			tr.releaseStore(s)
@@ -357,15 +472,104 @@ func (tr *Trace) FinishRetire() {
 
 	tr.lastSweepWork = work
 	tr.retirements++
-	if tr.lastPinned > tr.maxPinned {
-		tr.maxPinned = tr.lastPinned
+	tr.lastPinned = tr.pinnedNow
+	tr.maxPinned = max(tr.maxPinned, tr.pinnedNow)
+	if check != nil {
+		check()
 	}
 }
 
-// LastSweepWork reports how many index entries the most recent sweep
-// walked, counting each thread row at its logical length (trimmed
-// prefix included) — a deterministic proxy for the live-set size that
-// the machine folds into its retirement cadence.
+// unlink removes an unpinned store from its thread row and puts it in
+// limbo; a committed one also has its byLoc list re-filtered.
+func (tr *Trace) unlink(s *Store) {
+	if uint32(s.mark>>holdShift) != tr.holdGen {
+		s.mark &^= holdMask // a stale hold from a sweep that found it pinned
+	}
+	s.mark |= unlinked
+	r := tr.subs[s.SubExec].findRow(s.Thread)
+	r.stores[s.Clock-r.base-1] = nil
+	tr.retiredStores++
+	if s.Seq > 0 {
+		tr.committedLive--
+		lp, _ := tr.subs[s.SubExec].byLoc.Slot(wordKey(s.Addr))
+		tr.refilter(lp)
+	}
+	tr.limbo = append(tr.limbo, s)
+}
+
+// trim moves the row's leading holes into its clock base once they
+// make up half the row, so trimming costs O(1) per unlinked store and
+// StoreByClock meets the rest as nil holes.
+func (r *threadRow) trim() {
+	for r.lead < len(r.stores) && r.stores[r.lead] == nil {
+		r.lead++
+	}
+	if r.lead > 0 && 2*r.lead >= len(r.stores) {
+		n := copy(r.stores, r.stores[r.lead:])
+		clear(r.stores[n:])
+		r.stores = r.stores[:n]
+		r.base += vclock.Clock(r.lead)
+		r.lead = 0
+	}
+}
+
+// refilter applies the byLoc rule to one word's list: keep each
+// thread's first store and everything from the oldest pinned store on
+// (see the package comment for why that preserves firstPerThread's
+// output). Only the entries before the oldest pinned one can go, so
+// only they are visited; the dropped ones are marked offList, since
+// their list no longer holds them. After one call that prefix holds at
+// most one store per thread, so a second call for another store of the
+// list costs no more.
+func (tr *Trace) refilter(lp *[]*Store) {
+	list := *lp
+	seen := tr.markScratch[:0]
+	kept, i := 0, 0
+	for ; i < len(list) && !list[i].pinned(); i++ {
+		s := list[i]
+		if slices.Contains(seen, s.Thread) {
+			s.mark |= offList
+			continue
+		}
+		seen = append(seen, s.Thread)
+		list[kept] = s
+		kept++
+	}
+	tr.markScratch = seen[:0]
+	if kept < i {
+		n := kept + copy(list[kept:], list[i:])
+		clear(list[n:])
+		*lp = list[:n]
+		tr.byLocLen -= i - kept
+	}
+}
+
+// Stores returns the sub-execution's committed stores in TSO (commit)
+// order. Once a sweep has run, the retired ones are gone: the list is
+// rebuilt from the byLoc lists, which keep every pinned store.
+func (e *SubExec) Stores() []*Store {
+	if !e.swept {
+		return e.stores
+	}
+	var out []*Store
+	e.byLoc.Each(func(_ uint64, lp *[]*Store) {
+		for _, s := range *lp {
+			if s.mark&unlinked == 0 {
+				out = append(out, s)
+			}
+		}
+	})
+	slices.SortFunc(out, func(a, b *Store) int { return int(a.Seq - b.Seq) })
+	return out
+}
+
+// LastSweepWork reports how many index entries a full mark-and-sweep
+// would have walked in the most recent sweep — the event log when the
+// sweep dropped a prefix of it, every sub-execution's event list, every
+// thread row at its logical length (trimmed prefix included), the
+// committed stores and the byLoc lists not yet retired. It is a
+// deterministic proxy for the live-set size that the machine folds into
+// its retirement cadence.
 func (tr *Trace) LastSweepWork() int { return tr.lastSweepWork }
 
 // RetireStats summarizes what windowed retirement has released so far
@@ -382,10 +586,11 @@ type RetireStats struct {
 	// RetainedEvents counts the live (non-hole) entries of the event
 	// log — the window occupancy a progress display wants.
 	RetainedEvents int
-	// PinnedRoots is the pin-closure size of the most recent sweep (the
-	// stores marking kept live); MaxPinnedRoots is the largest closure
-	// any sweep of this execution pinned. Both are deterministic — the
-	// closure depends only on the execution's trace, never on timing.
+	// PinnedRoots is the number of stores pinned after the most recent
+	// sweep (the stores kept live); MaxPinnedRoots is the largest count
+	// any sweep of this execution ended with. Both are deterministic —
+	// the pinned set depends only on the execution's trace, never on
+	// timing.
 	PinnedRoots    int
 	MaxPinnedRoots int
 }
@@ -395,32 +600,32 @@ func (tr *Trace) Retired() RetireStats {
 	if tr.window == 0 {
 		return RetireStats{}
 	}
+	events := tr.retiredStats().Events
 	return RetireStats{
 		Retirements:    tr.retirements,
-		RetiredEvents:  tr.retired.Events,
+		RetiredEvents:  events,
 		RetiredStores:  tr.retiredStores,
-		ReleasedBytes:  int64(tr.retired.Events)*eventBytes + int64(tr.releasedStores)*storeBytes,
+		ReleasedBytes:  int64(events)*eventBytes + int64(tr.releasedStores)*storeBytes,
 		RetainedEvents: tr.eventBase + len(tr.events) - tr.eventFloor,
 		PinnedRoots:    tr.lastPinned,
 		MaxPinnedRoots: tr.maxPinned,
 	}
 }
 
-// countEvent folds one retired event into the per-kind retired totals.
-func (s *Stats) countEvent(ev *Event) {
-	s.Events++
-	switch ev.Kind {
-	case memmodel.OpStore:
-		s.Stores++
-	case memmodel.OpLoad:
-		s.Loads++
-	case memmodel.OpFlush, memmodel.OpFlushOpt:
-		s.Flushes++
-	case memmodel.OpSFence, memmodel.OpMFence:
-		s.Fences++
-	case memmodel.OpCAS, memmodel.OpFAA:
-		s.RMWs++
-	case memmodel.OpCrash:
-		s.Crashes++
+// retiredStats folds the per-kind counts of retired events into Stats
+// totals.
+func (tr *Trace) retiredStats() Stats {
+	k := &tr.retiredKinds
+	s := Stats{
+		Stores:  k[memmodel.OpStore],
+		Loads:   k[memmodel.OpLoad],
+		Flushes: k[memmodel.OpFlush] + k[memmodel.OpFlushOpt],
+		Fences:  k[memmodel.OpSFence] + k[memmodel.OpMFence],
+		RMWs:    k[memmodel.OpCAS] + k[memmodel.OpFAA],
+		Crashes: k[memmodel.OpCrash],
 	}
+	for _, n := range k {
+		s.Events += n
+	}
+	return s
 }

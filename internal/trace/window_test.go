@@ -11,17 +11,17 @@ import (
 // store per word as a root — the minimal machine contract (the real
 // backends additionally pin store buffers and live crash-image epochs).
 func retire(tr *Trace) {
-	tr.BeginRetire()
 	newest := map[memmodel.Addr]*Store{}
 	for _, sub := range tr.SubExecs() {
-		for _, s := range sub.Stores {
+		for _, s := range sub.Stores() {
 			newest[s.Addr] = s
 		}
 	}
-	for _, s := range newest {
-		tr.MarkRetireRoot(s)
-	}
-	tr.FinishRetire()
+	tr.Retire(func(pin func(*Store)) {
+		for _, s := range newest {
+			pin(s)
+		}
+	})
 }
 
 // TestWindowRetirementCompactsEventLog: after a sweep, the physical
@@ -125,9 +125,9 @@ func TestWindowPinsCVClosure(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		issueCommit(tr, 0, 0x3000, memmodel.Value(i), "pad")
 	}
-	tr.BeginRetire()
-	tr.MarkRetireRoot(b) // pins a transitively through b's CV
-	tr.FinishRetire()
+	tr.Retire(func(pin func(*Store)) {
+		pin(b) // pins a transitively through b's CV
+	})
 
 	sub := tr.Current()
 	var missing bool
@@ -193,13 +193,13 @@ func TestWindowHeldStoreSurvivesSweep(t *testing.T) {
 				padStores(16) // pushes the load of s2 out of the window
 			}
 			sweep := func(hold bool) {
-				tr.BeginRetire()
-				if hold {
-					tr.HoldStore(s2)
-				}
-				tr.MarkRetireRoot(tr.Current().LastTo(0x1000))
-				tr.MarkRetireRoot(tr.Current().LastTo(0x2000))
-				tr.FinishRetire()
+				tr.Retire(func(pin func(*Store)) {
+					if hold {
+						tr.HoldStore(s2)
+					}
+					pin(tr.Current().LastTo(0x1000))
+					pin(tr.Current().LastTo(0x2000))
+				})
 			}
 			sweep(holder == "endpoint")
 			if got := tr.Current().StoreByClock(0, s2.Clock); got != nil {
@@ -251,12 +251,12 @@ func TestWindowRowsStayBounded(t *testing.T) {
 		tr.StoreCommit(st)
 		last[th] = st
 		if i%64 == 63 {
-			tr.BeginRetire()
 			sub := tr.Current()
-			for w := 0; w < 64; w++ {
-				tr.MarkRetireRoot(sub.LastTo(memmodel.Addr(0x1000 + 8*w)))
-			}
-			tr.FinishRetire()
+			tr.Retire(func(pin func(*Store)) {
+				for w := 0; w < 64; w++ {
+					pin(sub.LastTo(memmodel.Addr(0x1000 + 8*w)))
+				}
+			})
 		}
 	}
 	sub := tr.Current()
