@@ -18,8 +18,8 @@ import (
 	"repro/internal/litmus"
 	"repro/internal/memmodel"
 	"repro/internal/obs"
+	"repro/internal/persist"
 	"repro/internal/pmem"
-	"repro/internal/px86"
 	"repro/internal/repair"
 	"repro/internal/report"
 	"repro/internal/trace"
@@ -276,7 +276,7 @@ func (discard) Write(p []byte) (int, error) { return len(p), nil }
 // store, flush, crash, candidate enumeration, read.
 func BenchmarkPx86StoreFlushCrashRead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		m := px86.New(px86.Config{})
+		m := persist.MustNew(persist.Config{})
 		m.Store(0, 0x1000, 1, m.Intern("s"))
 		m.Flush(0, 0x1000, m.Intern("f"))
 		m.Crash()
@@ -292,7 +292,7 @@ func BenchmarkPx86StoreFlushCrashRead(b *testing.B) {
 // of sub-execution 1, which must not have committed its y=3, from above.
 func checkerBenchRead(b *testing.B) (*core.Checker, *trace.Store, trace.LocID) {
 	const x, y = memmodel.Addr(0x1000), memmodel.Addr(0x2000)
-	m := px86.New(px86.Config{})
+	m := persist.MustNew(persist.Config{})
 	m.Store(0, x, 1, m.Intern("x=1"))
 	cands := m.LoadCandidates(1, x)
 	m.Load(1, x, cands[0], m.Intern("r=x"))
@@ -460,7 +460,7 @@ func BenchmarkAblations(b *testing.B) {
 		cfg := cfg
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m := px86.New(px86.Config{})
+				m := persist.MustNew(persist.Config{})
 				ck := core.NewWithOptions(m.Trace(), cfg.opt)
 				for j := 0; j < 32; j++ {
 					m.Store(memmodel.ThreadID(j%2), memmodel.Addr(0x1000+64*(j%8)), memmodel.Value(j+1), m.Intern("s"))

@@ -4,18 +4,18 @@ import (
 	"testing"
 
 	"repro/internal/memmodel"
-	"repro/internal/px86"
+	"repro/internal/persist"
 )
 
 // ablationHarness couples a machine with a checker built with options.
 type ablationHarness struct {
 	t *testing.T
-	m *px86.Machine
+	m persist.Model
 	c *Checker
 }
 
 func newAblation(t *testing.T, opt Options) *ablationHarness {
-	m := px86.New(px86.Config{})
+	m := persist.MustNew(persist.Config{})
 	return &ablationHarness{t: t, m: m, c: NewWithOptions(m.Trace(), opt)}
 }
 

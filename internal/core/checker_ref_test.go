@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/intervals"
 	"repro/internal/memmodel"
-	"repro/internal/px86"
+	"repro/internal/persist"
 	"repro/internal/trace"
 )
 
@@ -238,7 +238,7 @@ func (c *refChecker) Restore(s *refSnapshot) {
 // test at the first call or state that differs.
 type checkerPair struct {
 	t     *testing.T
-	m     *px86.Machine
+	m     persist.Model
 	d     *Checker
 	r     *refChecker
 	where string
@@ -252,7 +252,7 @@ type pairSnapshot struct {
 }
 
 func newCheckerPair(t *testing.T, opt Options, prov bool, known func(string) bool) *checkerPair {
-	m := px86.New(px86.Config{})
+	m := persist.MustNew(persist.Config{})
 	p := &checkerPair{t: t, m: m, d: NewWithOptions(m.Trace(), opt), r: newRefChecker(m.Trace(), opt)}
 	p.d.SetProvenance(prov)
 	p.r.SetProvenance(prov)

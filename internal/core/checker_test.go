@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/intervals"
 	"repro/internal/memmodel"
-	"repro/internal/px86"
+	"repro/internal/persist"
 	"repro/internal/trace"
 )
 
@@ -18,12 +18,12 @@ const (
 // harness couples a machine with a checker the way the explorer does.
 type harness struct {
 	t *testing.T
-	m *px86.Machine
+	m persist.Model
 	c *Checker
 }
 
 func newHarness(t *testing.T) *harness {
-	m := px86.New(px86.Config{})
+	m := persist.MustNew(persist.Config{})
 	return &harness{t: t, m: m, c: New(m.Trace())}
 }
 

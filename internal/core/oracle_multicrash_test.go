@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/memmodel"
-	"repro/internal/px86"
+	"repro/internal/persist"
 	"repro/internal/trace"
 )
 
@@ -49,7 +49,7 @@ func genOps2(seed int64) (p1, p2 []oracleOp) {
 // runOnce2 executes both phases with crashes and performs the picked
 // post-crash reads in sub-execution 3.
 func runOnce2(p1, p2 []oracleOp, picks []int) (rfs []*trace.Store, counts []int, tr *trace.Trace, flagged bool) {
-	m := px86.New(px86.Config{})
+	m := persist.MustNew(persist.Config{})
 	ck := New(m.Trace())
 	apply := func(ops []oracleOp) {
 		for _, op := range ops {

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/memmodel"
-	"repro/internal/px86"
+	"repro/internal/persist"
 	"repro/internal/trace"
 )
 
@@ -58,7 +58,7 @@ func genOps(seed int64) []oracleOp {
 // counts (for outcome enumeration), the pre-crash trace, and whether
 // PSan reported any violation.
 func runOnce(ops []oracleOp, picks []int) (rfs []*trace.Store, counts []int, tr *trace.Trace, flagged bool) {
-	m := px86.New(px86.Config{})
+	m := persist.MustNew(persist.Config{})
 	ck := New(m.Trace())
 	for _, op := range ops {
 		switch op.kind {

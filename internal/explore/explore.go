@@ -174,7 +174,7 @@ type Options struct {
 	StepTimeout time.Duration
 	// InjectFault is the chaos-testing hook: when non-nil it is asked,
 	// per execution, for a fault plan the engine then deliberately
-	// triggers from inside the execution (panics through the pmem/px86
+	// triggers from inside the execution (panics through the pmem/persist
 	// stack, slow steps). The argument is a deterministic schedule
 	// ordinal — the execution index in Random mode, the subtree-unit-
 	// local execution ordinal in ModelCheck mode — so injection is

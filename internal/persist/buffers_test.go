@@ -1,10 +1,9 @@
-package persist_test
+package persist
 
 import (
 	"testing"
 
 	"repro/internal/memmodel"
-	"repro/internal/persist"
 )
 
 // TestDelayedCommitDrainLoopAllocs checks that store buffers are reused:
@@ -13,11 +12,17 @@ import (
 // fences allocates nothing: the buffers themselves, px86's pending
 // flushes, ptsosyn's per-line flush markers, the trace indexes, the
 // crash image and the stores' clock vectors (inline in the trace records
-// for two threads) are all reused.
+// for two threads) are all reused. Strict ignores DelayedCommit: its
+// buffers stay empty throughout.
 func TestDelayedCommitDrainLoopAllocs(t *testing.T) {
-	for _, name := range []string{"px86", "ptsosyn"} {
-		m := persist.MustNew(persist.Config{Name: name, DelayedCommit: true})
+	for _, name := range allModels {
+		m := MustNew(Config{Name: name, DelayedCommit: true}).(*machine)
 		st, fl, fo, fe := m.Intern("store"), m.Intern("flush"), m.Intern("flushopt"), m.Intern("sfence")
+		buffered := func(th memmodel.ThreadID) {
+			if name == "strict" && bufferLen(m, th) != 0 {
+				t.Fatalf("strict: thread %d buffered %d entries", th, bufferLen(m, th))
+			}
+		}
 		const stores = 2 * 3 * 8
 		run := func() {
 			m.Reset()
@@ -26,17 +31,20 @@ func TestDelayedCommitDrainLoopAllocs(t *testing.T) {
 					for i := 0; i < 8; i++ {
 						a := memmodel.Addr(0x100000 + 8*i)
 						m.Store(th, a, memmodel.Value(i+1), st)
+						buffered(th)
 						if i%3 == 0 {
 							m.FlushOpt(th, a, fo)
+							buffered(th)
 						}
 					}
 					m.Flush(th, 0x100000, fl)
+					buffered(th)
 					m.DrainOne(th)
 					m.DrainOne(th)
 				}
 				for th := memmodel.ThreadID(1); th <= 2; th++ {
 					m.SFence(th, fe)
-					if m.BufferLen(th) != 0 {
+					if bufferLen(m, th) != 0 {
 						t.Fatalf("%s: thread %d buffer not drained by sfence", name, th)
 					}
 				}

@@ -1,27 +1,31 @@
-// Package persist defines the persistency-model backend layer: the
-// Model interface every simulated persistency semantics implements, the
-// model-neutral post-crash read Candidate, and a registry of built-in
-// backends.
+// Package persist is the persistency-model layer: the Model interface
+// the upper layers consume, the model-neutral post-crash read
+// Candidate, the crash image every backend shares (Image), the one
+// simulated machine behind every built-in backend, and a registry of
+// those backends.
 //
 // PSan's robustness algorithm (internal/core) is defined relative to a
 // persistency model but consumes only the event trace and the per-read
 // candidate sets — not x86 specifics. This package captures exactly that
 // consumption surface, so the checker, the pmem world, the exploration
-// engine, and the CLIs are generic over the model:
+// engine, and the CLIs are generic over the model.
 //
-//   - px86 (internal/px86): Px86sim of Raad et al. — the paper's model
-//     and the default backend;
-//   - ptsosyn (internal/persist/ptsosyn): the Khyzha–Lahav PTSOsyn
-//     synchronous variant, observationally equivalent to Px86sim on this
-//     op vocabulary and used as a differential twin;
-//   - strict (internal/persist/strict): strict persistency — every
-//     committed store is immediately persistent, in order. The
-//     robustness reference model, doubling as a differential oracle:
-//     a robust program must compute the same final heap under strict
-//     and px86.
+// The built-in backends run the same TSO machine (machine.go): store
+// buffers, forwarding, loads, RMWs, crashes, snapshots and retirement.
+// They differ only in their persistence rule (rules.go), which decides
+// when a committed store becomes guaranteed persistent:
 //
-// Backends register themselves in init functions; blank-import
-// internal/persist/backends (pmem does) to link all built-ins.
+//   - px86: Px86sim of Raad et al. — the paper's model and the default
+//     backend. A clflushopt completes at a later drain by its thread;
+//     the pending (line, coverage) records are kept per thread;
+//   - ptsosyn: the Khyzha–Lahav PTSOsyn synchronous variant, which keeps
+//     the same pending flushes as per-line markers. Observationally
+//     equivalent to px86 on this op vocabulary and used as a
+//     differential twin;
+//   - strict: strict persistency — every committed store is immediately
+//     persistent, in order. The robustness reference model, doubling as
+//     a differential oracle: a robust program must compute the same
+//     final heap under strict and px86.
 package persist
 
 import (
@@ -89,16 +93,10 @@ type Model interface {
 	// MFence issues a full fence (a drain operation).
 	MFence(t memmodel.ThreadID, loc trace.LocID)
 
-	// DrainAll commits every pending entry of t's store buffer in FIFO
-	// order; a no-op for models without store buffers.
-	DrainAll(t memmodel.ThreadID)
 	// DrainOne commits the oldest pending entry of t's store buffer,
 	// reporting whether there was one. Exploration harnesses use it to
 	// exercise store-buffer interleavings.
 	DrainOne(t memmodel.ThreadID) bool
-	// BufferLen returns the number of pending entries in t's store
-	// buffer (always 0 for bufferless models).
-	BufferLen(t memmodel.ThreadID) int
 
 	// LoadCandidates returns the stores a load of word a by thread t may
 	// read, newest-possible first. The returned slice is a model-owned
@@ -109,9 +107,6 @@ type Model interface {
 	// Load performs a load of word a by thread t reading from the chosen
 	// candidate, which must come from LoadCandidates for the same (t, a).
 	Load(t memmodel.ThreadID, a memmodel.Addr, c Candidate, loc trace.LocID) memmodel.Value
-	// LoadDefault performs a load reading the newest legal store — the
-	// behavior of an execution where everything persisted.
-	LoadDefault(t memmodel.ThreadID, a memmodel.Addr, loc trace.LocID) memmodel.Value
 	// CAS performs an atomic compare-and-swap on word a reading from the
 	// chosen candidate, returning the value read and whether the swap
 	// happened. RMW operations act as drains.
@@ -143,6 +138,16 @@ type Model interface {
 	// caller is responsible for rewinding the shared trace to the
 	// matching mark.
 	Restore(*ImageSnapshot)
+
+	// Retire runs one bounded-window retirement on the machine's trace
+	// through Image.Retire: the crash image updates its sticky pins
+	// (every entry that can still produce a candidate, the volatile
+	// cache included), the machine pins its store buffers, extraRoots
+	// pins and holds stores owned by upper layers (the checker's
+	// deferred reads and constraint endpoints), and the trace sweeps the
+	// rest. extraRoots may be nil. The pmem world invokes it every
+	// Window operations when Config.Window > 0, and never otherwise.
+	Retire(extraRoots func(pin func(*trace.Store)))
 }
 
 // Config selects and configures a persistency-model backend. It is the
@@ -154,7 +159,7 @@ type Config struct {
 	// fence, RMW, or explicit drain commits them, exposing TSO
 	// store-buffer effects. When false, stores commit immediately after
 	// issue, which is a legal TSO behavior and keeps model checking
-	// tractable. Bufferless models (strict) ignore it.
+	// tractable. Strict has no store buffers and ignores it.
 	DelayedCommit bool
 	// Window, when positive, puts the machine's trace in bounded-window
 	// (streaming) mode: every Window operations the pmem world asks the
@@ -176,19 +181,6 @@ type Config struct {
 	// model semantics: it never affects execution and is ignored by
 	// checkpoint validation.
 	Obs *obs.Observer
-}
-
-// Retirable is implemented by models that support bounded-window
-// retirement. Retire runs one retirement on the machine's trace through
-// Image.Retire: the crash image updates its sticky pins (every entry
-// that can still produce a candidate, the volatile cache included), the
-// machine pins its store buffers, extraRoots pins and holds stores owned
-// by upper layers (the checker's deferred reads and constraint
-// endpoints), and the trace sweeps the rest. extraRoots may be nil. The
-// pmem world invokes it every Window operations when Config.Window > 0;
-// models reached through a zero Window never see a Retire call.
-type Retirable interface {
-	Retire(extraRoots func(pin func(*trace.Store)))
 }
 
 // InvariantError is the panic value raised when a model detects an

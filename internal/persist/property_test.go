@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/memmodel"
 	"repro/internal/persist"
-	_ "repro/internal/persist/backends"
 )
 
 var words = []memmodel.Addr{0x1000, 0x1008, 0x1040, 0x1048}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/persist"
-	_ "repro/internal/persist/backends"
 )
 
 func TestRegistryNames(t *testing.T) {

@@ -25,7 +25,6 @@ import (
 	"repro/internal/memmodel"
 	"repro/internal/obs"
 	"repro/internal/persist"
-	_ "repro/internal/persist/backends" // link all built-in models
 	"repro/internal/trace"
 )
 
@@ -139,20 +138,18 @@ type World struct {
 
 	// Bounded-window retirement (persist.Config.Window > 0): every
 	// retireEvery scheduled operations the world asks the model to
-	// retire trace history behind the frontier. retire is the model's
-	// Retirable face and retireExtra the checker's root hook, both
-	// resolved once at construction so the trigger path allocates
-	// nothing. retireEvery starts at the window and stretches with the
-	// live set (a quarter of the entries a full mark-and-sweep would
-	// have walked, trace.LastSweepWork), the amortization that kept
-	// sweeps linear when each one re-walked every pinned store. Both the
-	// operation count and the sweep-work measure are deterministic, so
-	// retirement happens at identical trace points across replays of
-	// one schedule.
+	// retire trace history behind the frontier. retireExtra is the
+	// checker's root hook, resolved once at construction so the trigger
+	// path allocates nothing. retireEvery starts at the window and
+	// stretches with the live set (a quarter of the entries a full
+	// mark-and-sweep would have walked, trace.LastSweepWork), the
+	// amortization that kept sweeps linear when each one re-walked
+	// every pinned store. Both the operation count and the sweep-work
+	// measure are deterministic, so retirement happens at identical
+	// trace points across replays of one schedule.
 	window      int
 	retireEvery int
 	sinceRetire int
-	retire      persist.Retirable
 	retireExtra func(mark func(*trace.Store))
 
 	spawned []*simThread
@@ -217,12 +214,9 @@ func NewWorld(cfg Config) *World {
 	}
 	w.Checker.SetProvenance(cfg.Provenance)
 	if cfg.Model.Window > 0 {
-		if r, ok := m.(persist.Retirable); ok {
-			w.window = cfg.Model.Window
-			w.retireEvery = w.window
-			w.retire = r
-			w.retireExtra = w.Checker.MarkRetireRoots
-		}
+		w.window = cfg.Model.Window
+		w.retireEvery = w.window
+		w.retireExtra = w.Checker.MarkRetireRoots
 	}
 	return w
 }
@@ -357,7 +351,7 @@ func (w *World) retireNow() {
 	// releases, so the sweep is timed unconditionally: the total rides
 	// into Result diagnostics even without an obs registry.
 	sweepStart := time.Now()
-	w.retire.Retire(w.retireExtra)
+	w.M.Retire(w.retireExtra)
 	sweepNS := time.Since(sweepStart).Nanoseconds()
 	w.sweepNanos += sweepNS
 	w.wobs.SweepNanos.Observe(sweepNS)

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	_ "repro/internal/persist/backends"
-
 	"repro/internal/memmodel"
 	"repro/internal/persist"
 	"repro/internal/pmem"
