@@ -330,24 +330,40 @@ func checkerBenchRead(b *testing.B) (*core.Checker, *trace.Store, trace.LocID) {
 
 // BenchmarkCheckerObserveRead measures the LOAD-PREV constraint update
 // on a cross-crash read — the per-load cost PSan adds over the
-// simulator — committing three crash intervals per call.
+// simulator. The first row applies the read in full after a checker
+// Reset, committing three crash intervals; the reread row repeats a
+// read already applied in the sub-execution, which the applied-read
+// stamp answers without computing its updates.
 func BenchmarkCheckerObserveRead(b *testing.B) {
-	checker, rf, loc := checkerBenchRead(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		checker.ObserveRead(0, 0x2000, rf, loc)
-	}
+	b.Run("first", func(b *testing.B) {
+		checker, rf, loc := checkerBenchRead(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			checker.Reset()
+			checker.ObserveRead(0, 0x2000, rf, loc)
+		}
+	})
+	b.Run("reread", func(b *testing.B) {
+		checker, rf, loc := checkerBenchRead(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			checker.ObserveRead(0, 0x2000, rf, loc)
+		}
+	})
 }
 
-// BenchmarkCheckerWouldViolate measures the read-steering probe: the
-// same update, applied speculatively with nothing committed.
-func BenchmarkCheckerWouldViolate(b *testing.B) {
-	checker, rf, _ := checkerBenchRead(b)
+// BenchmarkCheckerFlagRead measures the read-steering question on a
+// candidate not yet read: the same update, applied speculatively with
+// nothing committed.
+func BenchmarkCheckerFlagRead(b *testing.B) {
+	checker, rf, loc := checkerBenchRead(b)
+	checker.Reset()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if checker.WouldViolate(0, rf) {
+		if checker.FlagRead(0, 0x2000, rf, loc) {
 			b.Fatal("bench read violates")
 		}
 	}

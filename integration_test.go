@@ -32,6 +32,7 @@ var testdataPrograms = []struct {
 	{"figure7.pm", explore.Random, 800, false},
 	{"sameline.pm", explore.ModelCheck, 10000, true},
 	{"counter.pm", explore.ModelCheck, 30000, false},
+	{"crossdrain.pm", explore.ModelCheck, 10000, false},
 }
 
 func loadProgram(t *testing.T, name string) *lang.Program {

@@ -172,9 +172,10 @@ type Violation struct {
 	// nil otherwise. Like the StoreRefs it is fully frozen.
 	Prov *obs.Provenance
 
-	// key caches Key; vkey is the intra-world dedup identity.
-	key  string
-	vkey violationKey
+	// key caches Key; id is the intra-world dedup identity, the
+	// violation identity's dense number (Checker.idOf).
+	key string
+	id  int32
 }
 
 // Key returns a stable identity for deduplicating the same program bug
@@ -243,20 +244,28 @@ type consEntry struct {
 }
 
 // pendingEntry is one interval narrowed by an earlier update of the load
-// being applied but not committed (modeCheck, modeFlag, WouldViolate).
+// being applied but not committed (modeCheck, modeFlag).
 type pendingEntry struct {
 	key consKey
 	iv  intervals.Interval
 }
 
-// violationKey is the intra-world dedup identity of a violation: the
-// diagnosis kind plus the two interned store sites. LocIDs are stable
-// within one world, which is exactly the scope of the checker's seen
-// set; cross-execution dedup goes through the string Key.
+// violationKey is the intra-world identity of a violation: the diagnosis
+// kind plus the two interned store sites. LocIDs are stable within one
+// world, so the checker numbers each identity once per world (idOf) and
+// its seen set and known cache are indexed by that number;
+// cross-execution dedup goes through the string Key.
 type violationKey struct {
 	kind   ViolationKind
 	mfLoc  trace.LocID
 	perLoc trace.LocID
+}
+
+// word packs the identity into one word, the ids map's key: a map keyed
+// by a word hashes faster than one keyed by the struct. LocIDs are
+// non-negative int32s and the kind is one bit.
+func (vk violationKey) word() uint64 {
+	return uint64(vk.kind)<<62 | uint64(vk.mfLoc)<<31 | uint64(vk.perLoc)
 }
 
 // update is one pending interval constraint derived from a load.
@@ -333,23 +342,43 @@ type Checker struct {
 	cons [][]consEntry
 	// violations accumulates committed violations in detection order.
 	violations []*Violation
-	seen       map[violationKey]bool
+	// seen marks, by violation id, the identities this execution has
+	// recorded or found known; an id past its length is unseen.
+	seen []bool
 	// known, when set, reports whether the exploration campaign already
-	// holds a violation key (SetKnown).
-	known func(key string) bool
+	// holds a violation key (SetKnown). knownAt[id] == gen caches a true
+	// answer for id: the campaign's and the unit's key sets only grow
+	// until the next Reset, which moves gen. gen starts at 1, so a fresh
+	// slot is not an answer; SetKnown clears the slots.
+	known   func(key string) bool
+	knownAt []uint32
+	gen     uint32
 	// checksum deferral (§6.4): while a thread is inside an annotated
 	// checksum region, its cross-crash loads are buffered here.
 	deferred map[memmodel.ThreadID][]deferredLoad
 
 	// ups is updatesFor's scratch buffer; pending holds the intervals
-	// applyUpdates and WouldViolate narrowed for the load in progress
-	// without committing them, searched linearly (a load yields a
-	// handful of updates). Both are reused across loads.
+	// applyUpdates narrowed for the load in progress without committing
+	// them, searched linearly (a load yields a handful of updates). Both
+	// are reused across loads.
 	ups     []update
 	pending []pendingEntry
-	// keys memoizes the Key string of each violation identity. LocIDs
-	// are stable for the world's lifetime, so it survives Reset.
-	keys map[violationKey]string
+	// ids numbers each violation identity at first sight; keyStrs and
+	// knownAt hold a slot per id. LocIDs are stable for the world's
+	// lifetime, so all three survive Reset.
+	ids     map[uint64]int32
+	keyStrs []string
+	// applied[ID] (appliedInit[-ID-1] for an initial store) == stamp
+	// marks a store from an earlier sub-execution whose read was applied
+	// in full in the current one: every update committed and none
+	// emptied an interval. Intervals only narrow until the stamp moves —
+	// on Reset, on Restore and when the current sub-execution (stampSub)
+	// changes — so a re-read of a stamped store tightens nothing and
+	// cannot violate. Only such reads are stamped, which keeps the
+	// tables as small as the earlier sub-executions' store IDs.
+	applied, appliedInit []uint32
+	stamp                uint32
+	stampSub             int
 }
 
 // deferredLoad is a cross-crash read buffered inside a checksum region.
@@ -371,9 +400,10 @@ func NewWithOptions(tr *trace.Trace, opt Options) *Checker {
 	return &Checker{
 		tr:       tr,
 		opt:      opt,
-		seen:     make(map[violationKey]bool),
 		deferred: make(map[memmodel.ThreadID][]deferredLoad),
-		keys:     make(map[violationKey]string),
+		ids:      make(map[uint64]int32),
+		gen:      1,
+		stamp:    1,
 	}
 }
 
@@ -381,12 +411,30 @@ func NewWithOptions(tr *trace.Trace, opt Options) *Checker {
 // trace. The accumulated violations slice is dropped, not truncated —
 // it escapes to the exploration harness, which may retain it after the
 // reset. The enabled/disabled state, ablation options, provenance
-// setting, and known-key predicate are kept.
+// setting, and known-key predicate are kept; the predicate's cached
+// answers are not.
 func (c *Checker) Reset() {
 	c.cons = c.cons[:0]
 	c.violations = nil
 	clear(c.seen)
 	clear(c.deferred)
+	c.nextStamp()
+	c.gen++ // drops every cached known answer
+	if c.gen == 0 {
+		clear(c.knownAt)
+		c.gen = 1
+	}
+}
+
+// nextStamp moves the applied-read stamp, unstamping every store. When
+// the counter would wrap, the tables are cleared once.
+func (c *Checker) nextStamp() {
+	c.stamp++
+	if c.stamp == 0 {
+		clear(c.applied)
+		clear(c.appliedInit)
+		c.stamp = 1
+	}
 }
 
 // Intern maps a source label to the trace's dense LocID, the form the
@@ -468,8 +516,14 @@ func (c *Checker) Violations() []*Violation { return c.violations }
 // would discard the copy, so its fixes and provenance are not
 // synthesized at all. The predicate is consulted at most once per
 // distinct key per execution (only for keys not yet seen) and survives
-// Reset.
-func (c *Checker) SetKnown(known func(key string) bool) { c.known = known }
+// Reset. A true answer is cached until the next Reset, so the predicate
+// must stay true for a key until then; the explorer's does, because every
+// unit's first execution resets its world and a unit's key set only
+// grows.
+func (c *Checker) SetKnown(known func(key string) bool) {
+	c.known = known
+	clear(c.knownAt)
+}
 
 // SetEnabled turns checking on or off. A disabled checker observes
 // nothing and reports nothing; the harness uses it to measure the
@@ -569,22 +623,73 @@ func (c *Checker) deferring(t memmodel.ThreadID) bool {
 	return in
 }
 
-// keyOf returns the Key string of violation identity vk, formatting it
-// at most once per world.
-func (c *Checker) keyOf(vk violationKey) string {
-	k, ok := c.keys[vk]
+// idOf returns the dense id of violation identity vk, numbering it and
+// formatting its Key string at first sight in the world.
+func (c *Checker) idOf(vk violationKey) int32 {
+	id, ok := c.ids[vk.word()]
 	if !ok {
-		k = bugKey(vk.kind, c.tr.LocString(vk.mfLoc), c.tr.LocString(vk.perLoc))
-		c.keys[vk] = k
+		id = int32(len(c.keyStrs))
+		c.ids[vk.word()] = id
+		c.keyStrs = append(c.keyStrs, bugKey(vk.kind, c.tr.LocString(vk.mfLoc), c.tr.LocString(vk.perLoc)))
+		c.knownAt = append(c.knownAt, 0)
 	}
-	return k
+	return id
+}
+
+// isSeen reports whether violation id was recorded or found known in this
+// execution.
+func (c *Checker) isSeen(id int32) bool { return int(id) < len(c.seen) && c.seen[id] }
+
+// markSeen adds violation id to the execution's seen set.
+func (c *Checker) markSeen(id int32) {
+	for int(id) >= len(c.seen) {
+		c.seen = append(c.seen, false)
+	}
+	c.seen[id] = true
+}
+
+// isKnown asks the known-key predicate about violation id, answering
+// from the cache for an id it called known since the last Reset.
+func (c *Checker) isKnown(id int32) bool {
+	if c.knownAt[id] == c.gen {
+		return true
+	}
+	if !c.known(c.keyStrs[id]) {
+		return false
+	}
+	c.knownAt[id] = c.gen
+	return true
+}
+
+// stampTable returns the applied-read table that holds rf's stamp and
+// rf's index in it.
+func (c *Checker) stampTable(rf *trace.Store) (*[]uint32, int) {
+	if rf.Initial {
+		return &c.appliedInit, int(-rf.ID - 1)
+	}
+	return &c.applied, int(rf.ID)
+}
+
+// stamped reports whether rf carries the current applied-read stamp.
+func (c *Checker) stamped(rf *trace.Store) bool {
+	tab, i := c.stampTable(rf)
+	return i < len(*tab) && (*tab)[i] == c.stamp
+}
+
+// stampRead marks rf's read as applied in the current sub-execution.
+func (c *Checker) stampRead(rf *trace.Store) {
+	tab, i := c.stampTable(rf)
+	if i >= len(*tab) {
+		*tab = slices.Grow(*tab, i+1-len(*tab))[:i+1]
+	}
+	(*tab)[i] = c.stamp
 }
 
 // updatesFor computes the constraint updates a read of rf by a load in
 // the current sub-execution implies. It returns nil when the read is
-// within the current sub-execution (nothing to check). The returned
-// slice is a checker-owned scratch buffer, valid until the next
-// updatesFor call.
+// within the current sub-execution (nothing to check) or re-reads a
+// store stamped as applied (nothing to tighten). The returned slice is
+// a checker-owned scratch buffer, valid until the next updatesFor call.
 func (c *Checker) updatesFor(rf *trace.Store) []update {
 	if c.disabled {
 		return nil
@@ -594,6 +699,13 @@ func (c *Checker) updatesFor(rf *trace.Store) []update {
 		return nil
 	}
 	if rf.Initial && cur.Index == 0 {
+		return nil
+	}
+	if cur.Index != c.stampSub {
+		// A new sub-execution adds intervening stores to every read.
+		c.stampSub = cur.Index
+		c.nextStamp()
+	} else if c.stamped(rf) {
 		return nil
 	}
 	if c.opt.GlobalInterval {
@@ -671,11 +783,12 @@ const (
 	modeFlag
 )
 
-// applyUpdates applies the updates to the constraint state. In
-// modeObserve, non-violating updates are recorded; an update that would
-// empty an interval is reported but not recorded, so the checker can
-// keep scanning the rest of the execution for further independent bugs
-// (§5.2 Implementation).
+// applyUpdates applies the updates to the constraint state and reports
+// whether any of them emptied an interval. In modeObserve, non-violating
+// updates are recorded; an update that would empty an interval is
+// reported but not recorded, so the checker can keep scanning the rest
+// of the execution for further independent bugs (§5.2 Implementation).
+// A modeObserve read none of whose updates emptied is stamped as applied.
 //
 // In modeObserve and modeFlag an emptying update whose violation
 // identity is already in the seen set is skipped before any report is
@@ -687,13 +800,12 @@ const (
 // per execution. An identity not yet seen is checked against the
 // campaign's known keys (SetKnown) first: a known one is marked seen and
 // skipped the same way, so neither its report nor its fixes are built.
-func (c *Checker) applyUpdates(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.Store, loc trace.LocID, ups []update, mode applyMode) []*Violation {
+func (c *Checker) applyUpdates(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.Store, loc trace.LocID, ups []update, mode applyMode) (found []*Violation, emptied bool) {
 	if len(ups) == 0 {
-		// Same-sub-execution reads constrain nothing — most loads in
-		// store-heavy phases take this path.
-		return nil
+		// Same-sub-execution reads and re-reads of stamped stores
+		// constrain nothing — most loads take this path.
+		return nil, false
 	}
-	var found []*Violation
 	// modeObserve commits each update as it goes, so later updates of
 	// the load read it back from the rows; the other modes stage it.
 	c.pending = c.pending[:0]
@@ -707,21 +819,22 @@ func (c *Checker) applyUpdates(t memmodel.ThreadID, addr memmodel.Addr, rf *trac
 		}
 		next := u.narrow(cur)
 		if next.Empty() {
+			emptied = true
 			before := intervals.New()
 			if cur != nil {
 				before = *cur
 			}
+			id := c.idOf(violationKeyFor(rf, u, before))
 			if mode != modeCheck {
-				vk := violationKeyFor(rf, u, before)
-				if c.seen[vk] {
+				if c.isSeen(id) {
 					continue // already recorded; skip re-materializing
 				}
-				if c.known != nil && c.known(c.keyOf(vk)) {
-					c.seen[vk] = true // the campaign holds it already
+				if c.known != nil && c.isKnown(id) {
+					c.markSeen(id) // the campaign holds it already
 					continue
 				}
 			}
-			v := c.diagnose(t, addr, rf, loc, u, before, next)
+			v := c.diagnose(t, addr, rf, loc, u, before, next, id)
 			found = append(found, v)
 			continue // do not record the emptying constraint
 		}
@@ -734,10 +847,13 @@ func (c *Checker) applyUpdates(t memmodel.ThreadID, addr memmodel.Addr, rf *trac
 			c.commit(u.key, next)
 		}
 	}
+	if mode == modeObserve && !emptied {
+		c.stampRead(rf)
+	}
 	if mode != modeCheck {
 		for _, v := range found {
-			if !c.seen[v.vkey] {
-				c.seen[v.vkey] = true
+			if !c.isSeen(v.id) {
+				c.markSeen(v.id)
 				// Fix synthesis walks the event log, so it runs only
 				// when a bug is first recorded, keeping the per-load
 				// checking cost flat (Table 3's minimal-overhead claim).
@@ -749,7 +865,7 @@ func (c *Checker) applyUpdates(t memmodel.ThreadID, addr memmodel.Addr, rf *trac
 			}
 		}
 	}
-	return found
+	return found, emptied
 }
 
 // locOf returns a store's interned label (NoLoc for nil).
@@ -777,10 +893,10 @@ func violationKeyFor(rf *trace.Store, u *update, before intervals.Interval) viol
 	return violationKey{kind: ReadTooOld, mfLoc: locOf(u.store), perLoc: locOf(per)}
 }
 
-// diagnose builds the violation report for an update that emptied an
-// interval, per the two cases of §5.2. Every store reference is frozen
-// here, so the report survives trace recycling.
-func (c *Checker) diagnose(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.Store, loc trace.LocID, u *update, before, after intervals.Interval) *Violation {
+// diagnose builds the violation report, of identity id, for an update
+// that emptied an interval, per the two cases of §5.2. Every store
+// reference is frozen here, so the report survives trace recycling.
+func (c *Checker) diagnose(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.Store, loc trace.LocID, u *update, before, after intervals.Interval, id int32) *Violation {
 	v := &Violation{
 		LoadLoc:    c.tr.LocString(loc),
 		LoadThread: t,
@@ -811,58 +927,34 @@ func (c *Checker) diagnose(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.St
 	}
 	v.MissingFlush = c.freeze(mf)
 	v.Persisted = c.freeze(per)
-	v.vkey = violationKeyFor(rf, u, before)
-	v.key = c.keyOf(v.vkey)
+	v.id = id
+	v.key = c.keyStrs[id]
 	return v
 }
 
-// WouldViolate reports whether a load by thread t reading rf would cause
-// at least one robustness violation. It is the allocation-free form of
-// CheckRead for the read-steering hot path, which needs only the
-// boolean: no constraint is committed and no report is materialized.
-// Inside a checksum region the read would be deferred, so it cannot
-// violate yet.
-func (c *Checker) WouldViolate(t memmodel.ThreadID, rf *trace.Store) bool {
-	if c.deferring(t) {
-		return false
-	}
-	ups := c.updatesFor(rf)
-	c.pending = c.pending[:0]
-	for i := range ups {
-		u := &ups[i]
-		cur := c.current(u.key)
-		if cur != nil && !u.tightens(cur) {
-			continue
-		}
-		next := u.narrow(cur)
-		if next.Empty() {
-			return true
-		}
-		c.stage(u.key, next)
-	}
-	return false
-}
-
 // CheckRead reports the violations that a load by thread t of addr would
-// cause if it read from rf, without changing the checker state. The
-// explorer uses it to steer loads away from already-diagnosed outcomes
-// so one execution can expose multiple bugs.
+// cause if it read from rf, without changing the checker state. Tests
+// use it to predict a read's outcome; the explorer steers with FlagRead.
 func (c *Checker) CheckRead(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.Store, loc trace.LocID) []*Violation {
 	if c.deferring(t) {
 		return nil // inside a checksum region the read would be deferred
 	}
-	return c.applyUpdates(t, addr, rf, loc, c.updatesFor(rf), modeCheck)
+	found, _ := c.applyUpdates(t, addr, rf, loc, c.updatesFor(rf), modeCheck)
+	return found
 }
 
-// FlagRead records the violations a read from rf would cause without
-// committing any constraints. The explorer calls it for candidates it
-// steers away from: the buggy outcome is reachable and must be reported
-// even though this execution avoids it.
-func (c *Checker) FlagRead(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.Store, loc trace.LocID) []*Violation {
+// FlagRead reports whether a load by thread t reading rf would cause at
+// least one robustness violation, and records the violations not yet
+// seen without committing any constraints. The explorer asks it of every
+// candidate it steers: the buggy outcome is reachable and must be
+// reported even though this execution avoids it. Inside a checksum
+// region the read would be deferred, so it cannot violate yet.
+func (c *Checker) FlagRead(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.Store, loc trace.LocID) bool {
 	if c.deferring(t) {
-		return nil // inside a checksum region the read would be deferred
+		return false
 	}
-	return c.applyUpdates(t, addr, rf, loc, c.updatesFor(rf), modeFlag)
+	_, emptied := c.applyUpdates(t, addr, rf, loc, c.updatesFor(rf), modeFlag)
+	return emptied
 }
 
 // ObserveRead records a load that has been performed: thread t read rf
@@ -873,7 +965,8 @@ func (c *Checker) ObserveRead(t memmodel.ThreadID, addr memmodel.Addr, rf *trace
 		c.deferred[t] = append(c.deferred[t], deferredLoad{thread: t, addr: addr, rf: rf, loc: loc})
 		return nil
 	}
-	return c.applyUpdates(t, addr, rf, loc, c.updatesFor(rf), modeObserve)
+	found, _ := c.applyUpdates(t, addr, rf, loc, c.updatesFor(rf), modeObserve)
+	return found
 }
 
 // BeginChecksumRegion starts deferring thread t's cross-crash reads: the
@@ -899,7 +992,8 @@ func (c *Checker) EndChecksumRegion(t memmodel.ThreadID, valid bool) []*Violatio
 	}
 	var all []*Violation
 	for _, dl := range loads {
-		all = append(all, c.applyUpdates(dl.thread, dl.addr, dl.rf, dl.loc, c.updatesFor(dl.rf), modeObserve)...)
+		found, _ := c.applyUpdates(dl.thread, dl.addr, dl.rf, dl.loc, c.updatesFor(dl.rf), modeObserve)
+		all = append(all, found...)
 	}
 	return all
 }

@@ -16,10 +16,15 @@ import (
 // its dense rows, kept as the reference the dense checker must match
 // call for call: crash intervals live in a map keyed by (sub-execution,
 // thread), applyUpdates stages speculative intervals in a second map it
-// clears per load, and the known-key lookup formats the key string
-// every time. The stateless parts of the algorithm — updatesFor,
-// diagnose, fix synthesis and provenance — are the checker's own,
-// through aux, which holds no constraint state of its own.
+// clears per load, the seen set is a map keyed by violation identity,
+// and the known-key lookup formats the key string and asks the
+// predicate every time, caching nothing. It keeps no applied-read
+// stamps: every read runs its full update list. FlagRead's answer comes
+// from WouldViolate, a separate speculative pass that stops at the
+// first emptied interval. The stateless parts of the algorithm — the
+// update list, diagnose, fix synthesis and provenance — are the
+// checker's own, through aux, which holds no constraint state and, never
+// observing a read, stamps no store.
 type refChecker struct {
 	aux        *Checker
 	cons       map[consKey]intervals.Interval
@@ -71,6 +76,7 @@ func (c *refChecker) applyUpdates(t memmodel.ThreadID, addr memmodel.Addr, rf *t
 	}
 	tr := c.aux.tr
 	var found []*Violation
+	var vks []violationKey
 	scratch := c.apply
 	clear(scratch)
 	for _, u := range ups {
@@ -97,7 +103,9 @@ func (c *refChecker) applyUpdates(t memmodel.ThreadID, addr memmodel.Addr, rf *t
 					continue
 				}
 			}
-			found = append(found, c.aux.diagnose(t, addr, rf, loc, &u, iv, next))
+			vk := violationKeyFor(rf, &u, iv)
+			found = append(found, c.aux.diagnose(t, addr, rf, loc, &u, iv, next, c.aux.idOf(vk)))
+			vks = append(vks, vk)
 			continue
 		}
 		scratch[u.key] = next
@@ -106,9 +114,9 @@ func (c *refChecker) applyUpdates(t memmodel.ThreadID, addr memmodel.Addr, rf *t
 		}
 	}
 	if mode != modeCheck {
-		for _, v := range found {
-			if !c.seen[v.vkey] {
-				c.seen[v.vkey] = true
+		for i, v := range found {
+			if !c.seen[vks[i]] {
+				c.seen[vks[i]] = true
 				v.Fixes = c.aux.computeFixes(v)
 				if c.aux.prov {
 					v.Prov = c.aux.computeProvenance(v)
@@ -158,11 +166,13 @@ func (c *refChecker) CheckRead(t memmodel.ThreadID, addr memmodel.Addr, rf *trac
 	return c.applyUpdates(t, addr, rf, loc, c.aux.updatesFor(rf), modeCheck)
 }
 
-func (c *refChecker) FlagRead(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.Store, loc trace.LocID) []*Violation {
+func (c *refChecker) FlagRead(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.Store, loc trace.LocID) bool {
 	if _, in := c.deferred[t]; in {
-		return nil
+		return false
 	}
-	return c.applyUpdates(t, addr, rf, loc, c.aux.updatesFor(rf), modeFlag)
+	would := c.WouldViolate(t, rf)
+	c.applyUpdates(t, addr, rf, loc, c.aux.updatesFor(rf), modeFlag)
+	return would
 }
 
 func (c *refChecker) ObserveRead(t memmodel.ThreadID, addr memmodel.Addr, rf *trace.Store, loc trace.LocID) []*Violation {
@@ -242,25 +252,81 @@ type checkerPair struct {
 	d     *Checker
 	r     *refChecker
 	where string
-	// asked logs each checker's known-key predicate calls.
-	asked [2][]string
+	// asked logs each checker's known-key predicate calls and answers;
+	// a reset appends resetMark to both.
+	asked [2][]askedKey
+	// grown holds the keys the known predicate added since the last
+	// reset (growKnown); a reset forgets them, as a world does when its
+	// next unit starts with another key set.
+	grown map[string]bool
+	// stampHits counts the reads the dense checker answered from an
+	// applied-read stamp.
+	stampHits int
 }
+
+// askedKey is one known-key predicate call and its answer.
+type askedKey struct {
+	key string
+	ans bool
+}
+
+var resetMark = askedKey{key: "<reset>"}
 
 type pairSnapshot struct {
 	d *Snapshot
 	r *refSnapshot
 }
 
+// newCheckerPair builds a pair. With a known predicate installed, a key
+// is known if known says so or growKnown added it since the last reset.
 func newCheckerPair(t *testing.T, opt Options, prov bool, known func(string) bool) *checkerPair {
 	m := persist.MustNew(persist.Config{})
-	p := &checkerPair{t: t, m: m, d: NewWithOptions(m.Trace(), opt), r: newRefChecker(m.Trace(), opt)}
+	p := &checkerPair{t: t, m: m, d: NewWithOptions(m.Trace(), opt), r: newRefChecker(m.Trace(), opt), grown: map[string]bool{}}
 	p.d.SetProvenance(prov)
 	p.r.SetProvenance(prov)
 	if known != nil {
-		p.d.SetKnown(func(k string) bool { p.asked[0] = append(p.asked[0], k); return known(k) })
-		p.r.SetKnown(func(k string) bool { p.asked[1] = append(p.asked[1], k); return known(k) })
+		ask := func(i int) func(string) bool {
+			return func(k string) bool {
+				ans := known(k) || p.grown[k]
+				p.asked[i] = append(p.asked[i], askedKey{k, ans})
+				return ans
+			}
+		}
+		p.d.SetKnown(ask(0))
+		p.r.SetKnown(ask(1))
 	}
 	return p
+}
+
+// growKnown makes the known predicate answer true for one key the
+// reference has asked about, as a unit's key set grows when an
+// execution reports a bug.
+func (p *checkerPair) growKnown(rng *rand.Rand) {
+	if n := len(p.asked[1]); n > 0 {
+		if a := p.asked[1][rng.Intn(n)]; a != resetMark {
+			p.grown[a.key] = true
+		}
+	}
+}
+
+// cachedAsks is the reference's predicate log as the dense checker
+// should have made it: a call is dropped when an earlier call for the
+// same key since the last reset answered true, which the checker caches.
+func cachedAsks(log []askedKey) []askedKey {
+	var out []askedKey
+	known := map[string]bool{}
+	for _, a := range log {
+		switch {
+		case a == resetMark:
+			clear(known)
+		case known[a.key]:
+			continue
+		case a.ans:
+			known[a.key] = true
+		}
+		out = append(out, a)
+	}
+	return out
 }
 
 // render is a violation list's observable form: every report as
@@ -283,7 +349,7 @@ func (p *checkerPair) same(call string, d, r []*Violation) {
 // sync compares the two checkers' whole observable state: the committed
 // violations, every crash interval of every sub-execution and thread
 // (the global-interval key included), and the known-key predicate calls
-// so far.
+// so far, less those the dense checker answers from its cache.
 func (p *checkerPair) sync(step string) {
 	p.t.Helper()
 	p.where = step
@@ -295,31 +361,39 @@ func (p *checkerPair) sync(step string) {
 			}
 		}
 	}
-	if d, r := strings.Join(p.asked[0], ","), strings.Join(p.asked[1], ","); d != r {
-		p.t.Fatalf("%s: known-key calls %q, reference %q", step, d, r)
+	if d, r := fmt.Sprint(p.asked[0]), fmt.Sprint(cachedAsks(p.asked[1])); d != r {
+		p.t.Fatalf("%s: known-key calls %s, reference %s", step, d, r)
 	}
 }
 
 // read has thread th read addr from candidate pick (modulo the
-// candidate count). Every candidate is first put to WouldViolate and
-// CheckRead, the one after pick is flagged when flag is set, and the
-// picked one is loaded and observed.
+// candidate count). Every candidate is first put to CheckRead, whose
+// reports must be non-empty exactly when the reference's WouldViolate
+// says the read violates. When flag is set, every candidate is then
+// flagged, as read steering does. The picked one is loaded and observed.
 func (p *checkerPair) read(th memmodel.ThreadID, addr memmodel.Addr, pick int, flag bool, label string) bool {
 	p.t.Helper()
 	cands := p.m.LoadCandidates(th, addr)
 	lid := p.m.Intern(label)
 	for i, c := range cands {
-		if d, r := p.d.WouldViolate(th, c.Store), p.r.WouldViolate(th, c.Store); d != r {
-			p.t.Fatalf("%s: WouldViolate(cand %d) = %v, reference %v", p.where, i, d, r)
+		d, r := p.d.CheckRead(th, addr, c.Store, lid), p.r.CheckRead(th, addr, c.Store, lid)
+		p.same(fmt.Sprintf("CheckRead(cand %d)", i), d, r)
+		if would := p.r.WouldViolate(th, c.Store); would != (len(d) > 0) {
+			p.t.Fatalf("%s: CheckRead(cand %d) reported %d violations, reference WouldViolate %v", p.where, i, len(d), would)
 		}
-		p.same(fmt.Sprintf("CheckRead(cand %d)", i), p.d.CheckRead(th, addr, c.Store, lid), p.r.CheckRead(th, addr, c.Store, lid))
 	}
-	if flag && len(cands) > 1 {
-		c := cands[(pick+1)%len(cands)]
-		p.same("FlagRead", p.d.FlagRead(th, addr, c.Store, lid), p.r.FlagRead(th, addr, c.Store, lid))
+	if flag {
+		for i, c := range cands {
+			if d, r := p.d.FlagRead(th, addr, c.Store, lid), p.r.FlagRead(th, addr, c.Store, lid); d != r {
+				p.t.Fatalf("%s: FlagRead(cand %d) = %v, reference %v", p.where, i, d, r)
+			}
+		}
 	}
 	c := cands[pick%len(cands)]
 	p.m.Load(th, addr, c, lid)
+	if p.d.stampSub == p.m.Trace().Current().Index && p.d.stamped(c.Store) {
+		p.stampHits++
+	}
 	d, r := p.d.ObserveRead(th, addr, c.Store, lid), p.r.ObserveRead(th, addr, c.Store, lid)
 	p.same("ObserveRead", d, r)
 	return len(d) > 0
@@ -336,39 +410,66 @@ func (p *checkerPair) reset() {
 	p.m.Reset()
 	p.d.Reset()
 	p.r.Reset()
+	clear(p.grown)
+	p.asked[0] = append(p.asked[0], resetMark)
+	p.asked[1] = append(p.asked[1], resetMark)
 }
 
-// driveRandomOps runs a seeded stream of stores, flushes, reads, crashes,
-// checksum regions, snapshots, restores and resets through the pair.
-// Labels come from a small pool, so distinct stores share sites and
-// violation keys collide the way they do in real ports.
+// driveRandomOps runs a seeded stream of stores, flushes, reads,
+// re-reads, crashes, checksum regions, snapshots, restores, resets and
+// known-key growth through the pair. Labels come from a small pool, so
+// distinct stores share sites and violation keys collide the way they do
+// in real ports. A re-read loads the last read address again, by any
+// thread, several times: after a cross-crash read the crash image
+// usually offers the same store again, which is the read an applied-read
+// stamp answers. A restore is often followed by a re-read, which asks
+// the known predicate again about a key the snapshot had not seen.
 func driveRandomOps(p *checkerPair, rng *rand.Rand, steps int) {
 	addrs := []memmodel.Addr{0x1000, 0x1008, 0x2000, 0x3000}
 	label := func(kind string) string { return fmt.Sprintf("%s#%d", kind, rng.Intn(4)) }
 	var snaps []pairSnapshot
 	value := memmodel.Value(1)
+	last := addrs[0]
+	reread := func(step, n int) {
+		for ; n > 0; n-- {
+			p.where = fmt.Sprintf("step %d reread", step)
+			p.read(memmodel.ThreadID(rng.Intn(3)), last, rng.Intn(4), rng.Intn(3) == 0, label("ld"))
+		}
+	}
 	for step := 0; step < steps; step++ {
 		th := memmodel.ThreadID(rng.Intn(3))
 		addr := addrs[rng.Intn(len(addrs))]
 		var op string
-		switch k := rng.Intn(20); {
-		case k < 6:
-			op = "store"
-			p.m.Store(th, addr, value, p.m.Intern(label("st")))
-			value++
-		case k < 8:
-			op = "flush"
-			p.m.Flush(th, addr, p.m.Intern(label("fl")))
-		case k < 14:
-			op = "read"
-			p.where = fmt.Sprintf("step %d read", step)
-			p.read(th, addr, rng.Intn(4), rng.Intn(3) == 0, label("ld"))
-		case k < 15:
+		switch k := rng.Intn(24); {
+		case k < 2:
+			op = "reread"
+			reread(step, 2+rng.Intn(3))
+		case k < 3:
+			op = "grow known"
+			p.growKnown(rng)
+		case k < 4:
 			op = "crash"
 			if p.m.Trace().NumCrashes() < 4 {
 				p.m.Crash()
 			}
-		case k < 16:
+		case k < 10:
+			op = "store"
+			p.m.Store(th, addr, value, p.m.Intern(label("st")))
+			value++
+		case k < 12:
+			op = "flush"
+			p.m.Flush(th, addr, p.m.Intern(label("fl")))
+		case k < 18:
+			op = "read"
+			p.where = fmt.Sprintf("step %d read", step)
+			p.read(th, addr, rng.Intn(4), rng.Intn(3) == 0, label("ld"))
+			last = addr
+		case k < 19:
+			op = "crash"
+			if p.m.Trace().NumCrashes() < 4 {
+				p.m.Crash()
+			}
+		case k < 20:
 			op = "checksum"
 			if rng.Intn(2) == 0 {
 				p.d.BeginChecksumRegion(th)
@@ -378,13 +479,15 @@ func driveRandomOps(p *checkerPair, rng *rand.Rand, steps int) {
 				p.where = fmt.Sprintf("step %d end checksum", step)
 				p.same("EndChecksumRegion", p.d.EndChecksumRegion(th, valid), p.r.EndChecksumRegion(th, valid))
 			}
-		case k < 18:
+		case k < 22:
 			op = "snapshot"
 			snaps = append(snaps, p.snapshot())
-		case k < 19:
+		case k < 23:
 			op = "restore"
 			if len(snaps) > 0 {
 				p.restore(snaps[rng.Intn(len(snaps))])
+				// Replay a read the restore may have undone.
+				reread(step, rng.Intn(2))
 			}
 		default:
 			op = "reset"
@@ -398,16 +501,24 @@ func driveRandomOps(p *checkerPair, rng *rand.Rand, steps int) {
 }
 
 // TestDenseCheckerMatchesMapReference: the dense constraint rows, the
-// slice scratch and the memoized keys behave exactly like the map-keyed
-// checker they replaced — same returned and committed reports (rendered),
-// same crash intervals, same known-key queries —
+// slice scratch, the dense violation ids with their seen set and cached
+// known answers, and the applied-read stamps behave exactly like the
+// map-keyed checker they replaced, which keeps no stamps and no cache —
+// same returned and committed reports (rendered), same crash intervals,
+// same FlagRead answers, same known-key queries less the cached ones —
 // over seeded random op streams and the oracle programs, under both
-// ablations, with provenance and a known-key predicate, and across
-// snapshot round trips.
+// ablations, with provenance and a known-key predicate whose key set
+// grows between resets, and across snapshot round trips, re-reads
+// within and across sub-executions, crashes and resets.
 func TestDenseCheckerMatchesMapReference(t *testing.T) {
 	opts := []Options{{}, {GlobalInterval: true}, {NoHBClosure: true}}
 	known := func(k string) bool { return len(k)%3 == 0 }
-	violations := 0
+	violations, stampHits, cachedAnswers := 0, 0, 0
+	tally := func(p *checkerPair) {
+		violations += len(p.d.Violations())
+		stampHits += p.stampHits
+		cachedAnswers += len(p.asked[1]) - len(p.asked[0])
+	}
 	for seed := int64(0); seed < 150; seed++ {
 		for oi, opt := range opts {
 			var kn func(string) bool
@@ -416,21 +527,28 @@ func TestDenseCheckerMatchesMapReference(t *testing.T) {
 			}
 			p := newCheckerPair(t, opt, seed%3 == 0, kn)
 			driveRandomOps(p, rand.New(rand.NewSource(seed*7+int64(oi))), 120)
-			violations += len(p.d.Violations())
+			tally(p)
 		}
 	}
-	if violations == 0 {
-		t.Fatal("random op streams reported no violations; the comparison is too weak")
+	if violations == 0 || stampHits == 0 {
+		t.Fatalf("random op streams: %d violations, %d stamped re-reads; the comparison is too weak", violations, stampHits)
 	}
 	// The oracle programs, every pick vector, with a snapshot at the
-	// last crash restored twice: once after the post-crash reads, once
-	// after more reads on the restored state.
+	// last crash restored three times: after the post-crash reads, after
+	// more reads on the restored state, and after the known predicate
+	// learned every key asked so far. Then the pair resets, forgetting
+	// the learned keys, and runs the program once more. On odd seeds a
+	// known predicate is installed.
 	for seed := int64(0); seed < 120; seed++ {
 		ops := genOps(seed)
 		p1, p2 := genOps2(seed)
+		var kn func(string) bool
+		if seed%2 == 1 {
+			kn = known
+		}
 		for picks := 0; picks < 27; picks++ {
 			for oi, opt := range opts {
-				p := newCheckerPair(t, opt, false, nil)
+				p := newCheckerPair(t, opt, false, kn)
 				var snap pairSnapshot
 				postReads := func(tag string) {
 					for i, a := range []memmodel.Addr{0x1000, 0x1008, 0x2000} {
@@ -439,28 +557,43 @@ func TestDenseCheckerMatchesMapReference(t *testing.T) {
 						p.sync(p.where)
 					}
 				}
-				for _, prog := range [][]oracleOp{ops, p1, p2} {
-					for _, op := range prog {
-						switch op.kind {
-						case 0:
-							p.m.Store(op.thread, op.addr, op.value, p.m.Intern("s"))
-						case 1:
-							p.m.Flush(op.thread, op.addr, p.m.Intern("f"))
-						case 2:
-							p.where = fmt.Sprintf("seed %d sync read", seed)
-							p.read(op.thread, op.addr, 0, false, "sync read")
+				run := func() {
+					for _, prog := range [][]oracleOp{ops, p1, p2} {
+						for _, op := range prog {
+							switch op.kind {
+							case 0:
+								p.m.Store(op.thread, op.addr, op.value, p.m.Intern(fmt.Sprintf("s%d", op.thread)))
+							case 1:
+								p.m.Flush(op.thread, op.addr, p.m.Intern("f"))
+							case 2:
+								p.where = fmt.Sprintf("seed %d sync read", seed)
+								p.read(op.thread, op.addr, 0, false, "sync read")
+							}
 						}
+						p.m.Crash()
+						snap = p.snapshot()
 					}
-					p.m.Crash()
-					snap = p.snapshot()
+					postReads("first")
 				}
-				postReads("first")
+				run()
 				p.restore(snap)
 				p.sync("restored")
 				postReads("second")
+				for _, a := range p.asked[1] {
+					p.grown[a.key] = true
+				}
 				p.restore(snap)
 				p.sync("restored again")
+				postReads("third")
+				p.reset()
+				p.sync("reset")
+				run()
+				tally(p)
 			}
 		}
+	}
+	t.Logf("%d violations, %d stamped re-reads, %d cached known answers", violations, stampHits, cachedAnswers)
+	if cachedAnswers == 0 {
+		t.Fatal("no known answer was reused; the comparison is too weak")
 	}
 }

@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/memmodel"
+import (
+	"slices"
+
+	"repro/internal/memmodel"
+)
 
 // Snapshot is the checker's restorable state at a crash boundary:
 // constraint intervals, the violation dedup set, deferred checksum
@@ -10,7 +14,7 @@ import "repro/internal/memmodel"
 // as its trace mark does.
 type Snapshot struct {
 	cons       [][]consEntry
-	seen       map[violationKey]bool
+	seen       []bool
 	deferred   map[memmodel.ThreadID][]deferredLoad
 	violations []*Violation
 }
@@ -24,7 +28,7 @@ type Snapshot struct {
 func (c *Checker) Snapshot() *Snapshot {
 	s := &Snapshot{
 		cons:     make([][]consEntry, len(c.cons)),
-		seen:     make(map[violationKey]bool, len(c.seen)),
+		seen:     slices.Clone(c.seen),
 		deferred: make(map[memmodel.ThreadID][]deferredLoad, len(c.deferred)),
 	}
 	flat := make([]consEntry, 0, c.numCons())
@@ -32,9 +36,6 @@ func (c *Checker) Snapshot() *Snapshot {
 		start := len(flat)
 		flat = append(flat, row...)
 		s.cons[i] = flat[start:len(flat):len(flat)]
-	}
-	for k := range c.seen {
-		s.seen[k] = true
 	}
 	for t, dl := range c.deferred {
 		cp := make([]deferredLoad, len(dl))
@@ -51,22 +52,21 @@ func (c *Checker) Snapshot() *Snapshot {
 // copy has no spare capacity, so the next append reallocates and
 // violations retained by the harness from executions since the snapshot
 // are never overwritten in place (the same reason Reset drops the slice
-// instead of truncating it).
+// instead of truncating it). The applied-read stamp moves: the trace was
+// rewound and the intervals widened. Cached known-key answers stay valid.
 func (c *Checker) Restore(s *Snapshot) {
 	c.cons = c.cons[:0]
 	c.growRows(len(s.cons))
 	for i, row := range s.cons {
 		c.cons[i] = append(c.cons[i], row...)
 	}
-	clear(c.seen)
-	for k := range s.seen {
-		c.seen[k] = true
-	}
+	c.seen = append(c.seen[:0], s.seen...)
 	clear(c.deferred)
 	for t, dl := range s.deferred {
 		c.deferred[t] = dl
 	}
 	c.violations = s.violations
+	c.nextStamp()
 }
 
 // numCons returns the number of committed crash intervals.

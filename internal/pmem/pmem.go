@@ -73,12 +73,11 @@ func ChooseAvoidingViolations(inner ReadChooser) ReadChooser {
 	return func(w *World, t memmodel.ThreadID, addr memmodel.Addr, cands []persist.Candidate, loc trace.LocID) persist.Candidate {
 		clean := w.steer[:0]
 		for _, c := range cands {
-			if !w.Checker.WouldViolate(t, c.Store) {
+			// FlagRead records a violating candidate's diagnosis even
+			// though the execution steers around it: the outcome is
+			// reachable.
+			if !w.Checker.FlagRead(t, addr, c.Store, loc) {
 				clean = append(clean, c)
-			} else {
-				// Record the diagnosis even though the execution will
-				// steer around it: the outcome is reachable.
-				w.Checker.FlagRead(t, addr, c.Store, loc)
 			}
 		}
 		w.steer = clean
