@@ -106,7 +106,7 @@ func (p *profiler) stop() {
 	}
 }
 
-func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("psan-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	table := fs.String("table", "all", "which table to regenerate: 1, 2, 3, compare, diff, or all")
@@ -118,9 +118,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	deadline := fs.Duration("deadline", 0, "wall-clock budget per benchmark run (0: none); expired runs report partial coverage")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file; flushed even when a deadline or ^C aborts the run")
 	memprofile := fs.String("memprofile", "", "write an allocation profile to this file on exit; flushed even when a deadline or ^C aborts the run")
-	metricsAddr := fs.String("metrics-addr", "", "serve campaign metrics over HTTP on this address (/metrics OpenMetrics text, /metrics.json JSON snapshot, /debug/vars expvar)")
-	progress := fs.Duration("progress", 0, "print live campaign progress to stderr at this interval (0: off)")
-	traceOut := fs.String("trace-out", "", "write a Chrome trace_event timeline to this file (plus <file>.jsonl) on exit")
+	tel := obs.RegisterCLIFlags(fs, "psan-bench", true)
 	window := fs.Int("window", 0, "bounded trace window for -workload runs: retire trace history every N operations, keeping memory flat (0: unbounded; verdicts are identical either way)")
 	workloadName := fs.String("workload", "", "stream a server-class workload instead of tables: redis (append-log+dict) or slab (slab cache)")
 	wlVariant := fs.String("variant", "fixed", "workload variant: fixed or buggy")
@@ -149,39 +147,17 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "psan-bench: %v\n", err)
 		return 2
 	}
-	var observer *obs.Observer
-	var tracer *obs.Tracer
-	if *metricsAddr != "" || *progress > 0 || *traceOut != "" {
-		observer = &obs.Observer{}
-		if *metricsAddr != "" || *progress > 0 {
-			observer.Metrics = obs.NewRegistry()
-		}
-		if *traceOut != "" {
-			tracer = obs.NewTracer()
-			tracer.NameThread(0, "bench")
-			observer.Tracer = tracer
-			defer func() {
-				if err := tracer.WriteFiles(*traceOut); err != nil {
-					fmt.Fprintf(stderr, "psan-bench: -trace-out: %v\n", err)
-				}
-			}()
-		}
+	observer, err := tel.Start(stderr, 0)
+	if err != nil {
+		fmt.Fprintf(stderr, "psan-bench: %v\n", err)
+		return 2
 	}
-	if *metricsAddr != "" {
-		srv, err := obs.ServeMetrics(*metricsAddr, observer.Metrics)
-		if err != nil {
-			fmt.Fprintf(stderr, "psan-bench: -metrics-addr: %v\n", err)
-			return 2
+	defer func() {
+		if err := tel.Finish(); err != nil {
+			fmt.Fprintf(stderr, "psan-bench: %v\n", err)
+			code = 2
 		}
-		defer srv.Close()
-		fmt.Fprintf(stderr, "psan-bench: metrics at http://%s/metrics (also /metrics.json, /debug/vars)\n", srv.Addr)
-	}
-	if *progress > 0 {
-		stopProgress := obs.StartProgress(obs.ProgressConfig{
-			Out: stderr, Registry: observer.Metrics, Interval: *progress,
-		})
-		defer stopProgress()
-	}
+	}()
 	if *workloadName != "" {
 		if *window < 0 {
 			fmt.Fprintf(stderr, "psan-bench: -window must be >= 0\n")

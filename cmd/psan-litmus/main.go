@@ -33,9 +33,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	model := fs.String("model", "", "persistency-model backend: "+strings.Join(persist.Names(), ", "))
 	window := fs.Int("window", 0, "bounded trace window: retire trace history every N operations (0: unbounded; verdicts are identical either way)")
-	metricsOut := fs.String("metrics-out", "", "write a JSON snapshot of the backend op counters to this file")
-	metricsAddr := fs.String("metrics-addr", "", "serve the backend op counters over HTTP on this address (/metrics OpenMetrics text, /metrics.json JSON snapshot, /debug/vars expvar)")
-	progress := fs.Duration("progress", 0, "print live progress to stderr at this interval (0: off)")
+	metricsOut := fs.String("metrics-out", "", "write the backend op counters to this file as an OpenMetrics text exposition")
+	tel := obs.RegisterCLIFlags(fs, "psan-litmus", false)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: psan-litmus [-model name] [figure]\n")
 		fs.PrintDefaults()
@@ -52,26 +51,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "psan-litmus: %v\n", err)
 		return 2
 	}
-	if *metricsOut != "" || *metricsAddr != "" || *progress > 0 {
-		// The scenarios build worlds from cfg, so the backend's per-model
-		// counters land in this registry.
-		cfg.Obs = &obs.Observer{Metrics: obs.NewRegistry()}
+	// The scenarios build worlds from cfg, so the backend's per-model
+	// counters land in the observer's registry.
+	observer, err := tel.Start(stderr, 0)
+	if err != nil {
+		fmt.Fprintf(stderr, "psan-litmus: %v\n", err)
+		return 2
 	}
-	if *metricsAddr != "" {
-		srv, err := obs.ServeMetrics(*metricsAddr, cfg.Obs.Metrics)
-		if err != nil {
-			fmt.Fprintf(stderr, "psan-litmus: -metrics-addr: %v\n", err)
-			return 2
-		}
-		defer srv.Close()
-		fmt.Fprintf(stderr, "psan-litmus: metrics at http://%s/metrics (also /metrics.json, /debug/vars)\n", srv.Addr)
+	defer tel.Finish() // without -trace-out, Finish cannot fail
+	if *metricsOut != "" && observer == nil {
+		observer = &obs.Observer{Metrics: obs.NewRegistry()}
 	}
-	if *progress > 0 {
-		stopProgress := obs.StartProgress(obs.ProgressConfig{
-			Out: stderr, Registry: cfg.Obs.Metrics, Interval: *progress,
-		})
-		defer stopProgress()
-	}
+	cfg.Obs = observer
 	scenarios := litmus.Scenarios()
 	if fs.NArg() > 0 {
 		sc := litmus.ByName(fs.Arg(0))
@@ -104,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "psan-litmus: %v\n", err)
 			return 2
 		}
-		err = cfg.Obs.Metrics.WriteJSON(f)
+		err = obs.WriteOpenMetrics(f, observer.Metrics.Snapshot())
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

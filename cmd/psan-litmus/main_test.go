@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/obs/validate"
 )
 
 func TestAllScenariosPass(t *testing.T) {
@@ -62,5 +66,23 @@ func TestModelFlag(t *testing.T) {
 	}
 	if !strings.Contains(errOut3.String(), "px86") {
 		t.Fatalf("error does not list backends:\n%s", errOut3.String())
+	}
+}
+
+func TestMetricsOut(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "metrics.om")
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-metrics-out", path, "fig7"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit = %d\n%s", code, errOut.String())
+	}
+	text, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := validate.Exposition(bytes.NewReader(text)); err != nil {
+		t.Fatalf("-metrics-out exposition invalid: %v\n%s", err, text)
+	}
+	if !strings.Contains(string(text), "# TYPE psan_persist_") {
+		t.Fatalf("-metrics-out has no psan_persist_* family:\n%s", text)
 	}
 }

@@ -79,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return runCtx(context.Background(), args, stdout, stderr)
 }
 
-func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("psan", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	mode := fs.String("mode", "mc", "exploration mode: mc (model checking) or random")
@@ -98,10 +98,8 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	model := fs.String("model", "", "persistency-model backend: "+strings.Join(persist.Names(), ", "))
 	window := fs.Int("window", 0, "bounded trace window: retire trace history every N operations, keeping memory flat on long executions (0: unbounded; a window turns the model-check reductions off; verdicts are identical either way)")
 	memprofile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
-	metricsAddr := fs.String("metrics-addr", "", "serve campaign metrics over HTTP on this address (/metrics OpenMetrics text, /metrics.json JSON snapshot, /debug/vars expvar)")
-	traceOut := fs.String("trace-out", "", "write a Chrome trace_event timeline to this file (plus <file>.jsonl) on exit; with -isolate the timeline merges every worker process's spans")
+	tel := obs.RegisterCLIFlags(fs, "psan", true)
 	flightOut := fs.String("flight-out", "", "write the campaign flight record (JSONL ring of redeliveries, quarantines, stop transitions) to this file on exit; recording is always on under -isolate and the ring is dumped to stderr on poison, quarantined executions, or SIGQUIT")
-	progress := fs.Duration("progress", 0, "print live campaign progress to stderr at this interval (0: off)")
 	isolate := fs.Bool("isolate", false, "run work units in isolated psan-worker OS processes: a worker crash, hang, or kill loses one unit, not the campaign (results identical to in-process runs)")
 	lease := fs.Duration("lease", 10*time.Second, "with -isolate: heartbeat deadline per delivered unit; a silent worker is killed and its unit redelivered")
 	retries := fs.Int("retries", 3, "with -isolate: redeliveries per failed unit before it is quarantined as poison (0: none)")
@@ -153,43 +151,50 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "psan: %v\n", err)
 		return exitInternal
 	}
-	// Observability sinks: a metrics registry when anything will read it
-	// (-metrics-addr, -progress), a tracer for -trace-out, a flight
-	// recorder for -flight-out and for every -isolate campaign (its
-	// ring is the post-mortem for redeliveries and quarantines). With
-	// none of these the observer stays nil and the exploration hot path
-	// runs instrumentation-free.
-	var observer *obs.Observer
-	var tracer *obs.Tracer
+	opts := explore.Options{
+		Executions:  execs,
+		Seed:        *seed,
+		Workers:     *workers,
+		Context:     ctx,
+		Deadline:    *deadline,
+		StepTimeout: *stepTimeout,
+		Model:       modelCfg,
+		Provenance:  true,
+	}
+	switch *mode {
+	case "mc":
+		opts.Mode = explore.ModelCheck
+	case "random":
+		opts.Mode = explore.Random
+	default:
+		fmt.Fprintf(stderr, "psan: unknown mode %q\n", *mode)
+		return exitInternal
+	}
+	total := int64(0)
+	if opts.Mode == explore.Random {
+		total = int64(execs)
+	}
+	observer, err := tel.Start(stderr, total)
+	if err != nil {
+		fmt.Fprintf(stderr, "psan: %v\n", err)
+		return exitInternal
+	}
+	defer func() {
+		if err := tel.Finish(); err != nil {
+			fmt.Fprintf(stderr, "psan: %v\n", err)
+			code = exitInternal
+		}
+	}()
+	// Every -isolate campaign carries a flight recorder: its ring is the
+	// post-mortem for redeliveries and quarantines.
 	var flight *obs.FlightRecorder
-	needMetrics := *metricsAddr != "" || *progress > 0
-	needFlight := *flightOut != "" || *isolate
-	if needMetrics || *traceOut != "" || needFlight {
-		observer = &obs.Observer{}
-		if needMetrics {
-			observer.Metrics = obs.NewRegistry()
+	if *flightOut != "" || *isolate {
+		flight = obs.NewFlightRecorder(0)
+		flight.SetPid(os.Getpid())
+		if observer == nil {
+			observer = &obs.Observer{}
 		}
-		if *traceOut != "" {
-			tracer = obs.NewTracer()
-			tracer.NameThread(0, "campaign")
-			observer.Tracer = tracer
-		}
-		if needFlight {
-			flight = obs.NewFlightRecorder(0)
-			flight.SetPid(os.Getpid())
-			observer.Flight = flight
-		}
-	}
-	if *metricsAddr != "" {
-		srv, err := obs.ServeMetrics(*metricsAddr, observer.Metrics)
-		if err != nil {
-			fmt.Fprintf(stderr, "psan: -metrics-addr: %v\n", err)
-			return exitInternal
-		}
-		defer srv.Close()
-		fmt.Fprintf(stderr, "psan: metrics at http://%s/metrics (also /metrics.json, /debug/vars)\n", srv.Addr)
-	}
-	if flight != nil {
+		observer.Flight = flight
 		// SIGQUIT dumps the flight ring to stderr and keeps running, the
 		// post-mortem a wedged campaign wants (^\ at the terminal).
 		sigq := make(chan os.Signal, 1)
@@ -202,26 +207,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			}
 		}()
 	}
-	opts := explore.Options{
-		Executions:  execs,
-		Seed:        *seed,
-		Workers:     *workers,
-		Context:     ctx,
-		Deadline:    *deadline,
-		StepTimeout: *stepTimeout,
-		Model:       modelCfg,
-		Obs:         observer,
-		Provenance:  true,
-	}
-	switch *mode {
-	case "mc":
-		opts.Mode = explore.ModelCheck
-	case "random":
-		opts.Mode = explore.Random
-	default:
-		fmt.Fprintf(stderr, "psan: unknown mode %q\n", *mode)
-		return exitInternal
-	}
+	opts.Obs = observer
 	if *resumePath != "" {
 		ck, err := explore.LoadCheckpoint(*resumePath)
 		if err != nil {
@@ -263,16 +249,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	var stopProgress func()
-	if *progress > 0 {
-		total := int64(0)
-		if opts.Mode == explore.Random {
-			total = int64(execs)
-		}
-		stopProgress = obs.StartProgress(obs.ProgressConfig{
-			Out: stderr, Registry: observer.Metrics, Interval: *progress, Total: total,
-		})
-	}
+	tracer := observer.Trace()
 	campStart := tracer.Now()
 	var res *explore.Result
 	if *isolate {
@@ -291,9 +268,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		res = explore.Run(compiled, opts)
 	}
 	tracer.CompleteSince(0, "campaign", "campaign", campStart, -1)
-	if stopProgress != nil {
-		stopProgress()
-	}
 	fmt.Fprint(stdout, report.RunSummary(res))
 	for i, v := range res.Violations {
 		fmt.Fprintf(stdout, "\n[%d] %s\n", i+1, v)
@@ -311,12 +285,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				return exitInternal
 			}
 			fmt.Fprintf(stdout, "checkpoint written to %s\n", *checkpointPath)
-		}
-	}
-	if *traceOut != "" {
-		if err := tracer.WriteFiles(*traceOut); err != nil {
-			fmt.Fprintf(stderr, "psan: -trace-out: %v\n", err)
-			return exitInternal
 		}
 	}
 	if flight != nil {

@@ -33,17 +33,32 @@ func TestCLITraceOutWritesValidTraces(t *testing.T) {
 	if cs.Spans == 0 || cs.Timeline < 2 {
 		t.Fatalf("trace too thin: %+v (want spans on the campaign and worker timelines)", cs)
 	}
-	jsonl, err := os.Open(tracePath + ".jsonl")
-	if err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(tracePath + ".jsonl"); !os.IsNotExist(err) {
+		t.Fatalf("-trace-out wrote a second file %s.jsonl (stat err %v)", tracePath, err)
 	}
-	defer jsonl.Close()
-	js, err := validate.JSONL(jsonl)
-	if err != nil {
-		t.Fatalf("jsonl trace invalid: %v", err)
-	}
-	if js.Spans != cs.Spans {
-		t.Fatalf("span count diverges: chrome %d, jsonl %d", cs.Spans, js.Spans)
+}
+
+// TestCLITraceOutOnEveryPath: -fix and -trace return before the
+// campaign path, and must still write the trace file.
+func TestCLITraceOutOnEveryPath(t *testing.T) {
+	for _, flag := range []string{"-fix", "-trace"} {
+		tracePath := filepath.Join(t.TempDir(), "trace.json")
+		code, out, errOut := cli(t, flag, "-trace-out", tracePath, "../../testdata/figure2.pm")
+		if code != 0 {
+			t.Fatalf("%s: exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", flag, code, out, errOut)
+		}
+		f, err := os.Open(tracePath)
+		if err != nil {
+			t.Fatalf("%s: %v", flag, err)
+		}
+		cs, err := validate.Chrome(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: chrome trace invalid: %v", flag, err)
+		}
+		if flag == "-fix" && cs.Timeline < 2 {
+			t.Fatalf("-fix: trace %+v has no worker timeline; the repair loop's campaigns were not traced", cs)
+		}
 	}
 }
 

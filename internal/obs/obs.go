@@ -1,8 +1,9 @@
 // Package obs is the observability layer for exploration campaigns: a
 // lock-cheap metrics registry (atomic counters, gauges, fixed-bucket
-// histograms), a span-based campaign tracer (JSONL + Chrome trace_event),
-// structured violation provenance, a live progress ticker, and an expvar/HTTP
-// snapshot endpoint.
+// histograms) served as an OpenMetrics exposition, a span-based campaign
+// tracer written as a Chrome trace_event file, a flight recorder,
+// structured violation provenance, a live progress ticker, and the CLI
+// helper that sets these up from the command-line flags of every tool.
 //
 // Every instrument is a nil-safe no-op: methods on a nil *Counter, *Gauge,
 // *Histogram, *Registry, *Tracer, or *Observer do nothing and allocate
@@ -46,12 +47,6 @@ func (o *Observer) Recorder() *FlightRecorder {
 		return nil
 	}
 	return o.Flight
-}
-
-// Enabled reports whether any sink is attached. An Observer with no sinks
-// behaves identically to a nil Observer.
-func (o *Observer) Enabled() bool {
-	return o != nil && (o.Metrics != nil || o.Tracer != nil || o.Flight != nil)
 }
 
 // Counter is a monotonically increasing atomic counter. The zero value is

@@ -1,11 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"io"
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Registry owns named instruments. Lookup takes a mutex but happens once per
 // instrument per campaign (instrument bundles are resolved up front); the
@@ -113,21 +108,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.snapshot()
 	}
 	return s
-}
-
-// WriteJSON writes an indented JSON snapshot.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
-}
-
-// CounterNames returns the sorted names of all registered counters.
-func (s Snapshot) CounterNames() []string {
-	names := make([]string, 0, len(s.Counters))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,8 +10,8 @@ import (
 	"time"
 )
 
-// Tracer records campaign spans and renders them as JSONL (one event per
-// line) or Chrome trace_event JSON loadable in chrome://tracing / Perfetto.
+// Tracer records campaign spans and renders them as Chrome trace_event
+// JSON loadable in chrome://tracing / Perfetto.
 //
 // Timelines are keyed by (pid, tid): tid 0 is the campaign/collector thread,
 // worker tids are 1-based. Pid 0 is this process unless SetPid assigns one
@@ -285,18 +284,6 @@ func (t *Tracer) all() []SpanEvent {
 	return out
 }
 
-// WriteJSONL writes one JSON event per line.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, ev := range t.all() {
-		if err := enc.Encode(ev); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // WriteChrome writes the Chrome trace_event envelope:
 // {"traceEvents":[...], "displayTimeUnit":"ms"}.
 func (t *Tracer) WriteChrome(w io.Writer) error {
@@ -308,8 +295,7 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 	return enc.Encode(env)
 }
 
-// WriteFiles writes the Chrome trace to path and the JSONL form to
-// path+".jsonl".
+// WriteFiles writes the Chrome trace to path.
 func (t *Tracer) WriteFiles(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -319,16 +305,5 @@ func (t *Tracer) WriteFiles(path string) error {
 		f.Close()
 		return fmt.Errorf("write chrome trace: %w", err)
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	jf, err := os.Create(path + ".jsonl")
-	if err != nil {
-		return err
-	}
-	if err := t.WriteJSONL(jf); err != nil {
-		jf.Close()
-		return fmt.Errorf("write jsonl trace: %w", err)
-	}
-	return jf.Close()
+	return f.Close()
 }

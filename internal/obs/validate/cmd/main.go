@@ -1,8 +1,9 @@
 // Command validate-trace checks observability artifacts: the Chrome
-// trace_event JSON and JSONL span log written by -trace-out, and (with
-// -metrics) an OpenMetrics text exposition scraped from /metrics.
+// trace_event JSON written by -trace-out, and (with -metrics) an
+// OpenMetrics text exposition scraped from /metrics or written by
+// psan-litmus -metrics-out.
 //
-//	go run ./internal/obs/validate/cmd trace.json [trace.json.jsonl]
+//	go run ./internal/obs/validate/cmd trace.json
 //	go run ./internal/obs/validate/cmd -metrics metrics.txt
 package main
 
@@ -17,64 +18,35 @@ import (
 func main() {
 	metrics := flag.Bool("metrics", false, "validate an OpenMetrics exposition instead of a trace")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: validate-trace <chrome-trace.json> [spans.jsonl]")
+		fmt.Fprintln(os.Stderr, "usage: validate-trace <chrome-trace.json>")
 		fmt.Fprintln(os.Stderr, "       validate-trace -metrics <exposition.txt>")
 	}
 	flag.Parse()
 	args := flag.Args()
-	fail := func(what string, err error) {
-		fmt.Fprintf(os.Stderr, "validate-trace: %s: %v\n", what, err)
+	if len(args) != 1 {
+		flag.Usage()
+		os.Exit(2)
+	}
+	f, err := os.Open(args[0])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "validate-trace: open: %v\n", err)
 		os.Exit(1)
 	}
-
+	defer f.Close()
 	if *metrics {
-		if len(args) != 1 {
-			flag.Usage()
-			os.Exit(2)
-		}
-		mf, err := os.Open(args[0])
+		ms, err := validate.Exposition(f)
 		if err != nil {
-			fail("open", err)
-		}
-		ms, err := validate.Exposition(mf)
-		mf.Close()
-		if err != nil {
-			fail(args[0], err)
+			fmt.Fprintf(os.Stderr, "validate-trace: %s: %v\n", args[0], err)
+			os.Exit(1)
 		}
 		fmt.Printf("exposition ok: %d families, %d samples\n", ms.Families, ms.Samples)
 		return
 	}
-
-	if len(args) < 1 || len(args) > 2 {
-		flag.Usage()
-		os.Exit(2)
-	}
-	cf, err := os.Open(args[0])
+	cs, err := validate.Chrome(f)
 	if err != nil {
-		fail("open", err)
-	}
-	cs, err := validate.Chrome(cf)
-	cf.Close()
-	if err != nil {
-		fail(args[0], err)
+		fmt.Fprintf(os.Stderr, "validate-trace: %s: %v\n", args[0], err)
+		os.Exit(1)
 	}
 	fmt.Printf("chrome trace ok: %d events, %d spans, %d timelines, %d processes\n",
 		cs.Events, cs.Spans, cs.Timeline, cs.Procs)
-
-	if len(args) == 2 {
-		jf, err := os.Open(args[1])
-		if err != nil {
-			fail("open", err)
-		}
-		js, err := validate.JSONL(jf)
-		jf.Close()
-		if err != nil {
-			fail(args[1], err)
-		}
-		if js.Spans != cs.Spans {
-			fail(args[1], fmt.Errorf("span count %d does not match chrome trace %d", js.Spans, cs.Spans))
-		}
-		fmt.Printf("jsonl trace ok: %d events, %d spans, %d timelines, %d processes\n",
-			js.Events, js.Spans, js.Timeline, js.Procs)
-	}
 }

@@ -1,11 +1,10 @@
-// Package validate checks traces emitted by internal/obs: the Chrome
-// trace_event JSON written for chrome://tracing and the JSONL span log. It is
+// Package validate checks what internal/obs emits: the Chrome trace_event
+// JSON written for chrome://tracing and the OpenMetrics exposition. It is
 // used by the obs-smoke CI job and by tests to catch malformed output before
-// a human ever loads it in a trace viewer.
+// a human ever loads it in a trace viewer or a scraper reads it.
 package validate
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -98,28 +97,4 @@ func Chrome(r io.Reader) (Stats, error) {
 		return Stats{}, fmt.Errorf("chrome trace: missing traceEvents array")
 	}
 	return tally(*env.TraceEvents)
-}
-
-// JSONL validates a JSONL span log: every line a well-formed event, at least
-// one complete span.
-func JSONL(r io.Reader) (Stats, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	var events []event
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var ev event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return Stats{}, fmt.Errorf("jsonl line %d: %w", line, err)
-		}
-		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return Stats{}, err
-	}
-	return tally(events)
 }

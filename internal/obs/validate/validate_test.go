@@ -34,18 +34,6 @@ func TestValidateTracerOutput(t *testing.T) {
 	if cs.Spans != 2 || cs.Timeline != 1 {
 		t.Fatalf("chrome stats = %+v", cs)
 	}
-
-	var jsonl bytes.Buffer
-	if err := tr.WriteJSONL(&jsonl); err != nil {
-		t.Fatal(err)
-	}
-	js, err := JSONL(&jsonl)
-	if err != nil {
-		t.Fatalf("jsonl trace rejected: %v", err)
-	}
-	if js.Spans != cs.Spans || js.Events != cs.Events {
-		t.Fatalf("jsonl stats %+v != chrome stats %+v", js, cs)
-	}
 }
 
 func TestValidateRejectsMalformed(t *testing.T) {
@@ -66,11 +54,5 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.want)
 		}
-	}
-	if _, err := JSONL(strings.NewReader(`{"name":"e","ph":"X"`)); err == nil {
-		t.Error("JSONL accepted malformed line")
-	}
-	if _, err := JSONL(strings.NewReader("")); err == nil {
-		t.Error("JSONL accepted empty trace")
 	}
 }
