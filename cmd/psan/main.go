@@ -197,13 +197,26 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (code 
 		observer.Flight = flight
 		// SIGQUIT dumps the flight ring to stderr and keeps running, the
 		// post-mortem a wedged campaign wants (^\ at the terminal).
+		// signal.Stop does not close sigq, so the dumper ends on done and
+		// run waits for it.
 		sigq := make(chan os.Signal, 1)
 		signal.Notify(sigq, syscall.SIGQUIT)
-		defer signal.Stop(sigq)
+		done, exited := make(chan struct{}), make(chan struct{})
+		defer func() {
+			signal.Stop(sigq)
+			close(done)
+			<-exited
+		}()
 		go func() {
-			for range sigq {
-				fmt.Fprintf(stderr, "psan: flight record (%d events):\n", flight.Total())
-				flight.WriteJSONL(stderr)
+			defer close(exited)
+			for {
+				select {
+				case <-sigq:
+					fmt.Fprintf(stderr, "psan: flight record (%d events):\n", flight.Total())
+					flight.WriteJSONL(stderr)
+				case <-done:
+					return
+				}
 			}
 		}()
 	}

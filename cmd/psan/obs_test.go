@@ -8,8 +8,10 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs/validate"
 )
@@ -92,5 +94,33 @@ func TestCLIMetricsAddrAndProgress(t *testing.T) {
 	}
 	if !strings.Contains(errOut, "progress:") {
 		t.Fatalf("no progress tick on stderr:\n%s", errOut)
+	}
+}
+
+// TestCLIFlightOutLeaksNoGoroutine: every run with a flight recorder
+// starts a SIGQUIT dumper goroutine, which must end when run returns.
+// The first run is not counted: it also starts os/signal's watcher,
+// which lives as long as the process.
+func TestCLIFlightOutLeaksNoGoroutine(t *testing.T) {
+	flightRun := func() {
+		flightPath := filepath.Join(t.TempDir(), "flight.jsonl")
+		code, out, errOut := cli(t, "-mode", "random", "-execs", "20", "-workers", "1",
+			"-flight-out", flightPath, "../../testdata/figure2.pm")
+		if code != 1 {
+			t.Fatalf("exit = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
+		}
+	}
+	flightRun()
+	base := runtime.NumGoroutine()
+	const runs = 5
+	for i := 0; i < runs; i++ {
+		flightRun()
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n > base {
+		t.Fatalf("%d goroutines after %d -flight-out runs, %d before", n, runs, base)
 	}
 }

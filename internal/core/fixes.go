@@ -17,9 +17,13 @@ import (
 // clock vector with the store's, which is exact for operations in the
 // two stores' own threads — the cases the paper distinguishes.
 //
-// It runs at record time, on the frozen store copies, while the trace of
-// the detecting execution is still intact; window boundaries are
-// materialized as label strings so the resulting Fix outlives the trace.
+// It runs at record time, on the frozen store copies; window boundaries
+// are materialized as label strings so the resulting Fix outlives the
+// trace. Unbounded, the detecting execution's trace is still intact
+// then. Under a window the scan sees only the sub-execution's events
+// the window retains, so a window's start or end can move to a later
+// retained event, or a thread's window can go missing: windowed fix
+// suggestions can differ from unbounded ones.
 func (c *Checker) computeFixes(v *Violation) []Fix {
 	mf, p := v.MissingFlush, v.Persisted
 	if mf == nil || p == nil || mf.ID == p.ID || mf.Initial || p.Initial {

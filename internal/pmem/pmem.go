@@ -136,18 +136,14 @@ type World struct {
 	crashed     bool
 
 	// Bounded-window retirement (persist.Config.Window > 0): every
-	// retireEvery scheduled operations the world asks the model to
-	// retire trace history behind the frontier. retireExtra is the
-	// checker's root hook, resolved once at construction so the trigger
-	// path allocates nothing. retireEvery starts at the window and
-	// stretches with the live set (a quarter of the entries a full
-	// mark-and-sweep would have walked, trace.LastSweepWork), the
-	// amortization that kept sweeps linear when each one re-walked
-	// every pinned store. Both the operation count and the sweep-work
-	// measure are deterministic, so retirement happens at identical
-	// trace points across replays of one schedule.
+	// window scheduled operations the world asks the model to retire
+	// trace history behind the frontier. A sweep costs what changed
+	// since the last one, not the live set, so the cadence needs no
+	// amortization, and the operation count is deterministic: retirement
+	// happens at identical trace points across replays of one schedule.
+	// retireExtra is the checker's root hook, resolved once at
+	// construction so the trigger path allocates nothing.
 	window      int
-	retireEvery int
 	sinceRetire int
 	retireExtra func(mark func(*trace.Store))
 
@@ -214,7 +210,6 @@ func NewWorld(cfg Config) *World {
 	w.Checker.SetProvenance(cfg.Provenance)
 	if cfg.Model.Window > 0 {
 		w.window = cfg.Model.Window
-		w.retireEvery = w.window
 		w.retireExtra = w.Checker.MarkRetireRoots
 	}
 	return w
@@ -237,7 +232,6 @@ func (w *World) Reset(seed int64) {
 	w.isteps = 0
 	w.crashed = false
 	w.sinceRetire = 0
-	w.retireEvery = w.window
 	w.sweepNanos = 0
 	w.threadIDs = w.threadIDs[:0]
 	w.spawned = nil
@@ -334,7 +328,7 @@ func (w *World) step(kind memmodel.OpKind) {
 		w.fenceOps++
 	}
 	if w.window > 0 {
-		if w.sinceRetire++; w.sinceRetire >= w.retireEvery {
+		if w.sinceRetire++; w.sinceRetire >= w.window {
 			w.sinceRetire = 0
 			w.retireNow()
 		}
@@ -360,14 +354,6 @@ func (w *World) retireNow() {
 	w.wobs.RetiredEvents.Add(int64(after.RetiredEvents - before.RetiredEvents))
 	w.wobs.WindowRetained.Set(int64(after.RetainedEvents))
 	w.wobs.PinnedRoots.Set(int64(after.PinnedRoots))
-	// Amortize: the next sweep is deferred until the live set a full
-	// sweep would walk has been "paid for" by fresh operations.
-	// LastSweepWork is deterministic, so the stretched cadence replays
-	// identically.
-	w.retireEvery = w.window
-	if q := tr.LastSweepWork() / 4; q > w.retireEvery {
-		w.retireEvery = q
-	}
 }
 
 // Window returns the configured retirement window (0: unbounded).

@@ -155,77 +155,76 @@ func TestTraceAppendSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// retireExecOps is the length of one execution of the retirement
-// workload; the trace is Reset between executions.
-const retireExecOps = 1 << 14
-
 // BenchmarkTraceRetire measures the retirement layer on its own: four
 // threads each issue, commit and load back a store, and the newest store
 // per word is a root, as the crash image's newest entry is. Sweeps run
-// at the machine's
-// cadence — every max(64, LastSweepWork/4) operations under a 64-op
-// window — and each first moves the sticky pins of the words written
-// since the last one to their newest store, as Image.Retire does.
-// append-only writes a fresh word per operation, which the next thread
-// loads (joining the store's clock vector into its own), so every store
-// stays pinned and the live set grows, as in the Redis log. overwrite
-// cycles through 64 words, each thread loading its own stores, so all
-// but the newest per word and each thread's last store retire.
+// at the machine's cadence — every 64 operations under a 64-op window —
+// and each first moves the sticky pins of the words written since the
+// last one to their newest store, as Image.Retire does. append-only
+// writes a fresh word per operation, which the next thread loads
+// (joining the store's clock vector into its own), so every store stays
+// pinned and the live set grows, as in the Redis log. overwrite cycles
+// through 64 words, each thread loading its own stores, so all but the
+// newest per word and each thread's last store retire. Each runs
+// executions of two lengths (the trace is Reset between executions), so
+// a sweep cost that grows with the live set shows as a gap between them.
 // sweep-ns/op is the time spent retiring (pins included) per operation.
 func BenchmarkTraceRetire(b *testing.B) {
-	for _, tc := range []struct {
-		name  string
-		words int
-	}{{"append-only", retireExecOps}, {"overwrite", 64}} {
-		b.Run(tc.name, func(b *testing.B) {
-			tr := New()
-			tr.SetWindow(64)
-			loc := tr.Intern("bench")
-			newest := make([]*Store, tc.words)
-			pinned := make([]*Store, tc.words)
-			var touched []int
-			every, since := 64, 0
-			var sweep time.Duration
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if i%retireExecOps == 0 {
-					tr.Reset()
-					clear(newest)
-					clear(pinned)
-					touched = touched[:0]
-					every, since = 64, 0
-				}
-				t := memmodel.ThreadID(i % 4)
-				w := i % tc.words
-				a := memmodel.Addr(0x100000 + 8*w)
-				st := tr.StoreIssue(t, a, memmodel.Value(i), memmodel.OpStore, loc)
-				tr.StoreCommit(st)
-				if newest[w] == pinned[w] {
-					touched = append(touched, w)
-				}
-				newest[w] = st
-				reader := t
-				if tc.words == retireExecOps {
-					reader = (t + 1) % 4
-				}
-				tr.Load(reader, a, st, memmodel.OpLoad, loc)
-				if since++; since >= every {
-					since = 0
-					start := time.Now()
-					for _, w := range touched {
-						tr.Pin(newest[w])
-						if old := pinned[w]; old != nil {
-							tr.Unpin(old)
-						}
-						pinned[w] = newest[w]
-					}
-					touched = touched[:0]
-					tr.Retire()
-					sweep += time.Since(start)
-					every = max(64, tr.LastSweepWork()/4)
-				}
-			}
-			b.ReportMetric(float64(sweep.Nanoseconds())/float64(b.N), "sweep-ns/op")
-		})
+	for _, execOps := range []int{1 << 14, 1 << 17} {
+		for _, tc := range []struct {
+			name  string
+			words int
+		}{{"append-only", execOps}, {"overwrite", 64}} {
+			b.Run(fmt.Sprintf("%s/exec=%d", tc.name, execOps), func(b *testing.B) {
+				benchRetire(b, execOps, tc.words)
+			})
+		}
 	}
+}
+
+func benchRetire(b *testing.B, execOps, words int) {
+	tr := New()
+	tr.SetWindow(64)
+	loc := tr.Intern("bench")
+	newest := make([]*Store, words)
+	pinned := make([]*Store, words)
+	var touched []int
+	var sweep time.Duration
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%execOps == 0 {
+			tr.Reset()
+			clear(newest)
+			clear(pinned)
+			touched = touched[:0]
+		}
+		t := memmodel.ThreadID(i % 4)
+		w := i % words
+		a := memmodel.Addr(0x100000 + 8*w)
+		st := tr.StoreIssue(t, a, memmodel.Value(i), memmodel.OpStore, loc)
+		tr.StoreCommit(st)
+		if newest[w] == pinned[w] {
+			touched = append(touched, w)
+		}
+		newest[w] = st
+		reader := t
+		if words == execOps {
+			reader = (t + 1) % 4
+		}
+		tr.Load(reader, a, st, memmodel.OpLoad, loc)
+		if i%64 == 63 {
+			start := time.Now()
+			for _, w := range touched {
+				tr.Pin(newest[w])
+				if old := pinned[w]; old != nil {
+					tr.Unpin(old)
+				}
+				pinned[w] = newest[w]
+			}
+			touched = touched[:0]
+			tr.Retire()
+			sweep += time.Since(start)
+		}
+	}
+	b.ReportMetric(float64(sweep.Nanoseconds())/float64(b.N), "sweep-ns/op")
 }

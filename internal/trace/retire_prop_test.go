@@ -15,12 +15,13 @@ import (
 // multi-crash executions under every backend, buffered and not, and
 // checks every sweep against the full mark-and-sweep it replaced
 // (retire_ref_test.go): the same pinned set, the same released set,
-// the same thread rows, byLoc lists and SubExec.Stores, and the same
-// LastSweepWork. Loads pick random candidates, so post-crash reads
-// narrow the crash image (Resolve) and constrain the checker, whose
-// constraint endpoints it holds; checksum regions defer cross-crash
-// reads, which the checker pins. One world per configuration runs every
-// seed, so the sweep state also crosses World.Reset.
+// the same thread rows, byLoc lists and SubExec.Stores, and a limbo
+// that holds only stores a later sweep could release. Loads pick random
+// candidates, so post-crash reads narrow the crash image (Resolve) and
+// constrain the checker, whose constraint endpoints it holds; checksum
+// regions defer cross-crash reads, which the checker pins. One world
+// per configuration runs every seed, so the sweep state also crosses
+// World.Reset.
 func TestIncrementalRetireMatchesFullMark(t *testing.T) {
 	seeds := 120
 	if testing.Short() {
@@ -39,18 +40,22 @@ func TestIncrementalRetireMatchesFullMark(t *testing.T) {
 					CrashTarget:        -1,
 					RandomDrainPercent: drain,
 				})
-				var failure string
+				// The first difference is reported at once, so a defect
+				// that later crashes the execution still shows its cause.
+				var seed int64
+				failed := false
 				trace.SetFullMarkCheck(w.M.Trace(), func(msg string) {
-					if failure == "" {
-						failure = msg
+					if !failed {
+						failed = true
+						t.Errorf("seed %d: %s", seed, msg)
 					}
 				})
 				sweeps, unlinked := 0, 0
-				for seed := int64(1); seed <= int64(seeds); seed++ {
+				for seed = 1; seed <= int64(seeds); seed++ {
 					w.Reset(seed)
 					retireStream(w, rand.New(rand.NewSource(seed)))
-					if failure != "" {
-						t.Fatalf("seed %d: %s", seed, failure)
+					if failed {
+						t.FailNow()
 					}
 					rs := w.M.Trace().Retired()
 					sweeps += rs.Retirements

@@ -28,7 +28,6 @@ type fullMark struct {
 	rows   []map[int64][]*Store
 	stores [][]*Store
 	held   map[*Store]bool
-	work   int
 }
 
 // fullMarkCheck predicts the running sweep's outcome and returns the
@@ -79,13 +78,8 @@ func (tr *Trace) fullMarkCheck(fail func(string)) func() {
 	}
 
 	// Sweep: the event log, rows, committed stores and byLoc lists, as
-	// the full sweep rewrote them, and the work it walked.
-	cutoff := tr.eventBase + len(tr.events) - tr.window
-	floor := tr.eventFloor
-	if cutoff > floor {
-		fm.work += len(tr.events)
-		floor = cutoff
-	}
+	// the full sweep rewrote them.
+	floor := max(tr.eventFloor, tr.eventBase+len(tr.events)-tr.window)
 	for _, ev := range tr.events[floor-tr.eventBase:] {
 		for _, s := range []*Store{ev.Store, ev.RF} {
 			if s != nil {
@@ -93,17 +87,14 @@ func (tr *Trace) fullMarkCheck(fail func(string)) func() {
 			}
 		}
 	}
+	// parked are the unlinked stores their byLoc lists still keep.
+	var parked []*Store
 	for _, sub := range tr.subs {
-		fm.work += len(sub.events)
 		rows := map[int64][]*Store{}
 		var committed []*Store
 		for _, r := range sub.threads {
-			fm.work += int(r.base) + len(r.stores)
 			row := make([]*Store, r.base, int(r.base)+len(r.stores))
 			for _, s := range r.stores {
-				if s != nil && s.Seq > 0 {
-					fm.work++
-				}
 				if !fm.pinned[s] {
 					s = nil
 				}
@@ -118,7 +109,6 @@ func (tr *Trace) fullMarkCheck(fail func(string)) func() {
 		lists := map[uint64][]*Store{}
 		sub.byLoc.Each(func(k uint64, lp *[]*Store) {
 			list := *lp
-			fm.work += len(list)
 			minPinned := vclock.Seq(int64(^uint64(0) >> 1))
 			for _, s := range list {
 				if fm.pinned[s] && s.Seq < minPinned {
@@ -128,6 +118,9 @@ func (tr *Trace) fullMarkCheck(fail func(string)) func() {
 			var seen []int64
 			var out []*Store
 			for _, s := range list {
+				if s.mark&unlinked != 0 {
+					parked = append(parked, s)
+				}
 				first := !slices.Contains(seen, int64(s.Thread))
 				if first {
 					seen = append(seen, int64(s.Thread))
@@ -145,7 +138,7 @@ func (tr *Trace) fullMarkCheck(fail func(string)) func() {
 	}
 	// The checker's holds came in with the roots callbacks.
 	gens := map[*Store]uint16{}
-	for _, s := range append(append([]*Store(nil), tr.limbo...), fm.live...) {
+	for _, s := range slices.Concat(tr.limbo, parked, fm.live) {
 		if uint32(s.mark>>holdShift) == tr.holdGen {
 			fm.held[s] = true
 		}
@@ -161,10 +154,15 @@ func (tr *Trace) compareFullMark(fm *fullMark, gens map[*Store]uint16, fail func
 	if tr.lastPinned != len(fm.pinned) {
 		failf("sweep %d pinned %d stores, full mark %d", tr.retirements, tr.lastPinned, len(fm.pinned))
 	}
-	// Released: the unlinked stores nothing holds, this sweep's and
-	// limbo's; the rest keep their slots.
+	// Released: the unlinked stores nothing holds, this sweep's, limbo's
+	// and the parked ones; the rest keep their slots, and none is
+	// released twice.
 	for s, g := range gens {
 		wantFree := !fm.pinned[s] && !fm.held[s]
+		if s.gen-g > 1 {
+			failf("sweep %d: store %v released %d times", tr.retirements, s, s.gen-g)
+			continue
+		}
 		if gotFree := s.gen != g; gotFree != wantFree {
 			failf("sweep %d: store %v released=%v, full mark %v", tr.retirements, s, gotFree, wantFree)
 			continue
@@ -173,8 +171,39 @@ func (tr *Trace) compareFullMark(fm *fullMark, gens map[*Store]uint16, fail func
 			failf("sweep %d: store %v pinned=%v, full mark %v", tr.retirements, s, s.pinned(), fm.pinned[s])
 		}
 	}
-	if tr.lastSweepWork != fm.work {
-		failf("sweep %d: LastSweepWork %d, full mark %d", tr.retirements, tr.lastSweepWork, fm.work)
+	// Limbo holds each store a later sweep could release once: off its
+	// list or never committed, and held by this sweep. Every other
+	// unlinked store still alive is parked on its byLoc list.
+	limbo := map[*Store]bool{}
+	for _, s := range tr.limbo {
+		switch {
+		case limbo[s]:
+			failf("sweep %d: store %v is in limbo twice", tr.retirements, s)
+		case s.Seq > 0 && s.mark&offList == 0:
+			failf("sweep %d: store %v is in limbo but on its byLoc list", tr.retirements, s)
+		case uint32(s.mark>>holdShift) != tr.holdGen:
+			failf("sweep %d: store %v is in limbo but not held", tr.retirements, s)
+		}
+		limbo[s] = true
+	}
+	onList := map[*Store]bool{}
+	for _, sub := range tr.subs {
+		sub.byLoc.Each(func(_ uint64, lp *[]*Store) {
+			for _, s := range *lp {
+				onList[s] = true
+			}
+		})
+	}
+	for s, g := range gens {
+		if s.gen != g || s.mark&unlinked == 0 {
+			continue
+		}
+		if bit := s.mark&inLimbo != 0; bit != limbo[s] {
+			failf("sweep %d: store %v in limbo=%v, its mark says %v", tr.retirements, s, limbo[s], bit)
+		}
+		if !limbo[s] && !onList[s] {
+			failf("sweep %d: unlinked store %v is neither in limbo nor on its byLoc list", tr.retirements, s)
+		}
 	}
 	for i, sub := range tr.subs {
 		for _, r := range sub.threads {

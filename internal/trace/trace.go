@@ -65,8 +65,9 @@ type Store struct {
 	gen uint16
 	// mark is the store's retirement state under a window (window.go):
 	// how many pinned stores reference it, its own pins, whether it has
-	// been unlinked and dropped from its byLoc list, and the stamp of the
-	// last sweep that found it held. Zero is a store no sweep has seen.
+	// been unlinked, dropped from its byLoc list or put in limbo, and
+	// the stamp of the last sweep that found it held. Zero is a store no
+	// sweep has seen.
 	mark uint64
 }
 
@@ -294,20 +295,17 @@ type Trace struct {
 	// drop the retired prefix, so physical index = logical - eventBase.
 	// Always 0 in unbounded mode.
 	eventBase int
-	// lastSweepWork is the index-entry count the most recent sweep
-	// walked; the machine stretches its retirement cadence with it.
-	lastSweepWork int
 	// retiredKinds counts the retired events per kind; retiredStores and
 	// retirements feed Stats and the explorer's window diagnostics.
 	retiredKinds  [memmodel.OpCrash + 1]int
 	retiredStores int
 	retirements   int
 	// releasedStores counts stores whose slots went back to the free
-	// list; it trails retiredStores by the held stores in limbo.
+	// list; it trails retiredStores by the stores parked or in limbo.
 	releasedStores int
-	// limbo holds the stores sweeps unlinked but have not released:
-	// each sweep adds the ones it unlinks, then releases every one
-	// nothing holds (see Retire).
+	// limbo holds the unlinked stores a sweep could release: each sweep
+	// adds the ones it unlinks and refilter the parked ones it drops,
+	// then parks or releases every one nothing holds (see Retire).
 	limbo []*Store
 	// pinnedNow counts the pinned stores; lastPinned is its value at the
 	// end of the most recent sweep and maxPinned the execution's maximum.
@@ -323,12 +321,9 @@ type Trace struct {
 	unpinned         []*Store
 	pinStack         []*Store
 	// initSwept initial stores and the sub-executions before sweptSub
-	// have been seen by a sweep. committedLive and byLocLen count the
-	// committed stores and byLoc entries the last sweep left.
-	initSwept     int
-	sweptSub      int
-	committedLive int
-	byLocLen      int
+	// have been seen by a sweep.
+	initSwept int
+	sweptSub  int
 	// refCheck, when set by a test, runs inside every sweep once its
 	// roots are in and returns the check to run when the sweep ends.
 	refCheck func() func()
@@ -363,7 +358,6 @@ func (tr *Trace) Reset() {
 	tr.evs.reset()
 	tr.eventFloor = 0
 	tr.eventBase = 0
-	tr.lastSweepWork = 0
 	tr.retiredKinds = [memmodel.OpCrash + 1]int{}
 	tr.retiredStores = 0
 	tr.releasedStores = 0
@@ -373,7 +367,6 @@ func (tr *Trace) Reset() {
 	tr.holdGen = 0
 	tr.pinnedNow, tr.lastPinned, tr.maxPinned = 0, 0, 0
 	tr.initSwept, tr.sweptSub = 0, 0
-	tr.committedLive, tr.byLocLen = 0, 0
 	tr.pushSubExec()
 }
 

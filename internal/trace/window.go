@@ -46,9 +46,11 @@
 // referenced": an event the window retains points at it (Event.Store,
 // Event.RF), its word's byLoc list keeps it under the first-per-thread
 // rule, or the checker holds it (a constraint-row endpoint, marked
-// through HoldStore). A held store keeps its slot, waiting in limbo,
-// until a sweep finds nothing holding it; events are referenced by the
-// log alone, so every event below the window is released at once.
+// through HoldStore). A store its byLoc list keeps is parked: only a
+// refilter of that list can end the hold, and the refilter that drops
+// the store puts it in limbo. A store in limbo keeps its slot while a
+// sweep finds an event or the checker holding it; events are referenced
+// by the log alone, so every event below the window is released at once.
 // Released slots carry an odd generation stamp, and a build with the
 // psanpoison tag makes every read path panic on one (Store.CheckLive).
 //
@@ -65,16 +67,15 @@
 // of a pinned store to the same word). SubExec.Stores is derived from
 // the byLoc lists once a sweep has run.
 //
-// A sweep therefore costs O(new records + unlinked stores + window
-// events), not O(live set). The walk the full mark-and-sweep made is
-// kept only as the sweep-work measure (LastSweepWork), maintained as
-// counters, because the machine derives its retirement cadence from it.
-// The verdict stream is proven identical to unbounded mode by the
-// windowed-equivalence property suite (internal/explore/window_test.go),
-// the incremental sweep identical to a full mark-and-sweep by
-// TestIncrementalRetireMatchesFullMark, and the explorer runs snapshots
-// and the post-crash state cache only without a window (they restore
-// and hash retired history).
+// A sweep therefore costs O(new records + unlinked stores + limbo +
+// window events), not O(live set), and limbo holds only stores some
+// future sweep can free, so the machine sweeps every `window`
+// operations. The verdict stream is proven identical to unbounded mode
+// by the windowed-equivalence property suite
+// (internal/explore/window_test.go), the incremental sweep identical to
+// a full mark-and-sweep by TestIncrementalRetireMatchesFullMark, and the
+// explorer runs snapshots and the post-crash state cache only without a
+// window (they restore and hash retired history).
 package trace
 
 import (
@@ -108,10 +109,12 @@ const (
 	// holdsRefs: the store holds its references, which every pinned
 	// store does from the moment it is pinned.
 	holdsRefs uint64 = 1 << 28
-	// unlinked: the store left its thread row (it is in limbo or free);
-	// offList: its byLoc list dropped it.
+	// unlinked: the store left its thread row (it is parked, in limbo
+	// or free); offList: its byLoc list dropped it; inLimbo: it is in
+	// tr.limbo.
 	unlinked uint64 = 1 << 29
 	offList  uint64 = 1 << 30
+	inLimbo  uint64 = 1 << 31
 
 	pinMask   = refMask | pinImage | pinInitial | pinRoot
 	holdShift = 32
@@ -237,11 +240,6 @@ func (tr *Trace) HoldStore(st *Store) {
 	}
 	st.CheckLive()
 	st.mark = st.mark&^holdMask | uint64(tr.holdGen)<<holdShift
-}
-
-// held reports whether the running sweep found s held; see HoldStore.
-func (tr *Trace) held(s *Store) bool {
-	return uint32(s.mark>>holdShift) == tr.holdGen || s.Seq > 0 && s.mark&offList == 0
 }
 
 // take makes a pinned st hold its references, and each target that
@@ -387,18 +385,12 @@ func (tr *Trace) Retire(roots ...func(pin func(*Store))) {
 	}
 	tr.prevRoots, tr.roots = tr.roots, tr.prevRoots[:0]
 
-	// Sweep work, measured as the entries the full mark-and-sweep walked
-	// (see LastSweepWork). SubExec.stores holds the commits since the
-	// last sweep; every commit also grew a byLoc list.
-	commits := 0
+	// SubExec.stores holds the commits since the last sweep; from now on
+	// Stores derives the list from the byLoc lists.
 	for _, sub := range tr.subs {
-		commits += len(sub.stores)
 		sub.stores = sub.stores[:0]
 		sub.swept = true
 	}
-	tr.committedLive += commits
-	tr.byLocLen += commits
-	work := int(tr.nextStoreID) + tr.committedLive + tr.byLocLen
 
 	// Unlink what lost its pins: the stores dropped since the last sweep
 	// and the new stores nothing pinned. Every pin of the sweep is final
@@ -431,12 +423,11 @@ func (tr *Trace) Retire(roots ...func(pin func(*Store))) {
 	// Event log: keep the last window entries. Indices are logical —
 	// eventBase is the logical index of tr.events[0] — so the retired
 	// prefix is physically dropped, not just nil-holed, and right after
-	// a sweep the log holds window entries (up to the retirement cadence
-	// between sweeps). Only the log references an event, so a retired
-	// event's slot is free at once.
+	// a sweep the log holds window entries (about twice that between
+	// sweeps). Only the log references an event, so a retired event's
+	// slot is free at once.
 	cutoff := tr.eventBase + len(tr.events) - tr.window
 	if cutoff > tr.eventFloor {
-		work += len(tr.events)
 		tr.releaseEvents(tr.events[tr.eventFloor-tr.eventBase : cutoff-tr.eventBase])
 		// The stale tail past the copy points into the event arena,
 		// which lives as long as the trace; appends overwrite it.
@@ -450,27 +441,28 @@ func (tr *Trace) Retire(roots ...func(pin func(*Store))) {
 	// Per-sub event index lists are ascending: drop the retired prefix,
 	// so SubEvents and EachSubEvent never meet a hole.
 	for _, sub := range tr.subs {
-		work += len(sub.events)
 		if k, _ := slices.BinarySearch(sub.events, tr.eventFloor); k > 0 {
 			sub.events = sub.events[:copy(sub.events, sub.events[k:])]
 		}
 	}
 
-	// Release every unlinked store nothing holds — this sweep's and the
-	// ones earlier sweeps left in limbo; the held ones stay in limbo for
-	// the next sweep to re-check.
+	// Limbo: park the stores their byLoc list still keeps (a refilter
+	// that drops one puts it back), keep the ones an event or the checker
+	// holds for the next sweep to re-check, and release the rest.
 	keep := tr.limbo[:0]
 	for _, s := range tr.limbo {
-		if tr.held(s) {
+		switch {
+		case s.Seq > 0 && s.mark&offList == 0:
+			s.mark &^= inLimbo
+		case uint32(s.mark>>holdShift) == tr.holdGen:
 			keep = append(keep, s)
-		} else {
+		default:
 			tr.releaseStore(s)
 		}
 	}
 	clear(tr.limbo[len(keep):])
 	tr.limbo = keep
 
-	tr.lastSweepWork = work
 	tr.retirements++
 	tr.lastPinned = tr.pinnedNow
 	tr.maxPinned = max(tr.maxPinned, tr.pinnedNow)
@@ -480,21 +472,21 @@ func (tr *Trace) Retire(roots ...func(pin func(*Store))) {
 }
 
 // unlink removes an unpinned store from its thread row and puts it in
-// limbo; a committed one also has its byLoc list re-filtered.
+// limbo; a committed one also has its byLoc list re-filtered, after it
+// is in limbo, so the refilter does not add it a second time.
 func (tr *Trace) unlink(s *Store) {
 	if uint32(s.mark>>holdShift) != tr.holdGen {
 		s.mark &^= holdMask // a stale hold from a sweep that found it pinned
 	}
-	s.mark |= unlinked
+	s.mark |= unlinked | inLimbo
 	r := tr.subs[s.SubExec].findRow(s.Thread)
 	r.stores[s.Clock-r.base-1] = nil
 	tr.retiredStores++
+	tr.limbo = append(tr.limbo, s)
 	if s.Seq > 0 {
-		tr.committedLive--
 		lp, _ := tr.subs[s.SubExec].byLoc.Slot(wordKey(s.Addr))
 		tr.refilter(lp)
 	}
-	tr.limbo = append(tr.limbo, s)
 }
 
 // trim moves the row's leading holes into its clock base once they
@@ -518,9 +510,9 @@ func (r *threadRow) trim() {
 // (see the package comment for why that preserves firstPerThread's
 // output). Only the entries before the oldest pinned one can go, so
 // only they are visited; the dropped ones are marked offList, since
-// their list no longer holds them. After one call that prefix holds at
-// most one store per thread, so a second call for another store of the
-// list costs no more.
+// their list no longer holds them, and a dropped store that was parked
+// goes to limbo. After one call that prefix holds at most one store per
+// thread, so a second call for another store of the list costs no more.
 func (tr *Trace) refilter(lp *[]*Store) {
 	list := *lp
 	seen := tr.markScratch[:0]
@@ -529,6 +521,10 @@ func (tr *Trace) refilter(lp *[]*Store) {
 		s := list[i]
 		if slices.Contains(seen, s.Thread) {
 			s.mark |= offList
+			if s.mark&(unlinked|inLimbo) == unlinked {
+				s.mark |= inLimbo
+				tr.limbo = append(tr.limbo, s)
+			}
 			continue
 		}
 		seen = append(seen, s.Thread)
@@ -540,7 +536,6 @@ func (tr *Trace) refilter(lp *[]*Store) {
 		n := kept + copy(list[kept:], list[i:])
 		clear(list[n:])
 		*lp = list[:n]
-		tr.byLocLen -= i - kept
 	}
 }
 
@@ -562,15 +557,6 @@ func (e *SubExec) Stores() []*Store {
 	slices.SortFunc(out, func(a, b *Store) int { return int(a.Seq - b.Seq) })
 	return out
 }
-
-// LastSweepWork reports how many index entries a full mark-and-sweep
-// would have walked in the most recent sweep — the event log when the
-// sweep dropped a prefix of it, every sub-execution's event list, every
-// thread row at its logical length (trimmed prefix included), the
-// committed stores and the byLoc lists not yet retired. It is a
-// deterministic proxy for the live-set size that the machine folds into
-// its retirement cadence.
-func (tr *Trace) LastSweepWork() int { return tr.lastSweepWork }
 
 // RetireStats summarizes what windowed retirement has released so far
 // in the current execution; all zeros in unbounded mode.
