@@ -343,10 +343,16 @@ func canonicalOps(t *testing.T, build func() explore.Program, opt explore.Option
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ex := range ur.Execs {
-			if ex.Err == nil {
-				ops = append(ops, ex.Ops)
+		reps := ur.Reports
+		for i, n := range ur.Ops {
+			if len(reps) > 0 && reps[0].Offset == i {
+				quarantined := reps[0].Err != nil
+				reps = reps[1:]
+				if quarantined {
+					continue
+				}
 			}
+			ops = append(ops, n)
 		}
 		return ur
 	}
@@ -365,7 +371,7 @@ func canonicalOps(t *testing.T, build func() explore.Program, opt explore.Option
 			keys = append(keys, ur.Class.Key)
 		}
 		more = ur.Class.InjectionFired
-		ran += len(ur.Execs)
+		ran += ur.N
 	}
 	return ops
 }

@@ -1,8 +1,12 @@
 package dispatch
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"os/exec"
 	"runtime"
 	"sort"
 	"strings"
@@ -39,12 +43,14 @@ func resolveTestProgram(name, path string) (explore.Program, error) {
 const (
 	addrX = memmodel.Addr(0x2000)
 	addrY = memmodel.Addr(0x3000)
+	addrZ = memmodel.Addr(0x4000)
 )
 
 var testPrograms = map[string]func() explore.Program{
 	"figure2":  figure2,
 	"figure7":  figure7,
 	"panicker": panicker,
+	"fenced":   fenced,
 }
 
 // figure2 is the paper's Figure 2: four stores with no flushes, then
@@ -91,6 +97,31 @@ func figure7() explore.Program {
 				th := w.Thread(0)
 				th.Load(addrX, "r2=x")
 				th.Load(addrY, "r3=y")
+			},
+		},
+	}
+}
+
+// fenced is figure2 followed by a fence and two stores to z, read back
+// after the crash. The fence splits model checking into two subtrees,
+// the first one nine executions long: a wide campaign claims the second
+// while the first still runs, under a budget that overshoots a cap
+// falling inside it.
+func fenced() explore.Program {
+	p := figure2().Phases()
+	return &explore.FuncProgram{
+		ProgName: "fenced",
+		PhaseFns: []func(*pmem.World){
+			func(w *pmem.World) {
+				p[0](w)
+				th := w.Thread(0)
+				th.SFence("sfence")
+				th.Store(addrZ, 1, "z=1")
+				th.Store(addrZ, 2, "z=2")
+			},
+			func(w *pmem.World) {
+				p[1](w)
+				w.Thread(0).Load(addrZ, "r3=z")
 			},
 		},
 	}
@@ -186,6 +217,30 @@ func sameResult(t *testing.T, got, want *explore.Result) {
 	if got.ExecutionsToAllBugs != want.ExecutionsToAllBugs {
 		t.Errorf("ExecutionsToAllBugs = %d, want %d", got.ExecutionsToAllBugs, want.ExecutionsToAllBugs)
 	}
+	// The sums of the counter columns, over collected executions only.
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"Ops", got.Ops, want.Ops},
+		{"Retirements", got.Retirements, want.Retirements},
+		{"RetiredStores", got.RetiredStores, want.RetiredStores},
+		{"RetiredEvents", got.RetiredEvents, want.RetiredEvents},
+		{"PinnedRootsMax", got.PinnedRootsMax, want.PinnedRootsMax},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+	if len(got.ExecErrors) != len(want.ExecErrors) {
+		t.Errorf("ExecErrors = %d, want %d", len(got.ExecErrors), len(want.ExecErrors))
+	} else {
+		for i := range got.ExecErrors {
+			if g, w := got.ExecErrors[i].Exec, want.ExecErrors[i].Exec; g != w {
+				t.Errorf("ExecErrors[%d].Exec = %d, want %d", i, g, w)
+			}
+		}
+	}
 	gk, wk := violationKeys(got), violationKeys(want)
 	if len(gk) != len(wk) {
 		t.Fatalf("violations = %v, want %v", gk, wk)
@@ -199,8 +254,11 @@ func sameResult(t *testing.T, got, want *explore.Result) {
 
 // TestIsolatedMatchesInProcess: no chaos — a supervised campaign over
 // worker processes assembles the same Result as explore.Run, at every
-// worker count, in both modes. The windowed case pins that the unit
-// cuts record the reductions the window turns off, as workers check.
+// worker count, in both modes. The windowed cases pin that the unit
+// cuts record the reductions the window turns off, as workers check,
+// and that the retirement columns cross the pipe. The capped case cuts
+// inside a unit's columns; the quarantine cases put reported executions
+// between plain ones.
 func TestIsolatedMatchesInProcess(t *testing.T) {
 	cases := []struct {
 		name string
@@ -208,12 +266,21 @@ func TestIsolatedMatchesInProcess(t *testing.T) {
 		opt  explore.Options
 	}{
 		{"random", "figure2", explore.Options{Mode: explore.Random, Executions: 300, Seed: 11}},
+		{"random-quarantine", "panicker", explore.Options{Mode: explore.Random, Executions: 300, Seed: 5}},
+		{"random-windowed", "figure7", explore.Options{Mode: explore.Random, Executions: 300, Seed: 11, Model: persist.Config{Window: 4}}},
 		{"mc", "figure7", explore.Options{Mode: explore.ModelCheck, Executions: 10000}},
+		{"mc-capped", "fenced", explore.Options{Mode: explore.ModelCheck, Executions: 11}},
 		{"mc-windowed", "figure7", explore.Options{Mode: explore.ModelCheck, Executions: 10000, Model: persist.Config{Window: 4}}},
 		{"mc-quarantine", "panicker", explore.Options{Mode: explore.ModelCheck, Executions: 10000}},
 	}
 	for _, tc := range cases {
 		base := explore.Run(testPrograms[tc.prog](), withWorkers(tc.opt, 1))
+		if tc.opt.Model.Window > 0 && base.Retirements == 0 {
+			t.Fatalf("%s: no retirements; the case does not fill the retirement columns", tc.name)
+		}
+		if strings.HasSuffix(tc.name, "quarantine") && (base.Quarantined == 0 || base.Quarantined == base.Executions) {
+			t.Fatalf("%s: %d of %d executions quarantined; want some, between plain ones", tc.name, base.Quarantined, base.Executions)
+		}
 		for _, workers := range []int{1, 4, 8} {
 			t.Run(fmt.Sprintf("%s/w%d", tc.name, workers), func(t *testing.T) {
 				opt := supOptions(t, tc.prog, tc.opt, workers, "")
@@ -593,4 +660,136 @@ func sortedKeys(m map[string]int64) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// fakeProc is a proc whose worker's stdout is out: deliver reads it as
+// the worker's messages and discards what it sends.
+func fakeProc(out string) *proc {
+	p := &proc{
+		cmd:    &exec.Cmd{},
+		stdin:  nopCloser{io.Discard},
+		enc:    json.NewEncoder(io.Discard),
+		events: make(chan workerMsg, 16),
+		stderr: &tailBuffer{},
+	}
+	go p.read(strings.NewReader(out))
+	return p
+}
+
+type nopCloser struct{ io.Writer }
+
+func (nopCloser) Close() error { return nil }
+
+// TestMalformedResultRefused: the supervisor folds a worker's columns
+// by index, so it refuses a result whose shape the fold cannot trust —
+// a short stream, a ragged column, a report offset out of range or out
+// of order, retirement columns that do not match the window, or the
+// old one-object-per-execution shape — as a protocol fault that kills
+// the worker and redelivers the unit, never as a stream to fold.
+func TestMalformedResultRefused(t *testing.T) {
+	const execs = 4
+	spec := explore.UnitSpec{Random: &explore.RandomRange{Lo: 8, Hi: 8 + execs}}
+	good := func() *explore.UnitResult {
+		return &explore.UnitResult{N: execs, Ops: make([]int64, execs), Done: true,
+			Reports: []explore.ExecReport{{Offset: 1, Aborted: true}, {Offset: 3, Aborted: true}}}
+	}
+	line := func(ur *explore.UnitResult) string {
+		b, err := json.Marshal(workerMsg{Type: "result", ID: 2, Result: ur})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b) + "\n"
+	}
+	// want names the check that must refuse the line: the stream check,
+	// or, for a shape this supervisor does not know, the strict decode.
+	cases := []struct {
+		name   string
+		window int
+		out    string
+		want   string
+	}{
+		{"short stream", 0, line(func() *explore.UnitResult {
+			ur := good()
+			ur.N, ur.Ops = execs-1, ur.Ops[:execs-1]
+			return ur
+		}()), "unit result"},
+		{"ragged ops column", 0, line(func() *explore.UnitResult { ur := good(); ur.Ops = ur.Ops[1:]; return ur }()), "unit result"},
+		{"offset out of range", 0, line(func() *explore.UnitResult { ur := good(); ur.Reports[1].Offset = execs; return ur }()), "unit result"},
+		{"offset not increasing", 0, line(func() *explore.UnitResult { ur := good(); ur.Reports[1].Offset = 1; return ur }()), "unit result"},
+		{"retirement column without a window", 0, line(func() *explore.UnitResult {
+			ur := good()
+			ur.Retirements = make([]int64, execs)
+			return ur
+		}()), "unit result"},
+		{"missing retirement column", 4, line(func() *explore.UnitResult {
+			ur := good()
+			ur.Retirements, ur.RetiredStores, ur.RetiredEvents, ur.PinnedRoots = make([]int64, execs), make([]int64, execs), make([]int64, execs), make([]int64, execs)
+			return ur
+		}()), "unit result"},
+		// What an older worker binary, one object per execution, sends for a
+		// four-execution figure2 unit.
+		{"old per-execution shape", 0, `{"type":"result","id":2,"result":{"Classified":false,"Class":{"key":{"image":0,"heap":0}},` +
+			`"Execs":[{"Aborted":false,"Err":null,"Violations":null,"Ops":6},{"Aborted":false,"Err":null,"Violations":null,"Ops":6},` +
+			`{"Aborted":false,"Err":null,"Violations":null,"Ops":6},{"Aborted":false,"Err":null,"Violations":null,"Ops":6}],` +
+			`"Done":true,"SnapshotRestores":0,"WorkNanos":154607}}` + "\n", `unknown field "Execs"`},
+	}
+	um := unitMsg{Type: "unit", ID: 2, Spec: spec}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			um.Cut.Window = c.window
+			ur, err := fakeProc(c.out).deliver(um, 5*time.Second, nil, nil)
+			if err == nil {
+				t.Fatalf("folded a malformed result: %+v", ur)
+			}
+			pe := err.(*procError)
+			if pe.reason != "protocol" || pe.permanent || !strings.Contains(pe.detail, c.want) {
+				t.Fatalf("error = %v (permanent %v), want a redeliverable protocol fault naming %q", pe, pe.permanent, c.want)
+			}
+		})
+	}
+	// The well-formed stream, windowed or not, is accepted as sent.
+	for _, window := range []int{0, 4} {
+		ur := good()
+		if window > 0 {
+			ur.Retirements, ur.RetiredStores, ur.RetiredEvents, ur.PinnedRoots, ur.SweepNanos = make([]int64, execs), make([]int64, execs), make([]int64, execs), make([]int64, execs), make([]int64, execs)
+		}
+		um.Cut.Window = window
+		got, err := fakeProc(line(ur)).deliver(um, 5*time.Second, nil, nil)
+		if err != nil {
+			t.Fatalf("window %d: well-formed result refused: %v", window, err)
+		}
+		if got.N != execs || len(got.Reports) != 2 {
+			t.Fatalf("window %d: delivered %+v", window, got)
+		}
+	}
+}
+
+// BenchmarkUnitWire measures the result leg of the unit protocol: one
+// 2,500-execution random unit of figure2 encoded as a worker sends it
+// and decoded as the supervisor reads it (strictly). It reports the
+// message's bytes and the round trip's time per execution.
+func BenchmarkUnitWire(b *testing.B) {
+	const execs = 2500
+	ur, err := explore.RunUnit(figure2(), explore.Options{Mode: explore.Random, Executions: execs, Seed: 1},
+		explore.UnitSpec{Random: &explore.RandomRange{Hi: execs}}, explore.UnitHooks{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		buf.Reset()
+		if err := json.NewEncoder(&buf).Encode(workerMsg{Type: "result", Result: ur}); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(buf.Len())/execs, "B/exec")
+		dec := json.NewDecoder(&buf)
+		dec.DisallowUnknownFields()
+		var m workerMsg
+		if err := dec.Decode(&m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/execs, "ns/exec")
 }

@@ -59,14 +59,19 @@ func (e *procError) Error() string {
 }
 
 // proc is one live worker process. Its stdout is drained by a reader
-// goroutine into events; closure of events means the process is gone
-// (EOF or decode failure — with SIGKILL there is no difference).
+// goroutine into events; closure of events means the process is gone,
+// or sent a line that is no message (malformed says which).
 type proc struct {
 	cmd    *exec.Cmd
 	stdin  io.WriteCloser
 	enc    *json.Encoder
 	events chan workerMsg
 	stderr *tailBuffer
+	// malformed is the decode error of a line that arrived whole but is
+	// no worker message — bad JSON, or a field this supervisor does not
+	// know, such as an older binary's result shape. It is set before
+	// events closes; nil when the stream just ended.
+	malformed error
 
 	// From the ready handshake: the worker's OS pid and its tracer's
 	// clock origin (Unix ns), for span ingestion and rebasing.
@@ -102,17 +107,7 @@ func spawn(bin string, args, env []string, hello helloMsg, lease time.Duration) 
 		events: make(chan workerMsg, 16),
 		stderr: tb,
 	}
-	go func() {
-		dec := json.NewDecoder(bufio.NewReader(stdout))
-		for {
-			var m workerMsg
-			if err := dec.Decode(&m); err != nil {
-				close(p.events)
-				return
-			}
-			p.events <- m
-		}
-	}()
+	go p.read(stdout)
 	if err := p.enc.Encode(hello); err != nil {
 		p.kill()
 		return nil, fmt.Errorf("hello: %w", err)
@@ -136,6 +131,43 @@ func spawn(bin string, args, env []string, hello helloMsg, lease time.Duration) 
 		return nil, errors.New("handshake: timed out")
 	}
 	return p, nil
+}
+
+// endReader records the error that ended its reader.
+type endReader struct {
+	r   io.Reader
+	err error
+}
+
+func (e *endReader) Read(b []byte) (int, error) {
+	n, err := e.r.Read(b)
+	if err != nil {
+		e.err = err
+	}
+	return n, err
+}
+
+// read decodes the worker's stdout into events until it ends or holds a
+// line that is no message. Decoding is strict: a field the supervisor
+// does not know is a protocol fault, not something to drop. A decode
+// error the stream did not cause — the bytes arrived, they just do not
+// decode — is recorded as malformed; one that a SIGKILL mid-write or
+// the pipe's closing caused is a dead worker.
+func (p *proc) read(stdout io.Reader) {
+	src := &endReader{r: stdout}
+	dec := json.NewDecoder(bufio.NewReader(src))
+	dec.DisallowUnknownFields()
+	for {
+		var m workerMsg
+		if err := dec.Decode(&m); err != nil {
+			if src.err == nil {
+				p.malformed = err
+			}
+			close(p.events)
+			return
+		}
+		p.events <- m
+	}
 }
 
 // kill SIGKILLs the process and reaps it.
@@ -186,6 +218,11 @@ func (p *proc) deliver(um unitMsg, lease time.Duration, onClassify func(explore.
 		select {
 		case m, ok := <-p.events:
 			if !ok {
+				if p.malformed != nil {
+					p.kill()
+					return nil, &procError{reason: "protocol", detail: "malformed message: " + p.malformed.Error(),
+						stderrTail: p.stderr.Tail()}
+				}
 				pe := &procError{reason: "worker-exit", detail: "died mid-unit",
 					exitStatus: p.exitStatus(), stderrTail: p.stderr.Tail()}
 				return nil, pe
@@ -212,6 +249,12 @@ func (p *proc) deliver(um unitMsg, lease time.Duration, onClassify func(explore.
 					p.kill()
 					return nil, &procError{reason: "protocol",
 						detail: fmt.Sprintf("result for unit %d (want %d, payload %v)", m.ID, um.ID, m.Result != nil)}
+				}
+				// The fold walks the columns by index: a short stream, a
+				// ragged column or a stray report offset would misfold.
+				if err := m.Result.Validate(um.Spec, um.Cut.Window); err != nil {
+					p.kill()
+					return nil, &procError{reason: "protocol", detail: fmt.Sprintf("unit %d: %v", um.ID, err)}
 				}
 				if onTelemetry != nil {
 					onTelemetry(m)

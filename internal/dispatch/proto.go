@@ -117,7 +117,12 @@ type unitMsg struct {
 //	classified  early subtree classification (mc units; lets the
 //	            supervisor dispatch the successor before this unit ends)
 //	result      the unit's completed stream, plus the final telemetry
-//	            top-up (delta, spans, flight events)
+//	            top-up (delta, spans, flight events). The stream is
+//	            explore.UnitResult as is: per-execution counter columns
+//	            and a list of the executions with something to report,
+//	            not one object per execution. The supervisor decodes
+//	            strictly and refuses a stream UnitResult.Validate
+//	            rejects as a protocol fault (the unit is redelivered).
 //	fatal       the unit (or the worker) failed; Permanent means
 //	            redelivery cannot help (validation mismatch, unloadable
 //	            program) and the unit should be quarantined directly

@@ -83,16 +83,24 @@ func (a *assembler) publish() {
 func (a *assembler) isKnown(k string) bool { return (*a.known.Load())[k] }
 
 // add folds one unit's stream, in canonical order: its classification,
-// then its executions, cut at its resume point if it did not finish.
+// then its executions, walked by column index with a cursor into the
+// reports, cut at its resume point if it did not finish.
 func (a *assembler) add(ur *UnitResult) {
 	if ur.Classified {
 		a.classify(ur.Class)
 	}
 	a.addStats(ur)
 	collected := true
-	for i := range ur.Execs {
-		if !a.collect(&ur.Execs[i]) {
+	reps := ur.Reports
+	for i := range ur.N {
+		var rep *ExecReport
+		if len(reps) > 0 && reps[0].Offset == i {
+			rep, reps = &reps[0], reps[1:]
+		}
+		if !a.collect(ur, i, rep) {
+			// Past the cut nothing more of the unit is collected.
 			collected = false
+			break
 		}
 	}
 	a.endUnit(ur.cut, ur.Done, collected)
@@ -130,11 +138,12 @@ func (a *assembler) addStats(ur *UnitResult) {
 	a.res.SnapshotRestores += ur.SnapshotRestores
 }
 
-// collect assigns the next canonical index to ex and folds it into the
-// Result — unless the stream is already cut, or the Executions cap cuts
-// it here. It reports whether ex was collected; past the cut nothing
-// is (a resume re-derives it).
-func (a *assembler) collect(ex *UnitExec) bool {
+// collect assigns the next canonical index to execution i of ur (rep:
+// its report, or nil) and folds it into the Result — unless the stream
+// is already cut, or the Executions cap cuts it here. It reports
+// whether the execution was collected; past the cut nothing is (a
+// resume re-derives it).
+func (a *assembler) collect(ur *UnitResult, i int, rep *ExecReport) bool {
 	if !a.cut && a.idx >= a.opt.Executions {
 		a.truncated = true
 		a.setCut(nil)
@@ -142,11 +151,11 @@ func (a *assembler) collect(ex *UnitExec) bool {
 	if a.cut {
 		return false
 	}
-	if ex.Err != nil && ex.Err.Exec < 0 {
-		ex.Err.Exec = a.idx
+	if rep != nil && rep.Err != nil && rep.Err.Exec < 0 {
+		rep.Err.Exec = a.idx
 	}
 	n := len(a.seen)
-	a.res.collect(ex, a.idx, a.seen, &a.opt)
+	a.res.collect(ur, i, rep, a.idx, a.seen, &a.opt)
 	if len(a.seen) != n {
 		a.publish()
 	}

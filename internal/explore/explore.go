@@ -666,40 +666,20 @@ func installProbe(w *pmem.World, opt *Options, ordinal int) {
 	})
 }
 
-// execResult records one finished execution: a quarantined one carries
-// only its ExecError (its world is discarded unread), any other its
-// verdict and the world stats that feed the Result sums.
-func execResult(w *pmem.World, aborted bool, execErr *ExecError) UnitExec {
-	if execErr != nil {
-		return UnitExec{Err: execErr}
-	}
-	rs := w.M.Trace().Retired()
-	return UnitExec{
-		Aborted:       aborted,
-		Violations:    w.Checker.Violations(),
-		Ops:           int64(w.Ops()),
-		Retirements:   int64(rs.Retirements),
-		RetiredStores: int64(rs.RetiredStores),
-		RetiredEvents: int64(rs.RetiredEvents),
-		PinnedRoots:   int64(rs.MaxPinnedRoots),
-		SweepNanos:    w.SweepNanos(),
-	}
-}
-
 // countExec classifies one execution that ran into exactly one of the
 // completion counters (pruned > quarantined > aborted > completed) and
 // observes its duration. It runs at the execution site — every
 // execution that ran is counted, even one the assembly later truncates
 // at the budget — keeping the invariant
 // started == completed + aborted + quarantined + pruned.
-func (o *Options) countExec(pruned bool, ex *UnitExec, d time.Duration) {
+func (o *Options) countExec(pruned, aborted bool, execErr *ExecError, d time.Duration) {
 	switch {
 	case pruned:
 		o.em.Pruned.Inc()
-	case ex.Err != nil:
+	case execErr != nil:
 		o.em.Quarantined.Inc()
-		o.fr.Record("explore", "quarantine", -1, ex.Err.Kind)
-	case ex.Aborted:
+		o.fr.Record("explore", "quarantine", -1, execErr.Kind)
+	case aborted:
 		o.em.Aborted.Inc()
 	default:
 		o.em.Completed.Inc()
@@ -707,38 +687,41 @@ func (o *Options) countExec(pruned bool, ex *UnitExec, d time.Duration) {
 	o.em.ExecNanos.Observe(int64(d))
 }
 
-// collect folds the record of execution index into the result. Its one
-// caller is the assembler, in strictly increasing index order (the
-// collector contract behind Progress). Metric counters are emitted at
-// the execution sites (countExec); only the random-mode frontier gauge
-// lives here, because "remaining executions" is a collector-order
+// collect folds execution i of unit stream ur, canonical execution
+// index, into the result; rep is its report (nil: a plain execution).
+// Its one caller is the assembler, in strictly increasing index order
+// (the collector contract behind Progress). Metric counters are emitted
+// at the execution sites (countExec); only the random-mode frontier
+// gauge lives here, because "remaining executions" is a collector-order
 // notion.
-func (r *Result) collect(ex *UnitExec, index int, seen map[string]bool, opt *Options) {
-	if ex.Aborted {
-		r.Aborted++
-	}
-	if ex.Err != nil {
-		r.Quarantined++
-		if len(r.ExecErrors) < execErrorCap {
-			r.ExecErrors = append(r.ExecErrors, ex.Err)
+func (r *Result) collect(ur *UnitResult, i int, rep *ExecReport, index int, seen map[string]bool, opt *Options) {
+	if rep != nil {
+		if rep.Aborted {
+			r.Aborted++
 		}
-	}
-	for _, v := range ex.Violations {
-		if k := v.Key(); !seen[k] {
-			seen[k] = true
-			r.Violations = append(r.Violations, v)
-			r.ExecutionsToAllBugs = index + 1
+		if rep.Err != nil {
+			r.Quarantined++
+			if len(r.ExecErrors) < execErrorCap {
+				r.ExecErrors = append(r.ExecErrors, rep.Err)
+			}
+		}
+		for _, v := range rep.Violations {
+			if k := v.Key(); !seen[k] {
+				seen[k] = true
+				r.Violations = append(r.Violations, v)
+				r.ExecutionsToAllBugs = index + 1
+			}
 		}
 	}
 	r.Executions++
-	r.Ops += ex.Ops
-	r.Retirements += ex.Retirements
-	r.RetiredStores += ex.RetiredStores
-	r.RetiredEvents += ex.RetiredEvents
-	if ex.PinnedRoots > r.PinnedRootsMax {
-		r.PinnedRootsMax = ex.PinnedRoots
+	r.Ops += ur.Ops[i]
+	if len(ur.Retirements) > 0 {
+		r.Retirements += ur.Retirements[i]
+		r.RetiredStores += ur.RetiredStores[i]
+		r.RetiredEvents += ur.RetiredEvents[i]
+		r.PinnedRootsMax = max(r.PinnedRootsMax, ur.PinnedRoots[i])
+		r.SweepNanos += ur.SweepNanos[i]
 	}
-	r.SweepNanos += ex.SweepNanos
 	if opt.Mode == Random {
 		opt.em.FrontierDepth.Set(int64(opt.Executions - r.Executions))
 	}
@@ -805,13 +788,14 @@ type workerState struct {
 	phases   []func(*pmem.World)
 	reported map[string]bool       // cleared at the start of every unit
 	known    func(key string) bool // Options.known
+	windowed bool                  // a bounded trace window: record fills the retirement columns
 	tid      int                   // 1-based trace timeline id (tid 0 is the campaign thread)
 	tr       *obs.Tracer
 	wm       obs.WorkerMetrics
 }
 
 func newWorkerState(p Program, opt *Options, tid int) *workerState {
-	ws := &workerState{ctl: &controller{}, phases: p.Phases(), reported: map[string]bool{}, known: opt.known, tid: tid, tr: opt.tr, wm: obs.WorkerInstruments(opt.Obs.Reg(), tid)}
+	ws := &workerState{ctl: &controller{}, phases: p.Phases(), reported: map[string]bool{}, known: opt.known, windowed: opt.Model.Window > 0, tid: tid, tr: opt.tr, wm: obs.WorkerInstruments(opt.Obs.Reg(), tid)}
 	ws.tr.NameThread(tid, "worker-"+strconv.Itoa(tid))
 	return ws
 }
@@ -823,26 +807,55 @@ func (ws *workerState) isKnown(k string) bool {
 	return ws.reported[k] || (ws.known != nil && ws.known(k))
 }
 
-// record appends ex to ur with only the violations new to the unit, and
-// marks them reported. A list with an already-reported key is filtered
-// in a copy: ex.Violations is the checker's own slice and, after a
-// snapshot restore, the snapshot's.
-func (ws *workerState) record(ur *UnitResult, ex UnitExec) {
-	reported := func(v *core.Violation) bool { return ws.reported[v.Key()] }
-	if slices.ContainsFunc(ex.Violations, reported) {
-		ex.Violations = slices.DeleteFunc(slices.Clone(ex.Violations), reported)
+// record appends one finished execution to ur's columns: a quarantined
+// one (execErr set) as zeros plus its ExecError — its world is
+// discarded unread — any other as world w's stats, with a report when it
+// aborted or found violations new to the unit, which it marks reported.
+// A list with an already-reported key is filtered in a copy: the
+// checker's violations are its own slice and, after a snapshot restore,
+// the snapshot's.
+func (ws *workerState) record(ur *UnitResult, w *pmem.World, aborted bool, execErr *ExecError) {
+	off := ur.N
+	ur.N++
+	var ops, sweep int64
+	var rs trace.RetireStats
+	if execErr == nil {
+		ops = int64(w.Ops())
+		if ws.windowed {
+			rs, sweep = w.M.Trace().Retired(), w.SweepNanos()
+		}
 	}
-	for _, v := range ex.Violations {
+	ur.Ops = append(ur.Ops, ops)
+	if ws.windowed {
+		ur.Retirements = append(ur.Retirements, int64(rs.Retirements))
+		ur.RetiredStores = append(ur.RetiredStores, int64(rs.RetiredStores))
+		ur.RetiredEvents = append(ur.RetiredEvents, int64(rs.RetiredEvents))
+		ur.PinnedRoots = append(ur.PinnedRoots, int64(rs.MaxPinnedRoots))
+		ur.SweepNanos = append(ur.SweepNanos, sweep)
+	}
+	if execErr != nil {
+		ur.Reports = append(ur.Reports, ExecReport{Offset: off, Err: execErr})
+		return
+	}
+	vs := w.Checker.Violations()
+	reported := func(v *core.Violation) bool { return ws.reported[v.Key()] }
+	if slices.ContainsFunc(vs, reported) {
+		vs = slices.DeleteFunc(slices.Clone(vs), reported)
+	}
+	for _, v := range vs {
 		ws.reported[v.Key()] = true
 	}
-	ur.Execs = append(ur.Execs, ex)
+	if aborted || len(vs) > 0 {
+		ur.Reports = append(ur.Reports, ExecReport{Offset: off, Aborted: aborted, Violations: vs})
+	}
 }
 
-// execute runs execution exec of a random-mode run. The seed is derived
-// from the execution index alone, so the outcome is independent of
-// which worker runs it and of every other execution. The sampled crash
-// targets enter the phase driver as closed trail decisions.
-func (pl *randomPlan) execute(ws *workerState, exec int) (UnitExec, time.Duration) {
+// execute runs execution exec of a random-mode run and records it into
+// ur. The seed is derived from the execution index alone, so the
+// outcome is independent of which worker runs it and of every other
+// execution. The sampled crash targets enter the phase driver as closed
+// trail decisions.
+func (pl *randomPlan) execute(ws *workerState, exec int, ur *UnitResult) time.Duration {
 	opt := pl.opt
 	start := time.Now()
 	opt.em.Started.Inc()
@@ -874,19 +887,20 @@ func (pl *randomPlan) execute(ws *workerState, exec int) (UnitExec, time.Duratio
 		ctl.trail = append(ctl.trail, decision{val: t, domain: t + 1})
 	}
 	aborted, _, execErr := runPhasesMC(ws.phases, w, ctl, 0, nil, ws.tr, ws.tid)
-	ex := execResult(w, aborted, execErr)
-	d := time.Since(start)
-	opt.countExec(false, &ex, d)
-	ws.tr.Complete(ws.tid, "explore", "execution", start, d, int64(exec))
 	if execErr != nil {
 		// The panic left the world in an undefined state: discard it
 		// (never reuse, never lend) and drop its violations.
 		ws.w = nil
 		execErr.Exec, execErr.Seed, execErr.Program, execErr.Mode = exec, seed, pl.p.Name(), Random
-	} else if opt.AfterExecution != nil {
+	}
+	ws.record(ur, w, aborted, execErr)
+	d := time.Since(start)
+	opt.countExec(false, aborted, execErr, d)
+	ws.tr.Complete(ws.tid, "explore", "execution", start, d, int64(exec))
+	if execErr == nil && opt.AfterExecution != nil {
 		opt.AfterExecution(w)
 	}
-	return ex, d
+	return d
 }
 
 // runRange runs executions [lo, hi) of the canonical random stream on
@@ -900,11 +914,10 @@ func (pl *randomPlan) runRange(ws *workerState, lo, hi int, st *stopper, ur *Uni
 			return
 		}
 		ws.wm.Dispatches.Inc()
-		ex, d := pl.execute(ws, exec)
+		d := pl.execute(ws, exec, ur)
 		ws.wm.BusyNanos.Add(int64(d))
 		ur.WorkNanos += int64(d)
-		ws.record(ur, ex)
-		sink.executed(len(ur.Execs))
+		sink.executed(ur.N)
 	}
 	ur.Done = true
 }

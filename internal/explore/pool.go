@@ -296,7 +296,7 @@ func (r *unitRunner) runSubtree(ws *workerState, mc *MCCheckpoint, sink unitSink
 			}
 			break
 		}
-		if !sink.allows(len(ur.Execs)) {
+		if !sink.allows(ur.N) {
 			break
 		}
 		r.opt.em.Started.Inc()
@@ -328,22 +328,27 @@ func (r *unitRunner) runSubtree(ws *workerState, mc *MCCheckpoint, sink unitSink
 			}
 			ctl.pos = 0
 		}
-		installProbe(ws.w, r.opt, len(ur.Execs))
+		installProbe(ws.w, r.opt, ur.N)
 		oc := onCrash
 		if !first && !useSnaps {
 			oc = nil // no per-crash work left; keep the hot path bare
 		}
-		aborted, pruned, execErr := runPhasesMC(ws.phases, ws.w, ctl, startPhase, oc, r.opt.tr, ws.tid)
-		var ex UnitExec
+		w := ws.w
+		aborted, pruned, execErr := runPhasesMC(ws.phases, w, ctl, startPhase, oc, r.opt.tr, ws.tid)
 		if !pruned {
-			ex = execResult(ws.w, aborted, execErr)
+			if execErr != nil {
+				execErr.Program = r.p.Name()
+				execErr.Mode = ModelCheck
+				execErr.Prefix = trailValues(ctl.trail)
+			}
+			ws.record(ur, w, aborted, execErr)
 		}
 		var d time.Duration
 		if !execStart.IsZero() {
 			d = time.Since(execStart)
 			r.opt.tr.Complete(ws.tid, "explore", "execution", execStart, d, -1)
 		}
-		r.opt.countExec(pruned, &ex, d)
+		r.opt.countExec(pruned, aborted, execErr, d)
 		first = false
 		if pruned {
 			// The whole subtree is a duplicate of one already explored;
@@ -355,16 +360,12 @@ func (r *unitRunner) runSubtree(ws *workerState, mc *MCCheckpoint, sink unitSink
 			// The panic left the world in an undefined state: discard it
 			// (next iteration builds fresh) along with every snapshot
 			// taken in it; its canonical index is assigned at assembly.
-			execErr.Program = r.p.Name()
-			execErr.Mode = ModelCheck
-			execErr.Prefix = trailValues(ctl.trail)
 			ws.w = nil
 			snaps = pruneSnaps(snaps, -1)
 		} else if r.opt.AfterExecution != nil {
-			r.opt.AfterExecution(ws.w)
+			r.opt.AfterExecution(w)
 		}
-		ws.record(ur, ex)
-		sink.executed(len(ur.Execs))
+		sink.executed(ur.N)
 		if !ctl.backtrack() {
 			ur.Done = true
 			break

@@ -302,7 +302,7 @@ func (s *Scheduler) Finish(u *Unit, ur *UnitResult) {
 
 func (s *Scheduler) finishLocked(u *Unit) {
 	u.state = unitFinished
-	u.execs.Store(int64(len(u.res.Execs)))
+	u.execs.Store(int64(u.res.N))
 	if s.mc {
 		s.opt.em.FrontierDepth.Add(-1)
 	}
@@ -317,7 +317,7 @@ func (s *Scheduler) Release(u *Unit) {
 	defer s.mu.Unlock()
 	u.state = unitClaimable
 	u.execs.Store(0)
-	u.res = UnitResult{Execs: u.res.Execs[:0]}
+	u.res.reset()
 	s.active--
 	s.cond.Broadcast()
 }
@@ -347,9 +347,9 @@ func (s *Scheduler) foldLocked(lost bool) {
 			continue
 		}
 		s.a.add(&u.res)
-		s.foldedExecs += len(u.res.Execs)
-		clear(u.res.Execs)
-		*u = Unit{s: s, res: UnitResult{Execs: u.res.Execs[:0]}}
+		s.foldedExecs += u.res.N
+		u.res.reset()
+		*u = Unit{s: s, res: u.res}
 		s.free = append(s.free, u)
 	}
 	if n > 0 {

@@ -66,52 +66,115 @@ type UnitClassification struct {
 	InjectionFired bool       `json:"injectionFired,omitempty"`
 }
 
-// UnitExec is the record of one execution, in canonical sub-DFS (or
-// index) order — the one record every exploration path produces and the
-// assembler folds. Every unit stream is deduplicated within its unit as
-// it is recorded (workerState.record): each violation is carried by the
-// first execution that found it, which is all the in-order cross-unit
-// merge needs to reproduce first-found ordering and ExecutionsToAllBugs.
-type UnitExec struct {
-	Aborted    bool
-	Err        *ExecError
-	Violations []*core.Violation
-	// Ops and the retirement counts carry the execution's world stats
-	// into the Result sums, across the process boundary too (all zero
-	// for quarantined executions and, for the retirement trio, whenever
-	// the window is 0).
-	Ops           int64 `json:",omitempty"`
-	Retirements   int64 `json:",omitempty"`
-	RetiredStores int64 `json:",omitempty"`
-	RetiredEvents int64 `json:",omitempty"`
-	// PinnedRoots is the execution's largest retirement pin-closure
-	// (deterministic, max-merged); SweepNanos is its total sweep time
-	// (timing, summed, never part of the determinism contract).
-	PinnedRoots int64 `json:",omitempty"`
-	SweepNanos  int64 `json:",omitempty"`
-}
-
 // UnitResult is a completed (or stopped) unit's raw stream plus its
-// classification and diagnostics.
+// classification and diagnostics. The stream is columnar: N executions,
+// in canonical sub-DFS (or index) order, each with one entry in every
+// counter column, and a short list of the executions that have
+// something to report. It is one form on both transports — Run's
+// workers fill it and the assembler folds it in place, and a worker
+// process ships it as is — so a plain execution costs the wire a number
+// per column, not an object. Every stream is deduplicated within its
+// unit as it is recorded (workerState.record): each violation is
+// carried by the first execution that found it, which is all the
+// in-order cross-unit merge needs to reproduce first-found ordering and
+// ExecutionsToAllBugs.
 type UnitResult struct {
 	// Classified reports that this run performed the subtree's first-
 	// crash classification (false for random units and for resumed
 	// mid-subtree trails, whose classification predates the cut).
-	Classified bool
-	Class      UnitClassification
-	Execs      []UnitExec
+	Classified bool               `json:"classified,omitempty"`
+	Class      UnitClassification `json:"class"`
+	// N is the number of executions the unit recorded.
+	N int `json:"n"`
+	// Ops is each execution's operation count (0 for a quarantined
+	// one), summed into Result.Ops.
+	Ops []int64 `json:"ops"`
+	// The retirement columns carry each execution's window stats into
+	// the Result sums. Only a windowed run fills them (one entry per
+	// execution, 0 for a quarantined one); without a window they are
+	// empty. PinnedRoots is the execution's largest retirement pin-
+	// closure (deterministic, max-merged); SweepNanos its total sweep
+	// time (timing, summed, never part of the determinism contract).
+	Retirements   []int64 `json:"retirements,omitempty"`
+	RetiredStores []int64 `json:"retiredStores,omitempty"`
+	RetiredEvents []int64 `json:"retiredEvents,omitempty"`
+	PinnedRoots   []int64 `json:"pinnedRoots,omitempty"`
+	SweepNanos    []int64 `json:"sweepNanos,omitempty"`
+	// Reports lists the executions with something to report — a
+	// violation new to the unit, a quarantined ExecError, an abort — in
+	// increasing Offset order. Every other execution is plain.
+	Reports []ExecReport `json:"reports,omitempty"`
 	// Done reports the unit ran to exhaustion (model check) or completed
 	// its range (random); false after a stop or a budget bound.
-	Done bool
+	Done bool `json:"done,omitempty"`
 	// SnapshotRestores/WorkNanos feed the supervisor's Result
 	// diagnostics, exactly like per-unit sums in the pool.
-	SnapshotRestores int
-	WorkNanos        int64
+	SnapshotRestores int   `json:"snapshotRestores,omitempty"`
+	WorkNanos        int64 `json:"workNanos,omitempty"`
 
 	// cut is the resume point of a model-check unit a stop parked
 	// mid-DFS (nil otherwise). It never crosses the wire: worker
 	// processes are never stopped, they are killed.
 	cut *MCCheckpoint
+}
+
+// ExecReport is the outcome of one execution of a unit that is not
+// plain: it was aborted, was quarantined (Err, its world discarded
+// unread), or found violations new to the unit.
+type ExecReport struct {
+	// Offset is the execution's position in its unit, 0 to N−1.
+	Offset     int               `json:"offset"`
+	Aborted    bool              `json:"aborted,omitempty"`
+	Err        *ExecError        `json:"err,omitempty"`
+	Violations []*core.Violation `json:"violations,omitempty"`
+}
+
+// reset empties ur for reuse, keeping its columns' storage.
+func (ur *UnitResult) reset() {
+	clear(ur.Reports)
+	*ur = UnitResult{
+		Ops: ur.Ops[:0], Reports: ur.Reports[:0],
+		Retirements: ur.Retirements[:0], RetiredStores: ur.RetiredStores[:0],
+		RetiredEvents: ur.RetiredEvents[:0], PinnedRoots: ur.PinnedRoots[:0],
+		SweepNanos: ur.SweepNanos[:0],
+	}
+}
+
+// Validate checks that ur is a well-formed stream of unit spec under a
+// trace window of window: a random unit recorded its whole range, a
+// model-check unit no more than its budget, every column holds one
+// entry per execution (the retirement columns none without a window),
+// and the reports' offsets are in range and strictly increasing. The
+// fold walks the columns by index and trusts all four; a supervisor
+// checks a worker's result before folding it.
+func (ur *UnitResult) Validate(spec UnitSpec, window int) error {
+	switch {
+	case ur.N < 0:
+		return fmt.Errorf("unit result: %d executions", ur.N)
+	case spec.Random != nil && ur.N != spec.Random.Hi-spec.Random.Lo:
+		return fmt.Errorf("unit result: %d executions for range [%d,%d)", ur.N, spec.Random.Lo, spec.Random.Hi)
+	case spec.MC != nil && spec.Budget > 0 && ur.N > spec.Budget:
+		return fmt.Errorf("unit result: %d executions over a budget of %d", ur.N, spec.Budget)
+	case len(ur.Ops) != ur.N:
+		return fmt.Errorf("unit result: ops column has %d entries for %d executions", len(ur.Ops), ur.N)
+	}
+	want := 0
+	if window > 0 {
+		want = ur.N
+	}
+	for _, c := range [][]int64{ur.Retirements, ur.RetiredStores, ur.RetiredEvents, ur.PinnedRoots, ur.SweepNanos} {
+		if len(c) != want {
+			return fmt.Errorf("unit result: a retirement column has %d entries, want %d", len(c), want)
+		}
+	}
+	next := 0
+	for _, r := range ur.Reports {
+		if r.Offset < next || r.Offset >= ur.N {
+			return fmt.Errorf("unit result: report offset %d out of order or range (next %d, %d executions)", r.Offset, next, ur.N)
+		}
+		next = r.Offset + 1
+	}
+	return nil
 }
 
 // UnitHooks are RunUnit's progress callbacks, all optional. They run on

@@ -291,8 +291,8 @@ func TestUnitHooks(t *testing.T) {
 	if classified != 1 {
 		t.Fatalf("OnClassify fired %d times, want 1", classified)
 	}
-	if len(counts) != len(ur.Execs) {
-		t.Fatalf("OnExec fired %d times for %d execs", len(counts), len(ur.Execs))
+	if len(counts) != ur.N {
+		t.Fatalf("OnExec fired %d times for %d execs", len(counts), ur.N)
 	}
 	for i, n := range counts {
 		if n != i+1 {
@@ -349,8 +349,8 @@ func TestUnitDiagnosesEachKeyOnce(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, ex := range ur.Execs {
-					for _, v := range ex.Violations {
+				for _, r := range ur.Reports {
+					for _, v := range r.Violations {
 						keys = append(keys, v.Key())
 					}
 				}
@@ -404,7 +404,7 @@ func TestAssemblerCountsCacheStatsInPrefix(t *testing.T) {
 	miss := UnitClassification{Keyed: true, InjectionFired: true}
 	hit := UnitClassification{Pruned: true, InjectionFired: true}
 	unit := func(c UnitClassification, execs int) *UnitResult {
-		return &UnitResult{Classified: true, Class: c, Execs: make([]UnitExec, execs), Done: true}
+		return &UnitResult{Classified: true, Class: c, N: execs, Ops: make([]int64, execs), Done: true}
 	}
 	cases := []struct {
 		name                 string
