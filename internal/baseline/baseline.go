@@ -92,7 +92,7 @@ func Witcher(tr *trace.Trace) []Finding {
 					continue
 				}
 				for _, stale := range reads[i+1:] {
-					a := newestHBStoreTo(prev, stale.Addr, b)
+					a := newestHBStoreTo(tr, prev, stale.Addr, b)
 					if a == nil || a == b {
 						continue
 					}
@@ -121,10 +121,10 @@ func Witcher(tr *trace.Trace) []Finding {
 
 // newestHBStoreTo returns the newest store to addr in sub-execution e
 // that happens before b (or is b's own earlier same-thread store).
-func newestHBStoreTo(e *trace.SubExec, addr memmodel.Addr, b *trace.Store) *trace.Store {
+func newestHBStoreTo(tr *trace.Trace, e *trace.SubExec, addr memmodel.Addr, b *trace.Store) *trace.Store {
 	var newest *trace.Store
 	for _, s := range e.StoresTo(addr) {
-		if s.HappensBefore(b) {
+		if tr.HappensBefore(s, b) {
 			newest = s // StoresTo is in TSO order; keep the last match
 		}
 	}

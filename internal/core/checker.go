@@ -484,7 +484,7 @@ func (c *Checker) freeze(s *trace.Store) *StoreRef {
 		Thread:  s.Thread,
 		SubExec: s.SubExec,
 		Clock:   s.Clock,
-		CV:      s.CV,
+		CV:      c.tr.StoreCV(s),
 		Seq:     s.Seq,
 		Kind:    s.Kind,
 		Loc:     c.tr.LocString(s.Loc),
@@ -718,8 +718,8 @@ func (c *Checker) updatesFor(rf *trace.Store) []update {
 	// rf's own thread that is rf itself. Initial stores have an empty
 	// clock vector, so they contribute no lower bounds.
 	if !rf.Initial {
-		for i, n := 0, rf.CV.Len(); i < n; i++ {
-			tau, clk := rf.CV.Comp(i)
+		for i, n := 0, c.tr.CVLen(rf); i < n; i++ {
+			tau, clk := c.tr.CVComp(rf, i)
 			if c.opt.NoHBClosure && tau != rf.Thread {
 				continue // ablation: drop implication 4.3
 			}

@@ -95,7 +95,7 @@ func strictEquivalentExists2(tr *trace.Trace, rfs []*trace.Store) bool {
 	for k0 := 0; k0 <= len(t0); k0++ {
 		for k1 := 0; k1 <= len(t1); k1++ {
 			cut1 := append(append([]*trace.Store{}, t0[:k0]...), t1[:k1]...)
-			if !hbClosed(cut1, e1.Stores()) {
+			if !hbClosed(tr, cut1, e1.Stores()) {
 				continue
 			}
 			for k2 := 0; k2 <= len(e2s); k2++ {

@@ -106,7 +106,7 @@ func strictEquivalentExists(tr *trace.Trace, rfs []*trace.Store) bool {
 	for k0 := 0; k0 <= len(t0); k0++ {
 		for k1 := 0; k1 <= len(t1); k1++ {
 			cut := append(append([]*trace.Store{}, t0[:k0]...), t1[:k1]...)
-			if !hbClosed(cut, pre.Stores()) {
+			if !hbClosed(tr, cut, pre.Stores()) {
 				continue
 			}
 			if imageMatches(cut, readOrder, rfs) {
@@ -119,14 +119,14 @@ func strictEquivalentExists(tr *trace.Trace, rfs []*trace.Store) bool {
 
 // hbClosed reports whether every store happening before a cut member is
 // itself in the cut.
-func hbClosed(cut, all []*trace.Store) bool {
+func hbClosed(tr *trace.Trace, cut, all []*trace.Store) bool {
 	in := map[*trace.Store]bool{}
 	for _, s := range cut {
 		in[s] = true
 	}
 	for _, b := range cut {
 		for _, a := range all {
-			if a.HappensBefore(b) && !in[a] {
+			if tr.HappensBefore(a, b) && !in[a] {
 				return false
 			}
 		}

@@ -32,19 +32,20 @@ func (e InternalError) InterpInternal() {}
 // Program is a compiled Figure 9 program ready for exploration.
 type Program struct {
 	name   string
-	src    *lang.Program
 	layout map[string]memmodel.Addr
-	// labels precomputes the source-location string of every memory
-	// operation in the program, so the per-operation hot path does no
-	// formatting. Read-only after New — Phases may run on many
-	// goroutines at once.
-	labels map[any]string
+	// phases are the compiled phases. Read-only after New — they may
+	// run on many goroutines at once.
+	phases []func(*pmem.World)
 }
 
-// New lays out the program's locations and returns an executable
-// Program.
+// New lays out the program's locations and compiles it: every
+// statement and expression is resolved once to its address, register
+// slot, operator and source-location label, so executing a step does
+// no map operation, formatting or allocation. The compiled program
+// does not see later changes to src (repair.Loop compiles again after
+// patching).
 func New(name string, src *lang.Program) *Program {
-	p := &Program{name: name, src: src, layout: make(map[string]memmodel.Addr), labels: make(map[any]string)}
+	p := &Program{name: name, layout: make(map[string]memmodel.Addr)}
 	// Place sameline groups first: consecutive words of one line.
 	base := memmodel.Addr(0x10000)
 	for _, group := range src.SameLine {
@@ -60,66 +61,194 @@ func New(name string, src *lang.Program) *Program {
 		}
 	}
 	for _, ph := range src.Phases {
-		for _, td := range ph.Threads {
-			p.walkStmts(td.Body)
+		threads := make([]*thread, len(ph.Threads))
+		for i, td := range ph.Threads {
+			c := compiler{p: p, regs: map[string]int{}}
+			t := &thread{id: memmodel.ThreadID(td.ID), body: c.stmts(td.Body)}
+			t.nregs, t.runFn = len(c.regs), t.run
+			threads[i] = t
 		}
+		p.phases = append(p.phases, func(w *pmem.World) {
+			if len(threads) == 1 {
+				// Single-threaded phases run inline: no scheduler
+				// nondeterminism to explore.
+				threads[0].run(w.Thread(threads[0].id))
+				return
+			}
+			for _, t := range threads {
+				w.Spawn(t.id, t.runFn)
+			}
+			w.RunThreads()
+		})
 	}
 	return p
 }
 
-// walkStmts precomputes operation labels for every statement and
-// expression reachable from ss.
-func (p *Program) walkStmts(ss []lang.Stmt) {
-	for _, s := range ss {
-		switch x := s.(type) {
-		case *lang.LetStmt:
-			p.walkExpr(x.Expr)
-		case *lang.StoreStmt:
-			p.label(x, x.Pos)
-			p.walkExpr(x.Expr)
-		case *lang.FlushStmt:
-			p.label(x, x.Pos)
-		case *lang.FenceStmt:
-			p.label(x, x.Pos)
-		case *lang.IfStmt:
-			p.walkExpr(x.Cond)
-			p.walkStmts(x.Then)
-			p.walkStmts(x.Else)
-		case *lang.RepeatStmt:
-			p.walkStmts(x.Body)
-		case *lang.WhileStmt:
-			p.walkExpr(x.Cond)
-			p.walkStmts(x.Body)
-		case *lang.AssertStmt:
-			p.label(x, x.Pos)
-			p.walkExpr(x.Expr)
-		case *lang.ExprStmt:
-			p.walkExpr(x.Expr)
+// kind is what a compiled statement or expression does.
+type kind uint8
+
+const (
+	// Statements.
+	kLet kind = iota
+	kStore
+	kFlush
+	kFlushOpt
+	kSFence
+	kMFence
+	kIf
+	kRepeat
+	kWhile
+	kAssert
+	kExprStmt
+	// Expressions.
+	kNum
+	kReg
+	kLoad
+	kCAS
+	kFAA
+	kBin
+	kNot
+	// kBad is a node the compiler has no case for; executing it raises
+	// InternalError with the detail in label.
+	kBad
+)
+
+// binOp is a compiled binary operator.
+type binOp uint8
+
+const (
+	opAnd binOp = iota
+	opOr
+	opAdd
+	opSub
+	opMul
+	opDiv
+	opMod
+	opEq
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+)
+
+var binOps = map[string]binOp{
+	"&&": opAnd, "||": opOr, "+": opAdd, "-": opSub, "*": opMul, "/": opDiv, "%": opMod,
+	"==": opEq, "!=": opNe, "<": opLt, "<=": opLe, ">": opGt, ">=": opGe,
+}
+
+// stmt is a compiled statement.
+type stmt struct {
+	kind  kind
+	reg   int // let's register slot
+	count int // repeat's iteration count
+	addr  memmodel.Addr
+	label string
+	// expr is the value of a let, store, assert or expression statement,
+	// or the condition of an if or while.
+	expr *expr
+	// body is the then-branch of an if and the body of a loop; els is
+	// the else-branch.
+	body, els []stmt
+}
+
+// expr is a compiled expression.
+type expr struct {
+	kind  kind
+	op    binOp
+	val   memmodel.Value // a number's value
+	reg   int            // a register's slot
+	addr  memmodel.Addr
+	label string
+	// a and b are the operands: a binary operator's left and right, a
+	// CAS's expected and new value, a FAA's delta (a) and a negation's
+	// operand (a).
+	a, b *expr
+}
+
+// compiler compiles one thread's body, numbering its registers.
+type compiler struct {
+	p    *Program
+	regs map[string]int
+}
+
+// reg returns register name's slot.
+func (c *compiler) reg(name string) int {
+	r, ok := c.regs[name]
+	if !ok {
+		r = len(c.regs)
+		c.regs[name] = r
+	}
+	return r
+}
+
+// label is a memory operation's source-location label.
+func label(n fmt.Stringer, pos lang.Pos) string { return fmt.Sprintf("%s @%s", n, pos) }
+
+func (c *compiler) stmts(ss []lang.Stmt) []stmt {
+	out := make([]stmt, len(ss))
+	for i, s := range ss {
+		out[i] = c.stmt(s)
+	}
+	return out
+}
+
+func (c *compiler) stmt(s lang.Stmt) stmt {
+	switch x := s.(type) {
+	case *lang.LetStmt:
+		return stmt{kind: kLet, expr: c.expr(x.Expr), reg: c.reg(x.Reg)}
+	case *lang.StoreStmt:
+		return stmt{kind: kStore, expr: c.expr(x.Expr), addr: c.p.layout[x.Loc], label: label(x, x.Pos)}
+	case *lang.FlushStmt:
+		k := kFlush
+		if x.Opt {
+			k = kFlushOpt
 		}
+		return stmt{kind: k, addr: c.p.layout[x.Loc], label: label(x, x.Pos)}
+	case *lang.FenceStmt:
+		k := kSFence
+		if x.Full {
+			k = kMFence
+		}
+		return stmt{kind: k, label: label(x, x.Pos)}
+	case *lang.IfStmt:
+		return stmt{kind: kIf, expr: c.expr(x.Cond), body: c.stmts(x.Then), els: c.stmts(x.Else)}
+	case *lang.RepeatStmt:
+		return stmt{kind: kRepeat, count: x.Count, body: c.stmts(x.Body)}
+	case *lang.WhileStmt:
+		return stmt{kind: kWhile, expr: c.expr(x.Cond), body: c.stmts(x.Body)}
+	case *lang.AssertStmt:
+		return stmt{kind: kAssert, expr: c.expr(x.Expr), label: label(x, x.Pos)}
+	case *lang.ExprStmt:
+		return stmt{kind: kExprStmt, expr: c.expr(x.Expr)}
+	default:
+		return stmt{kind: kBad, label: fmt.Sprintf("unknown statement %T", s)}
 	}
 }
 
-func (p *Program) walkExpr(e lang.Expr) {
+func (c *compiler) expr(e lang.Expr) *expr {
 	switch x := e.(type) {
+	case *lang.NumExpr:
+		return &expr{kind: kNum, val: memmodel.Value(x.Val)}
+	case *lang.RegExpr:
+		return &expr{kind: kReg, reg: c.reg(x.Name)}
 	case *lang.LoadExpr:
-		p.label(x, x.Pos)
+		return &expr{kind: kLoad, addr: c.p.layout[x.Loc], label: label(x, x.Pos)}
 	case *lang.CASExpr:
-		p.label(x, x.Pos)
-		p.walkExpr(x.Expected)
-		p.walkExpr(x.New)
+		return &expr{kind: kCAS, addr: c.p.layout[x.Loc], label: label(x, x.Pos), a: c.expr(x.Expected), b: c.expr(x.New)}
 	case *lang.FAAExpr:
-		p.label(x, x.Pos)
-		p.walkExpr(x.Delta)
+		return &expr{kind: kFAA, addr: c.p.layout[x.Loc], label: label(x, x.Pos), a: c.expr(x.Delta)}
 	case *lang.BinExpr:
-		p.walkExpr(x.L)
-		p.walkExpr(x.R)
+		op, ok := binOps[x.Op]
+		if !ok {
+			return &expr{kind: kBad, label: fmt.Sprintf("unknown operator %q", x.Op)}
+		}
+		return &expr{kind: kBin, op: op, a: c.expr(x.L), b: c.expr(x.R)}
 	case *lang.NotExpr:
-		p.walkExpr(x.E)
+		return &expr{kind: kNot, a: c.expr(x.E)}
+	default:
+		return &expr{kind: kBad, label: fmt.Sprintf("unknown expression %T", e)}
 	}
-}
-
-func (p *Program) label(n fmt.Stringer, pos lang.Pos) {
-	p.labels[n] = fmt.Sprintf("%s @%s", n, pos)
 }
 
 // Name implements explore.Program.
@@ -141,109 +270,93 @@ func (p *Program) NameOf(a memmodel.Addr) string {
 	return ""
 }
 
-// Phases implements explore.Program: each phase spawns its threads under
-// the cooperative scheduler. A phase builds fresh per-thread interpreter
-// state (register files) on entry, so all cross-phase state lives in
-// the world.
-func (p *Program) Phases() []func(*pmem.World) {
-	phases := make([]func(*pmem.World), len(p.src.Phases))
-	for i, ph := range p.src.Phases {
-		ph := ph
-		phases[i] = func(w *pmem.World) {
-			if len(ph.Threads) == 1 {
-				// Single-threaded phases run inline: no scheduler
-				// nondeterminism to explore.
-				td := ph.Threads[0]
-				ex := &threadExec{p: p, th: w.Thread(memmodel.ThreadID(td.ID)), regs: map[string]memmodel.Value{}}
-				ex.stmts(td.Body)
-				return
-			}
-			for _, td := range ph.Threads {
-				td := td
-				w.Spawn(memmodel.ThreadID(td.ID), func(th *pmem.Thread) {
-					ex := &threadExec{p: p, th: th, regs: map[string]memmodel.Value{}}
-					ex.stmts(td.Body)
-				})
-			}
-			w.RunThreads()
-		}
+// Phases implements explore.Program: each phase runs its threads under
+// the cooperative scheduler (a single-threaded phase runs inline). Every
+// thread starts with a fresh register file, so all cross-phase state
+// lives in the world.
+func (p *Program) Phases() []func(*pmem.World) { return p.phases }
+
+// thread is one compiled thread of a phase. runFn is run as a func
+// value, built once so spawning it allocates nothing.
+type thread struct {
+	id    memmodel.ThreadID
+	nregs int
+	body  []stmt
+	runFn func(*pmem.Thread)
+}
+
+// inlineRegs is the register count a thread's register file holds
+// without a heap allocation.
+const inlineRegs = 16
+
+// run executes the thread's body on th with a zeroed register file.
+func (t *thread) run(th *pmem.Thread) {
+	var inline [inlineRegs]memmodel.Value
+	regs := inline[:]
+	if t.nregs > inlineRegs {
+		regs = make([]memmodel.Value, t.nregs)
 	}
-	return phases
+	ex := threadExec{th: th, regs: regs}
+	ex.stmts(t.body)
 }
 
 // threadExec is the per-thread interpreter state: the register file and
 // the thread handle.
 type threadExec struct {
-	p    *Program
 	th   *pmem.Thread
-	regs map[string]memmodel.Value
+	regs []memmodel.Value
 }
 
-// loc returns the precomputed label for a node, formatting on the fly
-// for nodes inserted after New (repair.Apply patches ASTs in place) —
-// without writing the shared map, since phases run concurrently.
-func (ex *threadExec) loc(stmtOrExpr fmt.Stringer, pos lang.Pos) string {
-	if s, ok := ex.p.labels[stmtOrExpr]; ok {
-		return s
-	}
-	return fmt.Sprintf("%s @%s", stmtOrExpr, pos)
-}
-
-func (ex *threadExec) stmts(ss []lang.Stmt) {
-	for _, s := range ss {
-		ex.stmt(s)
+func (ex *threadExec) stmts(ss []stmt) {
+	for i := range ss {
+		ex.stmt(&ss[i])
 	}
 }
 
-func (ex *threadExec) stmt(s lang.Stmt) {
+func (ex *threadExec) stmt(s *stmt) {
 	ex.th.World().CountInterpStep()
-	switch x := s.(type) {
-	case *lang.LetStmt:
-		ex.regs[x.Reg] = ex.eval(x.Expr)
-	case *lang.StoreStmt:
-		v := ex.eval(x.Expr)
-		ex.th.Store(ex.p.layout[x.Loc], v, ex.loc(x, x.Pos))
-	case *lang.FlushStmt:
-		if x.Opt {
-			ex.th.FlushOpt(ex.p.layout[x.Loc], ex.loc(x, x.Pos))
+	switch s.kind {
+	case kLet:
+		ex.regs[s.reg] = ex.eval(s.expr)
+	case kStore:
+		ex.th.Store(s.addr, ex.eval(s.expr), s.label)
+	case kFlush:
+		ex.th.Flush(s.addr, s.label)
+	case kFlushOpt:
+		ex.th.FlushOpt(s.addr, s.label)
+	case kSFence:
+		ex.th.SFence(s.label)
+	case kMFence:
+		ex.th.MFence(s.label)
+	case kIf:
+		if ex.eval(s.expr) != 0 {
+			ex.stmts(s.body)
 		} else {
-			ex.th.Flush(ex.p.layout[x.Loc], ex.loc(x, x.Pos))
+			ex.stmts(s.els)
 		}
-	case *lang.FenceStmt:
-		if x.Full {
-			ex.th.MFence(ex.loc(x, x.Pos))
-		} else {
-			ex.th.SFence(ex.loc(x, x.Pos))
+	case kRepeat:
+		for i := 0; i < s.count; i++ {
+			ex.stmts(s.body)
 		}
-	case *lang.IfStmt:
-		if ex.eval(x.Cond) != 0 {
-			ex.stmts(x.Then)
-		} else {
-			ex.stmts(x.Else)
-		}
-	case *lang.RepeatStmt:
-		for i := 0; i < x.Count; i++ {
-			ex.stmts(x.Body)
-		}
-	case *lang.WhileStmt:
+	case kWhile:
 		// The world's per-execution operation budget bounds runaway
 		// loops (condition evaluation performs at least one op when it
 		// touches memory; pure-register loops are bounded by the
 		// explicit iteration guard below).
-		for i := 0; ex.eval(x.Cond) != 0; i++ {
+		for i := 0; ex.eval(s.expr) != 0; i++ {
 			if i > 1<<20 {
 				panic(pmem.AbortSignal{Reason: "while loop exceeded iteration bound"})
 			}
-			ex.stmts(x.Body)
+			ex.stmts(s.body)
 		}
-	case *lang.AssertStmt:
-		if ex.eval(x.Expr) == 0 {
-			ex.th.World().RecordAssertFailure(ex.loc(x, x.Pos))
+	case kAssert:
+		if ex.eval(s.expr) == 0 {
+			ex.th.World().RecordAssertFailure(s.label)
 		}
-	case *lang.ExprStmt:
-		ex.eval(x.Expr)
+	case kExprStmt:
+		ex.eval(s.expr)
 	default:
-		panic(InternalError{Detail: fmt.Sprintf("unknown statement %T", s)})
+		panic(InternalError{Detail: s.label})
 	}
 }
 
@@ -254,72 +367,71 @@ func boolVal(b bool) memmodel.Value {
 	return 0
 }
 
-func (ex *threadExec) eval(e lang.Expr) memmodel.Value {
-	switch x := e.(type) {
-	case *lang.NumExpr:
-		return memmodel.Value(x.Val)
-	case *lang.RegExpr:
-		return ex.regs[x.Name]
-	case *lang.LoadExpr:
-		return ex.th.Load(ex.p.layout[x.Loc], ex.loc(x, x.Pos))
-	case *lang.CASExpr:
-		expd := ex.eval(x.Expected)
-		newV := ex.eval(x.New)
-		old, _ := ex.th.CAS(ex.p.layout[x.Loc], expd, newV, ex.loc(x, x.Pos))
+func (ex *threadExec) eval(e *expr) memmodel.Value {
+	switch e.kind {
+	case kNum:
+		return e.val
+	case kReg:
+		return ex.regs[e.reg]
+	case kLoad:
+		return ex.th.Load(e.addr, e.label)
+	case kCAS:
+		expd := ex.eval(e.a)
+		newV := ex.eval(e.b)
+		old, _ := ex.th.CAS(e.addr, expd, newV, e.label)
 		return old
-	case *lang.FAAExpr:
-		delta := ex.eval(x.Delta)
-		return ex.th.FAA(ex.p.layout[x.Loc], delta, ex.loc(x, x.Pos))
-	case *lang.BinExpr:
+	case kFAA:
+		delta := ex.eval(e.a)
+		return ex.th.FAA(e.addr, delta, e.label)
+	case kBin:
 		// Short-circuit the logical operators: their operands may have
 		// memory side effects.
-		switch x.Op {
-		case "&&":
-			if ex.eval(x.L) == 0 {
+		switch e.op {
+		case opAnd:
+			if ex.eval(e.a) == 0 {
 				return 0
 			}
-			return boolVal(ex.eval(x.R) != 0)
-		case "||":
-			if ex.eval(x.L) != 0 {
+			return boolVal(ex.eval(e.b) != 0)
+		case opOr:
+			if ex.eval(e.a) != 0 {
 				return 1
 			}
-			return boolVal(ex.eval(x.R) != 0)
+			return boolVal(ex.eval(e.b) != 0)
 		}
-		l, r := ex.eval(x.L), ex.eval(x.R)
-		switch x.Op {
-		case "+":
+		l, r := ex.eval(e.a), ex.eval(e.b)
+		switch e.op {
+		case opAdd:
 			return l + r
-		case "-":
+		case opSub:
 			return l - r
-		case "*":
+		case opMul:
 			return l * r
-		case "/":
+		case opDiv:
 			if r == 0 {
 				return 0
 			}
 			return l / r
-		case "%":
+		case opMod:
 			if r == 0 {
 				return 0
 			}
 			return l % r
-		case "==":
+		case opEq:
 			return boolVal(l == r)
-		case "!=":
+		case opNe:
 			return boolVal(l != r)
-		case "<":
+		case opLt:
 			return boolVal(l < r)
-		case "<=":
+		case opLe:
 			return boolVal(l <= r)
-		case ">":
+		case opGt:
 			return boolVal(l > r)
-		case ">=":
+		default: // opGe
 			return boolVal(l >= r)
 		}
-		panic(InternalError{Detail: fmt.Sprintf("unknown operator %q", x.Op)})
-	case *lang.NotExpr:
-		return boolVal(ex.eval(x.E) == 0)
+	case kNot:
+		return boolVal(ex.eval(e.a) == 0)
 	default:
-		panic(InternalError{Detail: fmt.Sprintf("unknown expression %T", e)})
+		panic(InternalError{Detail: e.label})
 	}
 }

@@ -344,3 +344,19 @@ phase {
 	}()
 	p.Phases()[0](w)
 }
+
+// TestUnknownOperatorPanicsWhenRun: an AST shape the interpreter has no
+// case for compiles, and raises InternalError only when executed, so
+// the explorer's panic isolation quarantines the execution.
+func TestUnknownOperatorPanicsWhenRun(t *testing.T) {
+	prog := &lang.Program{Phases: []*lang.Phase{{Threads: []*lang.ThreadDecl{{ID: 0, Body: []lang.Stmt{
+		&lang.LetStmt{Reg: "r", Expr: &lang.BinExpr{Op: "^", L: &lang.NumExpr{Val: 1}, R: &lang.NumExpr{Val: 2}}},
+	}}}}}}
+	p := New("bad-op", prog)
+	defer func() {
+		if e, ok := recover().(InternalError); !ok || !strings.Contains(e.Detail, `unknown operator "^"`) {
+			t.Fatalf("recover() = %v, want an InternalError naming the operator", e)
+		}
+	}()
+	runDirect(t, p)
+}

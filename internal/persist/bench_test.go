@@ -34,9 +34,10 @@ func BenchmarkAppendSealedCandidates(b *testing.B) {
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			im := persist.NewImage("bench")
+			tr := trace.New()
+			im := persist.NewImage("bench", tr)
 			for i, a := range c.stores {
-				im.Commit(&trace.Store{ID: int64(i + 1), Addr: a, Value: memmodel.Value(i + 1)})
+				im.Commit(tr.StoreIssue(0, a, memmodel.Value(i+1), memmodel.OpStore, trace.NoLoc))
 			}
 			im.Seal()
 			cands, _ := im.AppendSealedCandidates(nil, c.read)

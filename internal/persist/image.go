@@ -13,36 +13,33 @@ import (
 // prefixes that may have persisted. A prefix length p with lo ≤ p ≤ hi
 // means the first p stores of the epoch reached persistent memory.
 type epoch struct {
-	stores []*trace.Store
+	// stores is the history, trace.StoreRef handles in the image's hist
+	// pool; a retired entry is a trace.NoStore hole.
+	stores seg
 	lo, hi int
 	// idx is the per-word position index of a sealed epoch, built word
-	// by word on first use (see positions). It sits behind a pointer so
-	// an epoch stays small: every touched line has a live epoch, and
-	// most are never read through the crash image.
-	idx *wordIndex
+	// by word on first use (see positions), in the image's pos pool.
+	// Word w's positions, ascending, are idx[idx[w]:idx[W+w]] (W is
+	// memmodel.WordsPerLine) once bit w of built is set; the retired
+	// ones before idx[w] are holes in the epoch (see Retire), which
+	// never reappear once killed, so that begin only moves forward. A
+	// live epoch is never indexed.
+	idx   seg
+	built uint8
 }
 
-// wordIndex groups a sealed epoch's store positions by word, so a
-// post-crash load visits only the stores to its own word rather than
-// the line's whole history. Word w's positions, ascending, are
-// pos[begin[w]:end[w]] once bit w of built is set; the retired ones
-// before begin[w] are nil holes in the epoch (see Retire), which never
-// reappear once killed, so begin only moves forward. The index is
-// kept when the epoch is recycled and emptied at Seal, when the epoch
-// takes a new history.
-type wordIndex struct {
-	built      uint8
-	pos        []int32
-	begin, end [memmodel.WordsPerLine]int32
-}
+// idxHeader is the length of an index's begin/end header.
+const idxHeader = 2 * memmodel.WordsPerLine
 
 // positions returns the positions of word w's unretired stores in the
-// sealed epoch, ascending, indexing the word on first use.
-func (ep *epoch) positions(w int) []int32 {
-	if x := ep.idx; x != nil && x.built&(1<<w) != 0 {
-		return x.pos[x.begin[w]:x.end[w]]
+// sealed epoch, ascending, indexing the word on first use. The slice is
+// valid until the next index build.
+func (im *Image) positions(ep *epoch, w int) []int32 {
+	if ep.built&(1<<w) != 0 {
+		x := im.pos.view(ep.idx)
+		return x[x[w]:x[memmodel.WordsPerLine+w]]
 	}
-	return ep.indexWord(w)
+	return im.indexWord(ep, w)
 }
 
 // indexWord appends word w's positions to the epoch's index in one pass
@@ -51,22 +48,26 @@ func (ep *epoch) positions(w int) []int32 {
 // index, and every later walk of those words skips the rest of the
 // line. Holes already in the history are skipped: they are retired
 // stores, a prefix of their word's positions.
-func (ep *epoch) indexWord(w int) []int32 {
-	x := ep.idx
-	if x == nil {
-		x = &wordIndex{}
-		ep.idx = x
+func (im *Image) indexWord(ep *epoch, w int) []int32 {
+	for ep.idx.n < idxHeader {
+		im.pos.push(&ep.idx, 0)
 	}
-	b := len(x.pos)
-	for i, s := range ep.stores {
-		if s != nil && s.Addr.LineIndex() == w {
-			s.CheckLive()
-			x.pos = append(x.pos, int32(i))
+	b := ep.idx.n
+	for i, r := range im.hist.view(ep.stores) {
+		if r != trace.NoStore && im.tr.StoreAt(r).Addr.LineIndex() == w {
+			im.pos.push(&ep.idx, int32(i))
 		}
 	}
-	x.begin[w], x.end[w] = int32(b), int32(len(x.pos))
-	x.built |= 1 << w
-	return x.pos[b:]
+	x := im.pos.view(ep.idx)
+	x[w], x[memmodel.WordsPerLine+w] = b, ep.idx.n
+	ep.built |= 1 << w
+	return x[b:]
+}
+
+// release returns a dropped epoch's history and index to their pools.
+func (im *Image) release(ep *epoch) {
+	im.hist.release(&ep.stores)
+	im.pos.release(&ep.idx)
 }
 
 // lineState is the full persistence state of one cache line: sealed
@@ -76,9 +77,10 @@ func (ep *epoch) indexWord(w int) []int32 {
 // the epoch is sealed by a crash. A lineState outside the image's all
 // list is clean: no sealed epochs and an empty live epoch.
 type lineState struct {
-	line   memmodel.Addr
-	sealed []*epoch
-	live   *epoch
+	line memmodel.Addr
+	// sealed holds the sealed epochs in the image's eps pool.
+	sealed seg
+	live   epoch
 	// cursor is the live epoch's retirement cursor.
 	cursor
 }
@@ -93,10 +95,16 @@ type cursor struct {
 	last      [memmodel.WordsPerLine]int32
 }
 
+// sealedAt names a sealed epoch: the j-th of the line at line.
+type sealedAt struct {
+	line memmodel.Addr
+	j    int32
+}
+
 // sealedCursor is an epoch sealed since the last Retire with its
 // cursor, which that Retire still has to advance.
 type sealedCursor struct {
-	ep *epoch
+	sealedAt
 	cursor
 }
 
@@ -110,19 +118,32 @@ type sealedCursor struct {
 // byte-identical across backends that produce the same commit and
 // guarantee sequences.
 //
+// Line states, sealed epochs, histories and word indexes live in
+// arrays addressed by int32 indices and offsets, with stores named by
+// trace.StoreRef handles resolved through the trace: the image holds no
+// pointer per line, epoch or store for the garbage collector to follow.
+//
 // An Image is not safe for concurrent use, matching the Model contract.
 type Image struct {
 	name string // owning backend, for InvariantError attribution
-	// lines finds a line's state by line index (addr>>6); all lists the
-	// lines touched since the last Reset in creation order, which is
-	// what Seal, Reset, Retire, Snapshot and Restore walk. A line
-	// dropped from both keeps its lineState in its table slot for reuse.
-	lines trace.Table[*lineState]
-	all   []*lineState
+	// tr is the trace the image's stores live in.
+	tr *trace.Trace
+	// lines finds a line's state by line index (addr>>6): 1 + its index
+	// in states. all lists the lines touched since the last Reset in
+	// creation order, which is what Seal, Reset, Retire, Snapshot and
+	// Restore walk. A line dropped from both keeps its (clean) state,
+	// named by its table slot, with its pooled capacity, for reuse. A
+	// *lineState is valid until the next line creation.
+	lines  trace.Table[int32]
+	states []lineState
+	all    []memmodel.Addr
 
-	// epochFree recycles sealed epochs, word indexes included, across
-	// Reset and Restore; Seal draws from it before allocating.
-	epochFree []*epoch
+	// eps holds every line's sealed epochs, hist the epochs' histories
+	// and pos their word indexes. A dropped epoch returns its history
+	// and index to their pools, where the next ones reuse them.
+	eps  segs[epoch]
+	hist segs[trace.StoreRef]
+	pos  segs[int32]
 	// fpLines is Fingerprint's line-sorting scratch.
 	fpLines []*lineState
 
@@ -133,8 +154,8 @@ type Image struct {
 	// entry may repeat; a second visit finds nothing to do), and sealing
 	// the epochs Seal sealed before their cursor caught up.
 	pins        pinner
-	dirty       []*lineState
-	dirtySealed []*epoch
+	dirty       []memmodel.Addr
+	dirtySealed []sealedAt
 	sealing     []sealedCursor
 }
 
@@ -145,17 +166,18 @@ type pinner interface {
 	Unpin(*trace.Store)
 }
 
-// NewImage returns an empty image owned by the named backend.
-func NewImage(name string) *Image {
+// NewImage returns an empty image owned by the named backend, over the
+// stores of tr.
+func NewImage(name string, tr *trace.Trace) *Image {
 	im := &Image{}
-	im.Init(name)
+	im.Init(name, tr)
 	return im
 }
 
 // Init readies an empty image in place, so backends can embed an Image
 // by value and avoid a separate allocation per machine.
-func (im *Image) Init(name string) {
-	im.name = name
+func (im *Image) Init(name string, tr *trace.Trace) {
+	im.name, im.tr = name, tr
 }
 
 // lineKey is a line's table key.
@@ -165,8 +187,8 @@ func lineKey(a memmodel.Addr) uint64 { return uint64(a) >> 6 }
 // sealed epochs: O(lines touched since the last Reset), not O(lines
 // ever touched).
 func (im *Image) Reset() {
-	for _, ls := range im.all {
-		im.clean(ls)
+	for _, a := range im.all {
+		im.clean(im.lookup(a))
 	}
 	im.all = im.all[:0]
 	im.lines.Reset()
@@ -174,26 +196,21 @@ func (im *Image) Reset() {
 	im.dirty, im.dirtySealed, im.sealing = im.dirty[:0], im.dirtySealed[:0], im.sealing[:0]
 }
 
-// clean recycles a line's sealed epochs and empties its live epoch.
+// clean drops a line's sealed epochs and empties its live epoch.
 func (im *Image) clean(ls *lineState) {
-	im.epochFree = append(im.epochFree, ls.sealed...)
-	clear(ls.sealed)
-	ls.sealed = ls.sealed[:0]
-	ls.live.stores = ls.live.stores[:0]
+	im.dropSealed(ls, 0)
+	ls.live.stores.n = 0
 	ls.live.lo, ls.live.hi = 0, 0
 	ls.cursor = cursor{}
 }
 
-// newEpoch returns a zeroed epoch, recycled when possible.
-func (im *Image) newEpoch() *epoch {
-	if n := len(im.epochFree); n > 0 {
-		ep := im.epochFree[n-1]
-		im.epochFree = im.epochFree[:n-1]
-		ep.stores = ep.stores[:0]
-		ep.lo, ep.hi = 0, 0
-		return ep
+// dropSealed drops a line's sealed epochs from the n-th on.
+func (im *Image) dropSealed(ls *lineState, n int) {
+	sealed := im.eps.view(ls.sealed)
+	for j := n; j < len(sealed); j++ {
+		im.release(&sealed[j])
 	}
-	return &epoch{}
+	ls.sealed.n = int32(min(n, len(sealed)))
 }
 
 // line returns (creating on demand) the state of the line containing a.
@@ -201,43 +218,47 @@ func (im *Image) newEpoch() *epoch {
 // slot kept from an earlier one.
 func (im *Image) line(a memmodel.Addr) *lineState {
 	slot, ok := im.lines.Slot(lineKey(a))
-	if ok {
-		return *slot
+	if !ok {
+		if *slot == 0 {
+			im.states = append(im.states, lineState{line: a.Line()})
+			*slot = int32(len(im.states))
+		}
+		im.all = append(im.all, a.Line())
 	}
-	ls := *slot
-	if ls == nil {
-		ls = &lineState{line: a.Line(), live: &epoch{}}
-		*slot = ls
-	}
-	im.all = append(im.all, ls)
-	return ls
+	return &im.states[*slot-1]
 }
 
 // lookup returns the state of the line containing a, or nil if no
 // operation touched the line in this execution.
 func (im *Image) lookup(a memmodel.Addr) *lineState {
-	ls, _ := im.lines.Get(lineKey(a))
-	return ls
+	if l, ok := im.lines.Get(lineKey(a)); ok {
+		return &im.states[l-1]
+	}
+	return nil
+}
+
+// sealedEpoch resolves a sealedAt.
+func (im *Image) sealedEpoch(at sealedAt) *epoch {
+	return &im.eps.view(im.lookup(at.line).sealed)[at.j]
 }
 
 // Commit appends a committed store to its cache line's live history.
 func (im *Image) Commit(st *trace.Store) {
-	ls := im.line(st.Addr)
-	ls.live.stores = append(ls.live.stores, st)
+	im.hist.push(&im.line(st.Addr).live.stores, st.Ref())
 }
 
 // LiveLen returns the committed-history length of the line containing a
 // in the current sub-execution — the coverage an asynchronous flush
 // records at issue/buffer-exit time.
 func (im *Image) LiveLen(a memmodel.Addr) int {
-	return len(im.line(a).live.stores)
+	return int(im.line(a).live.stores.n)
 }
 
 // Guarantee marks every store committed so far to the line containing a
 // as guaranteed persistent — the effect of a synchronous flush.
 func (im *Image) Guarantee(a memmodel.Addr) {
 	ls := im.line(a)
-	if n := len(ls.live.stores); n > ls.live.lo {
+	if n := int(ls.live.stores.n); n > ls.live.lo {
 		ls.live.lo = n
 		im.touch(ls)
 	}
@@ -256,8 +277,8 @@ func (im *Image) GuaranteeUpTo(a memmodel.Addr, n int) {
 
 // touch lists a line whose live lo rose for the next Retire.
 func (im *Image) touch(ls *lineState) {
-	if n := len(im.dirty); im.pins != nil && (n == 0 || im.dirty[n-1] != ls) {
-		im.dirty = append(im.dirty, ls)
+	if n := len(im.dirty); im.pins != nil && (n == 0 || im.dirty[n-1] != ls.line) {
+		im.dirty = append(im.dirty, ls.line)
 	}
 }
 
@@ -277,24 +298,22 @@ func (im *Image) GuaranteedCount(a memmodel.Addr) int {
 // left for its cursor is listed for the next Retire with that cursor.
 func (im *Image) Seal() {
 	im.dirty = im.dirty[:0]
-	for _, ls := range im.all {
-		if len(ls.live.stores) > 0 || ls.live.lo > 0 {
+	for _, a := range im.all {
+		ls := im.lookup(a)
+		live := &ls.live
+		if live.stores.n > 0 || live.lo > 0 {
 			if im.pins != nil {
-				if int(ls.done) < len(ls.live.stores) || int(ls.cur) < ls.live.lo {
-					im.sealing = append(im.sealing, sealedCursor{ls.live, ls.cursor})
+				if ls.done < live.stores.n || int(ls.cur) < live.lo {
+					im.sealing = append(im.sealing, sealedCursor{sealedAt{a, ls.sealed.n}, ls.cursor})
 				}
 				ls.cursor = cursor{}
 			}
-			ls.live.hi = len(ls.live.stores)
-			if x := ls.live.idx; x != nil {
-				// A recycled epoch's index describes its old history.
-				x.built, x.pos = 0, x.pos[:0]
-			}
-			ls.sealed = append(ls.sealed, ls.live)
-			ls.live = im.newEpoch()
+			live.hi = int(live.stores.n)
+			im.eps.push(&ls.sealed, *live)
+			*live = epoch{}
 		} else {
 			// Nothing to seal: keep the (empty) live epoch.
-			ls.live.lo, ls.live.hi = 0, 0
+			live.lo, live.hi = 0, 0
 		}
 	}
 }
@@ -310,12 +329,14 @@ func (im *Image) AppendSealedCandidates(cands []Candidate, a memmodel.Addr) ([]C
 		return cands, false
 	}
 	w := a.LineIndex()
-	for j := len(ls.sealed) - 1; j >= 0; j-- {
-		ep := ls.sealed[j]
-		idxs := ep.positions(w)
+	sealed := im.eps.view(ls.sealed)
+	for j := len(sealed) - 1; j >= 0; j-- {
+		ep := &sealed[j]
+		idxs := im.positions(ep, w)
 		if len(idxs) == 0 {
 			continue
 		}
+		hist := im.hist.view(ep.stores)
 		// The store at position i is visible for prefix lengths in
 		// [i+1, next], where next is the position of the next store to
 		// a (or the epoch length). These windows tile the history in
@@ -328,16 +349,14 @@ func (im *Image) AppendSealedCandidates(cands []Candidate, a memmodel.Addr) ([]C
 		k, _ := slices.BinarySearch(idxs, int32(ep.lo))
 		for k = max(k-1, 0); k < len(idxs) && int(idxs[k]) < ep.hi; k++ {
 			i := int(idxs[k])
-			next := len(ep.stores)
+			next := len(hist)
 			if k+1 < len(idxs) {
 				next = int(idxs[k+1])
 			}
 			lo := max(ep.lo, i+1)
 			hi := min(ep.hi, next)
 			if lo <= hi {
-				s := ep.stores[i]
-				s.CheckLive()
-				cands = append(cands, Candidate{Store: s, Resolve: true, Epoch: j, LoNew: lo, HiNew: hi})
+				cands = append(cands, Candidate{Store: im.tr.StoreAt(hist[i]), Resolve: true, Epoch: j, LoNew: lo, HiNew: hi})
 			}
 		}
 		// Older epochs are visible only if this epoch's prefix can
@@ -350,10 +369,10 @@ func (im *Image) AppendSealedCandidates(cands []Candidate, a memmodel.Addr) ([]C
 }
 
 // Resolve narrows epoch ranges so that future reads agree with the
-// chosen candidate. tr and loc identify the access's source location,
+// chosen candidate. loc identifies the access's source location,
 // carried into the InvariantError panic raised when narrowing exposes
 // an internal inconsistency.
-func (im *Image) Resolve(a memmodel.Addr, c Candidate, tr *trace.Trace, loc trace.LocID) {
+func (im *Image) Resolve(a memmodel.Addr, c Candidate, loc trace.LocID) {
 	if !c.Resolve {
 		return // volatile read: nothing to narrow
 	}
@@ -368,29 +387,31 @@ func (im *Image) Resolve(a memmodel.Addr, c Candidate, tr *trace.Trace, loc trac
 	// a newer one, so the narrowing it would have asked for cannot be
 	// asked for any more.
 	w := a.LineIndex()
-	for j := len(ls.sealed) - 1; j > c.Epoch; j-- {
-		ep := ls.sealed[j]
-		if idxs := ep.positions(w); len(idxs) > 0 && ep.hi > int(idxs[0]) {
+	sealed := im.eps.view(ls.sealed)
+	for j := len(sealed) - 1; j > c.Epoch; j-- {
+		ep := &sealed[j]
+		if idxs := im.positions(ep, w); len(idxs) > 0 && ep.hi > int(idxs[0]) {
 			ep.hi = int(idxs[0])
 			if ep.lo > ep.hi {
-				panic(InvariantError{Model: im.name, Check: "crash-image resolution", Addr: a, Loc: tr.LocString(loc)})
+				panic(InvariantError{Model: im.name, Check: "crash-image resolution", Addr: a, Loc: im.tr.LocString(loc)})
 			}
 		}
 	}
 	if c.Epoch >= 0 {
-		ep := ls.sealed[c.Epoch]
+		ep := &sealed[c.Epoch]
 		ep.lo, ep.hi = c.LoNew, c.HiNew
-		if n := len(im.dirtySealed); im.pins != nil && (n == 0 || im.dirtySealed[n-1] != ep) {
-			im.dirtySealed = append(im.dirtySealed, ep)
+		at := sealedAt{ls.line, int32(c.Epoch)}
+		if n := len(im.dirtySealed); im.pins != nil && (n == 0 || im.dirtySealed[n-1] != at) {
+			im.dirtySealed = append(im.dirtySealed, at)
 		}
 		if ep.lo > ep.hi {
-			panic(InvariantError{Model: im.name, Check: "prefix range", Addr: a, Loc: tr.LocString(loc)})
+			panic(InvariantError{Model: im.name, Check: "prefix range", Addr: a, Loc: im.tr.LocString(loc)})
 		}
 	}
 }
 
-// Retire runs one bounded-window retirement of tr, the trace the
-// image's stores live in. buffered and extraRoots pin the sweep's
+// Retire runs one bounded-window retirement of the trace the image's
+// stores live in. buffered and extraRoots pin the sweep's
 // transient roots (the machine's store buffers, the checker's deferred
 // reads); either may be nil. The image first brings its own sticky pins
 // up to date — every entry a future load could still read through the
@@ -403,7 +424,7 @@ func (im *Image) Resolve(a memmodel.Addr, c Candidate, tr *trace.Trace, loc trac
 // ep.lo only ever rises — flushes raise it live, Resolve narrows it
 // upward when a read commits to a newer survivor — so once next < ep.lo
 // the window [max(lo,i+1), min(hi,next)] is empty forever: the entry is
-// dead and becomes a nil hole (positions carry the prefix arithmetic,
+// dead and becomes a hole (positions carry the prefix arithmetic,
 // so the slot must stay). The newest entry per word has no follower and
 // always survives, which is what keeps final-heap reconstruction's
 // address set intact. This is the monotone persisted prefix: once a
@@ -422,42 +443,45 @@ func (im *Image) Resolve(a memmodel.Addr, c Candidate, tr *trace.Trace, loc trac
 // AppendSealedCandidates sees the same (lo, hi) windows and the same
 // blocked verdict it would have computed on the full history. The
 // first Retire after Reset advances a fresh cursor over every epoch.
-func (im *Image) Retire(tr *trace.Trace, buffered, extraRoots func(pin func(*trace.Store))) {
-	im.retire(tr.RecentCommits(), tr)
-	tr.Retire(buffered, extraRoots)
+func (im *Image) Retire(buffered, extraRoots func(pin func(*trace.Store))) {
+	im.retire(im.tr.RecentCommits(), im.tr)
+	im.tr.Retire(buffered, extraRoots)
 }
 
 // retire updates the image's sticky pins through p; commits are the
 // stores committed to live epochs since the last call.
-func (im *Image) retire(commits []*trace.Store, p pinner) {
+func (im *Image) retire(commits []trace.StoreRef, p pinner) {
 	if im.pins == nil {
 		im.pins = p
-		for _, ls := range im.all {
-			for _, ep := range ls.sealed {
-				im.advance(ep, &cursor{})
+		for _, a := range im.all {
+			ls := im.lookup(a)
+			sealed := im.eps.view(ls.sealed)
+			for j := range sealed {
+				im.advance(&sealed[j], &cursor{})
 			}
-			im.advance(ls.live, &ls.cursor)
+			im.advance(&ls.live, &ls.cursor)
 		}
 		return
 	}
 	for i := range im.sealing {
-		im.advance(im.sealing[i].ep, &im.sealing[i].cursor)
+		im.advance(im.sealedEpoch(im.sealing[i].sealedAt), &im.sealing[i].cursor)
 	}
 	im.sealing = im.sealing[:0]
 	var prev memmodel.Addr
-	for i, s := range commits {
-		if line := s.Addr.Line(); i == 0 || line != prev {
+	for i, r := range commits {
+		if line := im.tr.StoreAt(r).Addr.Line(); i == 0 || line != prev {
 			ls := im.lookup(line)
-			im.advance(ls.live, &ls.cursor)
+			im.advance(&ls.live, &ls.cursor)
 			prev = line
 		}
 	}
-	for _, ls := range im.dirty {
-		im.advance(ls.live, &ls.cursor)
+	for _, a := range im.dirty {
+		ls := im.lookup(a)
+		im.advance(&ls.live, &ls.cursor)
 	}
 	im.dirty = im.dirty[:0]
-	for _, ep := range im.dirtySealed {
-		im.retireSealed(ep)
+	for _, at := range im.dirtySealed {
+		im.retireSealed(im.sealedEpoch(at))
 	}
 	im.dirtySealed = im.dirtySealed[:0]
 }
@@ -466,14 +490,15 @@ func (im *Image) retire(commits []*trace.Store, p pinner) {
 // are pinned, through its word index; see Retire.
 func (im *Image) retireSealed(ep *epoch) {
 	for w := range memmodel.WordsPerLine {
-		idxs := ep.positions(w)
+		idxs := im.positions(ep, w)
+		hist := im.hist.view(ep.stores)
 		k := 0
 		for k+1 < len(idxs) && int(idxs[k+1]) < ep.lo {
-			im.pins.Unpin(ep.stores[idxs[k]])
-			ep.stores[idxs[k]] = nil
+			im.pins.Unpin(im.tr.StoreAt(hist[idxs[k]]))
+			hist[idxs[k]] = trace.NoStore
 			k++
 		}
-		ep.idx.begin[w] += int32(k)
+		im.pos.view(ep.idx)[w] += int32(k)
 	}
 }
 
@@ -483,27 +508,28 @@ func (im *Image) retireSealed(ep *epoch) {
 // store is its word's first unretired one, so in a sealed epoch's word
 // index it sits at begin.
 func (im *Image) advance(ep *epoch, c *cursor) {
-	lo := int32(min(ep.lo, len(ep.stores)))
+	hist := im.hist.view(ep.stores)
+	lo := int32(min(ep.lo, len(hist)))
 	for p := c.cur; p < lo; p++ {
-		w := ep.stores[p].Addr.LineIndex()
+		w := im.tr.StoreAt(hist[p]).Addr.LineIndex()
 		if q := c.last[w] - 1; q >= 0 {
 			if q < c.done {
-				im.pins.Unpin(ep.stores[q])
+				im.pins.Unpin(im.tr.StoreAt(hist[q]))
 			}
-			ep.stores[q] = nil
-			if x := ep.idx; x != nil && x.built&(1<<w) != 0 {
-				x.begin[w]++
+			hist[q] = trace.NoStore
+			if ep.built&(1<<w) != 0 {
+				im.pos.view(ep.idx)[w]++
 			}
 		}
 		c.last[w] = p + 1
 	}
 	c.cur = max(c.cur, lo)
-	for p := c.done; p < int32(len(ep.stores)); p++ {
-		if s := ep.stores[p]; s != nil {
-			im.pins.Pin(s)
+	for p := c.done; p < int32(len(hist)); p++ {
+		if r := hist[p]; r != trace.NoStore {
+			im.pins.Pin(im.tr.StoreAt(r))
 		}
 	}
-	c.done = int32(len(ep.stores))
+	c.done = int32(len(hist))
 }
 
 // epochBounds is the restorable state of one sealed epoch: its
@@ -534,12 +560,12 @@ func (im *Image) Snapshot() *ImageSnapshot {
 		panic("persist: image snapshot under bounded-window retirement")
 	}
 	n := 0
-	for _, ls := range im.all {
-		n += len(ls.sealed)
+	for _, a := range im.all {
+		n += int(im.lookup(a).sealed.n)
 	}
 	snap := &ImageSnapshot{bounds: make([]epochBounds, 0, n), ends: make([]int32, len(im.all))}
-	for i, ls := range im.all {
-		for _, ep := range ls.sealed {
+	for i, a := range im.all {
+		for _, ep := range im.eps.view(im.lookup(a).sealed) {
 			snap.bounds = append(snap.bounds, epochBounds{lo: ep.lo, hi: ep.hi})
 		}
 		snap.ends[i] = int32(len(snap.bounds))
@@ -557,23 +583,21 @@ func (im *Image) Restore(snap *ImageSnapshot) {
 		panic("persist: image snapshot restored outside the execution it was taken in")
 	}
 	start := int32(0)
-	for i, ls := range im.all {
+	for i, a := range im.all {
+		ls := im.lookup(a)
 		if i >= len(snap.ends) {
 			im.clean(ls)
-			im.lines.Delete(lineKey(ls.line))
+			im.lines.Delete(lineKey(a))
 			continue
 		}
 		bs := snap.bounds[start:snap.ends[i]]
 		start = snap.ends[i]
-		if len(ls.sealed) > len(bs) {
-			im.epochFree = append(im.epochFree, ls.sealed[len(bs):]...)
-			clear(ls.sealed[len(bs):])
-			ls.sealed = ls.sealed[:len(bs)]
+		im.dropSealed(ls, len(bs))
+		sealed := im.eps.view(ls.sealed)
+		for j := range sealed {
+			sealed[j].lo, sealed[j].hi = bs[j].lo, bs[j].hi
 		}
-		for j, ep := range ls.sealed {
-			ep.lo, ep.hi = bs[j].lo, bs[j].hi
-		}
-		ls.live.stores = ls.live.stores[:0]
+		ls.live.stores.n = 0
 		ls.live.lo, ls.live.hi = 0, 0
 		ls.cursor = cursor{}
 	}
@@ -591,8 +615,8 @@ func (im *Image) Restore(snap *ImageSnapshot) {
 // similar ones.
 func (im *Image) Fingerprint() uint64 {
 	lines := im.fpLines[:0]
-	for _, ls := range im.all {
-		if len(ls.sealed) > 0 {
+	for _, a := range im.all {
+		if ls := im.lookup(a); ls.sealed.n > 0 {
 			lines = append(lines, ls)
 		}
 	}
@@ -613,19 +637,20 @@ func (im *Image) Fingerprint() uint64 {
 	}
 	for _, ls := range lines {
 		mix(uint64(ls.line))
-		mix(uint64(len(ls.sealed)))
-		for _, ep := range ls.sealed {
+		mix(uint64(ls.sealed.n))
+		for _, ep := range im.eps.view(ls.sealed) {
 			mix(uint64(ep.lo))
 			mix(uint64(ep.hi))
-			mix(uint64(len(ep.stores)))
-			for _, s := range ep.stores {
-				if s == nil {
+			mix(uint64(ep.stores.n))
+			for _, r := range im.hist.view(ep.stores) {
+				if r == trace.NoStore {
 					// Retired entry: fingerprints are only consumed by the
 					// state cache, which bounded-window mode forces off,
 					// but stay well-defined regardless.
 					mix(0)
 					continue
 				}
+				s := im.tr.StoreAt(r)
 				mix(uint64(s.ID))
 				mix(uint64(s.Value))
 			}

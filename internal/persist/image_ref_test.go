@@ -15,11 +15,21 @@ import (
 // them and another through the index and compares everything a caller
 // or the trace sweep can observe.
 
+// sealedOf returns a line's sealed epochs, oldest first.
+func sealedOf(im *Image, ls *lineState) []*epoch {
+	var out []*epoch
+	sealed := im.eps.view(ls.sealed)
+	for j := range sealed {
+		out = append(out, &sealed[j])
+	}
+	return out
+}
+
 // refIndexOfFirst returns the index of the first unretired store to word
 // w, or -1.
-func refIndexOfFirst(ep *epoch, w memmodel.Addr) int {
-	for i, s := range ep.stores {
-		if s != nil && s.Addr == w {
+func refIndexOfFirst(im *Image, ep *epoch, w memmodel.Addr) int {
+	for i, r := range im.hist.view(ep.stores) {
+		if r != trace.NoStore && im.tr.StoreAt(r).Addr == w {
 			return i
 		}
 	}
@@ -32,26 +42,27 @@ func refAppendSealedCandidates(im *Image, cands []Candidate, a memmodel.Addr) ([
 	ls := im.lookup(a)
 	var sealed []*epoch
 	if ls != nil {
-		sealed = ls.sealed
+		sealed = sealedOf(im, ls)
 	}
 	blocked := false
 	for j := len(sealed) - 1; j >= 0 && !blocked; j-- {
 		ep := sealed[j]
+		hist := im.hist.view(ep.stores)
 		var idxs []int
-		for i, s := range ep.stores {
-			if s != nil && s.Addr == a {
+		for i, r := range hist {
+			if r != trace.NoStore && im.tr.StoreAt(r).Addr == a {
 				idxs = append(idxs, i)
 			}
 		}
 		for k, i := range idxs {
-			next := len(ep.stores)
+			next := len(hist)
 			if k+1 < len(idxs) {
 				next = idxs[k+1]
 			}
 			lo := max(ep.lo, i+1)
 			hi := min(ep.hi, next)
 			if lo <= hi {
-				cands = append(cands, Candidate{Store: ep.stores[i], Resolve: true, Epoch: j, LoNew: lo, HiNew: hi})
+				cands = append(cands, Candidate{Store: im.tr.StoreAt(hist[i]), Resolve: true, Epoch: j, LoNew: lo, HiNew: hi})
 			}
 		}
 		if len(idxs) > 0 && ep.lo > idxs[0] {
@@ -62,7 +73,7 @@ func refAppendSealedCandidates(im *Image, cands []Candidate, a memmodel.Addr) ([
 }
 
 // refResolve is Resolve with refIndexOfFirst.
-func refResolve(im *Image, a memmodel.Addr, c Candidate, tr *trace.Trace, loc trace.LocID) {
+func refResolve(im *Image, a memmodel.Addr, c Candidate, loc trace.LocID) {
 	if !c.Resolve {
 		return
 	}
@@ -70,20 +81,21 @@ func refResolve(im *Image, a memmodel.Addr, c Candidate, tr *trace.Trace, loc tr
 	if ls == nil {
 		return
 	}
-	for j := len(ls.sealed) - 1; j > c.Epoch; j-- {
-		ep := ls.sealed[j]
-		if first := refIndexOfFirst(ep, a); first >= 0 && ep.hi > first {
+	sealed := sealedOf(im, ls)
+	for j := len(sealed) - 1; j > c.Epoch; j-- {
+		ep := sealed[j]
+		if first := refIndexOfFirst(im, ep, a); first >= 0 && ep.hi > first {
 			ep.hi = first
 			if ep.lo > ep.hi {
-				panic(InvariantError{Model: im.name, Check: "crash-image resolution", Addr: a, Loc: tr.LocString(loc)})
+				panic(InvariantError{Model: im.name, Check: "crash-image resolution", Addr: a, Loc: im.tr.LocString(loc)})
 			}
 		}
 	}
 	if c.Epoch >= 0 {
-		ep := ls.sealed[c.Epoch]
+		ep := sealed[c.Epoch]
 		ep.lo, ep.hi = c.LoNew, c.HiNew
 		if ep.lo > ep.hi {
-			panic(InvariantError{Model: im.name, Check: "prefix range", Addr: a, Loc: tr.LocString(loc)})
+			panic(InvariantError{Model: im.name, Check: "prefix range", Addr: a, Loc: im.tr.LocString(loc)})
 		}
 	}
 }
@@ -92,30 +104,32 @@ func refResolve(im *Image, a memmodel.Addr, c Candidate, tr *trace.Trace, loc tr
 // epoch, sealed or live, is swept linearly, its dead entries killed and
 // every survivor marked, whatever the previous retirement found.
 func refRetire(im *Image, mark func(*trace.Store)) {
-	for _, ls := range im.all {
-		for _, ep := range ls.sealed {
-			refRetireEpoch(ep, mark)
+	for _, a := range im.all {
+		ls := im.lookup(a)
+		for _, ep := range sealedOf(im, ls) {
+			refRetireEpoch(im, ep, mark)
 		}
-		refRetireEpoch(ls.live, mark)
+		refRetireEpoch(im, &ls.live, mark)
 	}
 }
 
 // refRetireEpoch applies the kill rule to one epoch by one backward
 // sweep and marks the survivors.
-func refRetireEpoch(ep *epoch, mark func(*trace.Store)) {
+func refRetireEpoch(im *Image, ep *epoch, mark func(*trace.Store)) {
 	// next holds, per word of the line, 1 + the nearest following
 	// non-hole index (0: none yet). A previously killed follower is fine
 	// to stand in for a live one: kills only happen below ep.lo, so the
 	// comparison agrees.
 	var next [memmodel.WordsPerLine]int
-	for i := len(ep.stores) - 1; i >= 0; i-- {
-		s := ep.stores[i]
-		if s == nil {
+	hist := im.hist.view(ep.stores)
+	for i := len(hist) - 1; i >= 0; i-- {
+		if hist[i] == trace.NoStore {
 			continue
 		}
+		s := im.tr.StoreAt(hist[i])
 		w := s.Addr.LineIndex()
 		if j := next[w]; j > 0 && j-1 < ep.lo {
-			ep.stores[i] = nil
+			hist[i] = trace.NoStore
 		} else {
 			mark(s)
 		}
@@ -160,22 +174,23 @@ func sameImageState(got, ref *Image) string {
 	if len(got.all) != len(ref.all) {
 		return fmt.Sprintf("%d lines, reference %d", len(got.all), len(ref.all))
 	}
-	for n, gl := range got.all {
-		rl := ref.all[n]
-		if gl.line != rl.line || len(gl.sealed) != len(rl.sealed) {
-			return fmt.Sprintf("line %d: %v with %d sealed epochs, reference %v with %d", n, gl.line, len(gl.sealed), rl.line, len(rl.sealed))
+	for n, a := range got.all {
+		gl, rl := got.lookup(a), ref.lookup(ref.all[n])
+		if gl.line != rl.line || gl.sealed.n != rl.sealed.n {
+			return fmt.Sprintf("line %d: %v with %d sealed epochs, reference %v with %d", n, gl.line, gl.sealed.n, rl.line, rl.sealed.n)
 		}
-		eps := append(append([]*epoch(nil), gl.sealed...), gl.live)
-		refs := append(append([]*epoch(nil), rl.sealed...), rl.live)
+		eps := append(sealedOf(got, gl), &gl.live)
+		refs := append(sealedOf(ref, rl), &rl.live)
 		for j, ge := range eps {
 			re := refs[j]
-			if ge.lo != re.lo || ge.hi != re.hi || len(ge.stores) != len(re.stores) {
+			gh, rh := got.hist.view(ge.stores), ref.hist.view(re.stores)
+			if ge.lo != re.lo || ge.hi != re.hi || len(gh) != len(rh) {
 				return fmt.Sprintf("line %v epoch %d: [%d,%d] of %d stores, reference [%d,%d] of %d",
-					gl.line, j, ge.lo, ge.hi, len(ge.stores), re.lo, re.hi, len(re.stores))
+					gl.line, j, ge.lo, ge.hi, len(gh), re.lo, re.hi, len(rh))
 			}
-			for i := range ge.stores {
-				if ge.stores[i] != re.stores[i] {
-					return fmt.Sprintf("line %v epoch %d position %d: %v, reference %v", gl.line, j, i, ge.stores[i], re.stores[i])
+			for i := range gh {
+				if gh[i] != rh[i] {
+					return fmt.Sprintf("line %v epoch %d position %d: %v, reference %v", gl.line, j, i, gh[i], rh[i])
 				}
 			}
 		}
@@ -205,10 +220,11 @@ func TestSealedIndexRetireMatchesReference(t *testing.T) {
 	unpins := 0
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		got, ref := NewImage("got"), NewImage("got")
+		tr.Reset()
+		got, ref := NewImage("got", tr), NewImage("got", tr)
 		windowed := seed%2 == 1
 		pins := &pinSet{t: t, pins: map[*trace.Store]bool{}}
-		var commits []*trace.Store
+		var commits []trace.StoreRef
 		var gotSnap, refSnap *ImageSnapshot
 		var gotBuf, refBuf []Candidate
 		nextID := int64(1)
@@ -227,11 +243,11 @@ func TestSealedIndexRetireMatchesReference(t *testing.T) {
 			a := word()
 			switch op := rng.Intn(20); {
 			case op < 8:
-				st := &trace.Store{ID: nextID, Addr: a, Value: memmodel.Value(nextID)}
+				st := tr.StoreIssue(0, a, memmodel.Value(nextID), memmodel.OpStore, trace.NoLoc)
 				nextID++
 				got.Commit(st)
 				ref.Commit(st)
-				commits = append(commits, st)
+				commits = append(commits, st.Ref())
 			case op < 9:
 				got.Guarantee(a)
 				ref.Guarantee(a)
@@ -266,13 +282,13 @@ func TestSealedIndexRetireMatchesReference(t *testing.T) {
 				if ls := got.lookup(a); ls != nil && rng.Intn(6) == 0 {
 					// A contradictory choice: narrowing must trip the
 					// same invariant at the same epoch on both sides.
-					c.Epoch = rng.Intn(len(ls.sealed)+1) - 1
+					c.Epoch = rng.Intn(int(ls.sealed.n)+1) - 1
 					c.LoNew, c.HiNew = rng.Intn(8), rng.Intn(8)
 				} else if n := len(gotBuf); n > 0 && (rb || rng.Intn(n+1) < n) {
 					c = gotBuf[rng.Intn(n)]
 				}
-				gp := recovered(func() { got.Resolve(a, c, tr, loc) })
-				rp := recovered(func() { refResolve(ref, a, c, tr, loc) })
+				gp := recovered(func() { got.Resolve(a, c, loc) })
+				rp := recovered(func() { refResolve(ref, a, c, loc) })
 				if gp != rp {
 					fail(step, "resolve %v to %+v panicked with %v, reference %v", a, c, gp, rp)
 				}

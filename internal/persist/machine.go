@@ -131,7 +131,7 @@ func newMachine(name string, cfg Config, newRule func(*Image) rule) *machine {
 		met:     obs.PersistInstruments(cfg.Obs.Reg(), name),
 		tr:      trace.New(),
 	}
-	m.img.Init(name)
+	m.img.Init(name, m.tr)
 	m.rule = newRule(&m.img)
 	if c, ok := m.rule.(committer); ok {
 		m.onCommit = c.committed
@@ -307,7 +307,7 @@ func (m *machine) resolveChoice(a memmodel.Addr, c Candidate, loc trace.LocID) {
 	if c.Resolve {
 		m.met.Resolved.Inc()
 	}
-	m.img.Resolve(a, c, m.tr, loc)
+	m.img.Resolve(a, c, loc)
 }
 
 func (m *machine) Load(t memmodel.ThreadID, a memmodel.Addr, c Candidate, loc trace.LocID) memmodel.Value {
@@ -378,7 +378,7 @@ func (m *machine) Restore(snap *ImageSnapshot) {
 // the volatile cache (the newest entry per word of the live epoch)
 // included. Rules hold line coverage counts, not stores.
 func (m *machine) Retire(extraRoots func(pin func(*trace.Store))) {
-	m.img.Retire(m.tr, m.pinBuffered, extraRoots)
+	m.img.Retire(m.pinBuffered, extraRoots)
 }
 
 func (m *machine) pinBuffered(pin func(*trace.Store)) {

@@ -12,7 +12,7 @@ import (
 // traces "can contain millions of operations"; PSan's reports point
 // into them). Sub-executions are numbered from 1 as in the paper's
 // e1 C1 e2 ... notation. On a bounded-window trace only the retained
-// tail is listed: retired slots (released to the GC) are skipped behind
+// tail is listed: retired slots (released to the arenas) are skipped behind
 // a banner, and sub-execution numbering accounts for crashes that were
 // retired with them.
 func (tr *Trace) Dump(w io.Writer) {

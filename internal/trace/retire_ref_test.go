@@ -41,20 +41,21 @@ func (tr *Trace) fullMarkCheck(fail func(string)) func() {
 			return
 		}
 		fm.pinned[s] = true
-		if s.Initial || s.CV.IsBottom() {
+		cv := tr.StoreCV(s)
+		if s.Initial || cv.IsBottom() {
 			return
 		}
 		sub := tr.subs[s.SubExec]
-		for i, n := 0, s.CV.Len(); i < n; i++ {
-			mark(sub.StoreByClock(s.CV.Comp(i)))
+		for i, n := 0, cv.Len(); i < n; i++ {
+			mark(sub.StoreByClock(cv.Comp(i)))
 		}
 	}
 	// Roots: the crash image's sticky pins, the roots callbacks', the
 	// initial stores and every sub-execution's clock-vector frontier.
-	fm.live = append(fm.live, tr.initList...)
+	fm.live = append(fm.live, tr.refs(tr.initList)...)
 	for _, sub := range tr.subs {
 		for _, r := range sub.threads {
-			for _, s := range r.stores {
+			for _, s := range tr.refs(r.stores) {
 				if s != nil {
 					fm.live = append(fm.live, s)
 				}
@@ -66,7 +67,7 @@ func (tr *Trace) fullMarkCheck(fail func(string)) func() {
 			mark(s)
 		}
 	}
-	for _, s := range tr.roots {
+	for _, s := range tr.refs(tr.roots) {
 		mark(s)
 	}
 	for _, sub := range tr.subs {
@@ -94,7 +95,7 @@ func (tr *Trace) fullMarkCheck(fail func(string)) func() {
 		var committed []*Store
 		for _, r := range sub.threads {
 			row := make([]*Store, r.base, int(r.base)+len(r.stores))
-			for _, s := range r.stores {
+			for _, s := range tr.refs(r.stores) {
 				if !fm.pinned[s] {
 					s = nil
 				}
@@ -107,8 +108,8 @@ func (tr *Trace) fullMarkCheck(fail func(string)) func() {
 		}
 		slices.SortFunc(committed, func(a, b *Store) int { return int(a.Seq - b.Seq) })
 		lists := map[uint64][]*Store{}
-		sub.byLoc.Each(func(k uint64, lp *[]*Store) {
-			list := *lp
+		sub.byLoc.Each(func(k uint64, l *wordList) {
+			list := tr.list(*l)
 			minPinned := vclock.Seq(int64(^uint64(0) >> 1))
 			for _, s := range list {
 				if fm.pinned[s] && s.Seq < minPinned {
@@ -138,7 +139,7 @@ func (tr *Trace) fullMarkCheck(fail func(string)) func() {
 	}
 	// The checker's holds came in with the roots callbacks.
 	gens := map[*Store]uint16{}
-	for _, s := range slices.Concat(tr.limbo, parked, fm.live) {
+	for _, s := range slices.Concat(tr.refs(tr.limbo), parked, fm.live) {
 		if uint32(s.mark>>holdShift) == tr.holdGen {
 			fm.held[s] = true
 		}
@@ -175,7 +176,7 @@ func (tr *Trace) compareFullMark(fm *fullMark, gens map[*Store]uint16, fail func
 	// list or never committed, and held by this sweep. Every other
 	// unlinked store still alive is parked on its byLoc list.
 	limbo := map[*Store]bool{}
-	for _, s := range tr.limbo {
+	for _, s := range tr.refs(tr.limbo) {
 		switch {
 		case limbo[s]:
 			failf("sweep %d: store %v is in limbo twice", tr.retirements, s)
@@ -188,8 +189,8 @@ func (tr *Trace) compareFullMark(fm *fullMark, gens map[*Store]uint16, fail func
 	}
 	onList := map[*Store]bool{}
 	for _, sub := range tr.subs {
-		sub.byLoc.Each(func(_ uint64, lp *[]*Store) {
-			for _, s := range *lp {
+		sub.byLoc.Each(func(_ uint64, l *wordList) {
+			for _, s := range tr.list(*l) {
 				onList[s] = true
 			}
 		})
@@ -221,10 +222,10 @@ func (tr *Trace) compareFullMark(fm *fullMark, gens map[*Store]uint16, fail func
 			failf("sweep %d: sub %d Stores %v, full mark %v", tr.retirements, i, got, fm.stores[i])
 		}
 		n := 0
-		sub.byLoc.Each(func(k uint64, lp *[]*Store) {
+		sub.byLoc.Each(func(k uint64, l *wordList) {
 			n++
-			if want := fm.lists[i][k]; !slices.Equal(*lp, want) {
-				failf("sweep %d: sub %d word %#x byLoc %v, full mark %v", tr.retirements, i, k<<3, *lp, want)
+			if got, want := tr.list(*l), fm.lists[i][k]; !slices.Equal(got, want) {
+				failf("sweep %d: sub %d word %#x byLoc %v, full mark %v", tr.retirements, i, k<<3, got, want)
 			}
 		})
 		if n != len(fm.lists[i]) {

@@ -11,7 +11,10 @@
 // Store and Event records are allocated from per-trace arenas, clock
 // vectors live inline in the records, and source labels are interned to
 // LocIDs, so a trace can be recycled across executions with Reset in
-// O(1) heap traffic. Pointers into a trace (stores, events, Next
+// O(1) heap traffic. A Store record holds no pointer, and every store
+// reference the trace keeps is a StoreRef handle into the store arena,
+// so the store records and their indexes are memory the garbage
+// collector never scans. Pointers into a trace (stores, events, Next
 // results) are valid only until the next Reset — and, under a
 // bounded window, only until the retirement sweep that releases the
 // record (window.go); consumers that outlive an execution must copy
@@ -25,9 +28,27 @@ import (
 	"repro/internal/vclock"
 )
 
+// StoreRef is a handle to a Store record: 1 + the record's slot in its
+// trace's store arena. NoStore, the zero value, names no store. The
+// trace's rows, per-word lists, limbo and free list, and the crash
+// image's epoch histories, keep handles rather than pointers: a handle
+// is not a pointer, so the garbage collector never follows one. Resolve
+// it with Trace.StoreAt. Arena chunks never move, so the resolved
+// pointer stays valid as long as the handle does.
+type StoreRef int32
+
+// NoStore is the StoreRef of no store: a hole in a thread row or an
+// epoch history, or the end of a per-word list.
+const NoStore StoreRef = 0
+
 // Store is one store operation in an execution. RMW operations contribute
 // a Store for their write half. The synthetic Initial store represents a
 // location's pre-execution contents (conventionally zero).
+//
+// A Store holds no pointer (TestRetainedRecordsArePointerFree), so its
+// arena chunks are memory the garbage collector never scans: the clock
+// vector lives inline unless it has more than four components, when it
+// lives in its trace's spill table instead (Trace.StoreCV).
 type Store struct {
 	// ID is unique across the whole execution, including crashes.
 	ID int64
@@ -44,10 +65,12 @@ type Store struct {
 	// vector at issue time (getcl in the paper). It orders the stores of
 	// one thread by issue.
 	Clock vclock.Clock
-	// CV is the store's clock vector SCV(st) at issue time. For τ′ ≠
-	// Thread, CV.At(τ′) is the clock of the last store of thread τ′ that
-	// happens before this store (§5.1).
-	CV vclock.CV
+	// cv is the store's clock vector SCV(st) at issue time when it fits
+	// inline; otherwise it is vclock.Spilled(i), and the vector is entry
+	// i of the trace's spill table. Trace.StoreCV reads it. For τ′ ≠
+	// Thread, component τ′ is the clock of the last store of thread τ′
+	// that happens before this store (§5.1).
+	cv vclock.Words
 	// Seq is the TSO sequence number assigned when the store commits to
 	// the cache; 0 means not yet committed (Figure 3).
 	Seq vclock.Seq
@@ -56,6 +79,11 @@ type Store struct {
 	// Loc is the interned source label of the store site, used for bug
 	// reports; resolve it with the owning trace's LocString.
 	Loc LocID
+	// ref is the store's own handle.
+	ref StoreRef
+	// next is the store after this one on its word's per-sub-execution
+	// list (SubExec.byLoc), in commit order; NoStore at the tail.
+	next StoreRef
 	// Initial marks the synthetic pre-execution store.
 	Initial bool
 
@@ -84,10 +112,13 @@ func (s *Store) String() string {
 	return fmt.Sprintf("store#%d(%s=%d @t%d e%d clk%d)", s.ID, s.Addr, uint64(s.Value), int(s.Thread), s.SubExec, int64(s.Clock))
 }
 
+// Ref returns the store's handle.
+func (s *Store) Ref() StoreRef { return s.ref }
+
 // HappensBefore reports whether s happens before t: both stores are in
 // the same sub-execution and SCV(s) ≤ SCV(t) (§3.4). Initial stores
 // happen before every store.
-func (s *Store) HappensBefore(t *Store) bool {
+func (tr *Trace) HappensBefore(s, t *Store) bool {
 	if s == t || t == nil {
 		return false
 	}
@@ -97,7 +128,51 @@ func (s *Store) HappensBefore(t *Store) bool {
 	if t.Initial || s.SubExec != t.SubExec {
 		return false
 	}
-	return s.CV.Leq(t.CV)
+	return tr.StoreCV(s).Leq(tr.StoreCV(t))
+}
+
+// StoreCV returns s's clock vector SCV(s) at issue time. For τ′ ≠
+// s.Thread, component τ′ is the clock of the last store of thread τ′
+// that happens before s (§5.1).
+func (tr *Trace) StoreCV(s *Store) vclock.CV {
+	if i, ok := s.cv.SpillIndex(); ok {
+		return tr.spills[i]
+	}
+	return s.cv.CV()
+}
+
+// CVLen and CVComp walk s's clock vector in place, as vclock.CV's Len
+// and Comp do, so that a loop over its components does not copy the
+// vector out of the record:
+//
+//	for i, n := 0, tr.CVLen(s); i < n; i++ {
+//		t, c := tr.CVComp(s, i)
+//		...
+//	}
+func (tr *Trace) CVLen(s *Store) int {
+	if i, ok := s.cv.SpillIndex(); ok {
+		return tr.spills[i].Len()
+	}
+	return s.cv.Len()
+}
+
+// CVComp returns the i-th component of s's clock vector; see CVLen.
+func (tr *Trace) CVComp(s *Store, i int) (memmodel.ThreadID, vclock.Clock) {
+	if j, ok := s.cv.SpillIndex(); ok {
+		return tr.spills[j].Comp(i)
+	}
+	return s.cv.Comp(i)
+}
+
+// StoreAt resolves a handle (not NoStore) to its record. In a build
+// with the psanpoison tag it panics when the slot was released by a
+// sweep, as Store.CheckLive does; in any other build it is two loads.
+func (tr *Trace) StoreAt(r StoreRef) *Store {
+	s := tr.stores.at(int32(r) - 1)
+	if poisonChecks && s.gen&1 != 0 {
+		panicReleased("store", s.gen)
+	}
+	return s
 }
 
 // Event is one entry in the flat event log. Loads carry the store they
@@ -133,15 +208,19 @@ type Event struct {
 type SubExec struct {
 	// Index is the sub-execution's position (0-based).
 	Index int
+	// tr is the trace the sub-execution belongs to, which resolves its
+	// handles.
+	tr *Trace
 	// stores holds the committed stores in TSO (commit) order; once a
 	// windowed sweep has run (swept), only those committed since the
 	// last sweep. Stores() is the reading side.
-	stores []*Store
+	stores []StoreRef
 	swept  bool
 	// byLoc indexes committed stores per word (key addr>>3), in commit
-	// order. Its tail is the word's volatile cache content: the last
-	// store committed to it in this sub-execution (LastTo).
-	byLoc Table[[]*Store]
+	// order, as a list threaded through the records' next handles. Its
+	// tail is the word's volatile cache content: the last store
+	// committed to it in this sub-execution (LastTo).
+	byLoc Table[wordList]
 	// threads holds one row per thread that stored or loaded, in
 	// first-touch order. Thread IDs are few and not dense, so a linear
 	// search beats any index.
@@ -150,6 +229,14 @@ type SubExec struct {
 	seq vclock.Seq
 	// events are the indices of this sub-execution's events in the log.
 	events []int
+}
+
+// wordList is one word's committed stores in a sub-execution, linked
+// through Store.next from head to tail in commit order. A list is never
+// empty: a word gets one with its first commit, and retirement keeps
+// each thread's first store on it.
+type wordList struct {
+	head, tail StoreRef
 }
 
 // threadRow is one thread's state within a sub-execution.
@@ -162,8 +249,8 @@ type threadRow struct {
 	// rows at their live span.
 	// lead counts the leading holes not yet trimmed into base, and
 	// swept is the row's logical length at the last sweep: the stores
-	// past it are new to the next one.
-	stores []*Store
+	// past it are new to the next one. A hole is NoStore.
+	stores []StoreRef
 	base   vclock.Clock
 	lead   int
 	swept  vclock.Clock
@@ -209,7 +296,6 @@ func (e *SubExec) row(t memmodel.ThreadID) *threadRow {
 	if n < cap(e.threads) {
 		e.threads = e.threads[:n+1]
 		r := &e.threads[n]
-		clear(r.stores)
 		*r = threadRow{t: t, stores: r.stores[:0]}
 		return r
 	}
@@ -217,10 +303,17 @@ func (e *SubExec) row(t memmodel.ThreadID) *threadRow {
 	return &e.threads[n]
 }
 
-// StoresTo returns the committed stores to addr in TSO order.
+// StoresTo returns the committed stores to addr in TSO order, in a
+// newly allocated slice.
 func (e *SubExec) StoresTo(addr memmodel.Addr) []*Store {
-	sts, _ := e.byLoc.Get(wordKey(addr.Word()))
-	return sts
+	var out []*Store
+	l, _ := e.byLoc.Get(wordKey(addr.Word()))
+	for r := l.head; r != NoStore; {
+		s := e.tr.StoreAt(r)
+		out = append(out, s)
+		r = s.next
+	}
+	return out
 }
 
 // LastTo returns the last store committed to addr's word in this
@@ -228,11 +321,11 @@ func (e *SubExec) StoresTo(addr memmodel.Addr) []*Store {
 // while this is the current sub-execution. Bounded-window sweeps keep
 // it: the newest store per word is always pinned.
 func (e *SubExec) LastTo(addr memmodel.Addr) *Store {
-	sts := e.StoresTo(addr)
-	if len(sts) == 0 {
+	l, ok := e.byLoc.Get(wordKey(addr.Word()))
+	if !ok {
 		return nil
 	}
-	return sts[len(sts)-1]
+	return e.tr.StoreAt(l.tail)
 }
 
 // StoreByClock returns thread t's store with the given clock, or nil if
@@ -243,9 +336,11 @@ func (e *SubExec) StoreByClock(t memmodel.ThreadID, c vclock.Clock) *Store {
 	if r == nil || c <= r.base || c > r.base+vclock.Clock(len(r.stores)) {
 		return nil
 	}
-	s := r.stores[c-r.base-1]
-	s.CheckLive()
-	return s
+	ref := r.stores[c-r.base-1]
+	if ref == NoStore {
+		return nil
+	}
+	return e.tr.StoreAt(ref)
 }
 
 // ThreadCV returns thread t's current clock vector.
@@ -266,13 +361,21 @@ type Trace struct {
 	// initials indexes the synthetic initial stores per word (key
 	// addr>>3); initList holds them in creation order, so store IDs
 	// -1, -2, ... sit at positions 0, 1, ....
-	initials    Table[*Store]
-	initList    []*Store
+	initials    Table[StoreRef]
+	initList    []StoreRef
 	nextStoreID int64
 
 	interner *Interner
 	stores   arena[Store]
 	evs      arena[Event]
+	// evFree recycles the event slots a sweep released. Events hold
+	// pointers, so their free list may as well.
+	evFree []*Event
+	// spills holds the clock vectors of the stores whose vector does not
+	// fit inline (Store.cv); spillFree lists the entries released with
+	// their stores.
+	spills    []vclock.CV
+	spillFree []uint32
 
 	// nextOut/nextSeen are the scratch buffers of Next; see its contract.
 	nextOut  []*Store
@@ -306,7 +409,7 @@ type Trace struct {
 	// limbo holds the unlinked stores a sweep could release: each sweep
 	// adds the ones it unlinks and refilter the parked ones it drops,
 	// then parks or releases every one nothing holds (see Retire).
-	limbo []*Store
+	limbo []StoreRef
 	// pinnedNow counts the pinned stores; lastPinned is its value at the
 	// end of the most recent sweep and maxPinned the execution's maximum.
 	pinnedNow  int
@@ -316,10 +419,10 @@ type Trace struct {
 	// transient roots; pinRootFn is pinRoot as a value, for the roots
 	// callbacks. unpinned collects the stores that lost their pins
 	// since the last sweep, pinStack the reference walks' stack.
-	roots, prevRoots []*Store
+	roots, prevRoots []StoreRef
 	pinRootFn        func(*Store)
-	unpinned         []*Store
-	pinStack         []*Store
+	unpinned         []StoreRef
+	pinStack         []StoreRef
 	// initSwept initial stores and the sub-executions before sweptSub
 	// have been seen by a sweep.
 	initSwept int
@@ -351,11 +454,13 @@ func (tr *Trace) Reset() {
 	tr.subs = tr.subPool[:0]
 	tr.events = tr.events[:0]
 	tr.initials.Reset()
-	clear(tr.initList)
 	tr.initList = tr.initList[:0]
 	tr.nextStoreID = 0
 	tr.stores.reset()
 	tr.evs.reset()
+	tr.evFree = tr.evFree[:0]
+	clear(tr.spills)
+	tr.spills, tr.spillFree = tr.spills[:0], tr.spillFree[:0]
 	tr.eventFloor = 0
 	tr.eventBase = 0
 	tr.retiredKinds = [memmodel.OpCrash + 1]int{}
@@ -387,7 +492,7 @@ func (tr *Trace) pushSubExec() {
 		tr.subs = tr.subPool[:n+1]
 		return
 	}
-	tr.subPool = append(tr.subPool, &SubExec{Index: n})
+	tr.subPool = append(tr.subPool, &SubExec{Index: n, tr: tr})
 	tr.subs = tr.subPool
 }
 
@@ -413,7 +518,7 @@ func (tr *Trace) Initial(addr memmodel.Addr) *Store {
 	addr = addr.Word()
 	slot, ok := tr.initials.Slot(wordKey(addr))
 	if ok {
-		return *slot
+		return tr.StoreAt(*slot)
 	}
 	s := tr.newStore()
 	s.ID = -int64(len(tr.initList)) - 1
@@ -421,8 +526,8 @@ func (tr *Trace) Initial(addr memmodel.Addr) *Store {
 	s.Thread = memmodel.NoThread
 	s.SubExec = 0
 	s.Initial = true
-	*slot = s
-	tr.initList = append(tr.initList, s)
+	*slot = s.ref
+	tr.initList = append(tr.initList, s.ref)
 	return s
 }
 
@@ -451,10 +556,10 @@ func (tr *Trace) StoreIssue(t memmodel.ThreadID, addr memmodel.Addr, v memmodel.
 	st.Thread = t
 	st.SubExec = cur.Index
 	st.Clock = cv.At(t)
-	st.CV = cv
+	tr.setCV(st, cv)
 	st.Kind = kind
 	st.Loc = loc
-	r.stores = append(r.stores, st)
+	r.stores = append(r.stores, st.ref)
 	ev := tr.newEvent()
 	ev.Kind = kind
 	ev.Thread = t
@@ -481,12 +586,14 @@ func (tr *Trace) StoreCommit(st *Store) {
 	}
 	cur.seq++
 	st.Seq = cur.seq
-	cur.stores = append(cur.stores, st)
-	list, ok := cur.byLoc.Slot(wordKey(st.Addr))
-	if !ok {
-		*list = (*list)[:0] // reuse a stale generation's backing array
+	cur.stores = append(cur.stores, st.ref)
+	l, ok := cur.byLoc.Slot(wordKey(st.Addr))
+	if ok {
+		tr.StoreAt(l.tail).next = st.ref
+		l.tail = st.ref
+	} else {
+		*l = wordList{head: st.ref, tail: st.ref}
 	}
-	*list = append(*list, st)
 }
 
 // Load applies the [LOAD] rule: it logs the read and, when the store read
@@ -499,7 +606,7 @@ func (tr *Trace) Load(t memmodel.ThreadID, addr memmodel.Addr, rf *Store, kind m
 	cur := tr.Current()
 	r := cur.row(t)
 	if rf != nil && !rf.Initial && rf.SubExec == cur.Index {
-		r.cv = r.cv.Join(rf.CV)
+		r.cv = r.cv.Join(tr.StoreCV(rf))
 	}
 	var v memmodel.Value
 	if rf != nil {
@@ -549,6 +656,7 @@ type TraceMark struct {
 	nextStoreID int64
 	stores      arenaMark
 	evs         arenaMark
+	spills      int
 }
 
 // Mark captures the trace's position for a later Rewind. Call it only
@@ -568,6 +676,7 @@ func (tr *Trace) Mark() TraceMark {
 		nextStoreID: tr.nextStoreID,
 		stores:      tr.stores.mark(),
 		evs:         tr.evs.mark(),
+		spills:      len(tr.spills),
 	}
 }
 
@@ -591,15 +700,17 @@ func (tr *Trace) Rewind(m TraceMark) {
 	tr.events = tr.events[:m.events]
 	// Initial stores created after the mark are exactly the tail of
 	// the creation-order list.
-	for len(tr.initList) > m.initials {
-		n := len(tr.initList) - 1
-		tr.initials.Delete(wordKey(tr.initList[n].Addr))
-		tr.initList[n] = nil
-		tr.initList = tr.initList[:n]
+	for _, r := range tr.initList[m.initials:] {
+		tr.initials.Delete(wordKey(tr.StoreAt(r).Addr))
 	}
+	tr.initList = tr.initList[:m.initials]
 	tr.nextStoreID = m.nextStoreID
 	tr.stores.rewind(m.stores)
 	tr.evs.rewind(m.evs)
+	// Without a window no store is released, so the spill table only
+	// grew since the mark.
+	clear(tr.spills[m.spills:])
+	tr.spills = tr.spills[:m.spills]
 }
 
 // GetExec returns the sub-execution containing the store (getexec in the
@@ -622,25 +733,29 @@ func (tr *Trace) Next(st *Store, ecur int) []*Store {
 	st.CheckLive()
 	tr.nextOut = tr.nextOut[:0]
 	start := st.SubExec + 1
+	key := wordKey(st.Addr)
 	if st.Initial {
 		// The initial store precedes all stores of sub-execution 0.
-		tr.firstPerThread(tr.subs[st.SubExec].StoresTo(st.Addr), 0)
+		tr.firstPerThread(tr.subs[st.SubExec], key, 0)
 	} else {
-		tr.firstPerThread(tr.subs[st.SubExec].StoresTo(st.Addr), st.Seq)
+		tr.firstPerThread(tr.subs[st.SubExec], key, st.Seq)
 	}
 	for i := start; i < ecur && i < len(tr.subs); i++ {
-		tr.firstPerThread(tr.subs[i].StoresTo(st.Addr), 0)
+		tr.firstPerThread(tr.subs[i], key, 0)
 	}
 	return tr.nextOut
 }
 
 // firstPerThread appends to nextOut the first store per thread with
-// Seq > after. Each call starts with a fresh per-thread seen set; the
-// thread count is tiny, so a linear scan beats a map.
-func (tr *Trace) firstPerThread(stores []*Store, after vclock.Seq) {
+// Seq > after on word key's list in sub. Each call starts with a fresh
+// per-thread seen set; the thread count is tiny, so a linear scan beats
+// a map.
+func (tr *Trace) firstPerThread(sub *SubExec, key uint64, after vclock.Seq) {
 	tr.nextSeen = tr.nextSeen[:0]
-	for _, s := range stores {
-		s.CheckLive()
+	l, _ := sub.byLoc.Get(key)
+	for r := l.head; r != NoStore; {
+		s := tr.StoreAt(r)
+		r = s.next
 		if s.Seq <= after {
 			continue
 		}

@@ -78,10 +78,10 @@ func TestLoadMergesStoreCVWithinSubExec(t *testing.T) {
 	// happens-before edge from x=1 (the Figure 7 pattern).
 	tr.Load(1, addrX, s1, memmodel.OpLoad, tr.Intern("r1=x"))
 	s2 := issueCommit(tr, 1, addrY, 1, "y=r1")
-	if !s1.HappensBefore(s2) {
-		t.Fatalf("x=1 should happen before y=r1: s1.CV=%v s2.CV=%v", s1.CV, s2.CV)
+	if !tr.HappensBefore(s1, s2) {
+		t.Fatalf("x=1 should happen before y=r1: tr.StoreCV(s1)=%v tr.StoreCV(s2)=%v", tr.StoreCV(s1), tr.StoreCV(s2))
 	}
-	if s2.HappensBefore(s1) {
+	if tr.HappensBefore(s2, s1) {
 		t.Fatal("happens-before must be asymmetric")
 	}
 }
@@ -92,11 +92,11 @@ func TestLoadAcrossCrashDoesNotMergeCV(t *testing.T) {
 	tr.Crash()
 	tr.Load(0, addrX, s1, memmodel.OpLoad, tr.Intern("post r=x"))
 	s2 := issueCommit(tr, 0, addrY, 7, "post y=7")
-	if s1.HappensBefore(s2) {
+	if tr.HappensBefore(s1, s2) {
 		t.Fatal("stores in different sub-executions are not hb-related")
 	}
 	// The post-crash thread's CV must not contain pre-crash clocks.
-	if got := s2.CV.At(0); got != 1 {
+	if got := tr.StoreCV(s2).At(0); got != 1 {
 		t.Fatalf("post-crash thread clock = %d, want 1 (fresh)", got)
 	}
 }
@@ -128,14 +128,14 @@ func TestInitialStore(t *testing.T) {
 	if i1 != i2 {
 		t.Fatal("Initial must be cached per word")
 	}
-	if !i1.Initial || i1.Seq != 0 || i1.Clock != 0 || !i1.CV.IsBottom() {
+	if !i1.Initial || i1.Seq != 0 || i1.Clock != 0 || !tr.StoreCV(i1).IsBottom() {
 		t.Fatalf("initial store malformed: %+v", i1)
 	}
 	st := issueCommit(tr, 0, addrX, 1, "x=1")
-	if !i1.HappensBefore(st) {
+	if !tr.HappensBefore(i1, st) {
 		t.Fatal("initial store must happen before every store")
 	}
-	if st.HappensBefore(i1) {
+	if tr.HappensBefore(st, i1) {
 		t.Fatal("no store happens before an initial store")
 	}
 }
@@ -236,10 +236,10 @@ func TestStoreCVIncludesOwnClock(t *testing.T) {
 	tr := New()
 	s1 := issueCommit(tr, 0, addrX, 1, "s1")
 	s2 := issueCommit(tr, 0, addrY, 2, "s2")
-	if s1.CV.At(0) != s1.Clock || s2.CV.At(0) != s2.Clock {
+	if tr.StoreCV(s1).At(0) != s1.Clock || tr.StoreCV(s2).At(0) != s2.Clock {
 		t.Fatal("SCV(st)(τ) must equal getcl(st)")
 	}
-	if !s1.HappensBefore(s2) {
+	if !tr.HappensBefore(s1, s2) {
 		t.Fatal("program order implies happens-before")
 	}
 }
@@ -252,10 +252,10 @@ func TestStoreCVRecordsLastHBStoreOfOtherThreads(t *testing.T) {
 	a2 := issueCommit(tr, 0, addrY, 2, "a2")
 	tr.Load(1, addrY, a2, memmodel.OpLoad, tr.Intern("r=y"))
 	b1 := issueCommit(tr, 1, addrX, 3, "b1")
-	if got := b1.CV.At(0); got != a2.Clock {
+	if got := tr.StoreCV(b1).At(0); got != a2.Clock {
 		t.Fatalf("SCV(b1)(t0) = %d, want %d (clock of a2)", got, a2.Clock)
 	}
-	if !a1.HappensBefore(b1) || !a2.HappensBefore(b1) {
+	if !tr.HappensBefore(a1, b1) || !tr.HappensBefore(a2, b1) {
 		t.Fatal("both a1 and a2 must happen before b1")
 	}
 }

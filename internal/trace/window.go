@@ -10,8 +10,30 @@
 // trace's index structures, and the sweep hands the slots of records
 // nothing references any more back to the arenas' free lists, where the
 // next allocations reuse them. A windowed execution's record memory
-// therefore stops growing at its live high-water mark and never passes
-// through the garbage collector.
+// therefore stops growing at its live high-water mark: no record is
+// ever handed to the garbage collector to free.
+//
+// Nor does the collector have to scan what stays. A long execution
+// keeps a live set of the order of 10^5 stores — the crash image pins
+// every store a future load could still read — and the collector marks
+// the live heap on every cycle, so a pointer per retained reference
+// would make each cycle re-mark that whole set. A Store record holds no
+// pointer (its clock vector is inline, or in the trace's spill table
+// when it has more than four components), and every store reference the
+// trace and the crash image keep is a StoreRef handle, an int32 slot
+// number resolved through the arena: the thread rows, the per-word
+// lists (threaded through the records' next handles, so a word's list
+// is no heap object of its own), the commit lists, the initial stores,
+// limbo, the sweep's root and unpin lists and the arena's free list,
+// and in package persist the crash image's epoch histories, whose line
+// states and epochs live in arrays indexed by int32. Store chunks are
+// therefore memory the collector never scans, and the retained
+// structures are a few large objects instead of one per word, line and
+// epoch (TestRetainedRecordsArePointerFree). Transient pointers — a
+// resolved *Store handed to a caller, a Next result, a candidate, a
+// store-buffer entry — stay pointers: arena chunks never move, so a
+// resolved pointer is valid as long as its handle. Events still hold pointers; under a window the
+// log keeps only about twice the window's worth of them.
 //
 // What must stay reachable is exactly the closure of the live roots
 // under clock-vector resolution:
@@ -52,13 +74,15 @@
 // sweep finds an event or the checker holding it; events are referenced
 // by the log alone, so every event below the window is released at once.
 // Released slots carry an odd generation stamp, and a build with the
-// psanpoison tag makes every read path panic on one (Store.CheckLive).
+// psanpoison tag makes every read path panic on one: resolving a stale
+// handle (Trace.StoreAt) or following a stale pointer
+// (Store.CheckLive).
 //
 // The sweep rewrites only what the unpins touched, so that every future
 // query — LoadCandidates epoch walks, Next/firstPerThread, StoreByClock,
 // SubEvents — returns exactly what it would have returned on the
 // unbounded trace. Thread rows are positional (per-thread clock
-// indexing): an unlinked store leaves a nil hole, and leading holes are
+// indexing): an unlinked store leaves a NoStore hole, and leading holes are
 // trimmed into the row's clock base. The byLoc lists of the unlinked
 // stores' words are re-filtered: a list keeps a store if it is its
 // thread's first appearance in the list or its Seq is at least the
@@ -140,28 +164,54 @@ func (tr *Trace) WindowSize() int { return tr.window }
 // slot if the free list has one (its generation turns even again), the
 // next fresh slot otherwise.
 func (tr *Trace) newStore() *Store {
-	s := tr.stores.alloc()
+	i, s := tr.stores.alloc()
 	s.gen += s.gen & 1
+	s.ref = StoreRef(i + 1)
 	return s
+}
+
+// setCV gives a new store its clock vector: inline when it fits, else
+// in a spill-table entry.
+func (tr *Trace) setCV(s *Store, cv vclock.CV) {
+	if w, ok := cv.Words(); ok {
+		s.cv = w
+		return
+	}
+	if k := len(tr.spillFree); k > 0 {
+		i := tr.spillFree[k-1]
+		tr.spillFree = tr.spillFree[:k-1]
+		tr.spills[i] = cv
+		s.cv = vclock.Spilled(i)
+		return
+	}
+	s.cv = vclock.Spilled(uint32(len(tr.spills)))
+	tr.spills = append(tr.spills, cv)
 }
 
 // newEvent allocates one zeroed Event record: a released slot, which
 // kept its fields when it was released, is zeroed here (its generation
 // turns even again), a fresh one is zero already.
 func (tr *Trace) newEvent() *Event {
-	ev := tr.evs.alloc()
-	if ev.gen&1 != 0 {
+	if k := len(tr.evFree); k > 0 {
+		ev := tr.evFree[k-1]
+		tr.evFree = tr.evFree[:k-1]
 		*ev = Event{gen: ev.gen + 1}
+		return ev
 	}
+	_, ev := tr.evs.alloc()
 	return ev
 }
 
-// releaseStore zeroes s and returns its slot to the free list with an
-// odd generation.
+// releaseStore zeroes s and returns its slot, and its spill-table entry
+// if it has one, to the free lists; the slot gets an odd generation.
 func (tr *Trace) releaseStore(s *Store) {
-	g := s.gen + 1
+	if i, ok := s.cv.SpillIndex(); ok {
+		tr.spills[i] = vclock.CV{}
+		tr.spillFree = append(tr.spillFree, i)
+	}
+	i, g := int32(s.ref)-1, s.gen+1
 	*s = Store{gen: g}
-	tr.stores.release(s)
+	tr.stores.release(i)
 	tr.releasedStores++
 }
 
@@ -175,7 +225,7 @@ func (tr *Trace) releaseEvents(evs []*Event) {
 		tr.retiredKinds[ev.Kind]++
 		ev.gen++
 	}
-	tr.evs.free = append(tr.evs.free, evs...)
+	tr.evFree = append(tr.evFree, evs...)
 }
 
 // CheckLive panics if s is a released slot, in a build with the
@@ -213,7 +263,7 @@ func (tr *Trace) Pin(st *Store) {
 func (tr *Trace) Unpin(st *Store) {
 	st.mark &^= pinImage
 	if !st.pinned() {
-		tr.unpinned = append(tr.unpinned, st)
+		tr.unpinned = append(tr.unpinned, st.ref)
 	}
 }
 
@@ -225,7 +275,7 @@ func (tr *Trace) pinRoot(st *Store) {
 	}
 	st.CheckLive()
 	st.mark |= rootNext
-	tr.roots = append(tr.roots, st)
+	tr.roots = append(tr.roots, st.ref)
 }
 
 // HoldStore marks st held for the running retirement: the sweep may
@@ -255,16 +305,16 @@ func (tr *Trace) take(st *Store) {
 	}
 	st.mark |= holdsRefs
 	tr.pinnedNow++
-	stack := append(tr.pinStack[:0], st)
+	stack := append(tr.pinStack[:0], st.ref)
 	for len(stack) > 0 {
-		p := stack[len(stack)-1]
+		p := tr.StoreAt(stack[len(stack)-1])
 		stack = stack[:len(stack)-1]
 		if p.Initial {
 			continue
 		}
 		sub := tr.subs[p.SubExec]
-		for i, n := 0, p.CV.Len(); i < n; i++ {
-			t, c := p.CV.Comp(i)
+		for i, n := 0, tr.CVLen(p); i < n; i++ {
+			t, c := tr.CVComp(p, i)
 			if t == p.Thread {
 				continue
 			}
@@ -276,7 +326,7 @@ func (tr *Trace) take(st *Store) {
 				if q.mark&holdsRefs == 0 {
 					q.mark |= holdsRefs
 					tr.pinnedNow++
-					stack = append(stack, q)
+					stack = append(stack, q.ref)
 				}
 			}
 		}
@@ -290,22 +340,22 @@ func (tr *Trace) take(st *Store) {
 // tr.unpinned.
 func (tr *Trace) drop() {
 	stack := tr.pinStack[:0]
-	for _, s := range tr.unpinned {
-		if !s.pinned() && s.mark&holdsRefs != 0 {
+	for _, r := range tr.unpinned {
+		if s := tr.StoreAt(r); !s.pinned() && s.mark&holdsRefs != 0 {
 			s.mark &^= holdsRefs
 			tr.pinnedNow--
-			stack = append(stack, s)
+			stack = append(stack, r)
 		}
 	}
 	for len(stack) > 0 {
-		p := stack[len(stack)-1]
+		p := tr.StoreAt(stack[len(stack)-1])
 		stack = stack[:len(stack)-1]
 		if p.Initial {
 			continue
 		}
 		sub := tr.subs[p.SubExec]
-		for i, n := 0, p.CV.Len(); i < n; i++ {
-			t, c := p.CV.Comp(i)
+		for i, n := 0, tr.CVLen(p); i < n; i++ {
+			t, c := tr.CVComp(p, i)
 			if t == p.Thread {
 				continue
 			}
@@ -314,8 +364,8 @@ func (tr *Trace) drop() {
 				if !q.pinned() {
 					q.mark &^= holdsRefs
 					tr.pinnedNow--
-					stack = append(stack, q)
-					tr.unpinned = append(tr.unpinned, q)
+					stack = append(stack, q.ref)
+					tr.unpinned = append(tr.unpinned, q.ref)
 				}
 			}
 		}
@@ -326,7 +376,7 @@ func (tr *Trace) drop() {
 // RecentCommits returns the stores committed in the current
 // sub-execution since the last sweep (all of them before the first).
 // The crash image finds the cache lines that grew with it.
-func (tr *Trace) RecentCommits() []*Store { return tr.Current().stores }
+func (tr *Trace) RecentCommits() []StoreRef { return tr.Current().stores }
 
 // Retire runs one retirement sweep. Each roots callback pins this
 // sweep's transient roots through pin (store buffers, the checker's
@@ -340,7 +390,8 @@ func (tr *Trace) Retire(roots ...func(pin func(*Store))) {
 	if tr.holdGen++; tr.holdGen == 0 {
 		tr.holdGen = 1
 	}
-	for _, s := range tr.initList[tr.initSwept:] {
+	for _, r := range tr.initList[tr.initSwept:] {
+		s := tr.StoreAt(r)
 		s.mark |= pinInitial
 		tr.take(s)
 	}
@@ -366,22 +417,22 @@ func (tr *Trace) Retire(roots ...func(pin func(*Store))) {
 			}
 		}
 	}
-	for _, s := range tr.roots {
-		if s.mark&pinRoot == 0 {
+	for _, r := range tr.roots {
+		if s := tr.StoreAt(r); s.mark&pinRoot == 0 {
 			s.mark |= pinRoot
 			tr.take(s)
 		}
 	}
-	for _, s := range tr.prevRoots {
-		if s.mark&rootNext == 0 {
+	for _, r := range tr.prevRoots {
+		if s := tr.StoreAt(r); s.mark&rootNext == 0 {
 			s.mark &^= pinRoot
 			if !s.pinned() {
-				tr.unpinned = append(tr.unpinned, s)
+				tr.unpinned = append(tr.unpinned, r)
 			}
 		}
 	}
-	for _, s := range tr.roots {
-		s.mark &^= rootNext
+	for _, r := range tr.roots {
+		tr.StoreAt(r).mark &^= rootNext
 	}
 	tr.prevRoots, tr.roots = tr.roots, tr.prevRoots[:0]
 
@@ -396,8 +447,8 @@ func (tr *Trace) Retire(roots ...func(pin func(*Store))) {
 	// and the new stores nothing pinned. Every pin of the sweep is final
 	// from here on.
 	tr.drop()
-	for _, s := range tr.unpinned {
-		if !s.pinned() && s.mark&unlinked == 0 {
+	for _, r := range tr.unpinned {
+		if s := tr.StoreAt(r); !s.pinned() && s.mark&unlinked == 0 {
 			tr.unlink(s)
 		}
 	}
@@ -406,8 +457,10 @@ func (tr *Trace) Retire(roots ...func(pin func(*Store))) {
 		for ri := range sub.threads {
 			r := &sub.threads[ri]
 			for i := int(r.swept - r.base); i < len(r.stores); i++ {
-				if s := r.stores[i]; s != nil && !s.pinned() {
-					tr.unlink(s)
+				if ref := r.stores[i]; ref != NoStore {
+					if s := tr.StoreAt(ref); !s.pinned() {
+						tr.unlink(s)
+					}
 				}
 			}
 			r.swept = r.base + vclock.Clock(len(r.stores))
@@ -450,17 +503,16 @@ func (tr *Trace) Retire(roots ...func(pin func(*Store))) {
 	// that drops one puts it back), keep the ones an event or the checker
 	// holds for the next sweep to re-check, and release the rest.
 	keep := tr.limbo[:0]
-	for _, s := range tr.limbo {
-		switch {
+	for _, r := range tr.limbo {
+		switch s := tr.StoreAt(r); {
 		case s.Seq > 0 && s.mark&offList == 0:
 			s.mark &^= inLimbo
 		case uint32(s.mark>>holdShift) == tr.holdGen:
-			keep = append(keep, s)
+			keep = append(keep, r)
 		default:
 			tr.releaseStore(s)
 		}
 	}
-	clear(tr.limbo[len(keep):])
 	tr.limbo = keep
 
 	tr.retirements++
@@ -480,26 +532,24 @@ func (tr *Trace) unlink(s *Store) {
 	}
 	s.mark |= unlinked | inLimbo
 	r := tr.subs[s.SubExec].findRow(s.Thread)
-	r.stores[s.Clock-r.base-1] = nil
+	r.stores[s.Clock-r.base-1] = NoStore
 	tr.retiredStores++
-	tr.limbo = append(tr.limbo, s)
+	tr.limbo = append(tr.limbo, s.ref)
 	if s.Seq > 0 {
-		lp, _ := tr.subs[s.SubExec].byLoc.Slot(wordKey(s.Addr))
-		tr.refilter(lp)
+		l, _ := tr.subs[s.SubExec].byLoc.Slot(wordKey(s.Addr))
+		tr.refilter(l)
 	}
 }
 
 // trim moves the row's leading holes into its clock base once they
 // make up half the row, so trimming costs O(1) per unlinked store and
-// StoreByClock meets the rest as nil holes.
+// StoreByClock meets the rest as holes.
 func (r *threadRow) trim() {
-	for r.lead < len(r.stores) && r.stores[r.lead] == nil {
+	for r.lead < len(r.stores) && r.stores[r.lead] == NoStore {
 		r.lead++
 	}
 	if r.lead > 0 && 2*r.lead >= len(r.stores) {
-		n := copy(r.stores, r.stores[r.lead:])
-		clear(r.stores[n:])
-		r.stores = r.stores[:n]
+		r.stores = r.stores[:copy(r.stores, r.stores[r.lead:])]
 		r.base += vclock.Clock(r.lead)
 		r.lead = 0
 	}
@@ -513,30 +563,40 @@ func (r *threadRow) trim() {
 // their list no longer holds them, and a dropped store that was parked
 // goes to limbo. After one call that prefix holds at most one store per
 // thread, so a second call for another store of the list costs no more.
-func (tr *Trace) refilter(lp *[]*Store) {
-	list := *lp
+func (tr *Trace) refilter(l *wordList) {
 	seen := tr.markScratch[:0]
-	kept, i := 0, 0
-	for ; i < len(list) && !list[i].pinned(); i++ {
-		s := list[i]
+	var prev *Store // the last store kept, nil while none is
+	for r := l.head; r != NoStore; {
+		s := tr.StoreAt(r)
+		if s.pinned() {
+			break
+		}
+		next := s.next
 		if slices.Contains(seen, s.Thread) {
 			s.mark |= offList
 			if s.mark&(unlinked|inLimbo) == unlinked {
 				s.mark |= inLimbo
-				tr.limbo = append(tr.limbo, s)
+				tr.limbo = append(tr.limbo, r)
 			}
-			continue
+			s.next = NoStore
+			if prev == nil {
+				l.head = next
+			} else {
+				prev.next = next
+			}
+			if l.tail == r {
+				l.tail = NoStore
+				if prev != nil {
+					l.tail = prev.ref
+				}
+			}
+		} else {
+			seen = append(seen, s.Thread)
+			prev = s
 		}
-		seen = append(seen, s.Thread)
-		list[kept] = s
-		kept++
+		r = next
 	}
 	tr.markScratch = seen[:0]
-	if kept < i {
-		n := kept + copy(list[kept:], list[i:])
-		clear(list[n:])
-		*lp = list[:n]
-	}
 }
 
 // Stores returns the sub-execution's committed stores in TSO (commit)
@@ -544,14 +604,20 @@ func (tr *Trace) refilter(lp *[]*Store) {
 // rebuilt from the byLoc lists, which keep every pinned store.
 func (e *SubExec) Stores() []*Store {
 	if !e.swept {
-		return e.stores
+		out := make([]*Store, len(e.stores))
+		for i, r := range e.stores {
+			out[i] = e.tr.StoreAt(r)
+		}
+		return out
 	}
 	var out []*Store
-	e.byLoc.Each(func(_ uint64, lp *[]*Store) {
-		for _, s := range *lp {
+	e.byLoc.Each(func(_ uint64, l *wordList) {
+		for r := l.head; r != NoStore; {
+			s := e.tr.StoreAt(r)
 			if s.mark&unlinked == 0 {
 				out = append(out, s)
 			}
+			r = s.next
 		}
 	})
 	slices.SortFunc(out, func(a, b *Store) int { return int(a.Seq - b.Seq) })

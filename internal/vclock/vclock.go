@@ -84,11 +84,51 @@ func clockOf(p uint64) Clock              { return Clock(p & clockMask) }
 type CV struct {
 	// inl holds the packed components of an inline vector, sorted by
 	// thread and zero-terminated.
-	inl [inlineComps]uint64
+	inl Words
 	// spill, when non-nil, holds the whole vector instead: components
 	// sorted by thread, no zero clocks. The slice is never mutated.
 	spill *[]component
 }
+
+// Words is the pointer-free form of an inline vector: its packed
+// components, sorted by thread and zero-terminated. A record the
+// garbage collector must not scan keeps a vector as Words, and one
+// that does not fit (CV.Words reports false) somewhere else.
+type Words [inlineComps]uint64
+
+// Words returns v's pointer-free form and true, or false when v is
+// spilled.
+func (v CV) Words() (Words, bool) { return v.inl, v.spill == nil }
+
+// CV returns the inline vector w is the form of.
+func (w Words) CV() CV { return CV{inl: w} }
+
+// spillTag is a word no inline vector holds: a packed component's
+// clock is never 0.
+const spillTag = 1 << 63
+
+// Spilled returns a Words that is the form of no vector and carries i:
+// a record keeps it in place of a vector that does not fit inline and
+// that it stores elsewhere, at index i. SpillIndex recovers i.
+func Spilled(i uint32) Words { return Words{spillTag, uint64(i)} }
+
+// SpillIndex returns i and true if w is Spilled(i), or false if w is
+// the form of an inline vector.
+func (w *Words) SpillIndex() (uint32, bool) { return uint32(w[1]), w[0] == spillTag }
+
+// Len and Comp walk the components of the inline vector w is the form
+// of in place, as CV.Len and CV.Comp do.
+func (w *Words) Len() int {
+	n := 0
+	for n < inlineComps && w[n] != 0 {
+		n++
+	}
+	return n
+}
+
+// Comp returns the i-th component of the inline vector w is the form
+// of; see Len.
+func (w *Words) Comp(i int) (memmodel.ThreadID, Clock) { return threadOf(w[i]), clockOf(w[i]) }
 
 // Bottom returns ⊥CV, the vector that is 0 everywhere.
 func Bottom() CV { return CV{} }
@@ -336,11 +376,7 @@ func (v *CV) Len() int {
 	if v.spill != nil {
 		return len(*v.spill)
 	}
-	n := 0
-	for n < inlineComps && v.inl[n] != 0 {
-		n++
-	}
-	return n
+	return v.inl.Len()
 }
 
 // Comp returns the i-th non-zero component in ascending thread order,
@@ -350,7 +386,7 @@ func (v *CV) Comp(i int) (memmodel.ThreadID, Clock) {
 		e := (*v.spill)[i]
 		return e.t, e.c
 	}
-	return threadOf(v.inl[i]), clockOf(v.inl[i])
+	return v.inl.Comp(i)
 }
 
 // String renders the vector as {t0:3 t2:1} with threads in ascending
